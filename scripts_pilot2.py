@@ -7,7 +7,7 @@ from eqmatch.config import DatasetSpec, OptimizerSettings, RunConfig, TrainSetti
 from eqmatch.data import default_mixture, draw_from, ood_sets, sample_noise
 from eqmatch.evaluation import auroc, component_energy, mmd, mode_coverage
 from eqmatch.model import ModelConfig, energy
-from eqmatch.sampler import ModelField, SamplerConfig, compose, sample_gd
+from eqmatch.sampler import ModelField, SamplerConfig, compose, sample
 from eqmatch.schedule import Schedule
 from eqmatch.training import train
 
@@ -54,13 +54,13 @@ radius = 3 * 0.4
 x0 = sample_noise(512, 2, 606)
 # single-label sanity: does label k sample land on mode k?
 for k in (0, 1):
-    final = sample_gd(ModelField(r_c.model, label=k), x0, SamplerConfig(eta=0.01, steps=250)).final
+    final = sample(ModelField(r_c.model, label=k), x0, SamplerConfig(eta=0.01, steps=250)).final
     d = np.linalg.norm(final - modes[k], axis=1)
     say(f"label {k}: median dist to own mode {np.median(d):.3f} within-3sig {np.mean(d <= radius):.3f}")
 
 for la, lb in ((0, 1), (0, 2), (1, 2)):
     field = compose([r_c.model, r_c.model], labels=[la, lb])
-    final = sample_gd(field, x0, SamplerConfig(eta=0.01, steps=250)).final
+    final = sample(field, x0, SamplerConfig(eta=0.01, steps=250)).final
     da = np.linalg.norm(final - modes[la], axis=1)
     db = np.linalg.norm(final - modes[lb], axis=1)
     near_any = np.mean(np.minimum(da, db) <= radius)
@@ -68,8 +68,8 @@ for la, lb in ((0, 1), (0, 2), (1, 2)):
     dmid = np.linalg.norm(final - mid, axis=1)
     # energy-sum comparison vs single-label samples
     ea = component_energy(r_c.model, final, label=la) + component_energy(r_c.model, final, label=lb)
-    single_a = sample_gd(ModelField(r_c.model, label=la), x0, SamplerConfig(eta=0.01, steps=250)).final
-    single_b = sample_gd(ModelField(r_c.model, label=lb), x0, SamplerConfig(eta=0.01, steps=250)).final
+    single_a = sample(ModelField(r_c.model, label=la), x0, SamplerConfig(eta=0.01, steps=250)).final
+    single_b = sample(ModelField(r_c.model, label=lb), x0, SamplerConfig(eta=0.01, steps=250)).final
     singles = np.concatenate([single_a, single_b])
     es = (component_energy(r_c.model, singles, label=la)
           + component_energy(r_c.model, singles, label=lb))

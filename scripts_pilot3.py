@@ -8,7 +8,7 @@ from eqmatch.config import DatasetSpec, OptimizerSettings, RunConfig, TrainSetti
 from eqmatch.data import fixed_memorization_set, sample_noise
 from eqmatch.evaluation import grad_norm_at_data, local_minima_membership
 from eqmatch.model import ModelConfig
-from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample_adaptive
+from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample
 from eqmatch.schedule import Schedule
 from eqmatch.training import train
 from eqmatch.objective import TrainBatch, eqm_loss, draw_batch

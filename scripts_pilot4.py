@@ -11,8 +11,7 @@ from eqmatch.evaluation import (grad_norm_at_data, local_minima_membership, mmd,
 from eqmatch.model import ModelConfig, init_model
 from eqmatch.objective import corrupt, draw_batch, eqm_loss
 from eqmatch.optimizer import AdamW
-from eqmatch.sampler import (ModelField, SamplerConfig, calibrate_g_min,
-                             sample_adaptive, sample_gd, sample_nag)
+from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample
 from eqmatch.schedule import Schedule
 from eqmatch.training import train
 from eqmatch import ndtensor as nd
@@ -61,23 +60,23 @@ for lr, steps in ((3e-3, 10000), (1e-2, 10000)):
     x0 = sample_noise(1000, 2, 77)
     radius = 3 * 0.3
     for eta in (0.005, 0.01, 0.02, 0.04):
-        final = sample_gd(r.model, x0, SamplerConfig(eta=eta, steps=250)).final
+        final = sample(r.model, x0, SamplerConfig(eta=eta, steps=250)).final
         q = mmd(final, reference)
         cov, inm = mode_coverage(final, dist.modes, radius)
         say(f"  gd eta {eta}: mmd {q:.5f} cov {cov:.2f} in-mode {inm:.3f}")
     if lr == 1e-2:
         null = mmd_permutation_null(
-            sample_gd(r.model, x0, SamplerConfig(eta=0.01, steps=250)).final,
+            sample(r.model, x0, SamplerConfig(eta=0.01, steps=250)).final,
             reference, n_permutations=200, seed=3)
         say(f"  null p99 {np.percentile(null, 99):.6f} std {null.std():.6f}")
         g_min = calibrate_g_min(r.model, draw_from(dist, 512, np.random.default_rng(55))[0], 5.0)
         say(f"  g_min {g_min:.5f}")
         for eta in (0.01, 0.02):
-            fixed = sample_gd(r.model, x0, SamplerConfig(eta=eta, steps=250)).final
+            fixed = sample(r.model, x0, SamplerConfig(eta=eta, steps=250)).final
             qf = max(0.0, mmd(fixed, reference))
-            traj = sample_adaptive(ModelField(r.model), x0,
-                                   SamplerConfig(method="adaptive", eta=eta,
-                                                 g_min=g_min, max_steps=1000))
+            traj = sample(ModelField(r.model), x0,
+                          SamplerConfig(method="adaptive", eta=eta,
+                                        g_min=g_min, max_steps=1000))
             qa = max(0.0, mmd(traj.final, reference))
             nfe = traj.steps_used.sum() / (1000 * 250)
             say(f"  adaptive eta {eta}: fixed {qf:.5f} adapt {qa:.5f} NFE {nfe:.3f} "
@@ -85,9 +84,9 @@ for lr, steps in ((3e-3, 10000), (1e-2, 10000)):
         for eta in (0.02, 0.04):
             for seed in (1, 2, 3):
                 x0s = sample_noise(1000, 2, 700 + seed)
-                gd25 = sample_gd(r.model, x0s, SamplerConfig(eta=eta, steps=25)).final
-                nag25 = sample_nag(r.model, x0s,
-                                   SamplerConfig(method="nag", eta=eta, mu=0.35, steps=25)).final
+                gd25 = sample(r.model, x0s, SamplerConfig(eta=eta, steps=25)).final
+                nag25 = sample(r.model, x0s,
+                               SamplerConfig(method="nag", eta=eta, mu=0.35, steps=25)).final
                 say(f"  25st eta {eta} seed {seed}: gd {mmd(gd25, reference):.5f} "
                     f"nag {mmd(nag25, reference):.5f}")
 
@@ -110,7 +109,7 @@ for lr, tile, steps in ((1e-2, 2, 10000), (1e-2, 4, 10000)):
     for eta in (0.01, 0.02):
         cfgS = SamplerConfig(method="adaptive", eta=eta, g_min=g_min, max_steps=1000)
         frac = local_minima_membership(m, pts, n_inits=512, radius=0.25, config=cfgS, seed=5)
-        traj = sample_adaptive(ModelField(m), sample_noise(512, 2, 5), cfgS)
+        traj = sample(ModelField(m), sample_noise(512, 2, 5), cfgS)
         say(f"mem lr {lr} tile {tile} eta {eta}: ratio {ratio:.4f} g_min {g_min:.4f} "
             f"membership {frac:.4f} steps mean {traj.steps_used.mean():.0f} capped {traj.cap_reached.sum()}")
 

@@ -7,8 +7,7 @@ from eqmatch.config import DatasetSpec, OptimizerSettings, RunConfig, TrainSetti
 from eqmatch.data import ToyDistribution, default_modes, draw_from, sample_noise
 from eqmatch.evaluation import component_energy, mmd, mmd_permutation_null, mode_coverage
 from eqmatch.model import ModelConfig
-from eqmatch.sampler import (ModelField, SamplerConfig, calibrate_g_min, compose,
-                             sample_adaptive, sample_gd, sample_nag)
+from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, compose, sample
 from eqmatch.schedule import Schedule
 from eqmatch.training import train
 
@@ -32,30 +31,30 @@ for sigma in (0.1, 0.15):
     reference, _ = draw_from(dist, 1000, np.random.default_rng(9001))
     x0 = sample_noise(1000, 2, 77)
     for eta in (0.00375, 0.0075, 0.015, 0.03):
-        final = sample_gd(r.model, x0, SamplerConfig(eta=eta, steps=250)).final
+        final = sample(r.model, x0, SamplerConfig(eta=eta, steps=250)).final
         q = mmd(final, reference)
         cov, inm = mode_coverage(final, dist.modes, 3 * sigma)
         null = mmd_permutation_null(final, reference, 100, seed=3)
         say(f"  eta {eta}: mmd {q:.5f} p99 {np.percentile(null,99):.5f} cov {cov:.2f} in {inm:.3f}")
     # atom offsets: where do samples sit relative to mode centers
-    final = sample_gd(r.model, x0, SamplerConfig(eta=0.0075, steps=250)).final
+    final = sample(r.model, x0, SamplerConfig(eta=0.0075, steps=250)).final
     d = np.linalg.norm(final[:, None] - dist.modes[None], axis=2).min(axis=1)
     say(f"  offsets: median {np.median(d):.4f} p90 {np.percentile(d,90):.4f}")
     # adaptive
     g_min = calibrate_g_min(r.model, draw_from(dist, 512, np.random.default_rng(55))[0], 5.0)
     for pct, gm in (("p05", g_min),):
-        traj = sample_adaptive(ModelField(r.model), x0,
-                               SamplerConfig(method="adaptive", eta=0.0075, g_min=gm, max_steps=1000))
+        traj = sample(ModelField(r.model), x0,
+                      SamplerConfig(method="adaptive", eta=0.0075, g_min=gm, max_steps=1000))
         qa = max(0.0, mmd(traj.final, reference))
-        fixed = max(0.0, mmd(sample_gd(r.model, x0, SamplerConfig(eta=0.0075, steps=250)).final, reference))
+        fixed = max(0.0, mmd(sample(r.model, x0, SamplerConfig(eta=0.0075, steps=250)).final, reference))
         say(f"  adaptive {pct} g_min {gm:.4f}: fixed {fixed:.5f} adapt {qa:.5f} "
             f"NFE {traj.steps_used.sum()/(1000*250):.3f} std {traj.steps_used.std():.1f} capped {traj.cap_reached.sum()}")
     # NAG at few steps
     for eta in (0.005, 0.0075):
         for seed in (1, 2, 3):
             x0s = sample_noise(1000, 2, 700 + seed)
-            gd25 = sample_gd(r.model, x0s, SamplerConfig(eta=eta, steps=25)).final
-            nag25 = sample_nag(r.model, x0s, SamplerConfig(method="nag", eta=eta, mu=0.35, steps=25)).final
+            gd25 = sample(r.model, x0s, SamplerConfig(eta=eta, steps=25)).final
+            nag25 = sample(r.model, x0s, SamplerConfig(method="nag", eta=eta, mu=0.35, steps=25)).final
             say(f"  25st eta {eta} seed {seed}: gd {mmd(gd25, reference):.5f} nag {mmd(nag25, reference):.5f}")
 
 say("=== conditional composition geometry ===")
@@ -72,19 +71,19 @@ for sigma in (0.25, 0.3):
     modes = dist.modes
     x0 = sample_noise(512, 2, 606)
     for k in (0, 1):
-        final = sample_gd(ModelField(r.model, label=k), x0, SamplerConfig(eta=0.0075, steps=250)).final
+        final = sample(ModelField(r.model, label=k), x0, SamplerConfig(eta=0.0075, steps=250)).final
         dd = np.linalg.norm(final - modes[k], axis=1)
         say(f"  label {k}: median own-mode dist {np.median(dd):.3f} in3sig {np.mean(dd<=3*sigma):.3f}")
     for la, lb in ((0, 1), (0, 2)):
         field = compose([r.model, r.model], labels=[la, lb])
-        final = sample_gd(field, x0, SamplerConfig(eta=0.0075, steps=250)).final
+        final = sample(field, x0, SamplerConfig(eta=0.0075, steps=250)).final
         da = np.linalg.norm(final - modes[la], axis=1)
         db = np.linalg.norm(final - modes[lb], axis=1)
         near = np.mean(np.minimum(da, db) <= 3 * sigma)
         esum = (component_energy(r.model, final, label=la)
                 + component_energy(r.model, final, label=lb))
-        s_a = sample_gd(ModelField(r.model, label=la), x0, SamplerConfig(eta=0.0075, steps=250)).final
-        s_b = sample_gd(ModelField(r.model, label=lb), x0, SamplerConfig(eta=0.0075, steps=250)).final
+        s_a = sample(ModelField(r.model, label=la), x0, SamplerConfig(eta=0.0075, steps=250)).final
+        s_b = sample(ModelField(r.model, label=lb), x0, SamplerConfig(eta=0.0075, steps=250)).final
         singles = np.concatenate([s_a, s_b])
         esum_single = (component_energy(r.model, singles, label=la)
                        + component_energy(r.model, singles, label=lb))

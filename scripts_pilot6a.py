@@ -8,7 +8,7 @@ from eqmatch.evaluation import grad_norm_at_data, local_minima_membership
 from eqmatch.model import ModelConfig, init_model
 from eqmatch.objective import draw_batch, eqm_loss
 from eqmatch.optimizer import AdamW
-from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample_adaptive
+from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample
 from eqmatch.schedule import Schedule
 from eqmatch import ndtensor as nd
 
@@ -44,7 +44,7 @@ for lr, tile, steps in ((1e-2, 2, 20000),):
         try:
             cfgS = SamplerConfig(method="adaptive", eta=eta, g_min=g_min, max_steps=1000)
             frac = local_minima_membership(m, pts, n_inits=512, radius=0.25, config=cfgS, seed=5)
-            traj = sample_adaptive(ModelField(m), sample_noise(512, 2, 5), cfgS)
+            traj = sample(ModelField(m), sample_noise(512, 2, 5), cfgS)
             # which points get hit
             d = np.linalg.norm(traj.final[:, None] - pts[None], axis=2)
             hits = np.bincount(np.argmin(d, axis=1), minlength=8)

@@ -6,7 +6,7 @@ from eqmatch.evaluation import grad_norm_at_data, local_minima_membership, auroc
 from eqmatch.model import ModelConfig, init_model, energy
 from eqmatch.objective import draw_batch, eqm_loss
 from eqmatch.optimizer import AdamW
-from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample_adaptive
+from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample
 from eqmatch.schedule import Schedule
 from eqmatch.config import DatasetSpec, OptimizerSettings, RunConfig, TrainSettings
 from eqmatch.training import train
@@ -40,7 +40,7 @@ def mem_case(lr, tile, steps):
         try:
             cfgS = SamplerConfig(method="adaptive", eta=eta, g_min=g_min, max_steps=1000)
             frac = local_minima_membership(m, pts, n_inits=512, radius=0.25, config=cfgS, seed=5)
-            traj = sample_adaptive(ModelField(m), sample_noise(512, 2, 5), cfgS)
+            traj = sample(ModelField(m), sample_noise(512, 2, 5), cfgS)
             line += f" | eta {eta}: member {frac:.4f} capped {traj.cap_reached.sum()}"
         except nd.NonFiniteError:
             line += f" | eta {eta}: DIVERGED"

@@ -6,7 +6,7 @@ from eqmatch.evaluation import grad_norm_at_data, local_minima_membership
 from eqmatch.model import ModelConfig, init_model
 from eqmatch.objective import draw_batch, eqm_loss
 from eqmatch.optimizer import AdamW
-from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample_adaptive
+from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample
 from eqmatch.schedule import Schedule
 from eqmatch import ndtensor as nd
 

@@ -5,7 +5,7 @@ from eqmatch.config import DatasetSpec, OptimizerSettings, RunConfig, TrainSetti
 from eqmatch.data import ToyDistribution, draw_from, sample_noise
 from eqmatch.evaluation import mmd, mmd_permutation_null, mode_coverage
 from eqmatch.model import ModelConfig
-from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample_adaptive, sample_gd
+from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample
 from eqmatch.schedule import Schedule
 from eqmatch.training import train
 
@@ -28,7 +28,7 @@ for lr, batch in ((3e-3, 64), (2e-3, 64)):
     x0 = sample_noise(1000, 2, 77)
     say(f"lr {lr} batch {batch}: loss tail {r.losses[-100:].mean():.3f}")
     for eta in (0.00375, 0.0075, 0.015):
-        final = sample_gd(r.model, x0, SamplerConfig(eta=eta, steps=250)).final
+        final = sample(r.model, x0, SamplerConfig(eta=eta, steps=250)).final
         q = mmd(final, reference)
         null = mmd_permutation_null(final, reference, 100, seed=3)
         cov, inm = mode_coverage(final, dist.modes, 3 * SIGMA)
@@ -36,8 +36,8 @@ for lr, batch in ((3e-3, 64), (2e-3, 64)):
         say(f"  eta {eta}: mmd {q:.5f} p99 {np.percentile(null, 99):.5f} cov {cov:.2f} "
             f"in {inm:.3f} offset med {np.median(d):.4f} p90 {np.percentile(d,90):.4f}")
     g_min = calibrate_g_min(r.model, draw_from(dist, 512, np.random.default_rng(55))[0], 5.0)
-    traj = sample_adaptive(ModelField(r.model), x0,
-                           SamplerConfig(method="adaptive", eta=0.0075, g_min=g_min, max_steps=1000))
+    traj = sample(ModelField(r.model), x0,
+                  SamplerConfig(method="adaptive", eta=0.0075, g_min=g_min, max_steps=1000))
     qa = mmd(traj.final, reference)
     nulla = mmd_permutation_null(traj.final, reference, 100, seed=4)
     say(f"  adaptive g_min {g_min:.4f}: mmd {qa:.5f} p99 {np.percentile(nulla,99):.5f} "

@@ -5,7 +5,7 @@ from eqmatch.config import DatasetSpec, OptimizerSettings, RunConfig, TrainSetti
 from eqmatch.data import ToyDistribution, draw_from, ood_sets, sample_noise
 from eqmatch.evaluation import auroc, mode_coverage
 from eqmatch.model import ModelConfig, energy
-from eqmatch.sampler import SamplerConfig, sample_gd
+from eqmatch.sampler import SamplerConfig, sample
 from eqmatch.schedule import Schedule
 from eqmatch.training import train
 
@@ -35,7 +35,7 @@ def check(model, tag):
         s = energy(model, p)
         msg += f" | {name} mean {s.mean():.1f} auroc {auroc(s_id, s):.4f}"
     say(msg)
-    final = sample_gd(model, sample_noise(512, 2, 3), SamplerConfig(eta=0.0075, steps=250)).final
+    final = sample(model, sample_noise(512, 2, 3), SamplerConfig(eta=0.0075, steps=250)).final
     cov, inm = mode_coverage(final, dist.modes, 3 * SIGMA)
     say(f"{tag}: sampling cov {cov:.2f} in-mode {inm:.3f}")
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint
-from .config import RunConfig, ValidationError, load_config
+from .config import ValidationError, load_config
 from .data import FLOAT_FMT, draw_from, load_points_csv, ood_sets, sample_noise
 from .evaluation import (DEFAULT_BANDWIDTHS, EvalReport, QuadraticEnergy,
                          append_reports, auroc, component_energy,
@@ -33,8 +33,8 @@ from .model import energy
 from .ndtensor import NonFiniteError
 from .plotting import (PLOT_KINDS, PlotError, contour_svg, curves_svg,
                        histogram_svg, scatter_svg, vector_field_svg)
-from .sampler import (FunctionField, ModelField, SamplerConfig, compose,
-                      sample, save_trajectory_csv)
+from .sampler import (LOOK_AHEAD_METHODS, METHODS, FunctionField, ModelField,
+                      SamplerConfig, compose, sample, save_trajectory_csv)
 from .training import train
 
 ENV_OUT_DIR = "EQMATCH_OUT"
@@ -63,8 +63,11 @@ def _sampler_from_args(base: SamplerConfig, args) -> SamplerConfig:
             fields[name] = value
     if fields.get("method") == "adaptive" and "g_min" not in fields and base.g_min is None:
         raise ValidationError("adaptive sampling needs --g-min")
-    if fields.get("method", base.method) != "adaptive":
+    method = fields.get("method", base.method)
+    if method != "adaptive":
         fields.setdefault("g_min", None)
+    if method not in LOOK_AHEAD_METHODS:
+        fields.setdefault("mu", 0.0)
     try:
         return replace(base, **fields)
     except ValueError as e:
@@ -132,8 +135,23 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _suite_statements(args, out_dir: Path) -> list[EvalReport]:
-    fp = config_fingerprint({"suite": "statements", "seed": args.seed})
+def _suite_fingerprint(args, ck: Checkpoint | None) -> str:
+    """The ledger key of one suite run, known before any sampling so that a
+    re-run can be skipped for free."""
+    payload = {"suite": args.suite, "seed": args.seed}
+    if args.suite != "statements":
+        payload.update(ckpt=_file_digest(args.checkpoint), n=args.n)
+    if args.suite == "quality":
+        payload["sampler"] = ck.config.sampler.to_dict()
+    elif args.suite == "partial-noise":
+        if not args.baseline:
+            raise ValidationError("the partial-noise suite needs --baseline "
+                                  "(an unconditional velocity-matching checkpoint)")
+        payload["baseline"] = _file_digest(args.baseline)
+    return config_fingerprint(payload)
+
+
+def _suite_statements(args, ck, out_dir: Path, fp: str) -> list[EvalReport]:
     quad = QuadraticEnergy(np.diag([1.0, 4.0]))
     rng = np.random.default_rng(args.seed)
     x0s = 3.0 * rng.standard_normal((50, 2))
@@ -161,18 +179,21 @@ def _suite_statements(args, out_dir: Path) -> list[EvalReport]:
 
 
 def _quality_reports(ck: Checkpoint, fp: str, seed: int, n: int,
-                     sampler_cfg: SamplerConfig) -> list[EvalReport]:
+                     sampler_cfg: SamplerConfig, null: bool = True) -> list[EvalReport]:
+    """Sample from seeded noise and score against a seeded reference draw:
+    MMD, its permutation null (unless `null` is off) and, on mixtures, mode
+    coverage."""
     dist = ck.config.dataset.distribution()
     reference, _ = draw_from(dist, n, np.random.default_rng(seed + 1))
     x0 = sample_noise(n, ck.config.model.input_dim, seed)
     final = sample(field_for_checkpoint(ck), x0, sampler_cfg).final
     observed = mmd(final, reference)
-    null = mmd_permutation_null(final, reference, n_permutations=100, seed=seed)
-    reports = [
-        EvalReport("mmd", max(0.0, observed), fp, seed,
-                   aux={"raw": observed, "n": n}),
-        EvalReport("mmd-null-p99", float(np.percentile(null, 99)), fp, seed),
-    ]
+    reports = [EvalReport("mmd", max(0.0, observed), fp, seed,
+                          aux={"raw": observed, "n": n})]
+    if null:
+        null_mmds = mmd_permutation_null(final, reference, n_permutations=100, seed=seed)
+        reports.append(EvalReport("mmd-null-p99", float(np.percentile(null_mmds, 99)),
+                                  fp, seed))
     if dist.kind == "gaussian-mixture":
         radius = 3.0 * float(np.max(dist.mode_std))
         covered, in_mode = mode_coverage(final, dist.modes, radius)
@@ -182,18 +203,13 @@ def _quality_reports(ck: Checkpoint, fp: str, seed: int, n: int,
     return reports
 
 
-def _suite_quality(args, ck: Checkpoint, out_dir: Path) -> list[EvalReport]:
-    fp = config_fingerprint({"suite": "quality", "ckpt": _file_digest(args.checkpoint),
-                             "seed": args.seed, "n": args.n,
-                             "sampler": ck.config.sampler.to_dict()})
+def _suite_quality(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[EvalReport]:
     return _quality_reports(ck, fp, args.seed, args.n, ck.config.sampler)
 
 
-def _suite_ood(args, ck: Checkpoint, out_dir: Path) -> list[EvalReport]:
+def _suite_ood(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[EvalReport]:
     if ck.config.model.energy_kind == "none":
         raise ValidationError("the ood suite needs an explicit-energy checkpoint")
-    fp = config_fingerprint({"suite": "ood", "ckpt": _file_digest(args.checkpoint),
-                             "seed": args.seed, "n": args.n})
     dist = ck.config.dataset.distribution()
     id_points, _ = draw_from(dist, args.n, np.random.default_rng(args.seed + 1))
     scores_id = energy(ck.model, id_points)
@@ -207,15 +223,8 @@ def _suite_ood(args, ck: Checkpoint, out_dir: Path) -> list[EvalReport]:
     return reports
 
 
-def _suite_partial_noise(args, ck: Checkpoint, out_dir: Path) -> list[EvalReport]:
-    if not args.baseline:
-        raise ValidationError("the partial-noise suite needs --baseline "
-                              "(an unconditional velocity-matching checkpoint)")
+def _suite_partial_noise(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[EvalReport]:
     base = load_checkpoint(args.baseline)
-    fp = config_fingerprint({"suite": "partial-noise",
-                             "ckpt": _file_digest(args.checkpoint),
-                             "baseline": _file_digest(args.baseline),
-                             "seed": args.seed, "n": args.n})
     dist = ck.config.dataset.distribution()
     rng = np.random.default_rng(args.seed + 2)
     holdout, _ = draw_from(dist, args.n, rng)
@@ -237,9 +246,7 @@ def _suite_partial_noise(args, ck: Checkpoint, out_dir: Path) -> list[EvalReport
     return reports
 
 
-def _suite_nn_audit(args, ck: Checkpoint, out_dir: Path) -> list[EvalReport]:
-    fp = config_fingerprint({"suite": "nn-audit", "ckpt": _file_digest(args.checkpoint),
-                             "seed": args.seed, "n": args.n})
+def _suite_nn_audit(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[EvalReport]:
     if ck.config.dataset.kind == "memorization":
         train_set = ck.config.dataset.memorization_points()
     else:
@@ -258,17 +265,14 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     ledger = out_dir / "results.csv"
-    if args.suite == "statements":
-        reports = _suite_statements(args, out_dir)
-    else:
-        ck = load_checkpoint(args.checkpoint)
-        fn = {"quality": _suite_quality, "ood": _suite_ood,
-              "partial-noise": _suite_partial_noise, "nn-audit": _suite_nn_audit}[args.suite]
-        reports = fn(args, ck, out_dir)
-    if reports and ledger_has(ledger, reports[0].fingerprint) and not args.force:
-        print(f"fingerprint {reports[0].fingerprint} already in {ledger}; "
-              "skipping (use --force to re-run)")
+    ck = None if args.suite == "statements" else load_checkpoint(args.checkpoint)
+    fp = _suite_fingerprint(args, ck)
+    if ledger_has(ledger, fp) and not args.force:
+        print(f"fingerprint {fp} already in {ledger}; skipping (use --force to re-run)")
         return 0
+    fn = {"statements": _suite_statements, "quality": _suite_quality, "ood": _suite_ood,
+          "partial-noise": _suite_partial_noise, "nn-audit": _suite_nn_audit}[args.suite]
+    reports = fn(args, ck, out_dir, fp)
     append_reports(ledger, reports)
     for r in reports:
         print(f"{r.metric}: {r.value:.6g}")
@@ -281,23 +285,17 @@ SWEEP_HEADER = ["axis", "value", "objective", "schedule", "lambda", "method",
                 "in_mode_fraction"]
 
 
-def _sweep_row(axis, value, config: RunConfig, sampler_cfg: SamplerConfig,
-               ck_model, seed: int, n: int) -> list:
-    dist = config.dataset.distribution()
-    reference, _ = draw_from(dist, n, np.random.default_rng(seed + 1))
-    x0 = sample_noise(n, config.model.input_dim, seed)
-    negate = config.objective in ("fm", "uncond-fm")
-    final = sample(ModelField(ck_model, negate=negate), x0, sampler_cfg).final
-    quality = max(0.0, mmd(final, reference))
-    if dist.kind == "gaussian-mixture":
-        radius = 3.0 * float(np.max(dist.mode_std))
-        covered, in_mode = mode_coverage(final, dist.modes, radius)
-    else:
-        covered = in_mode = float("nan")
+def _sweep_row(axis, value, ck: Checkpoint, sampler_cfg: SamplerConfig,
+               seed: int, n: int) -> list:
+    scores = {r.metric: r.value
+              for r in _quality_reports(ck, "", seed, n, sampler_cfg, null=False)}
+    config = ck.config
     return [axis, value, config.objective, config.schedule.kind,
             config.schedule.lam, sampler_cfg.method, sampler_cfg.eta,
             sampler_cfg.mu, sampler_cfg.steps, sampler_cfg.g_min, seed,
-            FLOAT_FMT % quality, covered, in_mode]
+            FLOAT_FMT % scores["mmd"],
+            scores.get("covered-mode-fraction", float("nan")),
+            scores.get("in-mode-sample-fraction", float("nan"))]
 
 
 def cmd_sweep(args) -> int:
@@ -317,10 +315,13 @@ def cmd_sweep(args) -> int:
                 cfg = replace(ck.config.sampler, steps=int(raw))
             elif args.axis == "g-min":
                 cfg = replace(ck.config.sampler, method="adaptive", g_min=float(raw))
+            elif args.axis == "mu":
+                method = ck.config.sampler.method
+                cfg = replace(ck.config.sampler, mu=float(raw),
+                              method=method if method in LOOK_AHEAD_METHODS else "nag")
             else:
-                cfg = replace(ck.config.sampler, **{args.axis: float(raw)})
-            rows.append(_sweep_row(args.axis, raw, ck.config, cfg, ck.model,
-                                   args.seed, args.n))
+                cfg = replace(ck.config.sampler, eta=float(raw))
+            rows.append(_sweep_row(args.axis, raw, ck, cfg, args.seed, args.n))
     elif args.axis in ("lambda", "schedule"):
         if not args.config:
             raise ValidationError(f"axis '{args.axis}' retrains per value; pass --config")
@@ -333,7 +334,10 @@ def cmd_sweep(args) -> int:
                 cfg = replace(base, schedule=replace(base.schedule, kind=raw),
                               allow_non_equilibrium=(raw == "constant"))
             result = train(cfg, out_dir=None)
-            rows.append(_sweep_row(args.axis, raw, cfg, cfg.sampler, result.model,
+            trained = Checkpoint(config=cfg, params=result.model.params,
+                                 optimizer=result.optimizer, step=cfg.train.steps,
+                                 rng_state=None)
+            rows.append(_sweep_row(args.axis, raw, trained, cfg.sampler,
                                    args.seed, args.n))
     else:
         raise ValidationError(f"unknown sweep axis '{args.axis}' "
@@ -408,7 +412,7 @@ def _require(value, flag: str):
 
 
 def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=["gd", "nag", "euler-ode", "adaptive"])
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--eta", type=float)
     p.add_argument("--mu", type=float)
     p.add_argument("--steps", type=int)

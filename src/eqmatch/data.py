@@ -226,5 +226,5 @@ def load_points_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def default_mixture() -> ToyDistribution:
-    """The standard experiment target: 8 circle modes, sigma 0.4."""
+    """The standard experiment target: 8 circle modes, sigma 0.3."""
     return ToyDistribution(kind="gaussian-mixture")

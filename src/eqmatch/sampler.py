@@ -1,9 +1,12 @@
 """Optimization-based sampling on a learned gradient field.
 
-Sampling is plain descent on the field: fixed-budget gradient descent, the
-Nesterov look-ahead variant, an explicit-Euler integrator (identical to
-descent when the step sizes match), and an adaptive mode that stops each
-sample independently once its gradient norm falls under a threshold.
+Sampling is one descent loop with a step size, an optional Nesterov
+look-ahead and optional per-sample stopping. The method names pick its
+options: `gd` (plain descent), `nag` (look-ahead factor mu), `euler-ode`
+(the same recurrence read as forward Euler on the velocity v = -grad) and
+`adaptive` (each sample stops once its gradient norm is no longer above
+g_min). Partial-noise denoising is the same loop started from a corrupted
+batch instead of pure noise.
 
 Samplers act on a *field*: any callable (x [n,d], progress in [0,1]) -> grad
 [n,d]. Models wrap into fields via :class:`ModelField`; summed fields via
@@ -22,6 +25,7 @@ from .model import GradientFieldModel, energy_gradient
 from .ndtensor import NonFiniteError
 
 METHODS = ("gd", "nag", "euler-ode", "adaptive")
+LOOK_AHEAD_METHODS = ("nag", "adaptive")  # the methods that take mu
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,9 @@ class SamplerConfig:
             raise ValueError("adaptive sampling needs g_min > 0")
         if self.method != "adaptive" and self.g_min is not None:
             raise ValueError("g_min only applies to the adaptive method")
+        if self.method not in LOOK_AHEAD_METHODS and self.mu != 0.0:
+            raise ValueError(f"look-ahead factor mu={self.mu} needs the nag or "
+                             "adaptive method")
 
     def to_dict(self) -> dict:
         return {"method": self.method, "eta": self.eta, "mu": self.mu,
@@ -197,116 +204,54 @@ def _eval_field(field, x, progress, step):
     return g
 
 
-def _check_state(x, step):
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError(f"non-finite sampler state at step {step}")
+def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory:
+    """Look-ahead descent x <- x - eta * grad(x + mu * (x - x_prev)), with
+    x_prev starting at x0, so the first step is a plain descent step.
 
-
-def sample_gd(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory:
-    """x <- x - eta * grad(x), a fixed budget of steps."""
+    Fixed-budget methods take `steps` steps with every sample active and
+    hand time-dependent fields progress k/steps. `adaptive` takes at most
+    `max_steps` steps and freezes each sample once the gradient at its
+    look-ahead point is no longer above g_min; one more gradient at the end
+    point decides `cap_reached`. Frozen samples are masked out, so the batch
+    stays deterministic while samples stop independently.
+    """
     field, x = _prepare(field, x0)
-    n = len(x)
-    states = [x.copy()] if record else None
-    norms = [] if record else None
-    for k in range(config.steps):
-        g = _eval_field(field, x, k / config.steps, k)
-        x = x - config.eta * g
-        _check_state(x, k)
-        if record:
-            states.append(x.copy())
-            norms.append(np.linalg.norm(g, axis=1))
-    return Trajectory(final=x, steps_used=np.full(n, config.steps),
-                      cap_reached=np.zeros(n, dtype=bool), states=states,
-                      grad_norms=norms)
-
-
-def sample_nag(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory:
-    """Look-ahead descent: the gradient is taken at x + mu * (x - x_prev),
-    with x_prev initialized to x0 so the first step is a plain descent step.
-    mu=0 reproduces `sample_gd` bit for bit."""
-    field, x = _prepare(field, x0)
-    n = len(x)
-    x_prev = x.copy()
-    states = [x.copy()] if record else None
-    norms = [] if record else None
-    for k in range(config.steps):
-        look = x if config.mu == 0.0 else x + config.mu * (x - x_prev)
-        g = _eval_field(field, look, k / config.steps, k)
-        x_prev = x
-        x = x - config.eta * g
-        _check_state(x, k)
-        if record:
-            states.append(x.copy())
-            norms.append(np.linalg.norm(g, axis=1))
-    return Trajectory(final=x, steps_used=np.full(n, config.steps),
-                      cap_reached=np.zeros(n, dtype=bool), states=states,
-                      grad_norms=norms)
-
-
-def sample_euler_ode(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory:
-    """Forward-Euler integration of the descent velocity v = -grad with step
-    h = eta; identical trajectories to `sample_gd` at the same step size."""
-    field, x = _prepare(field, x0)
-    n = len(x)
-    states = [x.copy()] if record else None
-    norms = [] if record else None
-    for k in range(config.steps):
-        v = -_eval_field(field, x, k / config.steps, k)
-        x = x + config.eta * v
-        _check_state(x, k)
-        if record:
-            states.append(x.copy())
-            norms.append(np.linalg.norm(v, axis=1))
-    return Trajectory(final=x, steps_used=np.full(n, config.steps),
-                      cap_reached=np.zeros(n, dtype=bool), states=states,
-                      grad_norms=norms)
-
-
-def sample_adaptive(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory:
-    """Descend each sample until its gradient norm is no longer above g_min
-    or the hard cap hits. Stopped samples are frozen by masking, so a batch
-    stays deterministic while samples stop independently."""
-    field, x = _prepare(field, x0)
-    if getattr(field, "time_dependent", False):
+    adaptive = config.method == "adaptive"
+    if adaptive and getattr(field, "time_dependent", False):
         raise ValueError("adaptive sampling needs a time-invariant field; "
                          "noise-conditioned baselines have no stopping rule")
     n = len(x)
-    x_prev = x.copy()
+    budget = config.max_steps if adaptive else config.steps
+    x_prev = x
+    active = np.ones(n, dtype=bool)
     steps_used = np.zeros(n, dtype=np.int64)
-    g = _eval_field(field, x, 0.0, 0)
-    active = np.linalg.norm(g, axis=1) > config.g_min
     states = [x.copy()] if record else None
-    norms = [np.linalg.norm(g, axis=1)] if record else None
-    k = 0
-    while active.any() and k < config.max_steps:
-        x_prev[active] = x[active]
-        x = x.copy()
-        x[active] -= config.eta * g[active]
-        _check_state(x, k)
-        steps_used[active] += 1
-        look = x if config.mu == 0.0 else x + config.mu * (x - x_prev)
-        g = _eval_field(field, look, 0.0, k + 1)
-        active &= np.linalg.norm(g, axis=1) > config.g_min
-        k += 1
+    norms = [] if record else None
+    for k in range(budget + 1 if adaptive else budget):
+        # mu == 0 skips the look-ahead arithmetic, which would turn -0.0 into
+        # +0.0; adaptive takes its first gradient at x0 itself
+        if config.mu == 0.0 or (adaptive and k == 0):
+            look = x
+        else:
+            look = x + config.mu * (x - x_prev)
+        g = _eval_field(field, look, k / budget, k)
+        if record:
+            norms.append(np.linalg.norm(g, axis=1))
+        if adaptive:
+            active &= np.linalg.norm(g, axis=1) > config.g_min
+        if k == budget or not active.any():
+            break
+        moving = active[:, None]
+        x_prev = np.where(moving, x, x_prev)
+        x = np.where(moving, x - config.eta * g, x)
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteError(f"non-finite sampler state at step {k}")
+        steps_used += active
         if record:
             states.append(x.copy())
-            norms.append(np.linalg.norm(g, axis=1))
-    return Trajectory(final=x, steps_used=steps_used, cap_reached=active.copy(),
+    cap_reached = active if adaptive else np.zeros(n, dtype=bool)
+    return Trajectory(final=x, steps_used=steps_used, cap_reached=cap_reached,
                       states=states, grad_norms=norms)
-
-
-def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory:
-    """Dispatch on config.method."""
-    fn = {"gd": sample_gd, "nag": sample_nag, "euler-ode": sample_euler_ode,
-          "adaptive": sample_adaptive}[config.method]
-    return fn(field, x0, config, record=record)
-
-
-def denoise_from(field, x_partial, config: SamplerConfig, record: bool = False) -> Trajectory:
-    """Standard sampling initialized at a partially corrupted batch instead of
-    pure noise; the field never learns how noisy its input is, so nothing
-    else changes."""
-    return sample(field, x_partial, config, record=record)
 
 
 def calibrate_g_min(model_or_field, data: np.ndarray, percentile: float = 5.0,

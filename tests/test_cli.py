@@ -1,6 +1,7 @@
 """Command-level behavior: exit codes, determinism of emitted files, and the
 sampler identities surfaced through flags."""
 
+import csv
 import json
 
 import numpy as np
@@ -57,6 +58,12 @@ class TestExitCodes:
         code = main(["sample", "--checkpoint", ckpt(workspace), "--method", "gd",
                      "--g-min", "0.5", "--n", "4", "--out", str(tmp_path / "s.csv")])
         assert code == 1
+
+    def test_mu_with_gd_names_mu(self, workspace, tmp_path, capsys):
+        code = main(["sample", "--checkpoint", ckpt(workspace), "--mu", "0.35",
+                     "--n", "4", "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert "mu" in capsys.readouterr().err
 
     def test_label_on_unconditional_checkpoint(self, workspace, tmp_path):
         code = main(["sample", "--checkpoint", ckpt(workspace), "--label", "2",
@@ -147,6 +154,20 @@ class TestSuitesAndSweeps:
         assert main(args + ["--force"]) == 0
         assert (tmp_path / "results.csv").read_text() != ledger
 
+    def test_eval_rerun_skips_before_sampling(self, workspace, tmp_path, capsys,
+                                               monkeypatch):
+        args = ["eval", "--suite", "quality", "--checkpoint", ckpt(workspace),
+                "--n", "64", "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+
+        def no_sampling(*a, **kw):
+            raise AssertionError("a no-op re-run must not sample")
+
+        monkeypatch.setattr("eqmatch.cli.sample", no_sampling)
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "skipping" in capsys.readouterr().out
+
     def test_statements_suite_all_pass(self, tmp_path):
         assert main(["eval", "--suite", "statements", "--out-dir", str(tmp_path)]) == 0
         rows = (tmp_path / "results.csv").read_text().splitlines()
@@ -178,6 +199,15 @@ class TestSuitesAndSweeps:
                      "--out-dir", str(tmp_path)]) == 0
         rows = (tmp_path / "sweep-eta.csv").read_text().strip().splitlines()
         assert len(rows) == 4  # header + 3 values
+
+    def test_mu_sweep_uses_look_ahead_on_gd_checkpoint(self, workspace, tmp_path):
+        assert main(["sweep", "--axis", "mu", "--values", "0.0,0.35,0.9",
+                     "--checkpoint", ckpt(workspace), "--n", "64",
+                     "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "sweep-mu.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["method"] for r in rows] == ["nag"] * 3
+        assert len({r["mmd"] for r in rows}) == 3
 
     def test_lambda_sweep_retrains(self, workspace, tmp_path):
         assert main(["sweep", "--axis", "lambda", "--values", "1,4",

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqmatch.model import ModelConfig, init_model
 from eqmatch.ndtensor import NonFiniteError
+from eqmatch.objective import corrupt
 from eqmatch.sampler import (ComposedField, FunctionField, ModelField,
-                             SamplerConfig, calibrate_g_min, compose,
-                             denoise_from, grad_of, sample, sample_adaptive,
-                             sample_euler_ode, sample_gd, sample_nag,
-                             save_trajectory_csv)
+                             SamplerConfig, calibrate_g_min, compose, grad_of,
+                             sample, save_trajectory_csv)
 from test_model import identity_model
 
 linear_field = FunctionField(lambda x: x, dim=2)  # energy 0.5 ||x||^2
@@ -30,6 +30,13 @@ class TestConfigValidation:
     def test_g_min_only_for_adaptive(self):
         with pytest.raises(ValueError, match="g_min"):
             cfg(method="gd", g_min=0.1)
+
+    def test_mu_only_for_look_ahead_methods(self):
+        for method in ("gd", "euler-ode"):
+            with pytest.raises(ValueError, match="mu"):
+                cfg(method=method, mu=0.35)
+        cfg(method="nag", mu=0.35)  # accepted
+        cfg(method="adaptive", g_min=0.1, mu=0.35)  # accepted
 
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError, match="eta"):
@@ -62,44 +69,56 @@ class TestGD:
     def test_linear_field_closed_form(self, rng):
         x0 = rng.standard_normal((6, 2))
         eta, n = 0.125, 20
-        traj = sample_gd(linear_field, x0, cfg(eta=eta, steps=n))
+        traj = sample(linear_field, x0, cfg(eta=eta, steps=n))
         np.testing.assert_allclose(traj.final, (1.0 - eta) ** n * x0, rtol=1e-12)
 
     def test_zero_eta_returns_start(self, rng):
         x0 = rng.standard_normal((3, 2))
-        traj = sample_gd(linear_field, x0, cfg(eta=0.0, steps=10))
+        traj = sample(linear_field, x0, cfg(eta=0.0, steps=10))
         np.testing.assert_array_equal(traj.final, x0)
 
     def test_zero_field_is_stationary(self, rng):
         x0 = rng.standard_normal((3, 2))
-        traj = sample_gd(zero_field, x0, cfg(eta=0.7, steps=50))
+        traj = sample(zero_field, x0, cfg(eta=0.7, steps=50))
         np.testing.assert_array_equal(traj.final, x0)
 
     def test_records_states_and_norms(self, rng):
         x0 = rng.standard_normal((2, 2))
-        traj = sample_gd(linear_field, x0, cfg(eta=0.1, steps=5), record=True)
+        traj = sample(linear_field, x0, cfg(eta=0.1, steps=5), record=True)
         assert len(traj.states) == 6 and len(traj.grad_norms) == 5
         assert traj.path_lengths.shape == (2,)
 
     def test_non_finite_state_reports_step(self):
         exploding = FunctionField(lambda x: np.full_like(x, 1e308))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="step"):
-            sample_gd(exploding, np.ones((1, 2)), cfg(eta=10.0, steps=5))
+            sample(exploding, np.ones((1, 2)), cfg(eta=10.0, steps=5))
 
 
 class TestNAG:
     def test_mu_zero_bitwise_equals_gd(self, rng):
         x0 = rng.standard_normal((4, 2))
         c = cfg(method="nag", eta=0.05, mu=0.0, steps=40)
-        a = sample_nag(linear_field, x0, c).final
-        b = sample_gd(linear_field, x0, cfg(eta=0.05, steps=40)).final
+        a = sample(linear_field, x0, c).final
+        b = sample(linear_field, x0, cfg(eta=0.05, steps=40)).final
         assert a.tobytes() == b.tobytes()
 
     def test_first_step_equals_gd_for_any_mu(self, rng):
         x0 = rng.standard_normal((4, 2))
-        a = sample_nag(linear_field, x0, cfg(method="nag", eta=0.1, mu=0.9, steps=1)).final
-        b = sample_gd(linear_field, x0, cfg(eta=0.1, steps=1)).final
+        a = sample(linear_field, x0, cfg(method="nag", eta=0.1, mu=0.9, steps=1)).final
+        b = sample(linear_field, x0, cfg(eta=0.1, steps=1)).final
         np.testing.assert_array_equal(a, b)
+
+    def test_first_gradient_is_taken_at_x0_itself(self):
+        """With mu == 0, and for adaptive, no look-ahead arithmetic touches x0,
+        which would turn -0.0 into +0.0."""
+        x0 = np.array([[-0.0, 2.0]])
+        seen = []
+        spy = FunctionField(lambda x: seen.append(x.copy()) or x)
+        for c in (cfg(method="nag", eta=0.1, steps=2),
+                  cfg(method="adaptive", eta=0.1, mu=0.35, g_min=0.01, max_steps=2)):
+            seen.clear()
+            sample(spy, x0, c)
+            assert seen[0].tobytes() == x0.tobytes()
 
     def test_matches_hand_recurrence_on_quadratic(self, rng):
         """Five-line scalar oracle for the look-ahead recurrence."""
@@ -109,7 +128,7 @@ class TestNAG:
         for _ in range(n):
             look = x + mu * (x - x_prev)
             x_prev, x = x, x - eta * look
-        traj = sample_nag(linear_field, x0, cfg(method="nag", eta=eta, mu=mu, steps=n))
+        traj = sample(linear_field, x0, cfg(method="nag", eta=eta, mu=mu, steps=n))
         np.testing.assert_allclose(traj.final, x, atol=1e-12)
 
 
@@ -118,8 +137,8 @@ class TestEulerODE:
         m = init_model(ModelConfig(input_dim=2, hidden=(16,), init_seed=5))
         m.params["layers.1.w"] = 0.5 * rng.standard_normal((16, 2))
         x0 = rng.standard_normal((8, 2))
-        a = sample_euler_ode(m, x0, cfg(method="euler-ode", eta=0.02, steps=50)).final
-        b = sample_gd(m, x0, cfg(eta=0.02, steps=50)).final
+        a = sample(m, x0, cfg(method="euler-ode", eta=0.02, steps=50)).final
+        b = sample(m, x0, cfg(eta=0.02, steps=50)).final
         assert a.tobytes() == b.tobytes()
 
     def test_unit_horizon(self, rng):
@@ -128,20 +147,20 @@ class TestEulerODE:
         const_field = FunctionField(lambda x: -np.broadcast_to(c, x.shape))
         x0 = rng.standard_normal((4, 2))
         n = 125
-        traj = sample_euler_ode(const_field, x0, cfg(method="euler-ode", eta=1.0 / n, steps=n))
+        traj = sample(const_field, x0, cfg(method="euler-ode", eta=1.0 / n, steps=n))
         np.testing.assert_allclose(traj.final, x0 + c, atol=1e-12)
 
     def test_zero_step_size(self, rng):
         x0 = rng.standard_normal((3, 2))
-        traj = sample_euler_ode(linear_field, x0, cfg(method="euler-ode", eta=0.0, steps=7))
+        traj = sample(linear_field, x0, cfg(method="euler-ode", eta=0.0, steps=7))
         np.testing.assert_array_equal(traj.final, x0)
 
 
 class TestAdaptive:
     def test_already_converged_takes_zero_steps(self):
         x0 = np.array([[1e-4, 0.0]])
-        traj = sample_adaptive(linear_field, x0,
-                               cfg(method="adaptive", eta=0.1, g_min=0.01))
+        traj = sample(linear_field, x0,
+                      cfg(method="adaptive", eta=0.1, g_min=0.01))
         assert traj.steps_used[0] == 0
         np.testing.assert_array_equal(traj.final, x0)
 
@@ -151,41 +170,93 @@ class TestAdaptive:
         eta, g = 0.25, 0.05
         for x0_val in (3.7, 1.3, 9.9):
             want = int(np.ceil(np.log(g / x0_val) / np.log(1.0 - eta)))
-            traj = sample_adaptive(FunctionField(lambda x: x), np.array([[x0_val, 0.0]]),
-                                   cfg(method="adaptive", eta=eta, g_min=g))
+            traj = sample(FunctionField(lambda x: x), np.array([[x0_val, 0.0]]),
+                          cfg(method="adaptive", eta=eta, g_min=g))
             assert traj.steps_used[0] == want, x0_val
 
     def test_per_sample_independent_stopping(self):
         x0 = np.array([[8.0, 0.0], [0.5, 0.0], [1e-6, 0.0]])
-        traj = sample_adaptive(linear_field, x0,
-                               cfg(method="adaptive", eta=0.5, g_min=0.01))
+        traj = sample(linear_field, x0,
+                      cfg(method="adaptive", eta=0.5, g_min=0.01))
         assert traj.steps_used[0] > traj.steps_used[1] > traj.steps_used[2] == 0
         assert not traj.cap_reached.any()
 
     def test_cap_flag_set_when_budget_exhausted(self):
-        traj = sample_adaptive(zero_field, np.full((2, 2), 5.0),
-                               cfg(method="adaptive", eta=0.1, g_min=0.01, max_steps=3))
+        traj = sample(zero_field, np.full((2, 2), 5.0),
+                      cfg(method="adaptive", eta=0.1, g_min=0.01, max_steps=3))
         # zero field never moves and never converges above... norm is 0 -> stops
         assert traj.steps_used.max() == 0
         slow = FunctionField(lambda x: np.full_like(x, 1.0))
-        traj = sample_adaptive(slow, np.full((2, 2), 5.0),
-                               cfg(method="adaptive", eta=1e-6, g_min=0.5, max_steps=3))
+        traj = sample(slow, np.full((2, 2), 5.0),
+                      cfg(method="adaptive", eta=1e-6, g_min=0.5, max_steps=3))
         assert traj.cap_reached.all() and traj.steps_used.max() == 3
 
     def test_nag_lookahead_honored(self):
         """mu > 0 changes the adaptive path exactly like the fixed-step NAG."""
         x0 = np.array([[4.0, -2.0]])
         c_ad = cfg(method="adaptive", eta=0.1, mu=0.35, g_min=1e-9, max_steps=25)
-        traj = sample_adaptive(linear_field, x0, c_ad)
-        ref = sample_nag(linear_field, x0, cfg(method="nag", eta=0.1, mu=0.35, steps=25))
+        traj = sample(linear_field, x0, c_ad)
+        ref = sample(linear_field, x0, cfg(method="nag", eta=0.1, mu=0.35, steps=25))
         assert traj.steps_used[0] == 25  # cap, g_min unreachable that fast
         np.testing.assert_array_equal(traj.final, ref.final)
 
     def test_rejects_time_dependent_field(self, rng):
         m = init_model(ModelConfig(input_dim=2, hidden=(8,), noise_conditioned=True))
         with pytest.raises(ValueError, match="time-invariant"):
-            sample_adaptive(m, rng.standard_normal((2, 2)),
-                            cfg(method="adaptive", eta=0.1, g_min=0.1))
+            sample(m, rng.standard_normal((2, 2)),
+                   cfg(method="adaptive", eta=0.1, g_min=0.1))
+
+
+def seeded_mlp_field(seed: int) -> ModelField:
+    m = init_model(ModelConfig(input_dim=2, hidden=(8,), init_seed=seed))
+    m.params["layers.1.w"] = 0.5 * np.random.default_rng(seed).standard_normal((8, 2))
+    return ModelField(m)
+
+
+descent_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**16),
+    "n": st.integers(1, 6),
+    "eta": st.floats(0.0, 0.3),
+    "mu": st.floats(0.0, 0.9),
+    "steps": st.integers(1, 12),
+    "mlp": st.booleans(),
+})
+
+
+def start_and_field(case):
+    """x0 from a seeded generator (no signed zeros), on the linear field or a
+    seeded small MLP."""
+    x0 = 2.0 * np.random.default_rng(case["seed"]).standard_normal((case["n"], 2))
+    field = seeded_mlp_field(case["seed"] % 7) if case["mlp"] else linear_field
+    return x0, field
+
+
+class TestOneLoopProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(descent_cases)
+    def test_gd_nag_mu_zero_euler_bit_identical(self, case):
+        x0, field = start_and_field(case)
+        trajs = [sample(field, x0, cfg(method=method, eta=case["eta"], steps=case["steps"]),
+                        record=True) for method in ("gd", "nag", "euler-ode")]
+        for other in trajs[1:]:
+            assert other.final.tobytes() == trajs[0].final.tobytes()
+            assert [s.tobytes() for s in other.states] == [s.tobytes() for s in trajs[0].states]
+            assert [g.tobytes() for g in other.grad_norms] == \
+                [g.tobytes() for g in trajs[0].grad_norms]
+
+    @settings(max_examples=30, deadline=None)
+    @given(descent_cases)
+    def test_adaptive_with_unreachable_g_min_is_nag(self, case):
+        x0, field = start_and_field(case)
+        ad = sample(field, x0, cfg(method="adaptive", eta=case["eta"], mu=case["mu"],
+                                   g_min=np.finfo(float).tiny, max_steps=case["steps"]),
+                    record=True)
+        nag = sample(field, x0, cfg(method="nag", eta=case["eta"], mu=case["mu"],
+                                    steps=case["steps"]))
+        assert ad.final.tobytes() == nag.final.tobytes()
+        assert (ad.steps_used == case["steps"]).all() and ad.cap_reached.all()
+        # one more gradient, at the end point, decided the cap
+        assert len(ad.states) == len(ad.grad_norms) == case["steps"] + 1
 
 
 class TestCompose:
@@ -204,7 +275,7 @@ class TestCompose:
     def test_two_quadratics_share_midpoint_minimum(self):
         c1, c2 = np.array([2.0, 0.0]), np.array([0.0, 2.0])
         f = compose([FunctionField(lambda x: x - c1), FunctionField(lambda x: x - c2)])
-        traj = sample_gd(f, np.zeros((1, 2)), cfg(eta=0.2, steps=200))
+        traj = sample(f, np.zeros((1, 2)), cfg(eta=0.2, steps=200))
         np.testing.assert_allclose(traj.final, [(c1 + c2) / 2.0], atol=1e-10)
 
     def test_composition_linearity_exact(self, rng):
@@ -222,8 +293,8 @@ class TestCompose:
         m.params["layers.1.w"] = 0.3 * rng.standard_normal((8, 2))
         x0 = rng.standard_normal((4, 2))
         double = compose([m, m], labels=[1, 1])
-        a = sample_gd(double, x0, cfg(eta=0.005, steps=30)).final
-        b = sample_gd(ModelField(m, label=1), x0, cfg(eta=0.01, steps=30)).final
+        a = sample(double, x0, cfg(eta=0.005, steps=30)).final
+        b = sample(ModelField(m, label=1), x0, cfg(eta=0.01, steps=30)).final
         assert a.tobytes() == b.tobytes()
 
     def test_dimension_mismatch_rejected(self):
@@ -233,15 +304,18 @@ class TestCompose:
 
 class TestDenoiseAndMisc:
     def test_gamma_zero_start_is_standard_generation(self, rng):
-        x0 = rng.standard_normal((5, 2))
+        """A partial-noise start at gamma 0 is the noise itself, so denoising
+        from it is plain generation."""
+        data, eps = rng.standard_normal((2, 5, 2))
+        start = corrupt(data, eps, np.zeros(5))
         c = cfg(eta=0.1, steps=20)
-        a = denoise_from(linear_field, x0, c).final
-        b = sample_gd(linear_field, x0, c).final
-        np.testing.assert_array_equal(a, b)
+        a = sample(linear_field, start, c).final
+        b = sample(linear_field, eps, c).final
+        assert a.tobytes() == b.tobytes()
 
     def test_zero_field_returns_partial_input(self, rng):
         xp = rng.standard_normal((5, 2))
-        traj = denoise_from(zero_field, xp, cfg(eta=0.3, steps=15))
+        traj = sample(zero_field, xp, cfg(eta=0.3, steps=15))
         np.testing.assert_array_equal(traj.final, xp)
 
     def test_dispatch_covers_methods(self, rng):
@@ -264,8 +338,8 @@ class TestDenoiseAndMisc:
         assert g == pytest.approx(2.5)
 
     def test_trajectory_csv(self, tmp_path, rng):
-        traj = sample_gd(linear_field, rng.standard_normal((3, 2)),
-                         cfg(eta=0.1, steps=4), record=True)
+        traj = sample(linear_field, rng.standard_normal((3, 2)),
+                      cfg(eta=0.1, steps=4), record=True)
         path = tmp_path / "traj.csv"
         save_trajectory_csv(path, traj)
         lines = path.read_text().strip().splitlines()
