@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, ValidationError
-from .model import GradientFieldModel, init_model
+from .model import GradientFieldModel
 from .optimizer import AdamW
 
 MAGIC = b"EQMCKPT\x01"

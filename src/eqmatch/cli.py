@@ -21,10 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint
-from .config import ValidationError, load_config
+from .config import ValidationError, load_config, to_dict
 from .data import FLOAT_FMT, draw_from, load_points_csv, ood_sets, sample_noise
-from .evaluation import (DEFAULT_BANDWIDTHS, EvalReport, QuadraticEnergy,
-                         append_reports, auroc, component_energy,
+from .evaluation import (EvalReport, QuadraticEnergy, append_reports, auroc,
                          config_fingerprint, convergence_bound_check,
                          grad_norm_at_data, ledger_has, local_minima_membership,
                          mmd, mmd_permutation_null, mode_coverage,
@@ -142,7 +141,7 @@ def _suite_fingerprint(args, ck: Checkpoint | None) -> str:
     if args.suite != "statements":
         payload.update(ckpt=_file_digest(args.checkpoint), n=args.n)
     if args.suite == "quality":
-        payload["sampler"] = ck.config.sampler.to_dict()
+        payload["sampler"] = to_dict(ck.config.sampler)
     elif args.suite == "partial-noise":
         if not args.baseline:
             raise ValidationError("the partial-noise suite needs --baseline "
@@ -265,6 +264,8 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     ledger = out_dir / "results.csv"
+    if args.suite != "statements" and not args.checkpoint:
+        raise ValidationError(f"the {args.suite} suite needs --checkpoint")
     ck = None if args.suite == "statements" else load_checkpoint(args.checkpoint)
     fp = _suite_fingerprint(args, ck)
     if ledger_has(ledger, fp) and not args.force:

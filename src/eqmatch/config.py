@@ -1,14 +1,23 @@
 """Run configuration: one JSON-serializable object per training run.
 
-Every field round-trips exactly through to_dict/from_dict; the same dict is
-embedded verbatim in checkpoints so a checkpoint is self-describing.
+`to_dict`/`from_dict` are the one JSON codec of every config dataclass. A
+field's JSON key is its name unless its `key` metadata renames it, and
+tuples are written as lists. A missing or null key takes the field's
+default, and a missing, null or `{}` section the section's default;
+`schedule` needs `kind`. Values are coerced to the annotated type, and
+malformed input raises ValidationError naming the key path. The dict
+round-trips exactly and is embedded verbatim in checkpoints, so a checkpoint
+is self-describing.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -71,19 +80,6 @@ class DatasetSpec:
     def memorization_points(self) -> np.ndarray:
         return fixed_memorization_set(self.k, self.data_seed)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "modes": self.modes, "mode_std": self.mode_std,
-                "weights": self.weights, "box": self.box,
-                "noise_scale": self.noise_scale, "k": self.k,
-                "data_seed": self.data_seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetSpec":
-        return cls(kind=d.get("kind", "gaussian-mixture"), modes=d.get("modes"),
-                   mode_std=d.get("mode_std"), weights=d.get("weights"),
-                   box=d.get("box"), noise_scale=d.get("noise_scale"),
-                   k=int(d.get("k", 8)), data_seed=int(d.get("data_seed", 0)))
-
 
 @dataclass
 class OptimizerSettings:
@@ -92,17 +88,6 @@ class OptimizerSettings:
     beta2: float = 0.999
     weight_decay: float = 0.0
     epsilon: float = 1e-8
-
-    def to_dict(self) -> dict:
-        return {"lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
-                "weight_decay": self.weight_decay, "epsilon": self.epsilon}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptimizerSettings":
-        return cls(lr=float(d.get("lr", 1e-4)), beta1=float(d.get("beta1", 0.9)),
-                   beta2=float(d.get("beta2", 0.999)),
-                   weight_decay=float(d.get("weight_decay", 0.0)),
-                   epsilon=float(d.get("epsilon", 1e-8)))
 
 
 @dataclass
@@ -115,17 +100,6 @@ class TrainSettings:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ValidationError("train.steps and train.batch_size must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {"steps": self.steps, "batch_size": self.batch_size,
-                "log_every": self.log_every, "checkpoint_every": self.checkpoint_every}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainSettings":
-        return cls(steps=int(d.get("steps", 20_000)),
-                   batch_size=int(d.get("batch_size", 64)),
-                   log_every=int(d.get("log_every", 100)),
-                   checkpoint_every=int(d.get("checkpoint_every", 0)))
 
 
 @dataclass
@@ -158,39 +132,89 @@ class RunConfig:
                                   f"'{self.dataset.kind}' provides no labels")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "objective": self.objective,
-            "allow_non_equilibrium": self.allow_non_equilibrium,
-            "dataset": self.dataset.to_dict(),
-            "model": self.model.to_dict(),
-            "schedule": self.schedule.to_dict(),
-            "optimizer": self.optimizer.to_dict(),
-            "train": self.train.to_dict(),
-            "sampler": self.sampler.to_dict(),
-            "out_dir": self.out_dir,
-        }
+        return to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        try:
-            cfg = cls(
-                seed=int(d.get("seed", 0)),
-                objective=d.get("objective", "eqm"),
-                allow_non_equilibrium=bool(d.get("allow_non_equilibrium", False)),
-                dataset=DatasetSpec.from_dict(d.get("dataset", {})),
-                model=ModelConfig.from_dict(d.get("model", {})) if d.get("model") else ModelConfig(),
-                schedule=Schedule.from_dict(d.get("schedule", {})) if d.get("schedule") else
-                Schedule(kind="truncated", a=0.8, lam=4.0),
-                optimizer=OptimizerSettings.from_dict(d.get("optimizer", {})),
-                train=TrainSettings.from_dict(d.get("train", {})),
-                sampler=SamplerConfig.from_dict(d.get("sampler", {})),
-                out_dir=d.get("out_dir"),
-            )
-        except ValueError as e:
-            raise ValidationError(str(e)) from e
+        cfg = from_dict(cls, d)
         cfg.validate()
         return cfg
+
+
+# ---------------------------------------------------------------------------
+# JSON codec
+
+
+# get_type_hints evaluates the string annotations anew on every call, which
+# took about three quarters of a config load
+_type_hints = functools.cache(get_type_hints)
+
+
+def _json_key(f) -> str:
+    return f.metadata.get("key", f.name)
+
+
+def to_dict(obj) -> dict:
+    """The JSON form of a config dataclass (nested sections included)."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[_json_key(f)] = value
+    return out
+
+
+def from_dict(cls, d, path: str = ""):
+    """Build the config dataclass `cls` from its JSON form; `path` is the key
+    path of `d` in the run config, used in error messages."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{path or 'run config'}: expected an object, "
+                              f"got {type(d).__name__}")
+    hints = _type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        name = _json_key(f)
+        key = f"{path}.{name}" if path else name
+        value = d.get(name)
+        if value is None or (value == {} and is_dataclass(hints[f.name])):
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValidationError(f"{key} is required")
+            continue
+        kwargs[f.name] = _coerce(hints[f.name], value, key)
+    try:
+        return cls(**kwargs)
+    except ValidationError:
+        raise
+    except ValueError as e:
+        raise ValidationError(f"{path}: {e}" if path else str(e)) from e
+
+
+def _coerce(hint, value, key: str):
+    """`value` read as the annotated type `hint`: int, float and bool are
+    converted, tuple[int, ...] is read from a list, str and list must match,
+    and an optional type is read as its one non-None member."""
+    if get_origin(hint) is UnionType:
+        members = [a for a in get_args(hint) if a is not type(None)]
+        if len(members) > 1:
+            return value  # a float or a per-mode list: checked where it is used
+        hint = members[0]
+    if is_dataclass(hint):
+        return from_dict(hint, value, key)
+    if get_origin(hint) is tuple:
+        if isinstance(value, list):
+            return tuple(_coerce(get_args(hint)[0], v, key) for v in value)
+    elif hint in (int, float, bool):
+        try:
+            return hint(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    elif isinstance(value, hint):
+        return value
+    name = hint.__name__ if isinstance(hint, type) else str(hint)
+    raise ValidationError(f"{key}: cannot read {value!r:.60} as {name}")
 
 
 def save_config(path, config: RunConfig) -> None:

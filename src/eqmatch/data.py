@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -59,33 +58,6 @@ class ToyDistribution:
         xmin, xmax, ymin, ymax = self.box
         if not (xmin < xmax and ymin < ymax):
             raise ValueError(f"degenerate box {self.box}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "modes": self.modes.tolist(),
-            "mode_std": (self.mode_std.tolist() if isinstance(self.mode_std, np.ndarray)
-                         else float(self.mode_std)),
-            "weights": self.weights.tolist(),
-            "box": list(self.box),
-            "noise_scale": float(self.noise_scale),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ToyDistribution":
-        kw = dict(kind=d.get("kind", "gaussian-mixture"))
-        if d.get("modes") is not None:
-            kw["modes"] = np.asarray(d["modes"])
-        if d.get("mode_std") is not None:
-            ms = d["mode_std"]
-            kw["mode_std"] = np.asarray(ms) if isinstance(ms, list) else float(ms)
-        if d.get("weights") is not None:
-            kw["weights"] = np.asarray(d["weights"])
-        if d.get("box") is not None:
-            kw["box"] = tuple(d["box"])
-        if d.get("noise_scale") is not None:
-            kw["noise_scale"] = float(d["noise_scale"])
-        return cls(**kw)
 
 
 def _sample_mixture(dist: ToyDistribution, n: int, rng) -> tuple[np.ndarray, np.ndarray]:

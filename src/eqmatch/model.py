@@ -58,27 +58,6 @@ class ModelConfig:
             raise ValueError("noise conditioning and an explicit energy head "
                              "are mutually exclusive")
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden": list(self.hidden),
-            "activation": self.activation,
-            "num_classes": self.num_classes,
-            "noise_conditioned": self.noise_conditioned,
-            "energy_kind": self.energy_kind,
-            "init_seed": self.init_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(input_dim=int(d.get("input_dim", 2)),
-                   hidden=tuple(d.get("hidden", (256, 256, 256))),
-                   activation=d.get("activation", "silu"),
-                   num_classes=int(d.get("num_classes", 0)),
-                   noise_conditioned=bool(d.get("noise_conditioned", False)),
-                   energy_kind=d.get("energy_kind", "none"),
-                   init_seed=int(d.get("init_seed", 0)))
-
 
 def _layer_dims(config: ModelConfig) -> list[tuple[int, int]]:
     d_in = config.input_dim + (NOISE_FEATURES if config.noise_conditioned else 0)

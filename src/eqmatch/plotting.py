@@ -127,7 +127,6 @@ def _marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 def contour_svg(path, model, bounds=(-4.5, 4.5, -4.5, 4.5), grid: int = 60,
                 levels: int = 10, label=None) -> None:
     """Iso-energy contours; only explicit-energy models carry an energy."""
-    from .evaluation import component_energy
     from .model import energy
     if getattr(model, "config", None) is None or model.config.energy_kind == "none":
         raise PlotError("contour plots need a model with an explicit energy head")

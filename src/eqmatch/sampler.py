@@ -56,17 +56,6 @@ class SamplerConfig:
             raise ValueError(f"look-ahead factor mu={self.mu} needs the nag or "
                              "adaptive method")
 
-    def to_dict(self) -> dict:
-        return {"method": self.method, "eta": self.eta, "mu": self.mu,
-                "steps": self.steps, "g_min": self.g_min, "max_steps": self.max_steps}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SamplerConfig":
-        return cls(method=d.get("method", "gd"), eta=float(d.get("eta", 0.01)),
-                   mu=float(d.get("mu", 0.0)), steps=int(d.get("steps", 250)),
-                   g_min=(None if d.get("g_min") is None else float(d["g_min"])),
-                   max_steps=int(d.get("max_steps", 1000)))
-
 
 @dataclass
 class Trajectory:

@@ -8,7 +8,7 @@ data points become stationary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,13 +24,13 @@ class Schedule:
       linear     c(g) = 1 - g
       truncated  c(g) = 1 on [0, a], then linear down to 0 at g=1
       piecewise  c(g) = b at 0, linear to 1 at g=a, then linear to 0 at g=1
-    `lam` multiplies every kind uniformly.
+    `lam` (JSON key "lambda") multiplies every kind uniformly.
     """
 
-    kind: str = "linear"
+    kind: str
     a: float = 0.8
     b: float = 1.0
-    lam: float = 1.0
+    lam: float = field(default=1.0, metadata={"key": "lambda"})
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -44,14 +44,6 @@ class Schedule:
 
     def __call__(self, gamma):
         return eval_schedule(self, gamma)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "a": self.a, "b": self.b, "lambda": self.lam}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Schedule":
-        return cls(kind=d["kind"], a=float(d.get("a", 0.8)),
-                   b=float(d.get("b", 1.0)), lam=float(d.get("lambda", 1.0)))
 
 
 def _base(schedule: Schedule, gamma: np.ndarray) -> np.ndarray:

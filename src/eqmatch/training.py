@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ndtensor as nd
 from .checkpoint import load_checkpoint, load_params_into, save_checkpoint
-from .config import RunConfig, ValidationError
+from .config import RunConfig, ValidationError, to_dict
 from .data import FLOAT_FMT, draw_from
 from .model import GradientFieldModel, init_model
 from .objective import TrainBatch, draw_batch, loss_for
@@ -80,9 +80,7 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
         model = init_model(config.model)
         if init_from is not None:
             load_params_into(init_from, model)
-        opt_cfg = config.optimizer
-        optimizer = AdamW(lr=opt_cfg.lr, beta1=opt_cfg.beta1, beta2=opt_cfg.beta2,
-                          weight_decay=opt_cfg.weight_decay, epsilon=opt_cfg.epsilon)
+        optimizer = AdamW(**to_dict(config.optimizer))
         rng = np.random.default_rng(config.seed)
 
     fixed_points = (config.dataset.memorization_points()

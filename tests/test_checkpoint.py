@@ -1,16 +1,24 @@
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqmatch.checkpoint import (CheckpointError, load_checkpoint,
                                 load_params_into, save_checkpoint)
-from eqmatch.config import (DatasetSpec, OptimizerSettings, RunConfig,
-                            TrainSettings, ValidationError, load_config,
-                            save_config)
-from eqmatch.model import ModelConfig, init_model
+from eqmatch.config import (DATASET_KINDS, DatasetSpec, OptimizerSettings,
+                            RunConfig, TrainSettings, ValidationError,
+                            load_config, save_config)
+from eqmatch.model import ACTIVATIONS, ModelConfig, init_model
+from eqmatch.objective import OBJECTIVES
 from eqmatch.optimizer import AdamW
-from eqmatch.schedule import Schedule
+from eqmatch.sampler import LOOK_AHEAD_METHODS, METHODS, SamplerConfig
+from eqmatch.schedule import KINDS as SCHEDULE_KINDS, Schedule
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def tiny_config(**kw):
@@ -63,6 +71,125 @@ class TestRunConfig:
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValidationError, match="objective"):
             RunConfig.from_dict({**tiny_config().to_dict(), "objective": "score"})
+
+    def test_readme_config_block_is_the_default(self):
+        section = README.read_text().split("## Run config (JSON)")[1]
+        block = section.split("```json")[1].split("```")[0]
+        payload = json.loads(re.sub(r"//[^\n]*", "", block))
+        assert RunConfig.from_dict(payload).to_dict() == RunConfig().to_dict()
+
+    def test_missing_null_or_empty_takes_the_default(self, tmp_path):
+        for i, payload in enumerate([{"train": {"steps": None}}, {"schedule": {}},
+                                     {"model": None, "seed": None}]):
+            p = tmp_path / f"cfg{i}.json"
+            p.write_text(json.dumps(payload))
+            assert load_config(p) == RunConfig.from_dict({}) == RunConfig()
+        assert RunConfig().schedule == Schedule(kind="truncated", a=0.8, lam=4.0)
+
+    def test_values_coerced_to_annotation(self):
+        d = RunConfig.from_dict({"optimizer": {"lr": 1}, "train": {"steps": 5.0},
+                                 "model": {"hidden": [4.0], "noise_conditioned": 0},
+                                 "sampler": {"method": "adaptive", "g_min": 1}}).to_dict()
+        assert type(d["optimizer"]["lr"]) is float
+        assert type(d["train"]["steps"]) is int
+        assert d["model"]["hidden"] == [4] and type(d["model"]["hidden"][0]) is int
+        assert d["model"]["noise_conditioned"] is False
+        assert type(d["sampler"]["g_min"]) is float
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"model": {"hidden": [8, "x"]}}, "model.hidden"),
+        ({"schedule": {"kind": "linear", "lambda": 0.0}}, "schedule"),
+        ({"train": {"steps": "many"}}, "train.steps"),
+        ({"seed": 1e999}, "seed"),
+        ({"objective": 3}, "objective"),
+        ({"dataset": {"modes": 1.5}}, "dataset.modes"),
+    ])
+    def test_malformed_input_names_the_key(self, payload, key):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(key)}\b"):
+            RunConfig.from_dict(payload)
+
+
+positive = st.floats(min_value=1e-6, max_value=1e3)
+
+
+@st.composite
+def run_configs(draw) -> RunConfig:
+    """Valid run configs over every objective, dataset kind, schedule kind and
+    sampler method, with small models."""
+    objective = draw(st.sampled_from(OBJECTIVES))
+    kind = draw(st.sampled_from(DATASET_KINDS))
+    n_modes = draw(st.integers(1, 4))
+    dataset = DatasetSpec(
+        kind=kind,
+        modes=draw(st.none() | st.lists(st.lists(st.floats(-4, 4), min_size=2, max_size=2),
+                                        min_size=n_modes, max_size=n_modes)),
+        mode_std=draw(st.none() | positive | st.lists(positive, min_size=n_modes,
+                                                      max_size=n_modes)),
+        weights=draw(st.none() | st.just([1.0 / n_modes] * n_modes)),
+        box=draw(st.none() | st.just([-1.0, 1.0, -2.0, 2.0])),
+        noise_scale=draw(st.none() | positive),
+        k=draw(st.integers(1, 12)), data_seed=draw(st.integers(0, 2**31)))
+    model = ModelConfig(
+        input_dim=draw(st.integers(1, 3)),
+        hidden=tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))),
+        activation=draw(st.sampled_from(ACTIVATIONS)),
+        num_classes=draw(st.integers(0, 3)) if dataset.labeled else 0,
+        noise_conditioned=objective == "fm",
+        energy_kind=(draw(st.sampled_from(["dot", "l2norm"])) if objective == "eqm-e"
+                     else "none"),
+        init_seed=draw(st.integers(0, 2**31)))
+    schedule = Schedule(kind=draw(st.sampled_from(SCHEDULE_KINDS)),
+                        a=draw(st.floats(0.0, 1.0, exclude_max=True)),
+                        b=draw(st.floats(0.0, 10.0)), lam=draw(positive))
+    method = draw(st.sampled_from(METHODS))
+    sampler = SamplerConfig(
+        method=method, eta=draw(st.floats(0.0, 1.0)),
+        mu=draw(st.floats(0.0, 1.0)) if method in LOOK_AHEAD_METHODS else 0.0,
+        steps=draw(st.integers(1, 500)),
+        g_min=draw(positive) if method == "adaptive" else None,
+        max_steps=draw(st.integers(1, 2000)))
+    cfg = RunConfig(
+        seed=draw(st.integers(0, 2**32)), objective=objective,
+        allow_non_equilibrium=draw(st.booleans()), dataset=dataset, model=model,
+        schedule=schedule,
+        optimizer=OptimizerSettings(lr=draw(positive), beta1=draw(st.floats(0.0, 0.99)),
+                                    beta2=draw(st.floats(0.0, 0.9999)),
+                                    weight_decay=draw(st.floats(0.0, 1.0)),
+                                    epsilon=draw(positive)),
+        train=TrainSettings(steps=draw(st.integers(1, 10**6)),
+                            batch_size=draw(st.integers(1, 512)),
+                            log_every=draw(st.integers(0, 1000)),
+                            checkpoint_every=draw(st.integers(0, 1000))),
+        sampler=sampler, out_dir=draw(st.none() | st.text(max_size=8)))
+    cfg.validate()
+    return cfg
+
+
+class TestConfigProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=run_configs())
+    def test_json_round_trip_is_exact(self, cfg):
+        assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @settings(max_examples=20, deadline=None)
+    @given(cfg=run_configs(), steps_trained=st.integers(0, 2))
+    def test_checkpoint_save_load_save_byte_identical(self, cfg, steps_trained):
+        model = init_model(cfg.model)
+        opt = AdamW(lr=cfg.optimizer.lr, beta1=cfg.optimizer.beta1,
+                    beta2=cfg.optimizer.beta2, weight_decay=cfg.optimizer.weight_decay,
+                    epsilon=cfg.optimizer.epsilon)
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(steps_trained):
+            opt.step(model.params, {k: rng.standard_normal(v.shape)
+                                    for k, v in model.params.items()})
+        with tempfile.TemporaryDirectory() as tmp:
+            first, again = Path(tmp) / "first.eqmckpt", Path(tmp) / "again.eqmckpt"
+            save_checkpoint(first, cfg, model, opt, steps_trained, rng.bit_generator.state)
+            ck = load_checkpoint(first)
+            save_checkpoint(again, ck.config, ck.model, ck.optimizer, ck.step,
+                            ck.rng_state)
+            assert ck.config == cfg
+            assert again.read_bytes() == first.read_bytes()
 
 
 class TestCheckpointContainer:

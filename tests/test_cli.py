@@ -49,6 +49,24 @@ class TestExitCodes:
         bad.write_text(json.dumps({"objective": "score"}))
         assert main(["train", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"schedule": {"lambda": 2.0}}, "schedule.kind"),
+        ([1, 2], "run config"),
+        ({"model": 3}, "model"),
+        ({"model": {"hidden": "abc"}}, "model.hidden"),
+    ])
+    def test_malformed_config_names_the_key(self, payload, key, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("suite", ["quality", "ood", "partial-noise", "nn-audit"])
+    def test_eval_without_checkpoint_names_the_flag(self, suite, tmp_path, capsys):
+        assert main(["eval", "--suite", suite, "--out-dir", str(tmp_path)]) == 1
+        assert "--checkpoint" in capsys.readouterr().err
+
     def test_adaptive_without_g_min(self, workspace, tmp_path):
         code = main(["sample", "--checkpoint", ckpt(workspace), "--method",
                      "adaptive", "--n", "4", "--out", str(tmp_path / "s.csv")])

@@ -127,9 +127,3 @@ def test_csv_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back, pts)
     assert lb is None
 
-
-def test_distribution_dict_round_trip():
-    dist = ToyDistribution(kind="gaussian-mixture", modes=[[1.0, 2.0], [3.0, -1.0]],
-                           mode_std=0.25, weights=[0.25, 0.75])
-    back = ToyDistribution.from_dict(dist.to_dict())
-    assert back.to_dict() == dist.to_dict()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqmatch.config import from_dict, to_dict
 from eqmatch.model import ModelConfig, init_model
 from eqmatch.ndtensor import NonFiniteError
 from eqmatch.objective import corrupt
@@ -44,7 +45,7 @@ class TestConfigValidation:
 
     def test_round_trip(self):
         c = cfg(method="adaptive", g_min=0.25, mu=0.35, max_steps=400)
-        assert SamplerConfig.from_dict(c.to_dict()) == c
+        assert from_dict(SamplerConfig, to_dict(c)) == c
 
 
 class TestGradOf:

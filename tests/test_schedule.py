@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from eqmatch.config import from_dict, to_dict
 from eqmatch.schedule import Schedule, eval_schedule, is_equilibrium
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -99,5 +100,5 @@ def test_invalid_parameters_rejected(bad):
 
 def test_dict_round_trip():
     s = make("piecewise", a=0.8, b=1.4, lam=4.0)
-    assert Schedule.from_dict(s.to_dict()) == s
-    assert s.to_dict() == {"kind": "piecewise", "a": 0.8, "b": 1.4, "lambda": 4.0}
+    assert from_dict(Schedule, to_dict(s)) == s
+    assert to_dict(s) == {"kind": "piecewise", "a": 0.8, "b": 1.4, "lambda": 4.0}
