@@ -11,7 +11,7 @@ from eqmatch.model import ModelConfig
 from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample
 from eqmatch.schedule import Schedule
 from eqmatch.training import train
-from eqmatch.objective import TrainBatch, eqm_loss, draw_batch
+from eqmatch.objective import TrainBatch, loss_for, draw_batch
 from eqmatch import ndtensor as nd
 from eqmatch.optimizer import AdamW
 
@@ -33,7 +33,7 @@ def run_case(lr, steps, tile):
     x = np.tile(pts, (tile, 1))
     for step in range(steps):
         b = draw_batch(rng, x)
-        loss = eqm_loss(m, b, SCHED)
+        loss = loss_for("eqm", m, b, SCHED)
         grads = nd.backward(loss)
         bound = m._bind(loss.graph)
         opt.step(m.params, {k: nd.grad_values(grads, bound[k]) for k in m.params})

@@ -9,7 +9,7 @@ from eqmatch.data import (default_mixture, draw_from, fixed_memorization_set,
 from eqmatch.evaluation import (grad_norm_at_data, local_minima_membership, mmd,
                                 mmd_permutation_null, mode_coverage)
 from eqmatch.model import ModelConfig, init_model
-from eqmatch.objective import corrupt, draw_batch, eqm_loss
+from eqmatch.objective import corrupt, draw_batch, loss_for
 from eqmatch.optimizer import AdamW
 from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample
 from eqmatch.schedule import Schedule
@@ -99,7 +99,7 @@ for lr, tile, steps in ((1e-2, 2, 10000), (1e-2, 4, 10000)):
     x = np.tile(pts, (tile, 1))
     for step in range(steps):
         b = draw_batch(rng, x)
-        loss = eqm_loss(m, b, SCHED)
+        loss = loss_for("eqm", m, b, SCHED)
         grads = nd.backward(loss)
         bound = m._bind(loss.graph)
         opt.step(m.params, {k: nd.grad_values(grads, bound[k]) for k in m.params})

@@ -6,7 +6,7 @@ import numpy as np
 from eqmatch.data import fixed_memorization_set, sample_noise
 from eqmatch.evaluation import grad_norm_at_data, local_minima_membership
 from eqmatch.model import ModelConfig, init_model
-from eqmatch.objective import draw_batch, eqm_loss
+from eqmatch.objective import draw_batch, loss_for
 from eqmatch.optimizer import AdamW
 from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample
 from eqmatch.schedule import Schedule
@@ -29,7 +29,7 @@ for lr, tile, steps in ((1e-2, 2, 20000),):
     x = np.tile(pts, (tile, 1))
     for step in range(steps):
         b = draw_batch(rng, x)
-        loss = eqm_loss(m, b, SCHED)
+        loss = loss_for("eqm", m, b, SCHED)
         grads = nd.backward(loss)
         bound = m._bind(loss.graph)
         opt.step(m.params, {k: nd.grad_values(grads, bound[k]) for k in m.params})

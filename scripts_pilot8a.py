@@ -4,7 +4,7 @@ import numpy as np
 from eqmatch.data import fixed_memorization_set, sample_noise
 from eqmatch.evaluation import grad_norm_at_data, local_minima_membership
 from eqmatch.model import ModelConfig, init_model
-from eqmatch.objective import draw_batch, eqm_loss
+from eqmatch.objective import draw_batch, loss_for
 from eqmatch.optimizer import AdamW
 from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, sample
 from eqmatch.schedule import Schedule
@@ -24,7 +24,7 @@ def mem_case(lr, sched, name):
     x = np.tile(pts, (4, 1))
     for step in range(20000):
         b = draw_batch(rng, x)
-        loss = eqm_loss(m, b, sched)
+        loss = loss_for("eqm", m, b, sched)
         grads = nd.backward(loss)
         bound = m._bind(loss.graph)
         opt.step(m.params, {k: nd.grad_values(grads, bound[k]) for k in m.params})

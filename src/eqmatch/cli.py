@@ -30,6 +30,7 @@ from .evaluation import (EvalReport, QuadraticEnergy, append_reports, auroc,
                          nearest_neighbor_audit, partial_noise_sweep)
 from .model import energy
 from .ndtensor import NonFiniteError
+from .objective import VELOCITY_OBJECTIVES
 from .plotting import (PLOT_KINDS, PlotError, contour_svg, curves_svg,
                        histogram_svg, scatter_svg, vector_field_svg)
 from .sampler import (LOOK_AHEAD_METHODS, METHODS, FunctionField, ModelField,
@@ -48,7 +49,7 @@ def _default_out_dir() -> Path:
 def field_for_checkpoint(ck: Checkpoint, label=None) -> ModelField:
     """Velocity-matching baselines predict the data-ward velocity; negate so
     the shared descent loop drives them too."""
-    negate = ck.config.objective in ("fm", "uncond-fm")
+    negate = ck.config.objective in VELOCITY_OBJECTIVES
     return ModelField(ck.model, label=label, negate=negate)
 
 

@@ -4,10 +4,11 @@
 field's JSON key is its name unless its `key` metadata renames it, and
 tuples are written as lists. A missing or null key takes the field's
 default, and a missing, null or `{}` section the section's default;
-`schedule` needs `kind`. Values are coerced to the annotated type, and
-malformed input raises ValidationError naming the key path. The dict
-round-trips exactly and is embedded verbatim in checkpoints, so a checkpoint
-is self-describing.
+`schedule` needs `kind`. Numbers are converted to the annotated int or
+float, a bool field takes only a JSON boolean, and a key that names no
+field is an error. Malformed input raises ValidationError naming the key
+path. The dict round-trips exactly and is embedded verbatim in checkpoints,
+so a checkpoint is self-describing.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .data import ToyDistribution, fixed_memorization_set
 from .model import ModelConfig
-from .objective import OBJECTIVES
+from .objective import ObjectiveError, check_pairing
 from .sampler import SamplerConfig
 from .schedule import Schedule
 
@@ -116,17 +117,11 @@ class RunConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
-        if self.objective not in OBJECTIVES:
-            raise ValidationError(f"objective '{self.objective}' not one of {OBJECTIVES}")
+        try:
+            check_pairing(self.objective, self.model)
+        except ObjectiveError as e:
+            raise ValidationError(str(e)) from e
         m = self.model
-        if self.objective == "eqm" and m.energy_kind != "none":
-            raise ValidationError("objective 'eqm' needs model.energy_kind='none'")
-        if self.objective == "eqm-e" and m.energy_kind == "none":
-            raise ValidationError("objective 'eqm-e' needs an explicit energy head")
-        if self.objective == "fm" and not m.noise_conditioned:
-            raise ValidationError("objective 'fm' needs model.noise_conditioned=true")
-        if self.objective == "uncond-fm" and (m.noise_conditioned or m.energy_kind != "none"):
-            raise ValidationError("objective 'uncond-fm' needs a plain unconditioned model")
         if m.num_classes > 0 and not self.dataset.labeled:
             raise ValidationError(f"model.num_classes={m.num_classes} but dataset "
                                   f"'{self.dataset.kind}' provides no labels")
@@ -174,6 +169,12 @@ def from_dict(cls, d, path: str = ""):
         raise ValidationError(f"{path or 'run config'}: expected an object, "
                               f"got {type(d).__name__}")
     hints = _type_hints(cls)
+    known = {_json_key(f) for f in fields(cls)}
+    unknown = sorted(k for k in d if k not in known)
+    if unknown:
+        key = f"{path}.{unknown[0]}" if path else unknown[0]
+        raise ValidationError(f"{key}: unknown key; the keys of "
+                              f"{path or 'run config'} are {', '.join(sorted(known))}")
     kwargs = {}
     for f in fields(cls):
         name = _json_key(f)
@@ -193,9 +194,10 @@ def from_dict(cls, d, path: str = ""):
 
 
 def _coerce(hint, value, key: str):
-    """`value` read as the annotated type `hint`: int, float and bool are
-    converted, tuple[int, ...] is read from a list, str and list must match,
-    and an optional type is read as its one non-None member."""
+    """`value` read as the annotated type `hint`: int and float are
+    converted, bool must be a JSON boolean, tuple[int, ...] is read from a
+    list, str and list must match, and an optional type is read as its one
+    non-None member."""
     if get_origin(hint) is UnionType:
         members = [a for a in get_args(hint) if a is not type(None)]
         if len(members) > 1:
@@ -206,7 +208,7 @@ def _coerce(hint, value, key: str):
     if get_origin(hint) is tuple:
         if isinstance(value, list):
             return tuple(_coerce(get_args(hint)[0], v, key) for v in value)
-    elif hint in (int, float, bool):
+    elif hint in (int, float):
         try:
             return hint(value)
         except (TypeError, ValueError, OverflowError):

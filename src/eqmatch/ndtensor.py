@@ -17,7 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,8 +50,8 @@ def _check_finite(values: np.ndarray, op: str) -> None:
 
 #: ops that can produce non-finite outputs from finite inputs; the rest only
 #: rearrange or bound already-checked values and skip the scan
-_CHECKED_OPS = frozenset({"leaf", "constant", "add", "sub", "mul", "div",
-                          "scalar_mul", "matmul", "square", "reduce_leading"})
+_CHECKED_OPS = frozenset({"leaf", "constant", "add", "sub", "mul", "scalar_mul",
+                          "matmul", "square", "reduce_leading"})
 
 
 class Tensor:
@@ -88,33 +88,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = "const" if self.node is None else f"node {self.node}"
         return f"Tensor(shape={self.shape}, {tag})"
-
-    # operator sugar; scalars go through scalar_mul so exact scaling stays exact
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self) -> "Tensor":
-        return scalar_mul(self, -1.0)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def sum(self) -> "Tensor":
-        return tsum(self)
-
-    def mean(self) -> "Tensor":
-        return tmean(self)
 
 
 class _Node:
@@ -227,14 +200,6 @@ def mul(a, b) -> Tensor:
     return _emit("mul", (a, b), a.values * b.values)
 
 
-def div(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _require_same_shape("div", a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = a.values / b.values
-    return _emit("div", (a, b), vals)
-
-
 def scalar_mul(a, c: float) -> Tensor:
     a = _coerce(a)
     return _emit("scalar_mul", (a,), a.values * c, extra=float(c))
@@ -277,13 +242,6 @@ def tanh(a) -> Tensor:
 def square(a) -> Tensor:
     a = _coerce(a)
     return _emit("square", (a,), a.values * a.values)
-
-
-def sqrt(a) -> Tensor:
-    a = _coerce(a)
-    if np.any(a.values < 0):
-        raise NonFiniteError("op 'sqrt': negative input")
-    return _emit("sqrt", (a,), np.sqrt(a.values))
 
 
 def reduce_leading(a, n_axes: int) -> Tensor:
@@ -361,44 +319,6 @@ def tmean(a) -> Tensor:
     return scalar_mul(tsum(a), 1.0 / a.size)
 
 
-def dot(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ShapeMismatchError(f"op 'dot': shapes {a.shape} and {b.shape} must be 1-d")
-    _require_same_shape("dot", a, b)
-    return tsum(mul(a, b))
-
-
-#: public op table; gradient checks iterate over exactly these kinds
-OPS: dict[str, Callable] = {
-    "add": add,
-    "sub": sub,
-    "elementwise-mul": mul,
-    "scalar-mul": scalar_mul,
-    "div": div,
-    "matmul": matmul,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "silu": silu,
-    "tanh": tanh,
-    "sum": tsum,
-    "mean": tmean,
-    "square": square,
-    "sqrt": sqrt,
-    "dot": dot,
-    "concat": concat,
-    "slice": narrow,
-    "broadcast": broadcast_to,
-}
-
-
-def primitive(op_kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch an op by kind name (kinds listed in ``OPS``)."""
-    if op_kind not in OPS:
-        raise GraphError(f"unknown op kind '{op_kind}'")
-    return OPS[op_kind](*inputs, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # backward rules
 #
@@ -424,10 +344,6 @@ def _vjp(node: _Node, g: Tensor) -> list[Tensor | None]:
     if op == "mul":
         b = node.inputs[1]
         return [mul(g, b), mul(g, a)]
-    if op == "div":
-        b = node.inputs[1]
-        ga = div(g, b)
-        return [ga, scalar_mul(mul(ga, node.out), -1.0)]
     if op == "scalar_mul":
         return [scalar_mul(g, node.extra)]
     if op == "matmul":
@@ -452,8 +368,6 @@ def _vjp(node: _Node, g: Tensor) -> list[Tensor | None]:
         return [mul(g, sub(_ones_like(y), square(y)))]
     if op == "square":
         return [scalar_mul(mul(g, a), 2.0)]
-    if op == "sqrt":
-        return [div(scalar_mul(g, 0.5), node.out)]
     if op == "reduce_leading":
         return [broadcast_to(g, a.shape)]
     if op == "broadcast_to":

@@ -1,6 +1,6 @@
-"""Corruption process, matching targets, and the training losses.
+"""Corruption process, matching targets, and the training loss.
 
-All four objectives are mean-squared errors between a model output and a
+All four objectives are one mean-squared error between a model output and a
 target built from the same (x, eps, gamma) triple:
 
   eqm        f(x_gamma)        vs (eps - x) * c(gamma)
@@ -9,9 +9,9 @@ target built from the same (x, eps, gamma) triple:
   uncond-fm  f(x_gamma)        vs (x - eps)
 
 The interpolation factor gamma is drawn per sample and never shown to the
-model (except for the noise-conditioned fm baseline, where it doubles as the
-noise level input). Reduction is the mean over batch and coordinates so step
-sizes stay comparable across batch sizes.
+model, except to a noise-conditioned one (the fm baseline, or an eqm
+ablation), where it doubles as the noise level input. Reduction is the mean
+over batch and coordinates so step sizes stay comparable across batch sizes.
 """
 
 from __future__ import annotations
@@ -21,10 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndtensor as nd
-from .model import GradientFieldModel, _total_energy
+from .model import GradientFieldModel, ModelConfig, _total_energy
 from .schedule import Schedule, eval_schedule, is_equilibrium
 
 OBJECTIVES = ("eqm", "eqm-e", "fm", "uncond-fm")
+#: objectives whose model predicts the data-ward velocity x - eps, the
+#: negative of the descent direction the sampler follows
+VELOCITY_OBJECTIVES = ("fm", "uncond-fm")
 
 
 class ObjectiveError(ValueError):
@@ -85,85 +88,49 @@ def gradient_target(x, eps, gamma, sched: Schedule) -> np.ndarray:
     return (eps - x) * c
 
 
-def _require_equilibrium(sched: Schedule, allow_non_equilibrium: bool) -> None:
-    if not is_equilibrium(sched) and not allow_non_equilibrium:
-        raise ObjectiveError(
-            "schedule does not vanish at gamma=1; pass allow_non_equilibrium=True "
-            "to train a non-equilibrium control")
-
-
-def _labels_for(model: GradientFieldModel, batch: TrainBatch):
-    if model.config.num_classes > 0:
-        if batch.labels is None:
-            raise ObjectiveError("conditional model needs batch labels")
-        return batch.labels
-    return None
-
-
-def eqm_loss(model: GradientFieldModel, batch: TrainBatch, sched: Schedule,
-             allow_non_equilibrium: bool = False) -> nd.Tensor:
-    """Mean squared error between the predicted field and the scaled
-    noise-to-data direction."""
-    if model.config.energy_kind != "none":
-        raise ObjectiveError("eqm_loss trains implicit-energy models only")
-    _require_equilibrium(sched, allow_non_equilibrium)
-    xg = corrupt(batch.x, batch.eps, batch.gamma)
-    target = gradient_target(batch.x, batch.eps, batch.gamma, sched)
-    graph = nd.Graph()
-    level = batch.gamma if model.config.noise_conditioned else None
-    out = model.forward(graph, xg, label=_labels_for(model, batch), noise_level=level)
-    return nd.tmean(nd.square(nd.sub(out, nd.constant(target))))
-
-
-def eqme_loss(model: GradientFieldModel, batch: TrainBatch, sched: Schedule,
-              allow_non_equilibrium: bool = False) -> nd.Tensor:
-    """Explicit-energy variant: the energy's input-gradient is matched to the
-    target, and the loss stays differentiable through the second-order tape."""
-    if model.config.energy_kind == "none":
-        raise ObjectiveError("eqme_loss needs an explicit energy head")
-    _require_equilibrium(sched, allow_non_equilibrium)
-    xg = corrupt(batch.x, batch.eps, batch.gamma)
-    target = gradient_target(batch.x, batch.eps, batch.gamma, sched)
-    graph = nd.Graph()
-    xt = graph.leaf(xg)
-    total = _total_energy(model, graph, xt, label=_labels_for(model, batch))
-    grad = nd.input_gradient(total, xt)
-    return nd.tmean(nd.square(nd.sub(grad, nd.constant(target))))
-
-
-def fm_loss(model: GradientFieldModel, batch: TrainBatch) -> nd.Tensor:
-    """Velocity-matching baseline with the interpolation factor as the noise
-    level input; the target is the data-ward velocity x - eps."""
-    if not model.config.noise_conditioned:
-        raise ObjectiveError("fm_loss requires a noise-conditioned model")
-    xg = corrupt(batch.x, batch.eps, batch.gamma)
-    graph = nd.Graph()
-    out = model.forward(graph, xg, label=_labels_for(model, batch),
-                        noise_level=batch.gamma)
-    return nd.tmean(nd.square(nd.sub(out, nd.constant(batch.x - batch.eps))))
-
-
-def uncond_fm_loss(model: GradientFieldModel, batch: TrainBatch) -> nd.Tensor:
-    """Velocity matching with no noise-level input at all."""
-    if model.config.noise_conditioned:
-        raise ObjectiveError("uncond_fm_loss requires an unconditioned model")
-    if model.config.energy_kind != "none":
-        raise ObjectiveError("uncond_fm_loss trains plain field models only")
-    xg = corrupt(batch.x, batch.eps, batch.gamma)
-    graph = nd.Graph()
-    out = model.forward(graph, xg, label=_labels_for(model, batch))
-    return nd.tmean(nd.square(nd.sub(out, nd.constant(batch.x - batch.eps))))
+def check_pairing(objective: str, model_config: ModelConfig) -> None:
+    """Raise ObjectiveError unless `objective` can train a model built from
+    `model_config`: eqm fits a plain field, eqm-e an explicit energy head's
+    input-gradient, fm a noise-conditioned field and uncond-fm a plain field
+    with no noise-level input."""
+    if objective not in OBJECTIVES:
+        raise ObjectiveError(f"unknown objective '{objective}', not one of {OBJECTIVES}")
+    has_energy = model_config.energy_kind != "none"
+    if objective == "eqm" and has_energy:
+        raise ObjectiveError("objective 'eqm' trains implicit-energy models only "
+                             "(model.energy_kind='none')")
+    if objective == "eqm-e" and not has_energy:
+        raise ObjectiveError("objective 'eqm-e' needs an explicit energy head")
+    if objective == "fm" and not model_config.noise_conditioned:
+        raise ObjectiveError("objective 'fm' needs model.noise_conditioned=true")
+    if objective == "uncond-fm" and (model_config.noise_conditioned or has_energy):
+        raise ObjectiveError("objective 'uncond-fm' needs a plain unconditioned model")
 
 
 def loss_for(objective: str, model: GradientFieldModel, batch: TrainBatch,
              sched: Schedule, allow_non_equilibrium: bool = False) -> nd.Tensor:
-    """Dispatch by objective kind (the RunConfig surface)."""
-    if objective == "eqm":
-        return eqm_loss(model, batch, sched, allow_non_equilibrium)
+    """The training loss of `objective` (table above) as a live scalar node.
+    eqm and eqm-e refuse a schedule that does not vanish at gamma=1 unless
+    `allow_non_equilibrium`; fm and uncond-fm ignore the schedule."""
+    check_pairing(objective, model.config)
+    if objective in VELOCITY_OBJECTIVES:
+        target = batch.x - batch.eps
+    else:
+        if not is_equilibrium(sched) and not allow_non_equilibrium:
+            raise ObjectiveError(
+                "schedule does not vanish at gamma=1; pass allow_non_equilibrium=True "
+                "to train a non-equilibrium control")
+        target = gradient_target(batch.x, batch.eps, batch.gamma, sched)
+    conditional = model.config.num_classes > 0
+    if conditional and batch.labels is None:
+        raise ObjectiveError("conditional model needs batch labels")
+    label = batch.labels if conditional else None
+    xg = corrupt(batch.x, batch.eps, batch.gamma)
+    graph = nd.Graph()
     if objective == "eqm-e":
-        return eqme_loss(model, batch, sched, allow_non_equilibrium)
-    if objective == "fm":
-        return fm_loss(model, batch)
-    if objective == "uncond-fm":
-        return uncond_fm_loss(model, batch)
-    raise ObjectiveError(f"unknown objective '{objective}'")
+        xt = graph.leaf(xg)
+        field = nd.input_gradient(_total_energy(model, graph, xt, label=label), xt)
+    else:
+        level = batch.gamma if model.config.noise_conditioned else None
+        field = model.forward(graph, xg, label=label, noise_level=level)
+    return nd.tmean(nd.square(nd.sub(field, nd.constant(target))))

@@ -39,6 +39,10 @@ class Schedule:
             raise ValueError(f"truncation point a={self.a} outside [0, 1)")
         if self.b < 0.0:
             raise ValueError(f"start value b={self.b} must be >= 0")
+        if (self.kind == "piecewise" and self.a > 0.0
+                and not np.isfinite((self.b - 1.0) / self.a)):
+            raise ValueError(f"truncation point a={self.a} is too small: the head "
+                             "slope (b - 1) / a overflows")
         if not self.lam > 0.0:
             raise ValueError(f"multiplier lambda={self.lam} must be > 0")
 

@@ -88,7 +88,7 @@ class TestRunConfig:
 
     def test_values_coerced_to_annotation(self):
         d = RunConfig.from_dict({"optimizer": {"lr": 1}, "train": {"steps": 5.0},
-                                 "model": {"hidden": [4.0], "noise_conditioned": 0},
+                                 "model": {"hidden": [4.0], "noise_conditioned": False},
                                  "sampler": {"method": "adaptive", "g_min": 1}}).to_dict()
         assert type(d["optimizer"]["lr"]) is float
         assert type(d["train"]["steps"]) is int
@@ -103,6 +103,14 @@ class TestRunConfig:
         ({"seed": 1e999}, "seed"),
         ({"objective": 3}, "objective"),
         ({"dataset": {"modes": 1.5}}, "dataset.modes"),
+        ({"objective": "fm", "model": {"noise_conditioned": "false"}},
+         "model.noise_conditioned"),
+        ({"model": {"noise_conditioned": 0}}, "model.noise_conditioned"),
+        ({"allow_non_equilibrium": "true"}, "allow_non_equilibrium"),
+        ({"schedule": {"kind": "truncated", "lamda": 4.0}}, "schedule.lamda"),
+        ({"schedule": {"kind": "truncated", "lam": 4.0}}, "schedule.lam"),
+        ({"model": {"hidden": [8], "hiden": [8]}}, "model.hiden"),
+        ({"sed": 1}, "sed"),
     ])
     def test_malformed_input_names_the_key(self, payload, key):
         with pytest.raises(ValidationError, match=rf"^{re.escape(key)}\b"):
@@ -138,8 +146,10 @@ def run_configs(draw) -> RunConfig:
         energy_kind=(draw(st.sampled_from(["dot", "l2norm"])) if objective == "eqm-e"
                      else "none"),
         init_seed=draw(st.integers(0, 2**31)))
+    # a is 0 or at least 1e-300, where the piecewise head slope (b - 1) / a
+    # stays finite for every b drawn here
     schedule = Schedule(kind=draw(st.sampled_from(SCHEDULE_KINDS)),
-                        a=draw(st.floats(0.0, 1.0, exclude_max=True)),
+                        a=draw(st.just(0.0) | st.floats(1e-300, 1.0, exclude_max=True)),
                         b=draw(st.floats(0.0, 10.0)), lam=draw(positive))
     method = draw(st.sampled_from(METHODS))
     sampler = SamplerConfig(

@@ -4,7 +4,6 @@ sampler identities surfaced through flags."""
 import csv
 import json
 
-import numpy as np
 import pytest
 
 from eqmatch.cli import main
@@ -54,6 +53,11 @@ class TestExitCodes:
         ([1, 2], "run config"),
         ({"model": 3}, "model"),
         ({"model": {"hidden": "abc"}}, "model.hidden"),
+        # small runs, so that a config read past the error trains quickly
+        ({"schedule": {"kind": "truncated", "lamda": 4.0}, "train": {"steps": 2}},
+         "schedule.lamda"),
+        ({"model": {"noise_conditioned": "false", "hidden": [4]}, "train": {"steps": 2}},
+         "model.noise_conditioned"),
     ])
     def test_malformed_config_names_the_key(self, payload, key, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqmatch.data import default_mixture, sample_data
-from eqmatch.evaluation import (BoundCheckResult, EvalReport, QuadraticEnergy,
-                                append_reports, auroc, component_energy,
-                                config_fingerprint, convergence_bound_check,
-                                grad_norm_at_data, ledger_has,
-                                local_minima_membership, mmd,
+from eqmatch.evaluation import (EvalReport, QuadraticEnergy, append_reports, auroc,
+                                component_energy, config_fingerprint,
+                                convergence_bound_check, grad_norm_at_data,
+                                ledger_has, local_minima_membership, mmd,
                                 mmd_permutation_null, mode_coverage,
                                 nearest_neighbor_audit, partial_noise_sweep)
 from eqmatch.model import ModelConfig, init_model

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from eqmatch import ndtensor as nd
 from eqmatch.model import (ConditioningError, GradientFieldModel, ModelConfig,
                            energy, energy_gradient, init_model, noise_features)
 from conftest import central_difference, rel_err

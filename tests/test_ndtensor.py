@@ -23,7 +23,8 @@ def test_relu_hand_value():
 
 
 def test_dot_hand_value():
-    assert nd.dot(nd.constant([1.0, 2.0]), nd.constant([3.0, 4.0])).item() == 11.0
+    # a dot product is tsum(mul), the way the dot energy head builds one
+    assert nd.tsum(nd.mul(nd.constant([1.0, 2.0]), nd.constant([3.0, 4.0]))).item() == 11.0
 
 
 def test_constant_ops_stay_off_tape():
@@ -57,15 +58,31 @@ def test_untouched_ancestor_gets_zero_gradient():
 # gradient checks vs central finite differences
 #
 # Each case builds sample inputs for one public op kind. Inputs are kept away
-# from kinks (relu) and domain edges (sqrt, div) so the FD oracle is valid.
+# from the kink of relu so the FD oracle is valid.
+
+#: the op kinds under gradient check, by the public function that records each
+OPS = {
+    "add": nd.add,
+    "sub": nd.sub,
+    "elementwise-mul": nd.mul,
+    "scalar-mul": nd.scalar_mul,
+    "matmul": nd.matmul,
+    "relu": nd.relu,
+    "sigmoid": nd.sigmoid,
+    "silu": nd.silu,
+    "tanh": nd.tanh,
+    "sum": nd.tsum,
+    "mean": nd.tmean,
+    "square": nd.square,
+    "concat": nd.concat,
+    "slice": nd.narrow,
+    "broadcast": nd.broadcast_to,
+}
 
 
 def _sample_inputs(kind: str, rng: np.random.Generator):
     if kind in ("add", "sub", "elementwise-mul"):
         return [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))], {}
-    if kind == "div":
-        return [rng.standard_normal((3, 4)),
-                rng.uniform(0.5, 2.0, (3, 4)) * np.where(rng.random((3, 4)) < 0.5, -1, 1)], {}
     if kind == "scalar-mul":
         return [rng.standard_normal((3, 4)), float(rng.uniform(-2, 2))], {}
     if kind == "matmul":
@@ -75,10 +92,6 @@ def _sample_inputs(kind: str, rng: np.random.Generator):
         return [vals], {}
     if kind in ("sigmoid", "silu", "tanh", "square", "sum", "mean"):
         return [rng.standard_normal((3, 4))], {}
-    if kind == "sqrt":
-        return [rng.uniform(0.5, 4.0, (3, 4))], {}
-    if kind == "dot":
-        return [rng.standard_normal(5), rng.standard_normal(5)], {}
     if kind == "concat":
         return [[rng.standard_normal((3, 2)), rng.standard_normal((3, 4))]], {"axis": 1}
     if kind == "slice":
@@ -108,10 +121,10 @@ def _apply(kind: str, args, kwargs, leaves: dict):
             cooked.append(nd.constant(a))
         else:
             cooked.append(a)
-    return nd.OPS[kind](*cooked, **kwargs)
+    return OPS[kind](*cooked, **kwargs)
 
 
-@pytest.mark.parametrize("kind", sorted(nd.OPS))
+@pytest.mark.parametrize("kind", sorted(OPS))
 def test_gradcheck_every_op_kind_100_seeds(kind):
     """Reverse-mode gradient of every op matches central FD to 1e-6."""
     for seed in range(100):
@@ -185,7 +198,7 @@ def test_input_gradient_cube():
 def test_input_gradient_dot_self():
     g = nd.Graph()
     x = g.leaf([1.0, 2.0])
-    grad = nd.input_gradient(nd.dot(x, x), x)
+    grad = nd.input_gradient(nd.tsum(nd.mul(x, x)), x)
     np.testing.assert_allclose(grad.values, [2.0, 4.0], atol=1e-12)
 
 
@@ -262,8 +275,8 @@ def test_matmul_shape_error():
 def test_non_finite_raises():
     with pytest.raises(nd.NonFiniteError):
         nd.constant([np.nan])
-    with pytest.raises(nd.NonFiniteError):
-        nd.div(nd.constant([1.0]), nd.constant([0.0]))
+    with pytest.raises(nd.NonFiniteError), np.errstate(over="ignore"):
+        nd.square(nd.constant([1e200]))
 
 
 def test_backward_rejects_non_scalar():
@@ -328,10 +341,3 @@ def test_determinism_bitwise(rng):
 
     a, b = run(), run()
     assert a.tobytes() == b.tobytes()
-
-
-def test_primitive_dispatch_matches_table():
-    out = nd.primitive("relu", nd.constant([-2.0, 5.0]))
-    np.testing.assert_array_equal(out.values, [0.0, 5.0])
-    with pytest.raises(nd.GraphError):
-        nd.primitive("conv2d", nd.constant([1.0]))

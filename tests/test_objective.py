@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from eqmatch import ndtensor as nd
+from eqmatch.config import RunConfig, ValidationError
 from eqmatch.model import ModelConfig, init_model
-from eqmatch.objective import (ObjectiveError, TrainBatch, corrupt, draw_batch,
-                               eqm_loss, eqme_loss, fm_loss, gradient_target,
-                               loss_for, uncond_fm_loss)
+from eqmatch.objective import (OBJECTIVES, ObjectiveError, TrainBatch, check_pairing,
+                               corrupt, draw_batch, gradient_target, loss_for)
 from eqmatch.optimizer import AdamW
 from eqmatch.schedule import Schedule
 from conftest import central_difference, rel_err
@@ -78,28 +78,28 @@ def test_eqm_loss_zero_on_exact_fit(rng):
     m = fresh_model()
     b = batch_of(rng)
     b.gamma = np.ones_like(b.gamma)
-    assert eqm_loss(m, b, LINEAR).item() == 0.0
+    assert loss_for("eqm", m, b, LINEAR).item() == 0.0
 
 
 def test_eqm_loss_equals_mean_target_square_for_zero_model(rng):
     m = fresh_model()
     b = batch_of(rng)
     target = gradient_target(b.x, b.eps, b.gamma, LINEAR)
-    assert eqm_loss(m, b, LINEAR).item() == pytest.approx(np.mean(target ** 2), rel=1e-12)
+    assert loss_for("eqm", m, b, LINEAR).item() == pytest.approx(np.mean(target ** 2), rel=1e-12)
 
 
 def test_eqm_rejects_non_equilibrium_without_override(rng):
     m = fresh_model()
     b = batch_of(rng)
     with pytest.raises(ObjectiveError, match="vanish"):
-        eqm_loss(m, b, CONST)
-    assert eqm_loss(m, b, CONST, allow_non_equilibrium=True).item() >= 0.0
+        loss_for("eqm", m, b, CONST)
+    assert loss_for("eqm", m, b, CONST, allow_non_equilibrium=True).item() >= 0.0
 
 
 def test_eqm_rejects_energy_models(rng):
     m = fresh_model(energy_kind="dot")
     with pytest.raises(ObjectiveError, match="implicit"):
-        eqm_loss(m, batch_of(rng), LINEAR)
+        loss_for("eqm", m, batch_of(rng), LINEAR)
 
 
 def negated_copy(model):
@@ -121,8 +121,8 @@ def test_negation_duality_with_constant_schedule():
         m.params["layers.2.w"] = 0.5 * rng.standard_normal((8, 2))
         m.params["layers.2.b"] = 0.1 * rng.standard_normal(2)
         b = batch_of(rng, n=16)
-        lhs = eqm_loss(m, b, CONST, allow_non_equilibrium=True).item()
-        rhs = uncond_fm_loss(negated_copy(m), b).item()
+        lhs = loss_for("eqm", m, b, CONST, allow_non_equilibrium=True).item()
+        rhs = loss_for("uncond-fm", negated_copy(m), b, CONST).item()
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -130,19 +130,19 @@ def test_fm_loss_conditioning_contracts(rng):
     cond = fresh_model(noise_conditioned=True)
     plain = fresh_model()
     b = batch_of(rng)
-    assert fm_loss(cond, b).item() >= 0.0
+    assert loss_for("fm", cond, b, LINEAR).item() >= 0.0
     with pytest.raises(ObjectiveError):
-        fm_loss(plain, b)
+        loss_for("fm", plain, b, LINEAR)
     with pytest.raises(ObjectiveError):
-        uncond_fm_loss(cond, b)
+        loss_for("uncond-fm", cond, b, LINEAR)
 
 
 def test_fm_target_is_velocity_not_zero_at_gamma_one(rng):
     m = fresh_model()
     b = batch_of(rng)
     b.gamma = np.ones_like(b.gamma)
-    fm = uncond_fm_loss(m, b).item()
-    eq = eqm_loss(m, b, LINEAR).item()
+    fm = loss_for("uncond-fm", m, b, LINEAR).item()
+    eq = loss_for("eqm", m, b, LINEAR).item()
     assert eq == 0.0 and fm == pytest.approx(np.mean((b.x - b.eps) ** 2), rel=1e-12)
 
 
@@ -153,13 +153,13 @@ def test_eqme_loss_zero_when_gradient_matches(rng):
     m = identity_model("dot")
     eps = rng.standard_normal((4, 2))
     b = TrainBatch(x=-eps, eps=eps, gamma=np.zeros(4), labels=None)
-    loss = eqme_loss(m, b, CONST, allow_non_equilibrium=True)
+    loss = loss_for("eqm-e", m, b, CONST, allow_non_equilibrium=True)
     assert loss.item() == pytest.approx(0.0, abs=1e-24)
 
 
 def test_eqme_requires_energy_head(rng):
     with pytest.raises(ObjectiveError, match="energy"):
-        eqme_loss(fresh_model(), batch_of(rng), LINEAR)
+        loss_for("eqm-e", fresh_model(), batch_of(rng), LINEAR)
 
 
 def test_eqme_parameter_gradients_match_fd():
@@ -169,7 +169,7 @@ def test_eqme_parameter_gradients_match_fd():
     m.params["layers.1.w"] = 0.5 * rng.standard_normal((8, 2))
     b = batch_of(rng, n=3)
 
-    loss = eqme_loss(m, b, LINEAR)
+    loss = loss_for("eqm-e", m, b, LINEAR)
     grads = nd.backward(loss)
     bound = m._bind(loss.graph)
     for name in m.params:
@@ -177,7 +177,7 @@ def test_eqme_parameter_gradients_match_fd():
             saved = m.params[_name]
             m.params[_name] = v
             try:
-                return eqme_loss(m, b, LINEAR).item()
+                return loss_for("eqm-e", m, b, LINEAR).item()
             finally:
                 m.params[_name] = saved
 
@@ -199,7 +199,7 @@ def test_eqme_smoke_training_reduces_loss(kind):
     for step in range(200):
         b = TrainBatch(x=x, eps=rng.standard_normal((1, 2)),
                        gamma=rng.uniform(0, 1, 1))
-        loss = eqme_loss(m, b, LINEAR)
+        loss = loss_for("eqm-e", m, b, LINEAR)
         if first is None:
             first = loss.item()
         grads = nd.backward(loss)
@@ -208,7 +208,7 @@ def test_eqme_smoke_training_reduces_loss(kind):
     last_rng = np.random.default_rng(123)
     b = TrainBatch(x=x, eps=last_rng.standard_normal((1, 2)),
                    gamma=last_rng.uniform(0, 1, 1))
-    assert eqme_loss(m, b, LINEAR).item() < first
+    assert loss_for("eqm-e", m, b, LINEAR).item() < first
 
 
 def test_loss_for_dispatch(rng):
@@ -222,6 +222,31 @@ def test_loss_for_dispatch(rng):
 def test_conditional_model_needs_labels(rng):
     m = fresh_model(num_classes=3)
     with pytest.raises(ObjectiveError, match="labels"):
-        eqm_loss(m, batch_of(rng), LINEAR)
+        loss_for("eqm", m, batch_of(rng), LINEAR)
     b = batch_of(rng, labels=np.array([0, 1, 2, 0, 1, 2]))
-    assert eqm_loss(m, b, LINEAR).item() >= 0.0
+    assert loss_for("eqm", m, b, LINEAR).item() >= 0.0
+
+
+def test_velocity_objectives_ignore_the_schedule(rng):
+    b = batch_of(rng)
+    for objective, model in (("fm", fresh_model(noise_conditioned=True)),
+                             ("uncond-fm", fresh_model())):
+        lhs = loss_for(objective, model, b, CONST).item()
+        assert lhs == loss_for(objective, model, b, TRUNC4).item()
+
+
+def test_run_config_states_the_same_pairing_rules():
+    """RunConfig.validate accepts exactly the objective/model pairs that
+    loss_for trains, and rejects the rest with the same message."""
+    for objective in OBJECTIVES:
+        for kw in ({}, {"energy_kind": "dot"}, {"noise_conditioned": True}):
+            mc = ModelConfig(input_dim=2, hidden=(8,), **kw)
+            cfg = RunConfig(objective=objective, model=mc)
+            try:
+                check_pairing(objective, mc)
+            except ObjectiveError as e:
+                with pytest.raises(ValidationError) as got:
+                    cfg.validate()
+                assert str(got.value) == str(e)
+            else:
+                cfg.validate()

@@ -6,9 +6,9 @@ from eqmatch.config import from_dict, to_dict
 from eqmatch.model import ModelConfig, init_model
 from eqmatch.ndtensor import NonFiniteError
 from eqmatch.objective import corrupt
-from eqmatch.sampler import (ComposedField, FunctionField, ModelField,
-                             SamplerConfig, calibrate_g_min, compose, grad_of,
-                             sample, save_trajectory_csv)
+from eqmatch.sampler import (FunctionField, ModelField, SamplerConfig,
+                             calibrate_g_min, compose, grad_of, sample,
+                             save_trajectory_csv)
 from test_model import identity_model
 
 linear_field = FunctionField(lambda x: x, dim=2)  # energy 0.5 ||x||^2

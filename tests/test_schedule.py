@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eqmatch.config import from_dict, to_dict
 from eqmatch.schedule import Schedule, eval_schedule, is_equilibrium
@@ -76,8 +76,16 @@ def test_scaling_law_exact(kind, gamma, lam):
 
 @given(kind=kinds, gamma=unit, a=st.floats(min_value=0.0, max_value=0.99),
        b=st.floats(min_value=0.0, max_value=5.0))
+@example(kind="piecewise", gamma=0.0, a=5e-324, b=0.0)
 def test_non_negative_everywhere(kind, gamma, a, b):
-    assert eval_schedule(Schedule(kind=kind, a=a, b=b), gamma) >= 0.0
+    try:
+        s = Schedule(kind=kind, a=a, b=b)
+    except ValueError as e:
+        # the only schedule refused here: a piecewise head slope that overflows
+        assert kind == "piecewise" and "a=" in str(e)
+        return
+    assert eval_schedule(s, gamma) >= 0.0
+
 
 
 def test_gamma_out_of_range_rejected():
@@ -90,6 +98,8 @@ def test_gamma_out_of_range_rejected():
 @pytest.mark.parametrize("bad", [
     dict(a=1.0), dict(a=-0.1), dict(b=-1.0), dict(lam=0.0), dict(lam=-2.0),
     dict(kind="cosine"),
+    # (b - 1) / a overflows
+    dict(kind="piecewise", a=5e-324, b=0.0), dict(kind="piecewise", a=1e-310, b=2.0),
 ])
 def test_invalid_parameters_rejected(bad):
     kwargs = dict(kind="truncated", a=0.5, b=1.0, lam=1.0)
