@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,7 +60,10 @@ def _canonical_json(payload: dict) -> bytes:
 def save_checkpoint(path, config: RunConfig, model: GradientFieldModel,
                     optimizer: AdamW, step: int,
                     rng_state: dict | None = None) -> str:
-    """Write the container; returns the hex digest."""
+    """Write the container; returns the hex digest. A temporary file beside
+    `path` (not named *.eqmckpt) is flushed to disk and then renamed over
+    `path`, so a crash leaves the previous file or the new one, never a torn
+    one."""
     tensors = dict(model.params)
     tensors.update(optimizer.moment_buffers())
     index = []
@@ -87,7 +91,17 @@ def save_checkpoint(path, config: RunConfig, model: GradientFieldModel,
         blob += tensors[name].tobytes()
     digest = hashlib.sha256(bytes(blob)).digest()
     blob += digest
-    Path(path).write_bytes(bytes(blob))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return digest.hex()
 
 

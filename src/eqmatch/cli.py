@@ -11,7 +11,6 @@ current directory) whenever a command does not pass one explicitly.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import os
 import sys
@@ -22,7 +21,8 @@ import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint
 from .config import ValidationError, load_config, to_dict
-from .data import FLOAT_FMT, draw_from, load_points_csv, ood_sets, sample_noise
+from .data import (draw_from, ood_sets, read_csv, read_points, sample_noise,
+                   write_csv)
 from .evaluation import (EvalReport, QuadraticEnergy, append_reports, auroc,
                          config_fingerprint, convergence_bound_check,
                          grad_norm_at_data, ledger_has, local_minima_membership,
@@ -76,24 +76,10 @@ def _sampler_from_args(base: SamplerConfig, args) -> SamplerConfig:
 
 def _write_samples_csv(path, traj) -> None:
     d = traj.final.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id", *[f"x{i}" for i in range(d)], "steps_used",
-                    "cap_reached"])
-        for i, row in enumerate(traj.final):
-            w.writerow([i, *[FLOAT_FMT % v for v in row], int(traj.steps_used[i]),
-                        int(traj.cap_reached[i])])
-
-
-def _read_samples_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        pts, steps = [], []
-        for row in reader:
-            pts.append([float(v) for k, v in row.items() if k.startswith("x")])
-            if "steps_used" in row:
-                steps.append(int(row["steps_used"]))
-    return np.asarray(pts, dtype=np.float64), (np.asarray(steps) if steps else None)
+    write_csv(path, ["sample_id", *[f"x{i}" for i in range(d)], "steps_used",
+                     "cap_reached"],
+              ([i, *row, int(traj.steps_used[i]), int(traj.cap_reached[i])]
+               for i, row in enumerate(traj.final)))
 
 
 def _file_digest(path) -> str:
@@ -106,8 +92,9 @@ def _file_digest(path) -> str:
 
 def cmd_train(args) -> int:
     config = load_config(args.config) if args.config else None
+    # a resume without --out continues in the checkpoint's own directory
     out_dir = args.out or (config.out_dir if config and config.out_dir else None) \
-        or _default_out_dir() / "run"
+        or (Path(args.resume).parent if args.resume else _default_out_dir() / "run")
     result = train(config, out_dir=out_dir, init_from=args.init_from,
                    resume_from=args.resume, quiet=not args.verbose)
     print(f"trained {result.config.objective} for {result.config.train.steps} steps; "
@@ -120,7 +107,7 @@ def cmd_sample(args) -> int:
     config = _sampler_from_args(ck.config.sampler, args)
     field = field_for_checkpoint(ck, label=args.label)
     if args.start_csv:
-        x0, _ = load_points_csv(args.start_csv)
+        x0 = read_points(args.start_csv)
     else:
         x0 = sample_noise(args.n, ck.config.model.input_dim, args.seed)
     record = args.trajectory is not None
@@ -233,12 +220,8 @@ def _suite_partial_noise(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[E
     curves = partial_noise_sweep(field_for_checkpoint(ck), field_for_checkpoint(base),
                                  gammas, ck.config.sampler, holdout, reference,
                                  seed=args.seed)
-    path = out_dir / "partial-noise-curves.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["gamma", "model", "baseline"])
-        for g, mv, bv in zip(curves["gamma"], curves["model"], curves["baseline"]):
-            w.writerow([FLOAT_FMT % g, FLOAT_FMT % mv, FLOAT_FMT % bv])
+    write_csv(out_dir / "partial-noise-curves.csv", ["gamma", "model", "baseline"],
+              zip(curves["gamma"], curves["model"], curves["baseline"]))
     reports = []
     for g, mv, bv in zip(curves["gamma"], curves["model"], curves["baseline"]):
         reports.append(EvalReport(f"mmd-start-gamma-{g}-model", mv, fp, args.seed))
@@ -292,12 +275,16 @@ def _sweep_row(axis, value, ck: Checkpoint, sampler_cfg: SamplerConfig,
     scores = {r.metric: r.value
               for r in _quality_reports(ck, "", seed, n, sampler_cfg, null=False)}
     config = ck.config
+
+    def text(v):  # config echoes and coverage print as Python prints them
+        return None if v is None else str(v)
+
     return [axis, value, config.objective, config.schedule.kind,
-            config.schedule.lam, sampler_cfg.method, sampler_cfg.eta,
-            sampler_cfg.mu, sampler_cfg.steps, sampler_cfg.g_min, seed,
-            FLOAT_FMT % scores["mmd"],
-            scores.get("covered-mode-fraction", float("nan")),
-            scores.get("in-mode-sample-fraction", float("nan"))]
+            text(config.schedule.lam), sampler_cfg.method, text(sampler_cfg.eta),
+            text(sampler_cfg.mu), sampler_cfg.steps, text(sampler_cfg.g_min), seed,
+            scores["mmd"],
+            text(scores.get("covered-mode-fraction", float("nan"))),
+            text(scores.get("in-mode-sample-fraction", float("nan")))]
 
 
 def cmd_sweep(args) -> int:
@@ -345,10 +332,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"unknown sweep axis '{args.axis}' "
                               f"(expected one of {SWEEP_AXES})")
     path = out_dir / f"sweep-{args.axis}.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SWEEP_HEADER)
-        w.writerows(rows)
+    write_csv(path, SWEEP_HEADER, rows)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 
@@ -378,21 +362,21 @@ def cmd_plot(args) -> int:
         vector_field_svg(out, field_for_checkpoint(ck, label=args.label),
                          bounds=bounds or (-4.5, 4.5, -4.5, 4.5), grid=args.grid)
     elif args.kind == "scatter":
-        pts, _ = _read_samples_csv(_require(args.samples, "--samples"))
-        scatter_svg(out, pts, bounds=bounds)
+        scatter_svg(out, read_points(_require(args.samples, "--samples")), bounds=bounds)
     elif args.kind == "contour":
         ck = load_checkpoint(_require(args.checkpoint, "--checkpoint"))
         contour_svg(out, ck.model, bounds=bounds or (-4.5, 4.5, -4.5, 4.5),
                     label=args.label)
     elif args.kind == "step-hist":
-        _, steps = _read_samples_csv(_require(args.samples, "--samples"))
-        if steps is None:
+        rows = read_csv(_require(args.samples, "--samples"))
+        if not rows or "steps_used" not in rows[0]:
             raise ValidationError("samples file has no steps_used column")
-        histogram_svg(out, steps, title="sampling steps per sample")
+        histogram_svg(out, np.array([int(r["steps_used"]) for r in rows]),
+                      title="sampling steps per sample")
     elif args.kind == "gamma-curves":
-        path = _require(args.curves, "--curves")
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = read_csv(_require(args.curves, "--curves"))
+        if not rows or "gamma" not in rows[0]:
+            raise ValidationError("curves file has no gamma column")
         x = np.array([float(r["gamma"]) for r in rows])
         series = {k: np.array([float(r[k]) for r in rows])
                   for k in rows[0] if k != "gamma"}

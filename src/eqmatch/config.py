@@ -5,7 +5,8 @@ field's JSON key is its name unless its `key` metadata renames it, and
 tuples are written as lists. A missing or null key takes the field's
 default, and a missing, null or `{}` section the section's default;
 `schedule` needs `kind`. Numbers are converted to the annotated int or
-float, a bool field takes only a JSON boolean, and a key that names no
+float (an int field takes only an integral number, and neither takes a
+boolean), a bool field takes only a JSON boolean, and a key that names no
 field is an error. Malformed input raises ValidationError naming the key
 path. The dict round-trips exactly and is embedded verbatim in checkpoints,
 so a checkpoint is self-describing.
@@ -194,10 +195,10 @@ def from_dict(cls, d, path: str = ""):
 
 
 def _coerce(hint, value, key: str):
-    """`value` read as the annotated type `hint`: int and float are
-    converted, bool must be a JSON boolean, tuple[int, ...] is read from a
-    list, str and list must match, and an optional type is read as its one
-    non-None member."""
+    """`value` read as the annotated type `hint`: an int takes an integral
+    number, a float any number, bool must be a JSON boolean, tuple[int, ...]
+    is read from a list, str and list must match, and an optional type is
+    read as its one non-None member."""
     if get_origin(hint) is UnionType:
         members = [a for a in get_args(hint) if a is not type(None)]
         if len(members) > 1:
@@ -209,8 +210,12 @@ def _coerce(hint, value, key: str):
         if isinstance(value, list):
             return tuple(_coerce(get_args(hint)[0], v, key) for v in value)
     elif hint in (int, float):
+        # an int field takes only an integral number, so 5.0 reads as 5 and
+        # 5.7 is an error; a JSON boolean is not a number here
         try:
-            return hint(value)
+            if not isinstance(value, bool) and (
+                    hint is float or isinstance(value, int) or float(value).is_integer()):
+                return hint(value)
         except (TypeError, ValueError, OverflowError):
             pass
     elif isinstance(value, hint):

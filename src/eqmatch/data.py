@@ -4,12 +4,16 @@ Data is standardized to roughly unit scale (modes inside [-4, 4]^2) so the
 unit-Gaussian noise end of the corruption path lives on a comparable scale.
 Labels are mixture-component (or moon) indices and double as class
 conditions.
+
+The module also owns the CSV format of every table eqmatch writes or reads
+(`write_csv`, `read_csv`, `read_points`).
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -164,37 +168,47 @@ def ood_sets(dist: ToyDistribution, n: int, seed: int) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange
+# CSV tables
 
 
-def save_points_csv(path, points: np.ndarray, labels: np.ndarray | None = None) -> None:
-    points = np.asarray(points, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
+def write_csv(path, header: list[str], rows, append: bool = False) -> None:
+    """Write a table: the header line, then one line per row. Float cells
+    print as FLOAT_FMT, None as an empty cell and any other cell as str, so
+    a caller that wants a float printed otherwise passes it as text. With
+    `append`, an existing file keeps its header and rows and gains `rows`."""
+    path = Path(path)
+    fresh = not (append and path.exists())
+    with open(path, "w" if fresh else "a", newline="") as fh:
         w = csv.writer(fh)
-        header = [f"x{i}" for i in range(points.shape[1])]
-        if labels is not None:
-            header.append("label")
-        w.writerow(header)
-        for i, row in enumerate(points):
-            out = [FLOAT_FMT % v for v in row]
-            if labels is not None:
-                out.append(str(int(labels[i])))
-            w.writerow(out)
+        if fresh:
+            w.writerow(header)
+        w.writerows([FLOAT_FMT % v if isinstance(v, float) else v for v in row]
+                    for row in rows)
 
 
-def load_points_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
+def read_csv(path) -> list[dict[str, str]]:
+    """The rows of a table as dicts keyed by its header."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        has_labels = header[-1] == "label"
-        d = len(header) - (1 if has_labels else 0)
-        pts, labels = [], []
-        for row in reader:
-            pts.append([float(v) for v in row[:d]])
-            if has_labels:
-                labels.append(int(row[d]))
-    points = np.asarray(pts, dtype=np.float64)
-    return points, (np.asarray(labels, dtype=np.int64) if has_labels else None)
+        return list(csv.DictReader(fh))
+
+
+def read_points(path) -> np.ndarray:
+    """The [n, d] points of a table, read by name from its columns x0 ...
+    x{d-1}; any other column (sample id, label, steps) is ignored."""
+    from .config import ValidationError  # config imports this module
+
+    rows = read_csv(path)
+    d = 0
+    while rows and f"x{d}" in rows[0]:
+        d += 1
+    if d == 0:
+        raise ValidationError(f"{path}: no points (a points table needs an x0 "
+                              "column and at least one row)")
+    try:
+        return np.array([[float(r[f"x{i}"]) for i in range(d)] for r in rows],
+                        dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{path}: cannot read the points: {e}") from e
 
 
 def default_mixture() -> ToyDistribution:

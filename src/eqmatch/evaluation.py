@@ -8,7 +8,6 @@ judged against a permutation null.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -18,6 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
+from .data import read_csv, write_csv
 from .model import GradientFieldModel
 from .objective import corrupt
 from .sampler import SamplerConfig, as_field, sample
@@ -143,15 +143,14 @@ def convergence_bound_check(quad: QuadraticEnergy, eta: float,
 # two-sample quality metrics
 
 
-def _kernel_sum(sq_dists: np.ndarray, bandwidths) -> np.ndarray:
+def _kernel_sum(sq_dists: np.ndarray) -> np.ndarray:
     k = np.zeros_like(sq_dists)
-    for bw in bandwidths:
+    for bw in DEFAULT_BANDWIDTHS:
         k += np.exp(-0.5 * sq_dists / (bw * bw))
     return k
 
 
-def mmd(samples: np.ndarray, reference: np.ndarray,
-        bandwidths=DEFAULT_BANDWIDTHS) -> float:
+def mmd(samples: np.ndarray, reference: np.ndarray) -> float:
     """Unbiased squared MMD under a sum of RBF kernels. The estimator may go
     slightly negative on matching distributions; callers clamp for reporting."""
     x = np.asarray(samples, dtype=np.float64)
@@ -163,9 +162,9 @@ def mmd(samples: np.ndarray, reference: np.ndarray,
     if x.tobytes() > y.tobytes():
         x, y = y, x
     m, n = len(x), len(y)
-    kxx = _kernel_sum(cdist(x, x, "sqeuclidean"), bandwidths)
-    kyy = _kernel_sum(cdist(y, y, "sqeuclidean"), bandwidths)
-    kxy = _kernel_sum(cdist(x, y, "sqeuclidean"), bandwidths)
+    kxx = _kernel_sum(cdist(x, x, "sqeuclidean"))
+    kyy = _kernel_sum(cdist(y, y, "sqeuclidean"))
+    kxy = _kernel_sum(cdist(x, y, "sqeuclidean"))
     a = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
     b = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
     c = kxy.sum() / (m * n)
@@ -173,15 +172,14 @@ def mmd(samples: np.ndarray, reference: np.ndarray,
 
 
 def mmd_permutation_null(samples: np.ndarray, reference: np.ndarray,
-                         n_permutations: int = 200, seed: int = 0,
-                         bandwidths=DEFAULT_BANDWIDTHS) -> np.ndarray:
+                         n_permutations: int = 200, seed: int = 0) -> np.ndarray:
     """Null distribution of the estimator under pooled relabeling (one
     kernel matrix, re-indexed per permutation)."""
     x = np.asarray(samples, dtype=np.float64)
     y = np.asarray(reference, dtype=np.float64)
     m, n = len(x), len(y)
     pool = np.concatenate([x, y])
-    k = _kernel_sum(cdist(pool, pool, "sqeuclidean"), bandwidths)
+    k = _kernel_sum(cdist(pool, pool, "sqeuclidean"))
     np.fill_diagonal(k, 0.0)
     rng = np.random.default_rng(seed)
     out = np.empty(n_permutations)
@@ -246,7 +244,7 @@ def component_energy(model: GradientFieldModel, x, label=None) -> np.ndarray:
 
 def partial_noise_sweep(model_field, baseline_field, gammas, config: SamplerConfig,
                         holdout: np.ndarray, reference: np.ndarray,
-                        seed: int = 0, bandwidths=DEFAULT_BANDWIDTHS) -> dict:
+                        seed: int = 0) -> dict:
     """Quality-vs-start-noise curves: corrupt held-out data at each start
     gamma, denoise with both fields, score MMD against the reference."""
     holdout = np.asarray(holdout, dtype=np.float64)
@@ -257,7 +255,7 @@ def partial_noise_sweep(model_field, baseline_field, gammas, config: SamplerConf
         start = corrupt(holdout, eps, np.full(len(holdout), float(g)))
         for key, fld in (("model", model_field), ("baseline", baseline_field)):
             final = sample(as_field(fld), start, config).final
-            curves[key].append(max(0.0, mmd(final, reference, bandwidths)))
+            curves[key].append(max(0.0, mmd(final, reference)))
     return curves
 
 
@@ -288,23 +286,12 @@ LEDGER_HEADER = ["fingerprint", "metric", "value", "seed", "aux"]
 
 
 def append_reports(path, reports: list[EvalReport]) -> None:
-    path = Path(path)
-    fresh = not path.exists()
-    with open(path, "a", newline="") as fh:
-        w = csv.writer(fh)
-        if fresh:
-            w.writerow(LEDGER_HEADER)
-        for r in reports:
-            w.writerow([r.fingerprint, r.metric, "%.17g" % r.value, r.seed,
-                        json.dumps(r.aux, sort_keys=True)])
+    write_csv(path, LEDGER_HEADER,
+              ([r.fingerprint, r.metric, float(r.value), r.seed,
+                json.dumps(r.aux, sort_keys=True)] for r in reports), append=True)
 
 
 def ledger_has(path, fingerprint: str, metric: str | None = None) -> bool:
-    path = Path(path)
-    if not path.exists():
-        return False
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["fingerprint"] == fingerprint and (metric is None or row["metric"] == metric):
-                return True
-    return False
+    return Path(path).exists() and any(
+        row["fingerprint"] == fingerprint and (metric is None or row["metric"] == metric)
+        for row in read_csv(path))

@@ -61,14 +61,13 @@ class Tensor:
     never receives a gradient.
     """
 
-    __slots__ = ("values", "graph", "node", "requires_grad")
+    __slots__ = ("values", "graph", "node")
 
     def __init__(self, values: np.ndarray, graph: "Graph | None" = None,
-                 node: int | None = None, requires_grad: bool = False):
+                 node: int | None = None):
         self.values = values
         self.graph = graph
         self.node = node
-        self.requires_grad = requires_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -116,11 +115,11 @@ class Graph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def leaf(self, values, requires_grad: bool = True) -> Tensor:
+    def leaf(self, values) -> Tensor:
         """Register raw data as a differentiable graph input."""
         vals = _as_values(values)
         _check_finite(vals, "leaf")
-        t = Tensor(vals, graph=self, node=len(self.nodes), requires_grad=requires_grad)
+        t = Tensor(vals, graph=self, node=len(self.nodes))
         self.nodes.append(_Node("leaf", (), t))
         self.leaf_ids.append(t.node)
         return t
@@ -129,8 +128,7 @@ class Graph:
                   extra=None) -> Tensor:
         if op in _CHECKED_OPS:
             _check_finite(values, op)
-        rg = any(t.requires_grad for t in inputs)
-        t = Tensor(values, graph=self, node=len(self.nodes), requires_grad=rg)
+        t = Tensor(values, graph=self, node=len(self.nodes))
         self.nodes.append(_Node(op, inputs, t, extra))
         return t
 
@@ -413,10 +411,10 @@ def _ancestors(graph: Graph, root: int) -> list[int]:
 def backward(scalar: Tensor) -> dict[int, Tensor]:
     """Reverse sweep from a 0-d tensor.
 
-    Returns node-id -> gradient for every touched ancestor plus every
-    requires-grad leaf; leaves the sweep never reaches map to zero tensors of
-    matching shape. The gradients are live graph nodes and support a second
-    backward pass.
+    Returns node-id -> gradient for every touched ancestor plus every leaf
+    recorded before the scalar; leaves the sweep never reaches map to zero
+    tensors of matching shape. The gradients are live graph nodes and
+    support a second backward pass.
     """
     if scalar.node is None or scalar.graph is None:
         raise GraphError("backward: tensor is detached from any graph")
@@ -432,13 +430,13 @@ def backward(scalar: Tensor) -> dict[int, Tensor]:
             continue
         partials = _vjp(node, g)
         for t, part in zip(node.inputs, partials):
-            # constants and grad-free subtrees receive nothing
-            if t.node is None or part is None or not t.requires_grad:
+            # constants receive nothing
+            if t.node is None or part is None:
                 continue
             prev = grads.get(t.node)
             grads[t.node] = part if prev is None else add(prev, part)
     for nid in graph.leaf_ids:
-        if nid not in grads and nid <= scalar.node and graph.nodes[nid].out.requires_grad:
+        if nid not in grads and nid <= scalar.node:
             grads[nid] = _zeros_like(graph.nodes[nid].out)
     return grads
 
@@ -451,8 +449,6 @@ def input_gradient(scalar: Tensor, wrt: Tensor) -> Tensor:
     """
     if wrt.node is None or wrt.graph is None:
         raise GraphError("input_gradient: `wrt` is detached from any graph")
-    if not wrt.requires_grad:
-        raise GraphError("input_gradient: `wrt` does not require gradients")
     if scalar.graph is not wrt.graph:
         raise GraphError("input_gradient: tensors live on different graphs")
     if wrt.node not in _ancestors(scalar.graph, scalar.node):

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .data import write_csv
 from .model import GradientFieldModel, energy_gradient
 from .ndtensor import NonFiniteError
 
@@ -149,11 +150,11 @@ class FunctionField:
         return self.fn(x)
 
 
-def as_field(obj, label=None, negate: bool = False):
+def as_field(obj, label=None):
     if isinstance(obj, (ModelField, ComposedField, FunctionField)):
         return obj
     if isinstance(obj, GradientFieldModel):
-        return ModelField(obj, label=label, negate=negate)
+        return ModelField(obj, label=label)
     if callable(obj):
         return FunctionField(obj)
     raise TypeError(f"cannot interpret {type(obj).__name__} as a gradient field")
@@ -258,14 +259,8 @@ def save_trajectory_csv(path, traj: Trajectory) -> None:
     trajectory."""
     if traj.states is None:
         raise ValueError("trajectory was not recorded (pass record=True)")
-    from .data import FLOAT_FMT
-    import csv
     d = traj.final.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "sample_id", *[f"x{i}" for i in range(d)], "grad_norm"])
-        for step, state in enumerate(traj.states):
-            for sid in range(len(state)):
-                norm = (FLOAT_FMT % traj.grad_norms[step][sid]
-                        if traj.grad_norms and step < len(traj.grad_norms) else "")
-                w.writerow([step, sid, *[FLOAT_FMT % v for v in state[sid]], norm])
+    norms = traj.grad_norms or []
+    write_csv(path, ["step", "sample_id", *[f"x{i}" for i in range(d)], "grad_norm"],
+              ([step, sid, *state[sid], norms[step][sid] if step < len(norms) else None]
+               for step, state in enumerate(traj.states) for sid in range(len(state))))

@@ -8,7 +8,6 @@ reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,13 +16,14 @@ import numpy as np
 from . import ndtensor as nd
 from .checkpoint import load_checkpoint, load_params_into, save_checkpoint
 from .config import RunConfig, ValidationError, to_dict
-from .data import FLOAT_FMT, draw_from
+from .data import draw_from, read_csv, write_csv
 from .model import GradientFieldModel, init_model
 from .objective import TrainBatch, draw_batch, loss_for
 from .optimizer import AdamW
 
 CHECKPOINT_NAME = "checkpoint.eqmckpt"
 LOSSES_NAME = "losses.csv"
+LOSSES_HEADER = ["step", "loss"]
 
 
 @dataclass
@@ -73,6 +73,9 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
         rng = np.random.default_rng()
         rng.bit_generator.state = ck.rng_state
         start_step = ck.step
+        if start_step >= config.train.steps:
+            raise ValidationError(f"{resume_from}: the run already finished "
+                                  f"(step {start_step} of {config.train.steps})")
     else:
         if config is None:
             raise ValidationError("train needs a config or a checkpoint to resume")
@@ -92,9 +95,15 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
         Path(config.out_dir) if config.out_dir else None)
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+        # a resume keeps the loss history of the steps before it; a fresh run
+        # starts an empty table
+        losses_path = out_path / LOSSES_NAME
+        kept = read_csv(losses_path) if start_step and losses_path.exists() else []
+        write_csv(losses_path, LOSSES_HEADER,
+                  ([r["step"], r["loss"]] for r in kept if int(r["step"]) < start_step))
 
     losses = np.empty(config.train.steps - start_step)
-    ckpt_path = None
+    logged = 0  # entries of `losses` already in losses.csv
     for i, step in enumerate(range(start_step, config.train.steps)):
         batch = _next_batch(config, rng, fixed_points)
         try:
@@ -108,22 +117,17 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
         if not quiet and config.train.log_every and step % config.train.log_every == 0:
             print(f"step {step:6d}  loss {losses[i]:.6f}")
         every = config.train.checkpoint_every
-        if out_path is not None and every and (step + 1) % every == 0 \
-                and step + 1 < config.train.steps:
-            save_checkpoint(out_path / f"ckpt-{step + 1:06d}.eqmckpt", config, model,
-                            optimizer, step + 1, rng.bit_generator.state)
-    if out_path is not None:
-        ckpt_path = out_path / CHECKPOINT_NAME
-        save_checkpoint(ckpt_path, config, model, optimizer, config.train.steps,
-                        rng.bit_generator.state)
-        _write_losses(out_path / LOSSES_NAME, start_step, losses)
+        last = step + 1 == config.train.steps
+        if out_path is not None and (last or every and (step + 1) % every == 0):
+            # losses first: a crash between the two writes leaves rows that a
+            # resume from the previous checkpoint drops, never a gap
+            write_csv(losses_path, LOSSES_HEADER,
+                      ([start_step + j, losses[j]] for j in range(logged, i + 1)),
+                      append=True)
+            logged = i + 1
+            name = CHECKPOINT_NAME if last else f"ckpt-{step + 1:06d}.eqmckpt"
+            save_checkpoint(out_path / name, config, model, optimizer, step + 1,
+                            rng.bit_generator.state)
+    ckpt_path = out_path / CHECKPOINT_NAME if out_path is not None else None
     return TrainResult(config=config, model=model, optimizer=optimizer,
                        losses=losses, checkpoint_path=ckpt_path)
-
-
-def _write_losses(path, start_step: int, losses: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "loss"])
-        for i, value in enumerate(losses):
-            w.writerow([start_step + i, FLOAT_FMT % value])

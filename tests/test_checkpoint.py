@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -111,6 +112,11 @@ class TestRunConfig:
         ({"schedule": {"kind": "truncated", "lam": 4.0}}, "schedule.lam"),
         ({"model": {"hidden": [8], "hiden": [8]}}, "model.hiden"),
         ({"sed": 1}, "sed"),
+        ({"train": {"steps": 5.7}}, "train.steps"),
+        ({"train": {"batch_size": True}}, "train.batch_size"),
+        ({"seed": True}, "seed"),
+        ({"model": {"hidden": [8.9]}}, "model.hidden"),
+        ({"sampler": {"eta": True}}, "sampler.eta"),
     ])
     def test_malformed_input_names_the_key(self, payload, key):
         with pytest.raises(ValidationError, match=rf"^{re.escape(key)}\b"):
@@ -231,6 +237,29 @@ class TestCheckpointContainer:
         again = tmp_path / "again.eqmckpt"
         save_checkpoint(again, ck.config, ck.model, ck.optimizer, ck.step, ck.rng_state)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_save_leaves_no_temporary_file(self, tmp_path):
+        path, *_ = self._save_one(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch,
+                                                       failing):
+        path, cfg, model, opt = self._save_one(tmp_path)
+        before = path.read_bytes()
+        written = []
+
+        def fail(*args):
+            written.extend(sorted(p.name for p in tmp_path.iterdir()))
+            raise OSError(f"simulated {failing} failure")
+
+        monkeypatch.setattr(os, failing, fail)
+        with pytest.raises(OSError, match="simulated"):
+            save_checkpoint(path, cfg, model, opt, 4)
+        # the new bytes went to a file that no *.eqmckpt glob picks up
+        assert [n for n in written if n != path.name] == ["ck.eqmckpt.tmp"]
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_digest_detects_corruption(self, tmp_path):
         path, *_ = self._save_one(tmp_path)

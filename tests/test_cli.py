@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from eqmatch import training
 from eqmatch.cli import main
+from eqmatch.data import read_csv, read_points
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +164,57 @@ class TestSamplerIdentities:
                      "--seed", "2", "--method", "euler-ode", "--eta", "0.015",
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestStartCsv:
+    def test_samples_file_feeds_denoising(self, workspace, tmp_path):
+        """30 gd steps, written and read back, then 5 more, land where 35
+        steps from the same noise land: the samples table round-trips."""
+        common = ["--checkpoint", ckpt(workspace), "--n", "12", "--seed", "6"]
+        first, more, once = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        assert main(["sample", *common, "--steps", "30", "--out", str(first)]) == 0
+        assert main(["sample", "--checkpoint", ckpt(workspace), "--start-csv", str(first),
+                     "--steps", "5", "--out", str(more)]) == 0
+        assert main(["sample", *common, "--steps", "35", "--out", str(once)]) == 0
+        assert read_points(more).tobytes() == read_points(once).tobytes()
+
+    def test_table_without_points_names_the_file(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "steps.csv"
+        bad.write_text("sample_id,steps_used\n0,3\n")
+        assert main(["sample", "--checkpoint", ckpt(workspace), "--start-csv", str(bad),
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        assert str(bad) in capsys.readouterr().err
+
+
+class TestResume:
+    def test_crash_then_resume_matches_uninterrupted_run(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EQMATCH_OUT", str(tmp_path / "default-out"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 3, "model": {"hidden": [8, 8], "init_seed": 1},
+            "train": {"steps": 30, "batch_size": 8, "checkpoint_every": 10}}))
+        full, crashed = tmp_path / "full", tmp_path / "crashed"
+        assert main(["train", "--config", str(cfg), "--out", str(full)]) == 0
+
+        real_loss_for, calls = training.loss_for, []
+
+        def crash_at_step_25(*args, **kwargs):
+            if len(calls) == 25:
+                raise RuntimeError("simulated crash at step 25")
+            calls.append(None)
+            return real_loss_for(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(training, "loss_for", crash_at_step_25)
+            with pytest.raises(RuntimeError, match="simulated crash"):
+                main(["train", "--config", str(cfg), "--out", str(crashed)])
+        # the loss history holds exactly the steps before the last checkpoint
+        assert [r["step"] for r in read_csv(crashed / "losses.csv")] == \
+            [str(s) for s in range(20)]
+        assert main(["train", "--resume", str(crashed / "ckpt-000020.eqmckpt")]) == 0
+        for name in ("losses.csv", "checkpoint.eqmckpt"):
+            assert (crashed / name).read_bytes() == (full / name).read_bytes()
+        assert not (tmp_path / "default-out").exists()
 
 
 class TestSuitesAndSweeps:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from eqmatch.config import ValidationError
 from eqmatch.data import (ToyDistribution, default_mixture, default_modes,
-                          fixed_memorization_set, load_points_csv, ood_sets,
-                          sample_data, sample_noise, save_points_csv)
+                          fixed_memorization_set, ood_sets, read_csv, read_points,
+                          sample_data, sample_noise, write_csv)
 
 
 def test_same_seed_identical_arrays():
@@ -115,15 +118,63 @@ def test_ood_sets_shapes_and_placement():
     np.testing.assert_array_equal(sets["constant"][:, 0], sets["constant"][:, 1])
 
 
+def points_table(path, pts, labels=None, append=False):
+    header = [f"x{i}" for i in range(pts.shape[1])]
+    rows = [list(row) for row in pts]
+    if labels is not None:
+        header.append("label")
+        rows = [[*row, int(label)] for row, label in zip(rows, labels)]
+    write_csv(path, header, rows, append=append)
+
+
 def test_csv_round_trip_exact(tmp_path):
     pts, labels = sample_data(default_mixture(), 50, seed=21)
     p = tmp_path / "data.csv"
-    save_points_csv(p, pts, labels)
-    back, lb = load_points_csv(p)
-    np.testing.assert_array_equal(back, pts)
-    np.testing.assert_array_equal(lb, labels)
-    save_points_csv(p, pts)
-    back, lb = load_points_csv(p)
-    np.testing.assert_array_equal(back, pts)
-    assert lb is None
+    points_table(p, pts, labels)
+    np.testing.assert_array_equal(read_points(p), pts)
+    assert [int(r["label"]) for r in read_csv(p)] == labels.tolist()
+    points_table(p, pts)
+    np.testing.assert_array_equal(read_points(p), pts)
+    assert list(read_csv(p)[0]) == ["x0", "x1"]
 
+
+@settings(max_examples=100, deadline=None)
+@given(pts=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                     1.7976931348623157e308, -1.7976931348623157e308])))
+def test_points_round_trip_bit_exact(pts, tmp_path_factory):
+    p = tmp_path_factory.mktemp("csv") / "points.csv"
+    points_table(p, pts)
+    assert read_points(p).tobytes() == pts.tobytes()
+
+
+def test_cells_print_by_type(tmp_path):
+    p = tmp_path / "t.csv"
+    write_csv(p, ["a", "b", "c", "d"],
+              [[0.1, "0.1", 3, None], [np.float64(-0.0), "x", True, ""]])
+    assert p.read_bytes() == b"a,b,c,d\r\n0.10000000000000001,0.1,3,\r\n-0,x,True,\r\n"
+
+
+def test_append_keeps_header_and_rows(tmp_path):
+    p = tmp_path / "t.csv"
+    write_csv(p, ["a"], [[1]], append=True)  # no file yet: written fresh
+    write_csv(p, ["ignored"], [[2], [3]], append=True)
+    assert p.read_bytes() == b"a\r\n1\r\n2\r\n3\r\n"
+    write_csv(p, ["b"], [[4]])
+    assert p.read_bytes() == b"b\r\n4\r\n"
+
+
+def test_points_read_by_name(tmp_path):
+    p = tmp_path / "samples.csv"
+    write_csv(p, ["sample_id", "x0", "x1", "steps_used"],
+              [[0, 1.5, -2.0, 7], [1, 0.25, 3.0, 9]])
+    np.testing.assert_array_equal(read_points(p), [[1.5, -2.0], [0.25, 3.0]])
+
+
+@pytest.mark.parametrize("text", ["a,b\n1,2\n", "x0,x1\n", "", "x0\nnot-a-number\n"])
+def test_points_table_errors_name_the_file(tmp_path, text):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ValidationError, match=str(p)):
+        read_points(p)

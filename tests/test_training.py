@@ -48,6 +48,32 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         assert np.array_equal(resumed.model.params[k], full.model.params[k])
 
 
+def test_resume_into_the_run_directory_keeps_history(tmp_path):
+    cfg = run_config(train=TrainSettings(steps=40, batch_size=8, checkpoint_every=10))
+    train(cfg, out_dir=tmp_path)
+    finished = {name: (tmp_path / name).read_bytes()
+                for name in ("losses.csv", "checkpoint.eqmckpt")}
+    # the rows from step 10 on are dropped and written again by the resume
+    train(resume_from=tmp_path / "ckpt-000010.eqmckpt", out_dir=tmp_path)
+    for name, data in finished.items():
+        assert (tmp_path / name).read_bytes() == data
+
+
+def test_resume_of_a_finished_run_is_rejected(tmp_path):
+    done = train(run_config(train=TrainSettings(steps=5, batch_size=4)), out_dir=tmp_path)
+    with pytest.raises(ValidationError, match="already finished"):
+        train(resume_from=done.checkpoint_path, out_dir=tmp_path)
+
+
+def test_fresh_run_replaces_stale_losses(tmp_path):
+    train(run_config(), out_dir=tmp_path / "clean")
+    (tmp_path / "stale").mkdir()
+    (tmp_path / "stale" / "losses.csv").write_text("step,loss\n0,1\n99,2\n")
+    train(run_config(), out_dir=tmp_path / "stale")
+    assert (tmp_path / "stale" / "losses.csv").read_bytes() == \
+        (tmp_path / "clean" / "losses.csv").read_bytes()
+
+
 def test_smoke_training_reduces_loss_on_mixture():
     cfg = run_config(train=TrainSettings(steps=2000, batch_size=32),
                      model=ModelConfig(input_dim=2, hidden=(32, 32), init_seed=3))
