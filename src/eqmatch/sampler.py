@@ -9,9 +9,15 @@ g_min). Partial-noise denoising is the same loop started from a corrupted
 batch instead of pure noise.
 
 Samplers act on a *field*: any callable (x [n,d], progress in [0,1]) -> grad
-[n,d]. Models wrap into fields via :class:`ModelField`; summed fields via
-:func:`compose`. Time-invariant fields ignore `progress`; it exists so the
-noise-conditioned baseline can be driven along a fixed integration grid.
+[n,d] whose row i depends only on row i of x. Models wrap into fields via
+:class:`ModelField`; summed fields via :func:`compose`. Time-invariant fields
+ignore `progress`; it exists so the noise-conditioned baseline can be driven
+along a fixed integration grid.
+
+Adaptive sampling relies on that row contract: after its first step it
+evaluates the field only on the rows still active (plus a few frozen rows,
+see `BLAS_ROW_BLOCK`) and keeps each frozen row's last gradient, which is
+what a fresh evaluation at its unmoved look-ahead point would give.
 """
 
 from __future__ import annotations
@@ -27,6 +33,16 @@ from .ndtensor import NonFiniteError
 
 METHODS = ("gd", "nag", "euler-ode", "adaptive")
 LOOK_AHEAD_METHODS = ("nag", "adaptive")  # the methods that take mu
+
+# OpenBLAS dgemm gives a row the same bits in a smaller batch only if the
+# row sits in the same kind of kernel block (whole blocks of 8 rows, or the
+# batch's last n % 8 rows) and both products take the same kernel. So a
+# subset evaluation keeps the tail rows in place and pads with frozen rows to
+# a length congruent to n mod 8 (see _subset_rows). Kernel choice also
+# depends on size: one row takes the matrix-vector path, and cores with
+# small-matrix kernels (SkylakeX) use them for products of at most 1e6
+# multiply-adds, so some shapes round a subset differently (README).
+BLAS_ROW_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -65,6 +81,8 @@ class Trajectory:
     cap_reached: np.ndarray
     states: list[np.ndarray] | None = None
     grad_norms: list[np.ndarray] | None = None
+    # rows passed to the field at each step (adaptive evaluates fewer)
+    points_evaluated: np.ndarray | None = None
 
     @property
     def path_lengths(self) -> np.ndarray:
@@ -194,6 +212,24 @@ def _eval_field(field, x, progress, step):
     return g
 
 
+def _subset_rows(active: np.ndarray) -> np.ndarray | None:
+    """Rows to evaluate so that each gets the bits it gets in the full batch:
+    the active rows, the batch's last n % BLAS_ROW_BLOCK rows and the first
+    frozen rows that make the count congruent to n modulo BLAS_ROW_BLOCK.
+    None when that is the whole batch."""
+    n = len(active)
+    rows = active.copy()
+    rows[n - n % BLAS_ROW_BLOCK:] = True
+    count = np.count_nonzero(rows)
+    pad = (n - count) % BLAS_ROW_BLOCK
+    if count + pad == 1:  # one row would take BLAS's matrix-vector path
+        pad = BLAS_ROW_BLOCK
+    if pad:
+        rows[np.flatnonzero(~rows)[:pad]] = True
+    idx = np.flatnonzero(rows)
+    return None if len(idx) == n else idx
+
+
 def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory:
     """Look-ahead descent x <- x - eta * grad(x + mu * (x - x_prev)), with
     x_prev starting at x0, so the first step is a plain descent step.
@@ -203,7 +239,8 @@ def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory
     `max_steps` steps and freezes each sample once the gradient at its
     look-ahead point is no longer above g_min; one more gradient at the end
     point decides `cap_reached`. Frozen samples are masked out, so the batch
-    stays deterministic while samples stop independently.
+    stays deterministic while samples stop independently; after the first
+    step only the active rows (see `_subset_rows`) go through the field.
     """
     field, x = _prepare(field, x0)
     adaptive = config.method == "adaptive"
@@ -217,6 +254,7 @@ def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory
     steps_used = np.zeros(n, dtype=np.int64)
     states = [x.copy()] if record else None
     norms = [] if record else None
+    points = []
     for k in range(budget + 1 if adaptive else budget):
         # mu == 0 skips the look-ahead arithmetic, which would turn -0.0 into
         # +0.0; adaptive takes its first gradient at x0 itself
@@ -224,7 +262,16 @@ def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory
             look = x
         else:
             look = x + config.mu * (x - x_prev)
-        g = _eval_field(field, look, k / budget, k)
+        idx = _subset_rows(active) if adaptive and k > 0 else None
+        if idx is None:
+            g = _eval_field(field, look, k / budget, k)
+            points.append(n)
+        else:
+            # a frozen row's x and x_prev no longer move, so its last
+            # gradient is the one a fresh evaluation would give
+            g = g.copy()
+            g[idx] = _eval_field(field, look[idx], k / budget, k)
+            points.append(len(idx))
         if record:
             norms.append(np.linalg.norm(g, axis=1))
         if adaptive:
@@ -241,7 +288,8 @@ def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory
             states.append(x.copy())
     cap_reached = active if adaptive else np.zeros(n, dtype=bool)
     return Trajectory(final=x, steps_used=steps_used, cap_reached=cap_reached,
-                      states=states, grad_norms=norms)
+                      states=states, grad_norms=norms,
+                      points_evaluated=np.array(points, dtype=np.int64))
 
 
 def calibrate_g_min(model_or_field, data: np.ndarray, percentile: float = 5.0,

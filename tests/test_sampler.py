@@ -6,7 +6,8 @@ from eqmatch.config import from_dict, to_dict
 from eqmatch.model import ModelConfig, init_model
 from eqmatch.ndtensor import NonFiniteError
 from eqmatch.objective import corrupt
-from eqmatch.sampler import (FunctionField, ModelField, SamplerConfig,
+from eqmatch.sampler import (BLAS_ROW_BLOCK, FunctionField, ModelField,
+                             SamplerConfig, _eval_field, _subset_rows,
                              calibrate_g_min, compose, grad_of, sample,
                              save_trajectory_csv)
 from test_model import identity_model
@@ -258,6 +259,119 @@ class TestOneLoopProperties:
         assert (ad.steps_used == case["steps"]).all() and ad.cap_reached.all()
         # one more gradient, at the end point, decided the cap
         assert len(ad.states) == len(ad.grad_norms) == case["steps"] + 1
+
+
+def silu_256x3_field() -> ModelField:
+    """The default architecture with every weight and bias non-zero, so each
+    matmul's BLAS path carries real bits."""
+    m = init_model(ModelConfig(input_dim=2, hidden=(256, 256, 256), activation="silu",
+                               init_seed=4))
+    rng = np.random.default_rng(4)
+    for name, p in m.params.items():
+        if name.endswith(".b") or name == "layers.3.w":
+            m.params[name] = 0.1 * rng.standard_normal(p.shape)
+    return ModelField(m)
+
+
+def full_batch_sample(field, x0, config: SamplerConfig) -> tuple:
+    """The adaptive loop as it was before active-row evaluation: every step
+    evaluates the whole batch. Kept as the oracle for the bit contract."""
+    x = x_prev = np.array(x0, dtype=np.float64)
+    n, budget = len(x), config.max_steps
+    active = np.ones(n, dtype=bool)
+    steps_used = np.zeros(n, dtype=np.int64)
+    states, norms = [x.copy()], []
+    for k in range(budget + 1):
+        if config.mu == 0.0 or k == 0:
+            look = x
+        else:
+            look = x + config.mu * (x - x_prev)
+        g = _eval_field(field, look, k / budget, k)
+        norms.append(np.linalg.norm(g, axis=1))
+        active &= np.linalg.norm(g, axis=1) > config.g_min
+        if k == budget or not active.any():
+            break
+        moving = active[:, None]
+        x_prev = np.where(moving, x, x_prev)
+        x = np.where(moving, x - config.eta * g, x)
+        steps_used += active
+        states.append(x.copy())
+    return x, steps_used, active, states, norms
+
+
+class TestActiveRows:
+    """Adaptive sampling evaluates only the active rows; these pin that it
+    gives the bits of evaluating the whole batch."""
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        return silu_256x3_field()
+
+    @pytest.mark.parametrize("n", [37, 1000, 1001])
+    def test_subset_rows_give_full_batch_bits(self, field, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 2))
+        full = field(x)
+        masks = []
+        for k in range(1, 65):
+            active = np.zeros(n, dtype=bool)
+            active[rng.choice(n, min(k, n), replace=False)] = True
+            masks.append(active)
+        for row in (0, n - 1):  # a lone active row at either end
+            active = np.zeros(n, dtype=bool)
+            active[row] = True
+            masks.append(active)
+        subsets = 0
+        for active in masks:
+            idx = _subset_rows(active)
+            if idx is None:
+                continue
+            subsets += 1
+            assert active[idx].sum() == active.sum()
+            assert len(idx) % BLAS_ROW_BLOCK == n % BLAS_ROW_BLOCK and len(idx) > 1
+            assert set(range(n - n % BLAS_ROW_BLOCK, n)) <= set(idx.tolist())
+            assert field(x[idx]).tobytes() == full[idx].tobytes()
+        assert subsets >= 30
+
+    def test_whole_batch_when_few_rows_are_frozen(self):
+        active = np.ones(20, dtype=bool)
+        assert _subset_rows(active) is None
+        active[3] = False  # 19 rows, padded to 20 = n
+        assert _subset_rows(active) is None
+
+    @pytest.mark.parametrize("n", [37, 1001])
+    @pytest.mark.parametrize("mu", [0.0, 0.35])
+    def test_adaptive_equals_full_batch_loop(self, field, n, mu):
+        def field_plus_linear(x, progress=0.0):  # descends toward the origin
+            return x + field(x, progress)
+
+        x0 = 2.0 * np.random.default_rng(n).standard_normal((n, 2))
+        c = cfg(method="adaptive", eta=0.1, mu=mu, g_min=0.3, max_steps=25)
+        traj = sample(FunctionField(field_plus_linear, dim=2), x0, c, record=True)
+        final, steps_used, cap, states, norms = full_batch_sample(field_plus_linear, x0, c)
+        assert 0 < cap.sum() < n and len(set(steps_used.tolist())) > 5
+        assert traj.final.tobytes() == final.tobytes()
+        assert traj.steps_used.tobytes() == steps_used.tobytes()
+        assert traj.cap_reached.tobytes() == cap.tobytes()
+        assert [s.tobytes() for s in traj.states] == [s.tobytes() for s in states]
+        assert [g.tobytes() for g in traj.grad_norms] == [g.tobytes() for g in norms]
+        assert traj.points_evaluated.sum() < n * len(norms)
+
+    def test_points_evaluated_counts_rows_given_to_the_field(self, rng):
+        seen = []
+
+        def counting(x):
+            seen.append(len(x))
+            return x
+
+        field = FunctionField(counting, dim=2)
+        x0 = 3.0 * rng.standard_normal((50, 2))
+        traj = sample(field, x0, cfg(method="adaptive", eta=0.25, g_min=0.05))
+        assert traj.points_evaluated.tolist() == seen
+        assert seen[0] == 50 and min(seen) < 50
+        seen.clear()
+        traj = sample(field, x0, cfg(eta=0.25, steps=7))
+        assert traj.points_evaluated.tolist() == seen == [50] * 7
 
 
 class TestCompose:
