@@ -173,8 +173,13 @@ def mmd(samples: np.ndarray, reference: np.ndarray) -> float:
 
 def mmd_permutation_null(samples: np.ndarray, reference: np.ndarray,
                          n_permutations: int = 200, seed: int = 0) -> np.ndarray:
-    """Null distribution of the estimator under pooled relabeling (one
-    kernel matrix, re-indexed per permutation)."""
+    """Null distribution of the estimator under pooled relabeling.
+
+    One kernel matrix K over the pool, and one product K @ S with S the
+    indicator [m+n, P] of each permutation's first m rows: per permutation,
+    the x-x block sums to sum(S * KS), the x columns to r = 1^T KS, so the
+    x-y block is r - sxx and the y-y block K.sum() - 2r + sxx.
+    """
     x = np.asarray(samples, dtype=np.float64)
     y = np.asarray(reference, dtype=np.float64)
     m, n = len(x), len(y)
@@ -182,15 +187,16 @@ def mmd_permutation_null(samples: np.ndarray, reference: np.ndarray,
     k = _kernel_sum(cdist(pool, pool, "sqeuclidean"))
     np.fill_diagonal(k, 0.0)
     rng = np.random.default_rng(seed)
-    out = np.empty(n_permutations)
+    s = np.zeros((m + n, n_permutations))
     for i in range(n_permutations):
-        perm = rng.permutation(m + n)
-        ix, iy = perm[:m], perm[m:]
-        kxx = k[np.ix_(ix, ix)].sum() / (m * (m - 1))
-        kyy = k[np.ix_(iy, iy)].sum() / (n * (n - 1))
-        kxy = k[np.ix_(ix, iy)].sum() / (m * n)
-        out[i] = kxx + kyy - 2.0 * kxy
-    return out
+        s[rng.permutation(m + n)[:m], i] = 1.0
+    ks = k @ s
+    sxx = np.sum(s * ks, axis=0)
+    r = np.sum(ks, axis=0)
+    kxx = sxx / (m * (m - 1))
+    kyy = (k.sum() - 2.0 * r + sxx) / (n * (n - 1))
+    kxy = (r - sxx) / (m * n)
+    return kxx + kyy - 2.0 * kxy
 
 
 def mode_coverage(samples: np.ndarray, modes: np.ndarray,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqmatch.evaluation import (EvalReport, QuadraticEnergy, append_reports, auroc,
-                                component_energy, config_fingerprint,
+from eqmatch.evaluation import (DEFAULT_BANDWIDTHS, EvalReport, QuadraticEnergy,
+                                append_reports, auroc, component_energy, config_fingerprint,
                                 convergence_bound_check, grad_norm_at_data,
                                 ledger_has, local_minima_membership, mmd,
                                 mmd_permutation_null, mode_coverage,
@@ -101,6 +101,25 @@ class TestConvergenceBound:
             QuadraticEnergy([[-1.0, 0.0], [0.0, 1.0]])
 
 
+def gathered_null(x, y, n_permutations, seed):
+    """The permutation null as three gathered blocks of the pooled kernel per
+    permutation: the oracle for the one-matmul form."""
+    m, n = len(x), len(y)
+    pool = np.concatenate([x, y])
+    d2 = ((pool[:, None, :] - pool[None, :, :]) ** 2).sum(axis=2)
+    k = sum(np.exp(-0.5 * d2 / (bw * bw)) for bw in DEFAULT_BANDWIDTHS)
+    np.fill_diagonal(k, 0.0)
+    rng = np.random.default_rng(seed)
+    out = np.empty(n_permutations)
+    for i in range(n_permutations):
+        perm = rng.permutation(m + n)
+        ix, iy = perm[:m], perm[m:]
+        out[i] = (k[np.ix_(ix, ix)].sum() / (m * (m - 1))
+                  + k[np.ix_(iy, iy)].sum() / (n * (n - 1))
+                  - 2.0 * k[np.ix_(ix, iy)].sum() / (m * n))
+    return out
+
+
 class TestMMD:
     def test_self_mmd_non_positive(self, rng):
         x = rng.standard_normal((200, 2))
@@ -121,6 +140,16 @@ class TestMMD:
         observed = mmd(x, y)
         null = mmd_permutation_null(x, y, n_permutations=100, seed=2)
         assert observed > null.mean() + 10.0 * null.std()
+
+    @pytest.mark.parametrize("m,n,seed", [(300, 300, 1), (250, 170, 2), (40, 90, 3)])
+    def test_null_matches_gathered_blocks(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, 2))
+        y = 1.2 * rng.standard_normal((n, 2)) + 0.2
+        want = gathered_null(x, y, n_permutations=60, seed=seed)
+        got = mmd_permutation_null(x, y, n_permutations=60, seed=seed)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_symmetry_exact(self, rng):
         a = rng.standard_normal((150, 2))
