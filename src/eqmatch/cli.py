@@ -35,11 +35,14 @@ from .plotting import (PLOT_KINDS, PlotError, contour_svg, curves_svg,
                        histogram_svg, scatter_svg, vector_field_svg)
 from .sampler import (LOOK_AHEAD_METHODS, METHODS, FunctionField, ModelField,
                       SamplerConfig, compose, sample, save_trajectory_csv)
+from .schedule import KINDS as SCHEDULE_KINDS
 from .training import train
 
 ENV_OUT_DIR = "EQMATCH_OUT"
 SUITES = ("statements", "quality", "ood", "partial-noise", "nn-audit")
-SWEEP_AXES = ("eta", "mu", "steps", "g-min", "lambda", "schedule")
+# each sweep axis and how it reads a --values entry
+SWEEP_AXES = {"eta": float, "mu": float, "steps": int, "g-min": float,
+              "lambda": float, "schedule": str}
 
 
 def _default_out_dir() -> Path:
@@ -118,7 +121,8 @@ def cmd_sample(args) -> int:
     if record:
         save_trajectory_csv(args.trajectory, traj)
     print(f"wrote {len(traj.final)} samples to {out} "
-          f"(mean steps {traj.steps_used.mean():.1f})")
+          f"(mean steps {traj.steps_used.mean():.1f}; "
+          f"points evaluated {traj.points_evaluated.sum()})")
     return 0
 
 
@@ -287,41 +291,41 @@ def _sweep_row(axis, value, ck: Checkpoint, sampler_cfg: SamplerConfig,
             text(scores.get("in-mode-sample-fraction", float("nan")))]
 
 
+def _sweep_values(axis: str, text: str) -> list[tuple[str, object]]:
+    """(entry, value) for each --values entry, all read before any work."""
+    entries = [v.strip() for v in text.split(",") if v.strip()]
+    if not entries:
+        raise ValidationError("--values is empty")
+    read = SWEEP_AXES[axis]
+    values = []
+    for raw in entries:
+        try:
+            value = read(raw)
+        except ValueError:
+            raise ValidationError(f"--values: cannot read '{raw}' as {read.__name__} "
+                                  f"for axis '{axis}'") from None
+        if axis == "schedule" and value not in SCHEDULE_KINDS:
+            raise ValidationError(f"--values: '{raw}' is not a schedule kind for axis "
+                                  f"'{axis}' (expected one of {SCHEDULE_KINDS})")
+        values.append((raw, value))
+    return values
+
+
 def cmd_sweep(args) -> int:
+    values = _sweep_values(args.axis, args.values)
     out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise ValidationError("--values is empty")
     rows = []
-    if args.axis in ("eta", "mu", "steps", "g-min"):
-        if not args.checkpoint:
-            raise ValidationError(f"axis '{args.axis}' sweeps a checkpoint; "
-                                  "pass --checkpoint")
-        ck = load_checkpoint(args.checkpoint)
-        for raw in values:
-            if args.axis == "steps":
-                cfg = replace(ck.config.sampler, steps=int(raw))
-            elif args.axis == "g-min":
-                cfg = replace(ck.config.sampler, method="adaptive", g_min=float(raw))
-            elif args.axis == "mu":
-                method = ck.config.sampler.method
-                cfg = replace(ck.config.sampler, mu=float(raw),
-                              method=method if method in LOOK_AHEAD_METHODS else "nag")
-            else:
-                cfg = replace(ck.config.sampler, eta=float(raw))
-            rows.append(_sweep_row(args.axis, raw, ck, cfg, args.seed, args.n))
-    elif args.axis in ("lambda", "schedule"):
+    if args.axis in ("lambda", "schedule"):
         if not args.config:
             raise ValidationError(f"axis '{args.axis}' retrains per value; pass --config")
         base = load_config(args.config)
-        for raw in values:
+        for raw, value in values:
             if args.axis == "lambda":
-                sched = replace(base.schedule, lam=float(raw))
-                cfg = replace(base, schedule=sched)
+                cfg = replace(base, schedule=replace(base.schedule, lam=value))
             else:
-                cfg = replace(base, schedule=replace(base.schedule, kind=raw),
-                              allow_non_equilibrium=(raw == "constant"))
+                cfg = replace(base, schedule=replace(base.schedule, kind=value),
+                              allow_non_equilibrium=(value == "constant"))
             result = train(cfg, out_dir=None)
             trained = Checkpoint(config=cfg, params=result.model.params,
                                  optimizer=result.optimizer, step=cfg.train.steps,
@@ -329,8 +333,22 @@ def cmd_sweep(args) -> int:
             rows.append(_sweep_row(args.axis, raw, trained, cfg.sampler,
                                    args.seed, args.n))
     else:
-        raise ValidationError(f"unknown sweep axis '{args.axis}' "
-                              f"(expected one of {SWEEP_AXES})")
+        if not args.checkpoint:
+            raise ValidationError(f"axis '{args.axis}' sweeps a checkpoint; "
+                                  "pass --checkpoint")
+        ck = load_checkpoint(args.checkpoint)
+        for raw, value in values:
+            if args.axis == "steps":
+                cfg = replace(ck.config.sampler, steps=value)
+            elif args.axis == "g-min":
+                cfg = replace(ck.config.sampler, method="adaptive", g_min=value)
+            elif args.axis == "mu":
+                method = ck.config.sampler.method
+                cfg = replace(ck.config.sampler, mu=value,
+                              method=method if method in LOOK_AHEAD_METHODS else "nag")
+            else:
+                cfg = replace(ck.config.sampler, eta=value)
+            rows.append(_sweep_row(args.axis, raw, ck, cfg, args.seed, args.n))
     path = out_dir / f"sweep-{args.axis}.csv"
     write_csv(path, SWEEP_HEADER, rows)
     print(f"wrote {len(rows)} rows to {path}")

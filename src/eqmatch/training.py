@@ -8,7 +8,7 @@ reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from . import ndtensor as nd
 from .checkpoint import load_checkpoint, load_params_into, save_checkpoint
 from .config import RunConfig, ValidationError, to_dict
 from .data import draw_from, read_csv, write_csv
-from .model import GradientFieldModel, init_model
+from .model import GradientFieldModel, ModelConfig, init_model
 from .objective import TrainBatch, draw_batch, loss_for
 from .optimizer import AdamW
 
@@ -56,6 +56,17 @@ def _parameter_gradients(model: GradientFieldModel, loss: nd.Tensor) -> dict[str
     return {name: nd.grad_values(grads, leaf) for name, leaf in bound.items()}
 
 
+def _require_same_model(given: ModelConfig, saved: ModelConfig, path) -> None:
+    """A resume continues the checkpoint's parameters, so a config passed with
+    it must describe the same model."""
+    for f in fields(ModelConfig):
+        a, b = getattr(given, f.name), getattr(saved, f.name)
+        if a != b:
+            raise ValidationError(f"{path}: the config's model.{f.name} = {a!r} differs "
+                                  f"from the checkpoint's {b!r}; a resume keeps the "
+                                  "checkpoint's model")
+
+
 def train(config: RunConfig | None = None, out_dir=None, init_from=None,
           resume_from=None, quiet: bool = True) -> TrainResult:
     """Run (or resume) a training run.
@@ -68,6 +79,8 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
         config = ck.config if config is None else config
+        _require_same_model(config.model, ck.config.model, resume_from)
+        config.validate()
         model = GradientFieldModel(config=config.model, params=ck.params)
         optimizer = ck.optimizer
         rng = np.random.default_rng()

@@ -166,6 +166,20 @@ class TestSamplerIdentities:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_adaptive_summary_counts_points_not_csv(self, workspace, tmp_path, capsys):
+        out = tmp_path / "ad.csv"
+        assert main(["sample", "--checkpoint", ckpt(workspace), "--n", "40",
+                     "--seed", "2", "--method", "adaptive", "--g-min", "0.05",
+                     "--max-steps", "100", "--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        points = int(summary.split("points evaluated ")[1].rstrip(")\n"))
+        rows = read_csv(out)
+        steps = [int(r["steps_used"]) for r in rows]
+        # the first gradient takes all 40 rows, later ones only the active rows
+        assert min(steps) < max(steps) and 40 < points < 40 * (max(steps) + 1)
+        assert list(rows[0]) == ["sample_id", "x0", "x1", "steps_used", "cap_reached"]
+
+
 class TestStartCsv:
     def test_samples_file_feeds_denoising(self, workspace, tmp_path):
         """30 gd steps, written and read back, then 5 more, land where 35
@@ -215,6 +229,18 @@ class TestResume:
         for name in ("losses.csv", "checkpoint.eqmckpt"):
             assert (crashed / name).read_bytes() == (full / name).read_bytes()
         assert not (tmp_path / "default-out").exists()
+
+    def test_resume_with_another_model_fails_before_any_step(self, workspace, tmp_path,
+                                                             capsys, monkeypatch):
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"model": {"hidden": [4]}}))
+        monkeypatch.setattr(training, "loss_for", None)  # no step may run
+        code = main(["train", "--resume", ckpt(workspace), "--config", str(other),
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert ckpt(workspace) in err and "model.hidden" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestSuitesAndSweeps:
@@ -291,6 +317,30 @@ class TestSuitesAndSweeps:
         rows = (tmp_path / "sweep-lambda.csv").read_text().strip().splitlines()
         assert len(rows) == 3
         assert rows[1].startswith("lambda,1,") and rows[2].startswith("lambda,4,")
+
+    @pytest.mark.parametrize("axis, values, source, bad, kind", [
+        ("steps", "5,abc", "checkpoint", "abc", "int"),
+        ("steps", "2.5", "checkpoint", "2.5", "int"),
+        ("eta", "0.01,fast", "checkpoint", "fast", "float"),
+        ("lambda", "1,x", "config", "x", "float"),
+        ("schedule", "linear,cosine", "config", "cosine", "schedule kind"),
+    ])
+    def test_sweep_values_are_read_before_any_work(self, workspace, tmp_path, capsys,
+                                                   monkeypatch, axis, values, source,
+                                                   bad, kind):
+        def no_work(*a, **kw):
+            raise AssertionError("a bad --values entry must stop the sweep first")
+
+        monkeypatch.setattr("eqmatch.cli._sweep_row", no_work)
+        monkeypatch.setattr("eqmatch.cli.train", no_work)
+        flag = ["--checkpoint", ckpt(workspace)] if source == "checkpoint" else \
+            ["--config", str(workspace / "cfg.json")]
+        assert main(["sweep", "--axis", axis, "--values", values, *flag,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --values") and "Traceback" not in err
+        assert f"'{bad}'" in err and kind in err and f"axis '{axis}'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_compose_identical_labels_half_step(self, workspace, tmp_path):
         cond_ckpt = str(workspace / "cond" / "checkpoint.eqmckpt")
