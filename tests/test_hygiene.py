@@ -9,7 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in (ROOT / "src" / "eqmatch").glob("*.py")
-                 if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+                 if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py")) \
+    + sorted((ROOT / "tools").glob("*.py"))
 PILOTS = sorted(ROOT.glob("scripts_pilot*.py"))
 
 
