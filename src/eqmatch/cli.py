@@ -316,23 +316,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    if args.axis in ("lambda", "schedule"):
-        if not args.config:
-            raise ValidationError(f"axis '{args.axis}' retrains per value; pass --config")
-        base = load_config(args.config)
-        for raw, value in values:
-            if args.axis == "lambda":
-                cfg = replace(base, schedule=replace(base.schedule, lam=value))
-            else:
-                cfg = replace(base, schedule=replace(base.schedule, kind=value),
-                              allow_non_equilibrium=(value == "constant"))
-            result = train(cfg, out_dir=None)
-            trained = Checkpoint(config=cfg, params=result.model.params,
-                                 optimizer=result.optimizer, step=cfg.train.steps,
-                                 rng_state=None)
-            rows.append(_sweep_row(args.axis, raw, trained, cfg.sampler,
-                                   args.seed, args.n))
-    else:
+    if args.axis in ("eta", "mu", "steps", "g-min"):
         if not args.checkpoint:
             raise ValidationError(f"axis '{args.axis}' sweeps a checkpoint; "
                                   "pass --checkpoint")
@@ -349,6 +333,23 @@ def cmd_sweep(args) -> int:
             else:
                 cfg = replace(ck.config.sampler, eta=value)
             rows.append(_sweep_row(args.axis, raw, ck, cfg, args.seed, args.n))
+    else:
+        if not args.config:
+            raise ValidationError(f"axis '{args.axis}' retrains per value; pass --config")
+        base = load_config(args.config)
+        for raw, value in values:
+            if args.axis == "lambda":
+                sched = replace(base.schedule, lam=value)
+                cfg = replace(base, schedule=sched)
+            else:
+                cfg = replace(base, schedule=replace(base.schedule, kind=value),
+                              allow_non_equilibrium=(value == "constant"))
+            result = train(cfg, out_dir=None)
+            trained = Checkpoint(config=cfg, params=result.model.params,
+                                 optimizer=result.optimizer, step=cfg.train.steps,
+                                 rng_state=None)
+            rows.append(_sweep_row(args.axis, raw, trained, cfg.sampler,
+                                   args.seed, args.n))
     path = out_dir / f"sweep-{args.axis}.csv"
     write_csv(path, SWEEP_HEADER, rows)
     print(f"wrote {len(rows)} rows to {path}")
