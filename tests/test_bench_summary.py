@@ -51,9 +51,9 @@ def test_medians_seeds_environment_fixture_and_revision(tmp_path):
     summary = json.loads(out.read_text())
     assert summary["git_rev"] == rev and summary["environment"] == ENV
     entry = summary["workloads"]["sample-eval"]
-    assert entry["seeds"] == [1, 1, 2] and entry["failed"] == 0
+    assert entry["attempted"] == 3 and entry["failed"] == 0
     assert entry["end_to_end"] == {k: 2 * v for k, v in e2e.items()}
-    assert entry["end_to_end_runs"] == 2 and entry["per_layer_runs"] == 1
+    assert entry["end_to_end_seeds"] == [1, 2] and entry["per_layer_seeds"] == [1]
     assert entry["per_layer"] == {"sampler.useful_ratio": 0.97, "error_rate": 0.0}
     assert entry["fixture_sha256"] == "ab12"
 

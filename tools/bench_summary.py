@@ -5,10 +5,10 @@
 Reads every run report `bench/run.py` left in DIR/.bench_work/reports/ (DIR
 defaults to this checkout) and writes, per workload, the median of each
 end-to-end metric over the untraced runs and of each per-layer metric over
-the traced runs (metric names from DIR/BENCHMARK.json), with the seeds, the
-operation counts and, for sample-eval, the fixture's SHA-256; plus the
-environment the runs shared and `git rev-parse HEAD` of DIR. Only the
-standard library is used.
+the traced runs (metric names from DIR/BENCHMARK.json), with the seeds of
+each kind of run, the operation counts and, for sample-eval, the fixture's
+SHA-256; plus the environment the runs shared and `git rev-parse HEAD` of
+DIR. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -36,16 +36,16 @@ def summarize(repo: Path) -> dict:
     workloads = {}
     for name in sorted({r["workload"] for r in reports}):
         runs = [r for r in reports if r["workload"] == name]
-        entry = {"seeds": sorted(r["seed"] for r in runs),
-                 "attempted": sum(r["attempted"] for r in runs),
+        entry = {"attempted": sum(r["attempted"] for r in runs),
                  "failed": sum(r["failed"] for r in runs)}
         for kind, trace in (("end_to_end", 0), ("per_layer", 1)):
-            picked = [r["metrics"] for r in runs if r["trace"] == trace]
+            picked = [r for r in runs if r["trace"] == trace]
             if picked:
-                entry[kind] = {m["name"]: statistics.median(p[m["name"]] for p in picked)
+                entry[kind] = {m["name"]: statistics.median(r["metrics"][m["name"]]
+                                                            for r in picked)
                                for m in declared[kind]
-                               if all(m["name"] in p for p in picked)}
-                entry[f"{kind}_runs"] = len(picked)
+                               if all(m["name"] in r["metrics"] for r in picked)}
+                entry[f"{kind}_seeds"] = sorted(r["seed"] for r in picked)
         shas = {r["fixture"]["sha256"] for r in runs if "fixture" in r}
         if len(shas) > 1:
             raise ValueError(f"{name} reports name {len(shas)} different fixtures")
