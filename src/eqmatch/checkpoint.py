@@ -15,12 +15,19 @@ step count, the generator state, optimizer hyperparameters, and a tensor
 index [{name, shape, offset, nbytes}] with offsets relative to the data
 region. Tensors are sorted by name, which together with canonical JSON makes
 save -> load -> save byte-identical.
+
+A digest only proves the bytes are the ones written, so loading also checks
+the header: every key is present, the index is sorted by unique names, the
+offsets run back to back from 0 to the end of the data region, each nbytes is
+8 x the elements of its shape, and the parameters (and their AdamW moments)
+have the names and shapes the header's model config gives.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -29,11 +36,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, ValidationError
-from .model import GradientFieldModel
+from .model import GradientFieldModel, param_shapes
 from .optimizer import AdamW
 
 MAGIC = b"EQMCKPT\x01"
 FORMAT_VERSION = 1
+HEADER_KEYS = ("format_version", "run_config", "step", "rng_state", "optimizer",
+               "tensors")
+TENSOR_KEYS = ("name", "nbytes", "offset", "shape")
+MOMENT_PREFIXES = ("opt.m.", "opt.v.")
 
 
 class CheckpointError(ValueError):
@@ -105,6 +116,66 @@ def save_checkpoint(path, config: RunConfig, model: GradientFieldModel,
     return digest.hex()
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _read_header(path, raw: bytes) -> tuple[dict, int]:
+    """The header object and the offset of the data region."""
+    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
+    hstart = len(MAGIC) + 4
+    if hstart + hlen > len(raw) - 32:
+        raise CheckpointError(f"{path}: header length {hlen} runs past the data")
+    try:
+        header = json.loads(raw[hstart:hstart + hlen].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{path}: header is not JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    missing = [k for k in HEADER_KEYS if k not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
+    if header["format_version"] != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format version "
+                              f"{header['format_version']}")
+    if not _is_count(header["step"]):
+        raise CheckpointError(f"{path}: step {header['step']!r} is not a count")
+    return header, hstart + hlen
+
+
+def _check_index(path, index, data_bytes: int, expected: dict[str, tuple]) -> None:
+    """The tensor index must lay out exactly the tensors `expected` allows
+    (name -> shape), back to back over the `data_bytes` of the data region."""
+    if not isinstance(index, list):
+        raise CheckpointError(f"{path}: header 'tensors' is not a list")
+    offset, previous = 0, None
+    for i, entry in enumerate(index):
+        if not isinstance(entry, dict) or sorted(entry) != list(TENSOR_KEYS):
+            raise CheckpointError(f"{path}: tensor entry {i} needs exactly the keys "
+                                  f"{', '.join(TENSOR_KEYS)}")
+        name, shape = entry["name"], entry["shape"]
+        if not isinstance(name, str) or (previous is not None and name <= previous):
+            raise CheckpointError(f"{path}: tensor entry {i} name {name!r} is not a "
+                                  f"unique name after {previous!r} in sorted order")
+        previous = name
+        where = f"{path}: tensor '{name}'"
+        if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+            raise CheckpointError(f"{where}: shape {shape!r} is not a list of counts")
+        if name not in expected or tuple(shape) != expected[name]:
+            raise CheckpointError(f"{where}: shape {shape} is not one the model "
+                                  f"config gives (expected {expected.get(name)})")
+        if entry["offset"] != offset or not _is_count(entry["offset"]):
+            raise CheckpointError(f"{where}: offset {entry['offset']!r} does not "
+                                  f"follow the previous tensor's end {offset}")
+        if entry["nbytes"] != 8 * math.prod(shape) or not _is_count(entry["nbytes"]):
+            raise CheckpointError(f"{where}: nbytes {entry['nbytes']!r} is not 8 x the "
+                                  f"{math.prod(shape)} elements of shape {shape}")
+        offset += entry["nbytes"]
+    if offset != data_bytes:
+        raise CheckpointError(f"{path}: the tensors cover {offset} bytes of a "
+                              f"{data_bytes}-byte data region")
+
+
 def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 4 + 32 or raw[:len(MAGIC)] != MAGIC:
@@ -112,25 +183,32 @@ def load_checkpoint(path) -> Checkpoint:
     body, digest = raw[:-32], raw[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointError(f"{path}: integrity digest mismatch")
-    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
-    hstart = len(MAGIC) + 4
-    header = json.loads(raw[hstart:hstart + hlen].decode())
-    if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version "
-                              f"{header.get('format_version')}")
-    config = RunConfig.from_dict(header["run_config"])
-    data_start = hstart + hlen
+    header, data_start = _read_header(path, raw)
+    try:
+        config = RunConfig.from_dict(header["run_config"])
+    except ValidationError as e:
+        raise CheckpointError(f"{path}: run_config: {e}") from None
+    shapes = param_shapes(config.model)
+    expected = dict(shapes)
+    expected.update((prefix + k, shape) for prefix in MOMENT_PREFIXES
+                    for k, shape in shapes.items())
+    _check_index(path, header["tensors"], len(body) - data_start, expected)
     buffers: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
-        start = data_start + entry["offset"]
         buf = np.frombuffer(body, dtype="<f8", count=entry["nbytes"] // 8,
-                            offset=start).reshape(entry["shape"]).copy()
-        buffers[entry["name"]] = buf
+                            offset=data_start + entry["offset"])
+        buffers[entry["name"]] = buf.reshape(entry["shape"]).copy()
     params = {k: v for k, v in buffers.items() if not k.startswith("opt.")}
+    if params.keys() != shapes.keys():
+        raise CheckpointError(f"{path}: parameters {sorted(params)} are not the model "
+                              f"config's {sorted(shapes)}")
     moments = {k: v for k, v in buffers.items() if k.startswith("opt.")}
-    optimizer = AdamW.from_state(header["optimizer"], moments)
+    try:
+        optimizer = AdamW.from_state(header["optimizer"], moments)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: optimizer: malformed settings ({e!r})") from None
     return Checkpoint(config=config, params=params, optimizer=optimizer,
-                      step=int(header["step"]), rng_state=header.get("rng_state"))
+                      step=header["step"], rng_state=header["rng_state"])
 
 
 def load_params_into(path, model: GradientFieldModel) -> None:

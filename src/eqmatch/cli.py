@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint
-from .config import ValidationError, load_config, to_dict
+from .config import RunConfig, ValidationError, load_config, to_dict
 from .data import (draw_from, ood_sets, read_csv, read_points, sample_noise,
                    write_csv)
 from .evaluation import (EvalReport, QuadraticEnergy, append_reports, auroc,
@@ -311,45 +311,62 @@ def _sweep_values(axis: str, text: str) -> list[tuple[str, object]]:
     return values
 
 
+def _sweep_sampler(base: SamplerConfig, axis: str, value) -> SamplerConfig:
+    """The sampler config of one checkpoint-axis sweep value."""
+    if axis == "steps":
+        return replace(base, steps=value)
+    if axis == "g-min":
+        return replace(base, method="adaptive", g_min=value)
+    if axis == "mu":
+        return replace(base, mu=value, method=base.method
+                       if base.method in LOOK_AHEAD_METHODS else "nag")
+    return replace(base, eta=value)
+
+
+def _sweep_run_config(base: RunConfig, axis: str, value) -> RunConfig:
+    """The run config of one retraining-axis sweep value."""
+    if axis == "lambda":
+        cfg = replace(base, schedule=replace(base.schedule, lam=value))
+    else:
+        cfg = replace(base, schedule=replace(base.schedule, kind=value),
+                      allow_non_equilibrium=(value == "constant"))
+    cfg.validate()
+    return cfg
+
+
 def cmd_sweep(args) -> int:
     values = _sweep_values(args.axis, args.values)
-    out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    if args.axis in ("eta", "mu", "steps", "g-min"):
+    retrain = args.axis in ("lambda", "schedule")
+    if retrain:
+        if not args.config:
+            raise ValidationError(f"axis '{args.axis}' retrains per value; pass --config")
+        base = load_config(args.config)
+    else:
         if not args.checkpoint:
             raise ValidationError(f"axis '{args.axis}' sweeps a checkpoint; "
                                   "pass --checkpoint")
         ck = load_checkpoint(args.checkpoint)
-        for raw, value in values:
-            if args.axis == "steps":
-                cfg = replace(ck.config.sampler, steps=value)
-            elif args.axis == "g-min":
-                cfg = replace(ck.config.sampler, method="adaptive", g_min=value)
-            elif args.axis == "mu":
-                method = ck.config.sampler.method
-                cfg = replace(ck.config.sampler, mu=value,
-                              method=method if method in LOOK_AHEAD_METHODS else "nag")
-            else:
-                cfg = replace(ck.config.sampler, eta=value)
-            rows.append(_sweep_row(args.axis, raw, ck, cfg, args.seed, args.n))
-    else:
-        if not args.config:
-            raise ValidationError(f"axis '{args.axis}' retrains per value; pass --config")
-        base = load_config(args.config)
-        for raw, value in values:
-            if args.axis == "lambda":
-                sched = replace(base.schedule, lam=value)
-                cfg = replace(base, schedule=sched)
-            else:
-                cfg = replace(base, schedule=replace(base.schedule, kind=value),
-                              allow_non_equilibrium=(value == "constant"))
+    # every value's config is built, and so checked, before any work
+    configs = []
+    for raw, value in values:
+        try:
+            configs.append((raw, _sweep_run_config(base, args.axis, value) if retrain
+                            else _sweep_sampler(ck.config.sampler, args.axis, value)))
+        except ValueError as e:
+            raise ValidationError(f"--values: '{raw}' for axis '{args.axis}': {e}") from None
+    out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for raw, cfg in configs:
+        if retrain:
             result = train(cfg, out_dir=None)
             trained = Checkpoint(config=cfg, params=result.model.params,
                                  optimizer=result.optimizer, step=cfg.train.steps,
                                  rng_state=None)
             rows.append(_sweep_row(args.axis, raw, trained, cfg.sampler,
                                    args.seed, args.n))
+        else:
+            rows.append(_sweep_row(args.axis, raw, ck, cfg, args.seed, args.n))
     path = out_dir / f"sweep-{args.axis}.csv"
     write_csv(path, SWEEP_HEADER, rows)
     print(f"wrote {len(rows)} rows to {path}")

@@ -4,6 +4,10 @@ the descent convergence bound, and desk-scale sample-quality metrics.
 FID does not exist at 2D scale; quality is measured by an unbiased squared
 MMD with a sum of RBF kernels (never presented as FID), with significance
 judged against a permutation null.
+
+Distances and ranks are plain numpy, bit-identical to scipy's
+`cdist(..., "sqeuclidean")`, `cdist(...)` and `rankdata(...)`; scipy is only
+the test oracle, so importing eqmatch does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.stats import rankdata
 
 from .data import read_csv, write_csv
 from .model import GradientFieldModel
@@ -23,6 +25,39 @@ from .objective import corrupt
 from .sampler import SamplerConfig, as_field, sample
 
 DEFAULT_BANDWIDTHS = (0.1, 0.5, 1.0, 2.0, 5.0)
+# rows of the first operand per distance block: the [64, n] temporaries stay
+# in cache, where whole-matrix temporaries ran 4-6x slower than scipy's cdist
+ROW_BLOCK = 64
+
+
+def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances [len(x), len(y)], accumulating
+    (x_k - y_k)^2 one coordinate at a time in k order, as scipy's cdist does,
+    so the bits equal `cdist(x, y, "sqeuclidean")`; `np.sqrt` of them equals
+    `cdist(x, y)`."""
+    out = np.empty((len(x), len(y)))
+    yt = np.ascontiguousarray(y.T)
+    for i in range(0, len(x), ROW_BLOCK):
+        xb, blk = x[i:i + ROW_BLOCK], out[i:i + ROW_BLOCK]
+        np.subtract(xb[:, :1], yt[0], out=blk)
+        blk *= blk
+        for k in range(1, x.shape[1]):
+            diff = xb[:, k:k + 1] - yt[k]
+            diff *= diff
+            blk += diff
+    return out
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties given their mean rank, by scipy's
+    `rankdata(a)` formula and with its bits."""
+    order = np.argsort(a, kind="mergesort")
+    ordered = a[order]
+    starts = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    dense = np.empty(len(a), dtype=np.intp)
+    dense[order] = np.cumsum(starts)
+    count = np.concatenate([np.flatnonzero(starts), [len(a)]])
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +99,7 @@ def local_minima_membership(model_or_field, data: np.ndarray, n_inits: int,
     data = np.asarray(data, dtype=np.float64)
     x0 = np.random.default_rng(seed).standard_normal((n_inits, data.shape[1]))
     endpoints = sample(f, x0, config).final
-    d = cdist(endpoints, data)
+    d = np.sqrt(_sq_dists(endpoints, data))
     return float(np.mean(d.min(axis=1) <= radius))
 
 
@@ -150,6 +185,15 @@ def _kernel_sum(sq_dists: np.ndarray) -> np.ndarray:
     return k
 
 
+def _kernel_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`_kernel_sum(cdist(x, y, "sqeuclidean"))` with the same bits, filled
+    one row block at a time so no full-size distance matrix is held."""
+    k = np.empty((len(x), len(y)))
+    for i in range(0, len(x), ROW_BLOCK):
+        k[i:i + ROW_BLOCK] = _kernel_sum(_sq_dists(x[i:i + ROW_BLOCK], y))
+    return k
+
+
 def mmd(samples: np.ndarray, reference: np.ndarray) -> float:
     """Unbiased squared MMD under a sum of RBF kernels. The estimator may go
     slightly negative on matching distributions; callers clamp for reporting."""
@@ -162,9 +206,9 @@ def mmd(samples: np.ndarray, reference: np.ndarray) -> float:
     if x.tobytes() > y.tobytes():
         x, y = y, x
     m, n = len(x), len(y)
-    kxx = _kernel_sum(cdist(x, x, "sqeuclidean"))
-    kyy = _kernel_sum(cdist(y, y, "sqeuclidean"))
-    kxy = _kernel_sum(cdist(x, y, "sqeuclidean"))
+    kxx = _kernel_matrix(x, x)
+    kyy = _kernel_matrix(y, y)
+    kxy = _kernel_matrix(x, y)
     a = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
     b = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
     c = kxy.sum() / (m * n)
@@ -184,7 +228,7 @@ def mmd_permutation_null(samples: np.ndarray, reference: np.ndarray,
     y = np.asarray(reference, dtype=np.float64)
     m, n = len(x), len(y)
     pool = np.concatenate([x, y])
-    k = _kernel_sum(cdist(pool, pool, "sqeuclidean"))
+    k = _kernel_matrix(pool, pool)
     np.fill_diagonal(k, 0.0)
     rng = np.random.default_rng(seed)
     s = np.zeros((m + n, n_permutations))
@@ -207,7 +251,7 @@ def mode_coverage(samples: np.ndarray, modes: np.ndarray,
     modes = np.atleast_2d(np.asarray(modes, dtype=np.float64))
     if len(modes) == 0:
         raise ValueError("modes must be non-empty")
-    d = cdist(samples, modes)
+    d = np.sqrt(_sq_dists(samples, modes))
     covered = float(np.mean(d.min(axis=0) <= radius))
     in_mode = float(np.mean(d.min(axis=1) <= radius))
     return covered, in_mode
@@ -220,7 +264,9 @@ def auroc(scores_id: np.ndarray, scores_ood: np.ndarray) -> float:
     if len(scores_id) == 0 or len(scores_ood) == 0:
         raise ValueError("both score sets must be non-empty")
     pooled = np.concatenate([scores_id, scores_ood])
-    ranks = rankdata(pooled)
+    if not np.all(np.isfinite(pooled)):
+        raise ValueError("scores must be finite")
+    ranks = _average_ranks(pooled)
     n_id, n_ood = len(scores_id), len(scores_ood)
     r_ood = ranks[n_id:].sum()
     u = r_ood - n_ood * (n_ood + 1) / 2.0
@@ -236,7 +282,7 @@ def nearest_neighbor_audit(samples: np.ndarray, train: np.ndarray,
         raise ValueError("k must be >= 1")
     if k > len(train):
         raise ValueError(f"k={k} exceeds train set size {len(train)}")
-    d = cdist(samples, train, "sqeuclidean")
+    d = _sq_dists(samples, train)
     return np.sort(d, axis=1)[:, :k]
 
 

@@ -148,24 +148,27 @@ class GradientFieldModel:
         return self.forward(nd.Graph(), x, label=label, noise_level=noise_level).values
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every parameter a model with `config` has."""
+    shapes = {}
+    for i, (fan_in, fan_out) in enumerate(_layer_dims(config)):
+        shapes[f"layers.{i}.w"] = (fan_in, fan_out)
+        shapes[f"layers.{i}.b"] = (fan_out,)
+    if config.num_classes > 0:
+        shapes["label_embed"] = (config.num_classes, config.hidden[0])
+    return shapes
+
+
 def init_model(config: ModelConfig) -> GradientFieldModel:
     """Deterministic init: Glorot-uniform hidden layers, zero final layer and
     biases, small-normal label embedding. Equal seeds give equal bits."""
     rng = np.random.default_rng(config.init_seed)
-    params: dict[str, np.ndarray] = {}
-    dims = _layer_dims(config)
-    last = len(dims) - 1
-    for i, (fan_in, fan_out) in enumerate(dims):
-        if i == last:
-            w = np.zeros((fan_in, fan_out))
-        else:
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-limit, limit, (fan_in, fan_out))
-        params[f"layers.{i}.w"] = w
-        params[f"layers.{i}.b"] = np.zeros(fan_out)
+    params = {name: np.zeros(shape) for name, shape in param_shapes(config).items()}
+    for i, (fan_in, fan_out) in enumerate(_layer_dims(config)[:-1]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        params[f"layers.{i}.w"] = rng.uniform(-limit, limit, (fan_in, fan_out))
     if config.num_classes > 0:
-        params["label_embed"] = 0.02 * rng.standard_normal(
-            (config.num_classes, config.hidden[0]))
+        params["label_embed"] = 0.02 * rng.standard_normal(params["label_embed"].shape)
     return GradientFieldModel(config=config, params=params)
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -8,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqmatch.checkpoint import (CheckpointError, load_checkpoint,
-                                load_params_into, save_checkpoint)
+from eqmatch.checkpoint import (HEADER_KEYS, TENSOR_KEYS, CheckpointError,
+                                load_checkpoint, load_params_into, save_checkpoint)
 from eqmatch.config import (DATASET_KINDS, DatasetSpec, OptimizerSettings,
                             RunConfig, TrainSettings, ValidationError,
                             load_config, save_config)
@@ -298,8 +300,132 @@ class TestCheckpointContainer:
     def test_header_is_canonical_json(self, tmp_path):
         path, *_ = self._save_one(tmp_path)
         raw = path.read_bytes()
-        import struct
         (hlen,) = struct.unpack_from("<I", raw, 8)
         header = raw[12:12 + hlen].decode()
         parsed = json.loads(header)
         assert header == json.dumps(parsed, sort_keys=True, separators=(",", ":"))
+
+
+def read_header(path) -> dict:
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    return json.loads(raw[12:12 + hlen])
+
+
+def rewrite_header(source, target, header: dict) -> None:
+    """`source` with its header replaced and its digest recomputed, so only
+    the header checks stand between the edit and a load."""
+    raw = source.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + hlen:-32]
+    target.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def assert_same_checkpoint(got, want) -> None:
+    assert got.config == want.config and got.step == want.step
+    assert got.rng_state == want.rng_state
+    assert got.optimizer.hyper_dict() == want.optimizer.hyper_dict()
+    for mine, theirs in ((got.params, want.params), (got.optimizer.m, want.optimizer.m),
+                         (got.optimizer.v, want.optimizer.v)):
+        assert mine.keys() == theirs.keys()
+        for k in mine:
+            assert mine[k].shape == theirs[k].shape
+            assert mine[k].tobytes() == theirs[k].tobytes()
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("header") / "ck.eqmckpt"
+    cfg = tiny_config(model=ModelConfig(input_dim=2, hidden=(8, 8), init_seed=2,
+                                        num_classes=3))
+    model = init_model(cfg.model)
+    opt = AdamW(lr=1e-3)
+    rng = np.random.default_rng(0)
+    opt.step(model.params, {k: rng.standard_normal(v.shape) for k, v in model.params.items()})
+    save_checkpoint(path, cfg, model, opt, 1, rng.bit_generator.state)
+    return path
+
+
+def edit_tensor(header, i, key, value):
+    header["tensors"][i][key] = value
+    return header
+
+
+class TestHeaderChecks:
+    """With a recomputed digest a bad header fails with CheckpointError naming
+    the file and the entry, never with numpy's or json's own error."""
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: h.pop("tensors"), "lacks tensors"),
+        (lambda h: h.pop("step"), "lacks step"),
+        (lambda h: h.pop("rng_state"), "lacks rng_state"),
+        (lambda h: edit_tensor(h, 0, "nbytes", 8), "'label_embed': nbytes 8 is not 8 x"),
+        (lambda h: edit_tensor(h, 1, "offset", 10 ** 9), "'layers.0.b': offset"),
+        (lambda h: edit_tensor(h, 1, "offset", 0), "'layers.0.b': offset 0"),
+        (lambda h: edit_tensor(h, 0, "shape", [24]), "'label_embed': shape"),
+        (lambda h: edit_tensor(h, 2, "name", h["tensors"][1]["name"]), "tensor entry 2"),
+        (lambda h: edit_tensor(h, 2, "name", "layers.0.z"), "'layers.0.z'"),
+        (lambda h: h["tensors"][0].pop("offset"), "tensor entry 0 needs"),
+        (lambda h: h["tensors"].pop(), "data region"),
+        (lambda h: h.update(step="3"), "step '3'"),
+        (lambda h: h["run_config"].update(seed="x"), "run_config: seed"),
+        (lambda h: h["optimizer"].pop("lr"), "optimizer"),
+    ])
+    def test_bad_header_raises_checkpoint_error(self, saved_checkpoint, tmp_path, edit,
+                                                match):
+        header = read_header(saved_checkpoint)
+        edit(header)
+        path = tmp_path / "edited.eqmckpt"
+        rewrite_header(saved_checkpoint, path, header)
+        with pytest.raises(CheckpointError, match=re.escape(match)) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_unchanged_header_loads(self, saved_checkpoint, tmp_path):
+        path = tmp_path / "same.eqmckpt"
+        rewrite_header(saved_checkpoint, path, read_header(saved_checkpoint))
+        assert path.read_bytes() == saved_checkpoint.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_layout_edit_loads_equal_or_raises(self, saved_checkpoint, data):
+        """Edits of the header's layout: a key dropped, an index entry dropped,
+        duplicated or moved, or one of an entry's fields dropped or replaced.
+        The header's values (config, step, optimizer settings) are the
+        checkpoint's content, so editing them loads another checkpoint by
+        design and is not drawn here."""
+        header = read_header(saved_checkpoint)
+        index = header["tensors"]
+        kind = data.draw(st.sampled_from(["drop-key", "drop-entry", "copy-entry",
+                                          "move-entry", "drop-field", "set-field"]))
+        i = data.draw(st.integers(0, len(index) - 1))
+        if kind == "drop-key":
+            header.pop(data.draw(st.sampled_from(HEADER_KEYS)))
+        elif kind == "drop-entry":
+            index.pop(i)
+        elif kind == "copy-entry":
+            index.insert(data.draw(st.integers(0, len(index))), dict(index[i]))
+        elif kind == "move-entry":
+            index.insert(data.draw(st.integers(0, len(index) - 1)), index.pop(i))
+        else:
+            key = data.draw(st.sampled_from(TENSOR_KEYS))
+            if kind == "drop-field":
+                index[i].pop(key)
+            else:
+                same_field = [e[key] for e in index]
+                old = index[i][key]
+                numbers = [old + d for d in (-8, -1, 1, 8)] if isinstance(old, int) else []
+                index[i][key] = data.draw(st.one_of(
+                    st.sampled_from(same_field + numbers),
+                    st.integers(-2, 600), st.text(max_size=12), st.none(), st.booleans(),
+                    st.floats(allow_nan=False), st.lists(st.integers(-1, 40), max_size=3)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edited.eqmckpt"
+            rewrite_header(saved_checkpoint, path, header)
+            try:
+                got = load_checkpoint(path)
+            except CheckpointError as e:
+                assert str(e).startswith(f"{path}: ")
+                return
+        assert_same_checkpoint(got, load_checkpoint(saved_checkpoint))

@@ -342,6 +342,32 @@ class TestSuitesAndSweeps:
         assert f"'{bad}'" in err and kind in err and f"axis '{axis}'" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("axis, values, source, bad", [
+        ("eta", "0.01,-1", "checkpoint", "-1"),
+        ("mu", "0.35,-0.5", "checkpoint", "-0.5"),
+        ("steps", "10,0", "checkpoint", "0"),
+        ("g-min", "0.1,0", "checkpoint", "0"),
+        ("lambda", "4,0", "config", "0"),
+    ])
+    def test_sweep_configs_are_checked_before_any_work(self, workspace, tmp_path, capsys,
+                                                       monkeypatch, axis, values, source,
+                                                       bad):
+        """An entry that reads but that the config rejects also stops the
+        sweep before the first value is sampled or trained."""
+        def no_work(*a, **kw):
+            raise AssertionError("an invalid --values entry must stop the sweep first")
+
+        monkeypatch.setattr("eqmatch.cli._sweep_row", no_work)
+        monkeypatch.setattr("eqmatch.cli.train", no_work)
+        flag = ["--checkpoint", ckpt(workspace)] if source == "checkpoint" else \
+            ["--config", str(workspace / "cfg.json")]
+        assert main(["sweep", "--axis", axis, "--values", values, *flag,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --values: '{bad}' for axis '{axis}': ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_compose_identical_labels_half_step(self, workspace, tmp_path):
         cond_ckpt = str(workspace / "cond" / "checkpoint.eqmckpt")
         single = tmp_path / "single.csv"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqmatch.evaluation import (DEFAULT_BANDWIDTHS, EvalReport, QuadraticEnergy,
+                                _average_ranks, _kernel_matrix, _kernel_sum, _sq_dists,
                                 append_reports, auroc, component_energy, config_fingerprint,
                                 convergence_bound_check, grad_norm_at_data,
                                 ledger_has, local_minima_membership, mmd,
@@ -193,6 +194,14 @@ class TestAUROC:
         with pytest.raises(ValueError):
             auroc([], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["id", "ood"])
+    def test_non_finite_rejected(self, bad, side):
+        scores = [0.0, bad, 1.0]
+        args = (scores, [2.0, 3.0]) if side == "id" else ([2.0, 3.0], scores)
+        with pytest.raises(ValueError, match="finite"):
+            auroc(*args)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     def test_invariant_under_monotone_transforms(self, seed):
@@ -202,6 +211,57 @@ class TestAUROC:
         base = auroc(a, b)
         for f in (lambda s: 3.0 * s + 7.0, np.tanh, lambda s: s ** 3):
             assert auroc(f(np.asarray(a)), f(np.asarray(b))) == pytest.approx(base, abs=1e-15)
+
+
+def point_sets(seed, d, m, n, log_scale, duplicates):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    x = scale * rng.standard_normal((m, d))
+    y = scale * rng.standard_normal((n, d))
+    if duplicates:  # shared rows (zero distances) and repeated rows
+        j = min(m, n) // 2
+        y[:j] = x[:j]
+        x[m // 2:] = x[0]
+    return x, y
+
+
+point_set_args = dict(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 150),
+                      n=st.integers(1, 150), log_scale=st.floats(-3.0, 3.0),
+                      duplicates=st.booleans())
+
+
+class TestScipyOracle:
+    """The numpy distances and ranks have scipy's bits; scipy is the oracle
+    here and nowhere in the package."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(1, 8), **point_set_args)
+    def test_sq_dists_equal_cdist(self, seed, d, m, n, log_scale, duplicates):
+        distance = pytest.importorskip("scipy.spatial.distance")
+        x, y = point_sets(seed, d, m, n, log_scale, duplicates)
+        sq = _sq_dists(x, y)
+        assert np.array_equal(sq, distance.cdist(x, y, "sqeuclidean"))
+        assert np.array_equal(np.sqrt(sq), distance.cdist(x, y))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**point_set_args)
+    def test_kernel_matrix_equals_kernel_of_cdist(self, seed, m, n, log_scale, duplicates):
+        distance = pytest.importorskip("scipy.spatial.distance")
+        x, y = point_sets(seed, 2, m, n, log_scale, duplicates)
+        want = _kernel_sum(distance.cdist(x, y, "sqeuclidean"))
+        assert np.array_equal(_kernel_matrix(x, y), want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 300),
+           levels=st.sampled_from([0, 1, 3, 20]))
+    def test_average_ranks_equal_rankdata(self, seed, size, levels):
+        """levels > 0 draws from that many distinct values (ties); 0 draws
+        continuous values (no ties)."""
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(seed)
+        a = (rng.integers(0, levels, size).astype(np.float64) if levels
+             else rng.standard_normal(size))
+        assert np.array_equal(_average_ranks(a), stats.rankdata(a))
 
 
 class TestNearestNeighbors:

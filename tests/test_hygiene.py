@@ -1,8 +1,12 @@
-"""Static checks on the sources: no module imports a name it never uses, and
-the pilot scripts import only names eqmatch still defines."""
+"""Static checks on the sources: no module imports a name it never uses,
+nothing in the package imports scipy (a test-only oracle), and the pilot
+scripts import only names eqmatch still defines."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +43,31 @@ def unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_package_does_not_import_scipy():
+    """numpy is the only runtime dependency: no source under src/ imports
+    scipy, and importing the CLI loads no scipy module."""
+    offenders = [f"{path.relative_to(ROOT)}: {name}"
+                 for path in sorted((ROOT / "src").rglob("*.py"))
+                 for name in sorted(imported_modules(ast.parse(path.read_text())))
+                 if name == "scipy" or name.startswith("scipy.")]
+    assert offenders == []
+    probe = ("import sys; import eqmatch.cli; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("path", PILOTS, ids=lambda p: p.name)
