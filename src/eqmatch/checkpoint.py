@@ -44,7 +44,6 @@ FORMAT_VERSION = 1
 HEADER_KEYS = ("format_version", "run_config", "step", "rng_state", "optimizer",
                "tensors")
 TENSOR_KEYS = ("name", "nbytes", "offset", "shape")
-MOMENT_PREFIXES = ("opt.m.", "opt.v.")
 
 
 class CheckpointError(ValueError):
@@ -150,7 +149,7 @@ def _check_index(path, index, data_bytes: int, expected: dict[str, tuple]) -> No
         raise CheckpointError(f"{path}: header 'tensors' is not a list")
     offset, previous = 0, None
     for i, entry in enumerate(index):
-        if not isinstance(entry, dict) or sorted(entry) != list(TENSOR_KEYS):
+        if not isinstance(entry, dict) or set(entry) != set(TENSOR_KEYS):
             raise CheckpointError(f"{path}: tensor entry {i} needs exactly the keys "
                                   f"{', '.join(TENSOR_KEYS)}")
         name, shape = entry["name"], entry["shape"]
@@ -190,7 +189,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: run_config: {e}") from None
     shapes = param_shapes(config.model)
     expected = dict(shapes)
-    expected.update((prefix + k, shape) for prefix in MOMENT_PREFIXES
+    expected.update((prefix + k, shape) for prefix in ("opt.m.", "opt.v.")
                     for k, shape in shapes.items())
     _check_index(path, header["tensors"], len(body) - data_start, expected)
     buffers: dict[str, np.ndarray] = {}

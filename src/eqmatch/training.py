@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import ndtensor as nd
-from .checkpoint import load_checkpoint, load_params_into, save_checkpoint
+from .checkpoint import (CheckpointError, load_checkpoint, load_params_into,
+                         save_checkpoint)
 from .config import RunConfig, ValidationError, to_dict
 from .data import draw_from, read_csv, write_csv
 from .model import GradientFieldModel, ModelConfig, init_model
@@ -84,7 +85,11 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
         model = GradientFieldModel(config=config.model, params=ck.params)
         optimizer = ck.optimizer
         rng = np.random.default_rng()
-        rng.bit_generator.state = ck.rng_state
+        try:
+            rng.bit_generator.state = ck.rng_state
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"{resume_from}: rng_state does not restore the "
+                                  f"generator ({e!r})") from None
         start_step = ck.step
         if start_step >= config.train.steps:
             raise ValidationError(f"{resume_from}: the run already finished "

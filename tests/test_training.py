@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
+from eqmatch.checkpoint import CheckpointError
 from eqmatch.config import (DatasetSpec, OptimizerSettings, RunConfig,
                             TrainSettings, ValidationError)
 from eqmatch.model import ModelConfig
 from eqmatch.ndtensor import NonFiniteError
 from eqmatch.schedule import Schedule
 from eqmatch.training import train
+from test_checkpoint import read_header, rewrite_header
 
 
 def run_config(**kw):
@@ -63,6 +67,18 @@ def test_resume_of_a_finished_run_is_rejected(tmp_path):
     done = train(run_config(train=TrainSettings(steps=5, batch_size=4)), out_dir=tmp_path)
     with pytest.raises(ValidationError, match="already finished"):
         train(resume_from=done.checkpoint_path, out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("state", [{}, "x", {"bit_generator": "PCG64"}])
+def test_resume_with_a_malformed_generator_state_is_rejected(tmp_path, state):
+    train(run_config(train=TrainSettings(steps=10, batch_size=4, checkpoint_every=5)),
+          out_dir=tmp_path / "run")
+    source, edited = tmp_path / "run" / "ckpt-000005.eqmckpt", tmp_path / "edited.eqmckpt"
+    header = read_header(source)
+    header["rng_state"] = state
+    rewrite_header(source, edited, header)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(edited))}: rng_state"):
+        train(resume_from=edited, out_dir=tmp_path / "resumed")
 
 
 def test_fresh_run_replaces_stale_losses(tmp_path):
