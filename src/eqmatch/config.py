@@ -38,6 +38,11 @@ class ValidationError(ValueError):
     """A config field or field combination is invalid."""
 
 
+def _require_non_negative(key: str, value) -> None:
+    if not value >= 0:
+        raise ValidationError(f"{key}: {value} must be >= 0")
+
+
 @dataclass
 class DatasetSpec:
     """Training data source: a toy distribution sampled as an endless stream,
@@ -55,6 +60,9 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
             raise ValidationError(f"dataset.kind '{self.kind}' not one of {DATASET_KINDS}")
+        if not 1 <= self.k <= 12:
+            raise ValidationError(f"dataset.k: {self.k} is outside 1..12")
+        _require_non_negative("dataset.data_seed", self.data_seed)
 
     @property
     def labeled(self) -> bool:
@@ -91,6 +99,16 @@ class OptimizerSettings:
     weight_decay: float = 0.0
     epsilon: float = 1e-8
 
+    def __post_init__(self):
+        _require_non_negative("optimizer.lr", self.lr)
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValidationError(f"optimizer.{name}: {getattr(self, name)} "
+                                      "is outside [0, 1)")
+        if not self.epsilon > 0.0:
+            raise ValidationError(f"optimizer.epsilon: {self.epsilon} must be > 0")
+        _require_non_negative("optimizer.weight_decay", self.weight_decay)
+
 
 @dataclass
 class TrainSettings:
@@ -102,6 +120,8 @@ class TrainSettings:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ValidationError("train.steps and train.batch_size must be >= 1")
+        _require_non_negative("train.log_every", self.log_every)
+        _require_non_negative("train.checkpoint_every", self.checkpoint_every)
 
 
 @dataclass
@@ -118,6 +138,8 @@ class RunConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
+        _require_non_negative("seed", self.seed)
+        _require_non_negative("model.init_seed", self.model.init_seed)
         try:
             check_pairing(self.objective, self.model)
         except ObjectiveError as e:

@@ -130,7 +130,13 @@ class GradientFieldModel:
         n = xt.shape[0]
         h = xt
         if self.config.noise_conditioned:
-            h = nd.concat([h, nd.constant(noise_features(noise_level, n))], axis=1)
+            # nothing differentiates a noise-conditioned model in x (it may
+            # not have an energy head), so its input is built as a constant
+            if xt.node is not None:
+                raise nd.GraphError("forward: a noise-conditioned model takes x "
+                                    "as a constant, not a graph node")
+            h = nd.constant(np.concatenate([xt.values, noise_features(noise_level, n)],
+                                           axis=1))
         p = self._bind(graph)
         act = {"silu": nd.silu, "relu": nd.relu, "tanh": nd.tanh}[self.config.activation]
         n_layers = len(self.config.hidden) + 1

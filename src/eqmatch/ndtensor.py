@@ -267,34 +267,6 @@ def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     return _emit("broadcast_to", (a,), np.broadcast_to(a.values, shape), extra=k)
 
 
-def concat(parts: Sequence, axis: int = 0) -> Tensor:
-    parts = [_coerce(p) for p in parts]
-    if not parts:
-        raise ShapeMismatchError("op 'concat': no inputs")
-    ndim = parts[0].ndim
-    axis = axis % ndim if ndim else 0
-    for p in parts[1:]:
-        if p.ndim != ndim or any(p.shape[i] != parts[0].shape[i]
-                                 for i in range(ndim) if i != axis):
-            raise ShapeMismatchError(f"op 'concat': shapes {[q.shape for q in parts]} "
-                                     f"incompatible along axis {axis}")
-    vals = np.concatenate([p.values for p in parts], axis=axis)
-    return _emit("concat", tuple(parts), vals, extra=axis)
-
-
-def narrow(a, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start, stop) along one axis."""
-    a = _coerce(a)
-    if a.ndim == 0:
-        raise ShapeMismatchError("op 'narrow': cannot slice a scalar")
-    axis = axis % a.ndim
-    if not 0 <= start < stop <= a.shape[axis]:
-        raise ShapeMismatchError(f"op 'narrow': range [{start}, {stop}) invalid for "
-                                 f"axis {axis} of shape {a.shape}")
-    idx = tuple(slice(None) if i != axis else slice(start, stop) for i in range(a.ndim))
-    return _emit("narrow", (a,), a.values[idx], extra=(axis, start, stop))
-
-
 # ---------------------------------------------------------------------------
 # composites (tape records only primitives)
 
@@ -370,28 +342,6 @@ def _vjp(node: _Node, g: Tensor) -> list[Tensor | None]:
         return [broadcast_to(g, a.shape)]
     if op == "broadcast_to":
         return [reduce_leading(g, node.extra)]
-    if op == "concat":
-        axis = node.extra
-        outs: list[Tensor | None] = []
-        offset = 0
-        for t in node.inputs:
-            width = t.shape[axis]
-            outs.append(narrow(g, axis, offset, offset + width))
-            offset += width
-        return outs
-    if op == "narrow":
-        axis, start, stop = node.extra
-        pieces: list[Tensor] = []
-        if start > 0:
-            shape = list(a.shape)
-            shape[axis] = start
-            pieces.append(constant(np.zeros(shape)))
-        pieces.append(g)
-        if stop < a.shape[axis]:
-            shape = list(a.shape)
-            shape[axis] = a.shape[axis] - stop
-            pieces.append(constant(np.zeros(shape)))
-        return [concat(pieces, axis=axis) if len(pieces) > 1 else g]
     raise GraphError(f"no backward rule for op '{op}'")
 
 

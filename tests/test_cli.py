@@ -60,6 +60,23 @@ class TestExitCodes:
          "schedule.lamda"),
         ({"model": {"noise_conditioned": "false", "hidden": [4]}, "train": {"steps": 2}},
          "model.noise_conditioned"),
+        # values out of range fail while the config is read, before a step
+        ({"optimizer": {"lr": -1e-3}, "train": {"steps": 2}}, "optimizer.lr"),
+        ({"optimizer": {"beta1": 1.0}, "train": {"steps": 2}}, "optimizer.beta1"),
+        ({"optimizer": {"beta2": -0.5}, "train": {"steps": 2}}, "optimizer.beta2"),
+        ({"optimizer": {"epsilon": 0.0}, "train": {"steps": 2}}, "optimizer.epsilon"),
+        ({"optimizer": {"weight_decay": -0.1}, "train": {"steps": 2}},
+         "optimizer.weight_decay"),
+        ({"train": {"steps": 2, "log_every": -1}}, "train.log_every"),
+        ({"train": {"steps": 4, "checkpoint_every": -3}}, "train.checkpoint_every"),
+        ({"seed": -1, "train": {"steps": 2}}, "seed"),
+        ({"model": {"init_seed": -2}, "train": {"steps": 2}}, "model.init_seed"),
+        ({"dataset": {"kind": "memorization", "data_seed": -3}, "train": {"steps": 2}},
+         "dataset.data_seed"),
+        ({"dataset": {"kind": "memorization", "k": 0}, "train": {"steps": 2}},
+         "dataset.k"),
+        ({"dataset": {"kind": "memorization", "k": 13}, "train": {"steps": 2}},
+         "dataset.k"),
     ])
     def test_malformed_config_names_the_key(self, payload, key, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -67,6 +84,7 @@ class TestExitCodes:
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("suite", ["quality", "ood", "partial-noise", "nn-audit"])
     def test_eval_without_checkpoint_names_the_flag(self, suite, tmp_path, capsys):

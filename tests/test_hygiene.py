@@ -1,9 +1,7 @@
-"""Static checks on the sources: no module imports a name it never uses,
-nothing in the package imports scipy (a test-only oracle), and the pilot
-scripts import only names eqmatch still defines."""
+"""Static checks on the sources: no module imports a name it never uses, and
+nothing in the package imports scipy (a test-only oracle)."""
 
 import ast
-import importlib
 import os
 import subprocess
 import sys
@@ -15,7 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in (ROOT / "src" / "eqmatch").glob("*.py")
                  if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py")) \
     + sorted((ROOT / "tools").glob("*.py"))
-PILOTS = sorted(ROOT.glob("scripts_pilot*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -68,14 +65,3 @@ def test_package_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
-
-
-@pytest.mark.parametrize("path", PILOTS, ids=lambda p: p.name)
-def test_pilot_imports_resolve(path):
-    missing = []
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("eqmatch"):
-            module = importlib.import_module(node.module)
-            missing += [f"{node.module}.{alias.name}" for alias in node.names
-                        if not hasattr(module, alias.name)]
-    assert missing == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eqmatch import ndtensor as nd
 from eqmatch.model import (ConditioningError, GradientFieldModel, ModelConfig,
                            energy, energy_gradient, init_model, noise_features)
 from conftest import central_difference, rel_err
@@ -97,6 +98,9 @@ class TestForward:
         plain = init_model(small_config())
         with pytest.raises(ConditioningError, match="not noise-conditioned"):
             plain.forward_values(x, noise_level=0.5)
+        graph = nd.Graph()
+        with pytest.raises(nd.GraphError, match="constant"):
+            m.forward(graph, graph.leaf(x), noise_level=0.5)
 
     def test_forward_deterministic(self, rng):
         m = init_model(small_config(init_seed=9))

@@ -74,8 +74,6 @@ OPS = {
     "sum": nd.tsum,
     "mean": nd.tmean,
     "square": nd.square,
-    "concat": nd.concat,
-    "slice": nd.narrow,
     "broadcast": nd.broadcast_to,
 }
 
@@ -92,31 +90,23 @@ def _sample_inputs(kind: str, rng: np.random.Generator):
         return [vals], {}
     if kind in ("sigmoid", "silu", "tanh", "square", "sum", "mean"):
         return [rng.standard_normal((3, 4))], {}
-    if kind == "concat":
-        return [[rng.standard_normal((3, 2)), rng.standard_normal((3, 4))]], {"axis": 1}
-    if kind == "slice":
-        return [rng.standard_normal((3, 6)), 1, 2, 5], {}
     if kind == "broadcast":
         return [rng.standard_normal(4), (3, 4)], {}
     raise AssertionError(kind)
 
 
 def _differentiable_positions(kind: str, args):
-    if kind == "concat":
-        return [(0, i) for i in range(len(args[0]))]
-    if kind in ("scalar-mul", "slice", "broadcast"):
-        return [(0, None)]
-    return [(i, None) for i in range(len(args))]
+    if kind in ("scalar-mul", "broadcast"):
+        return [0]
+    return list(range(len(args)))
 
 
 def _apply(kind: str, args, kwargs, leaves: dict):
     """Run the op with selected arguments replaced by graph leaves."""
     cooked = []
     for i, a in enumerate(args):
-        if kind == "concat" and i == 0:
-            cooked.append([leaves.get((0, j), nd.constant(v)) for j, v in enumerate(a)])
-        elif (i, None) in leaves:
-            cooked.append(leaves[(i, None)])
+        if i in leaves:
+            cooked.append(leaves[i])
         elif isinstance(a, np.ndarray):
             cooked.append(nd.constant(a))
         else:
@@ -133,7 +123,7 @@ def test_gradcheck_every_op_kind_100_seeds(kind):
         weight = None  # random projection makes the output a scalar
         for pos in _differentiable_positions(kind, args):
             graph = nd.Graph()
-            target = args[pos[0]][pos[1]] if pos[1] is not None else args[pos[0]]
+            target = args[pos]
             leaf = graph.leaf(target)
             out = _apply(kind, args, kwargs, {pos: leaf})
             if weight is None:
