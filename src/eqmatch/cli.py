@@ -30,7 +30,6 @@ from .evaluation import (EvalReport, QuadraticEnergy, append_reports, auroc,
                          nearest_neighbor_audit, partial_noise_sweep)
 from .model import energy
 from .ndtensor import NonFiniteError
-from .objective import VELOCITY_OBJECTIVES
 from .plotting import (PLOT_KINDS, PlotError, contour_svg, curves_svg,
                        histogram_svg, scatter_svg, vector_field_svg)
 from .sampler import (LOOK_AHEAD_METHODS, METHODS, FunctionField, ModelField,
@@ -47,13 +46,6 @@ SWEEP_AXES = {"eta": float, "mu": float, "steps": int, "g-min": float,
 
 def _default_out_dir() -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, "."))
-
-
-def field_for_checkpoint(ck: Checkpoint, label=None) -> ModelField:
-    """Velocity-matching baselines predict the data-ward velocity; negate so
-    the shared descent loop drives them too."""
-    negate = ck.config.objective in VELOCITY_OBJECTIVES
-    return ModelField(ck.model, label=label, negate=negate)
 
 
 def _sampler_from_args(base: SamplerConfig, args) -> SamplerConfig:
@@ -105,25 +97,33 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    ck = load_checkpoint(args.checkpoint)
+def _sample_to_csv(args, ck: Checkpoint, field, default_name: str,
+                   start_csv=None, trajectory=None) -> int:
+    """Sample `field` with the checkpoint's sampler, overridden by the flags,
+    from the --start-csv points or seeded noise; write the samples CSV and,
+    if asked, the trajectory CSV."""
     config = _sampler_from_args(ck.config.sampler, args)
-    field = field_for_checkpoint(ck, label=args.label)
-    if args.start_csv:
-        x0 = read_points(args.start_csv)
+    if start_csv:
+        x0 = read_points(start_csv)
     else:
         x0 = sample_noise(args.n, ck.config.model.input_dim, args.seed)
-    record = args.trajectory is not None
+    record = trajectory is not None
     traj = sample(field, x0, config, record=record)
-    out = Path(args.out) if args.out else _default_out_dir() / "samples.csv"
+    out = Path(args.out) if args.out else _default_out_dir() / default_name
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_samples_csv(out, traj)
     if record:
-        save_trajectory_csv(args.trajectory, traj)
+        save_trajectory_csv(trajectory, traj)
     print(f"wrote {len(traj.final)} samples to {out} "
           f"(mean steps {traj.steps_used.mean():.1f}; "
           f"points evaluated {traj.points_evaluated.sum()})")
     return 0
+
+
+def cmd_sample(args) -> int:
+    ck = load_checkpoint(args.checkpoint)
+    return _sample_to_csv(args, ck, ModelField(ck.model, label=args.label),
+                          "samples.csv", args.start_csv, args.trajectory)
 
 
 def _suite_fingerprint(args, ck: Checkpoint | None) -> str:
@@ -177,7 +177,7 @@ def _quality_reports(ck: Checkpoint, fp: str, seed: int, n: int,
     dist = ck.config.dataset.distribution()
     reference, _ = draw_from(dist, n, np.random.default_rng(seed + 1))
     x0 = sample_noise(n, ck.config.model.input_dim, seed)
-    final = sample(field_for_checkpoint(ck), x0, sampler_cfg).final
+    final = sample(ck.model, x0, sampler_cfg).final
     observed = mmd(final, reference)
     reports = [EvalReport("mmd", max(0.0, observed), fp, seed,
                           aux={"raw": observed, "n": n})]
@@ -221,9 +221,8 @@ def _suite_partial_noise(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[E
     holdout, _ = draw_from(dist, args.n, rng)
     reference, _ = draw_from(dist, args.n, rng)
     gammas = [0.0, 0.5, 0.8]
-    curves = partial_noise_sweep(field_for_checkpoint(ck), field_for_checkpoint(base),
-                                 gammas, ck.config.sampler, holdout, reference,
-                                 seed=args.seed)
+    curves = partial_noise_sweep(ck.model, base.model, gammas, ck.config.sampler,
+                                 holdout, reference, seed=args.seed)
     write_csv(out_dir / "partial-noise-curves.csv", ["gamma", "model", "baseline"],
               zip(curves["gamma"], curves["model"], curves["baseline"]))
     reports = []
@@ -240,7 +239,7 @@ def _suite_nn_audit(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[EvalRe
         train_set, _ = draw_from(ck.config.dataset.distribution(), args.n,
                                  np.random.default_rng(args.seed + 1))
     x0 = sample_noise(args.n, ck.config.model.input_dim, args.seed)
-    final = sample(field_for_checkpoint(ck), x0, ck.config.sampler).final
+    final = sample(ck.model, x0, ck.config.sampler).final
     k = min(3, len(train_set))
     dists = nearest_neighbor_audit(final, train_set, k=k)
     return [EvalReport("nn-top1-mean-sqdist", float(dists[:, 0].mean()), fp, args.seed,
@@ -378,15 +377,7 @@ def cmd_compose(args) -> int:
     if ck.config.model.num_classes == 0:
         raise ValidationError("compose needs a class-conditional checkpoint")
     field = compose([ck.model, ck.model], labels=[args.label1, args.label2])
-    config = _sampler_from_args(ck.config.sampler, args)
-    x0 = sample_noise(args.n, ck.config.model.input_dim, args.seed)
-    traj = sample(field, x0, config)
-    out = Path(args.out) if args.out else _default_out_dir() / "composed.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_samples_csv(out, traj)
-    print(f"wrote {len(traj.final)} composed samples "
-          f"(labels {args.label1}+{args.label2}) to {out}")
-    return 0
+    return _sample_to_csv(args, ck, field, "composed.csv")
 
 
 def cmd_plot(args) -> int:
@@ -395,7 +386,7 @@ def cmd_plot(args) -> int:
     bounds = tuple(float(v) for v in args.bounds.split(",")) if args.bounds else None
     if args.kind == "vector-field":
         ck = load_checkpoint(_require(args.checkpoint, "--checkpoint"))
-        vector_field_svg(out, field_for_checkpoint(ck, label=args.label),
+        vector_field_svg(out, ModelField(ck.model, label=args.label),
                          bounds=bounds or (-4.5, 4.5, -4.5, 4.5), grid=args.grid)
     elif args.kind == "scatter":
         scatter_svg(out, read_points(_require(args.samples, "--samples")), bounds=bounds)

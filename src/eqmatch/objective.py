@@ -5,8 +5,13 @@ target built from the same (x, eps, gamma) triple:
 
   eqm        f(x_gamma)        vs (eps - x) * c(gamma)
   eqm-e      grad g(x_gamma)   vs (eps - x) * c(gamma)   (input-gradient)
-  fm         f(x_gamma, gamma) vs (x - eps)
-  uncond-fm  f(x_gamma)        vs (x - eps)
+  fm         f(x_gamma, gamma) vs (eps - x)
+  uncond-fm  f(x_gamma)        vs (eps - x)
+
+Every target is a multiple of eps - x, so every trained output (or energy
+input-gradient) is the direction the sampler descends along. The
+flow-matching baselines learn the negative of the usual data-ward velocity
+x - eps; uncond-fm is eqm under the constant schedule.
 
 The interpolation factor gamma is drawn per sample and never shown to the
 model, except to a noise-conditioned one (the fm baseline, or an eqm
@@ -25,8 +30,7 @@ from .model import GradientFieldModel, ModelConfig, _total_energy
 from .schedule import Schedule, eval_schedule, is_equilibrium
 
 OBJECTIVES = ("eqm", "eqm-e", "fm", "uncond-fm")
-#: objectives whose model predicts the data-ward velocity x - eps, the
-#: negative of the descent direction the sampler follows
+#: objectives that match the unscaled velocity eps - x and ignore the schedule
 VELOCITY_OBJECTIVES = ("fm", "uncond-fm")
 
 
@@ -114,7 +118,7 @@ def loss_for(objective: str, model: GradientFieldModel, batch: TrainBatch,
     `allow_non_equilibrium`; fm and uncond-fm ignore the schedule."""
     check_pairing(objective, model.config)
     if objective in VELOCITY_OBJECTIVES:
-        target = batch.x - batch.eps
+        target = batch.eps - batch.x
     else:
         if not is_equilibrium(sched) and not allow_non_equilibrium:
             raise ObjectiveError(

@@ -10,9 +10,11 @@ batch instead of pure noise.
 
 Samplers act on a *field*: any callable (x [n,d], progress in [0,1]) -> grad
 [n,d] whose row i depends only on row i of x. Models wrap into fields via
-:class:`ModelField`; summed fields via :func:`compose`. Time-invariant fields
-ignore `progress`; it exists so the noise-conditioned baseline can be driven
-along a fixed integration grid.
+:class:`ModelField`; summed fields via :func:`compose`. Every objective trains
+its model toward a multiple of eps - x, so a model's field is its output (or
+its energy's input-gradient) as it stands, whichever objective trained it.
+Time-invariant fields ignore `progress`; it exists so the noise-conditioned
+baseline can be driven along a fixed integration grid.
 
 Adaptive sampling relies on that row contract: after its first step it
 evaluates the field only on the rows still active (plus a few frozen rows,
@@ -97,35 +99,27 @@ class Trajectory:
 # fields
 
 
-def grad_of(model: GradientFieldModel, x, label=None) -> np.ndarray:
-    """The model's descent direction at x: the raw field for implicit-energy
-    models, the energy's input-gradient for explicit ones."""
-    if model.config.energy_kind == "none":
-        return model.forward_values(np.asarray(x, dtype=np.float64), label=label)
-    return energy_gradient(model, x, label=label)
-
-
 class ModelField:
     """Adapts a model (optionally with a fixed label) to the field protocol.
 
-    `negate` flips the output so velocity-matching baselines, which predict
-    the data-ward velocity rather than an ascent gradient, can be driven by
-    the same descent loop.
+    The field is the model's output (at noise level `progress` for a
+    noise-conditioned model), or the energy's input-gradient for an explicit
+    energy head: the direction the sampler descends, for every objective.
     """
 
-    def __init__(self, model: GradientFieldModel, label=None, negate: bool = False):
+    def __init__(self, model: GradientFieldModel, label=None):
         self.model = model
         self.label = label
-        self.negate = negate
         self.dim = model.config.input_dim
         self.time_dependent = model.config.noise_conditioned
 
     def __call__(self, x: np.ndarray, progress: float = 0.0) -> np.ndarray:
         if self.time_dependent:
-            g = self.model.forward_values(x, label=self.label, noise_level=progress)
-        else:
-            g = grad_of(self.model, x, label=self.label)
-        return -g if self.negate else g
+            return self.model.forward_values(x, label=self.label, noise_level=progress)
+        if self.model.config.energy_kind == "none":
+            return self.model.forward_values(np.asarray(x, dtype=np.float64),
+                                             label=self.label)
+        return energy_gradient(self.model, x, label=self.label)
 
 
 class ComposedField:

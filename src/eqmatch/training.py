@@ -8,7 +8,7 @@ reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from . import ndtensor as nd
 from .checkpoint import (CheckpointError, load_checkpoint, load_params_into,
                          save_checkpoint)
 from .config import RunConfig, ValidationError, to_dict
-from .data import draw_from, read_csv, write_csv
+from .data import ToyDistribution, draw_from, read_csv, write_csv
 from .model import GradientFieldModel, ModelConfig, init_model
 from .objective import TrainBatch, draw_batch, loss_for
 from .optimizer import AdamW
@@ -37,15 +37,15 @@ class TrainResult:
 
 
 def _next_batch(config: RunConfig, rng: np.random.Generator,
-                fixed_points: np.ndarray | None) -> TrainBatch:
-    if fixed_points is not None:
+                source: np.ndarray | ToyDistribution) -> TrainBatch:
+    """A batch from `source`: the fixed memorization set, or a distribution."""
+    if isinstance(source, np.ndarray):
         # memorization regime: the whole fixed set every step, tiled up to
         # batch_size so each point sees several corruption draws per step
-        repeats = max(1, config.train.batch_size // len(fixed_points))
-        x, labels = np.tile(fixed_points, (repeats, 1)), None
+        repeats = max(1, config.train.batch_size // len(source))
+        x, labels = np.tile(source, (repeats, 1)), None
     else:
-        x, labels = draw_from(config.dataset.distribution(),
-                              config.train.batch_size, rng)
+        x, labels = draw_from(source, config.train.batch_size, rng)
         if config.model.num_classes == 0:
             labels = None
     return draw_batch(rng, x, labels=labels)
@@ -74,7 +74,10 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
 
     init_from warm-starts parameters from another checkpoint (architectures
     must agree); resume_from continues an interrupted run exactly, including
-    the data stream.
+    the data stream. A config given with resume_from must describe the
+    checkpoint's model; its optimizer settings apply from the resumed step
+    on, with the checkpoint's moments and step count. With out_dir None the
+    run writes nothing.
     """
     start_step = 0
     if resume_from is not None:
@@ -83,7 +86,8 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
         _require_same_model(config.model, ck.config.model, resume_from)
         config.validate()
         model = GradientFieldModel(config=config.model, params=ck.params)
-        optimizer = ck.optimizer
+        # the config's settings, with the checkpoint's moments and step count
+        optimizer = replace(ck.optimizer, **to_dict(config.optimizer))
         rng = np.random.default_rng()
         try:
             rng.bit_generator.state = ck.rng_state
@@ -104,13 +108,10 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
         optimizer = AdamW(**to_dict(config.optimizer))
         rng = np.random.default_rng(config.seed)
 
-    fixed_points = (config.dataset.memorization_points()
-                    if config.dataset.kind == "memorization" else None)
-    if config.dataset.kind != "memorization":
-        config.dataset.distribution()  # fail fast on bad parameters
+    source = (config.dataset.memorization_points()
+              if config.dataset.kind == "memorization" else config.dataset.distribution())
 
-    out_path = Path(out_dir) if out_dir is not None else (
-        Path(config.out_dir) if config.out_dir else None)
+    out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         # a resume keeps the loss history of the steps before it; a fresh run
@@ -123,7 +124,7 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
     losses = np.empty(config.train.steps - start_step)
     logged = 0  # entries of `losses` already in losses.csv
     for i, step in enumerate(range(start_step, config.train.steps)):
-        batch = _next_batch(config, rng, fixed_points)
+        batch = _next_batch(config, rng, source)
         try:
             loss = loss_for(config.objective, model, batch, config.schedule,
                             config.allow_non_equilibrium)

@@ -55,8 +55,8 @@ def mixture_draws(n: int, offset: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Statements 1 and 2 on memorized data: the center+ring set of 8 points
-# (pilots 3, 6a, 7, 8a; of the rates and batches tried at this width, lr 1e-3
-# at batch 64, each point tiled 8 times, left the smallest gradient at the data)
+# (of the rates and batches tried at this width, lr 1e-3 at batch 64, each
+# point tiled 8 times, left the smallest gradient at the data)
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +91,8 @@ def test_statement2_descent_from_noise_ends_at_the_data(memorized, record_proper
 
 
 # ---------------------------------------------------------------------------
-# generation on the 8-mode mixture (pilots 1, 4, 5, 6b, 8b, 9): descent from
-# noise with the default step size for the default 250 steps
+# generation on the 8-mode mixture: descent from noise with the default step
+# size for the default 250 steps
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +143,8 @@ def test_generation_mmd_below_permutation_null(generated, method, record_propert
 
 
 # ---------------------------------------------------------------------------
-# adaptive compute (pilots 1, 4, 5): per-sample stopping, capped at the fixed
-# budget, spends fewer steps than that budget without a worse MMD
+# adaptive compute: per-sample stopping, capped at the fixed budget, spends
+# fewer steps than that budget without a worse MMD
 
 
 def test_adaptive_compute_saves_steps_at_no_worse_mmd(generated, record_property):
@@ -160,8 +160,8 @@ def test_adaptive_compute_saves_steps_at_no_worse_mmd(generated, record_property
 
 
 # ---------------------------------------------------------------------------
-# OOD scoring by energy (pilots 2, 6c, 7, 9b): an explicit dot-energy head
-# trained by eqm-e scores the three OOD sets above in-distribution points
+# OOD scoring by energy: an explicit dot-energy head trained by eqm-e scores
+# the three OOD sets above in-distribution points
 
 
 @pytest.fixture(scope="module")
@@ -180,8 +180,8 @@ def test_energy_scores_ood_above_in_distribution(dot_energy, ood_set, record_pro
 
 
 # ---------------------------------------------------------------------------
-# composition (pilots 2, 5): the sum of two class-conditional fields samples
-# where both classes are likely, which neither field alone does
+# composition: the sum of two class-conditional fields samples where both
+# classes are likely, which neither field alone does
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +193,8 @@ def conditional():
 @pytest.mark.parametrize("labels", [(0, 1), (2, 3)])
 def test_composed_fields_sample_both_classes(conditional, labels, record_property):
     """Adjacent modes sit 1.15 apart, so points within 3 sigma of both
-    exist but are rare under either class alone. The pilots' composition
-    score, the summed dot energy x.f_a(x) + x.f_b(x), is lower at composed
+    exist but are rare under either class alone. The composition score,
+    the summed dot energy x.f_a(x) + x.f_b(x), is lower at composed
     samples: they are stationary points of f_a + f_b, where it is zero."""
     a, b = labels
     x0 = sample_noise(512, 2, SEED)
@@ -222,9 +222,9 @@ def test_composed_fields_sample_both_classes(conditional, labels, record_propert
 
 
 # ---------------------------------------------------------------------------
-# partial-noise denoising (the partial-noise suite; pilot 1): started from
-# held-out data corrupted to gamma, eqm descent ends nearer the data
-# distribution than the unconditional velocity-matching baseline
+# partial-noise denoising (the partial-noise suite): started from held-out
+# data corrupted to gamma, eqm descent ends nearer the data distribution than
+# the unconditional velocity-matching baseline
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +238,7 @@ def uncond_fm():
     "starts at gamma 0 and 0.5 (seed 0 MMD: eqm 0.046, 0.054, 0.054; uncond-fm "
     "0.021, 0.021, 0.048), and at 0.8 on 3 of 4 seeds"))
 def test_partial_noise_denoising_beats_uncond_fm(mixture_eqm, uncond_fm, record_property):
-    curves = partial_noise_sweep(ModelField(mixture_eqm), ModelField(uncond_fm, negate=True),
+    curves = partial_noise_sweep(ModelField(mixture_eqm), ModelField(uncond_fm),
                                  [0.0, 0.5, 0.8], SamplerConfig(eta=0.01, steps=250),
                                  mixture_draws(N, 5), mixture_draws(N, 6), seed=SEED)
     record_property("eqm", curves["model"])

@@ -30,10 +30,10 @@ def workspace(tmp_path_factory):
     cond = dict(cfg)
     cond["model"] = {**cfg["model"], "num_classes": 8}
     (root / "cond.json").write_text(json.dumps(cond))
-    assert main(["train", "--config", str(root / "cfg.json"),
-                 "--out", str(root / "run")]) == 0
-    assert main(["train", "--config", str(root / "cond.json"),
-                 "--out", str(root / "cond")]) == 0
+    (root / "cond-fm.json").write_text(json.dumps({**cond, "objective": "uncond-fm"}))
+    for name, out in (("cfg", "run"), ("cond", "cond"), ("cond-fm", "cond-fm")):
+        assert main(["train", "--config", str(root / f"{name}.json"),
+                     "--out", str(root / out)]) == 0
     return root
 
 
@@ -336,6 +336,17 @@ class TestSuitesAndSweeps:
         assert len(rows) == 3
         assert rows[1].startswith("lambda,1,") and rows[2].startswith("lambda,4,")
 
+    def test_retraining_sweep_ignores_the_configs_out_dir(self, workspace, tmp_path):
+        cfg = json.loads((workspace / "cfg.json").read_text())
+        cfg.update(out_dir=str(tmp_path / "runs" / "base"),
+                   train={"steps": 5, "batch_size": 8})
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["sweep", "--axis", "lambda", "--values", "1,2",
+                     "--config", str(tmp_path / "cfg.json"), "--n", "16",
+                     "--out-dir", str(tmp_path / "sweep")]) == 0
+        assert (tmp_path / "sweep" / "sweep-lambda.csv").exists()
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("axis, values, source, bad, kind", [
         ("steps", "5,abc", "checkpoint", "abc", "int"),
         ("steps", "2.5", "checkpoint", "2.5", "int"),
@@ -386,8 +397,9 @@ class TestSuitesAndSweeps:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_compose_identical_labels_half_step(self, workspace, tmp_path):
-        cond_ckpt = str(workspace / "cond" / "checkpoint.eqmckpt")
+    @pytest.mark.parametrize("run", ["cond", "cond-fm"])
+    def test_compose_identical_labels_half_step(self, workspace, tmp_path, run):
+        cond_ckpt = str(workspace / run / "checkpoint.eqmckpt")
         single = tmp_path / "single.csv"
         double = tmp_path / "double.csv"
         assert main(["sample", "--checkpoint", cond_ckpt, "--label", "3",

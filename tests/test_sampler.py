@@ -8,7 +8,7 @@ from eqmatch.ndtensor import NonFiniteError
 from eqmatch.objective import corrupt
 from eqmatch.sampler import (BLAS_ROW_BLOCK, FunctionField, ModelField,
                              SamplerConfig, _eval_field, _subset_rows,
-                             calibrate_g_min, compose, grad_of, sample,
+                             calibrate_g_min, compose, sample,
                              save_trajectory_csv)
 from test_model import identity_model
 
@@ -54,12 +54,12 @@ class TestGradOf:
         m = init_model(ModelConfig(input_dim=2, hidden=(8,), init_seed=2))
         m.params["layers.1.w"] = rng.standard_normal((8, 2))
         x = rng.standard_normal((5, 2))
-        np.testing.assert_array_equal(grad_of(m, x), m.forward_values(x))
+        np.testing.assert_array_equal(ModelField(m)(x), m.forward_values(x))
 
     def test_dot_energy_identity_gives_2x(self, rng):
         m = identity_model("dot")
         x = rng.standard_normal((4, 2))
-        np.testing.assert_allclose(grad_of(m, x), 2.0 * x, atol=1e-12)
+        np.testing.assert_allclose(ModelField(m)(x), 2.0 * x, atol=1e-12)
 
     def test_composed_equals_sum_of_members(self, rng):
         f = compose([linear_field, linear_field, zero_field], weights=[1.0, 2.0, 5.0])

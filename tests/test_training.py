@@ -1,9 +1,10 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from eqmatch.checkpoint import CheckpointError
+from eqmatch.checkpoint import CheckpointError, load_checkpoint
 from eqmatch.config import (DatasetSpec, OptimizerSettings, RunConfig,
                             TrainSettings, ValidationError)
 from eqmatch.model import ModelConfig
@@ -50,6 +51,23 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert np.array_equal(resumed.losses, full.losses[20:])
     for k in full.model.params:
         assert np.array_equal(resumed.model.params[k], full.model.params[k])
+
+
+def test_resume_with_a_config_takes_its_optimizer_settings(tmp_path):
+    cfg = run_config(train=TrainSettings(steps=40, batch_size=8, checkpoint_every=20))
+    full = train(cfg, out_dir=tmp_path / "full")
+    midway = tmp_path / "full" / "ckpt-000020.eqmckpt"
+    # the same settings keep the checkpoint's moments and step count
+    same = train(cfg, resume_from=midway, out_dir=tmp_path / "same")
+    assert same.checkpoint_path.read_bytes() == full.checkpoint_path.read_bytes()
+    faster = train(replace(cfg, optimizer=OptimizerSettings(lr=0.5)), resume_from=midway,
+                   out_dir=tmp_path / "faster")
+    # the first resumed loss comes before any update at the new rate
+    assert faster.losses[0] == full.losses[20]
+    assert not np.array_equal(faster.losses[1:], full.losses[21:])
+    ck = load_checkpoint(faster.checkpoint_path)
+    assert ck.optimizer.lr == ck.config.optimizer.lr == 0.5
+    assert ck.optimizer.step_count == 40
 
 
 def test_resume_into_the_run_directory_keeps_history(tmp_path):
