@@ -120,14 +120,17 @@ class GradientFieldModel:
         hot[np.arange(n), ids] = 1.0
         return hot
 
+    def _batch_size(self, shape: tuple[int, ...]) -> int:
+        if len(shape) != 2 or shape[1] != self.config.input_dim:
+            raise nd.ShapeMismatchError(
+                f"forward: expected [n, {self.config.input_dim}] input, got {shape}")
+        return shape[0]
+
     def forward(self, graph: nd.Graph, x, label=None, noise_level=None) -> nd.Tensor:
         """Predicted gradient batch [n, d]; differentiable in x and params."""
         self._check_conditioning(label, noise_level)
         xt = x if isinstance(x, nd.Tensor) else nd.constant(x)
-        if xt.ndim != 2 or xt.shape[1] != self.config.input_dim:
-            raise nd.ShapeMismatchError(
-                f"forward: expected [n, {self.config.input_dim}] input, got {xt.shape}")
-        n = xt.shape[0]
+        n = self._batch_size(xt.shape)
         h = xt
         if self.config.noise_conditioned:
             # nothing differentiates a noise-conditioned model in x (it may
@@ -150,8 +153,38 @@ class GradientFieldModel:
         return h
 
     def forward_values(self, x, label=None, noise_level=None) -> np.ndarray:
-        """Forward pass returning plain values (throwaway tape)."""
-        return self.forward(nd.Graph(), x, label=label, noise_level=noise_level).values
+        """`forward(nd.Graph(), x, ...).values` off the tape, each layer written
+        in place: the same ops in the same order (same bits) and the same
+        finite checks at the same op boundaries (same errors)."""
+        self._check_conditioning(label, noise_level)
+        h = nd.constant(x).values
+        n = self._batch_size(h.shape)
+        if self.config.noise_conditioned:
+            h = nd.constant(np.concatenate([h, noise_features(noise_level, n)], 1)).values
+        p = {name: nd.as_values(buf) for name, buf in self.params.items()}
+        for buf in p.values():  # where forward leases its leaves
+            nd.check_finite(buf, "leaf")
+        n_layers = len(self.config.hidden) + 1
+        for i in range(n_layers):
+            pre = h @ p[f"layers.{i}.w"]
+            nd.check_finite(pre, "matmul")
+            pre += p[f"layers.{i}.b"]
+            nd.check_finite(pre, "add")
+            if i == 0 and self.config.num_classes > 0:
+                embedded = nd.constant(self._one_hot(label, n)).values @ p["label_embed"]
+                nd.check_finite(embedded, "matmul")
+                pre += embedded
+                nd.check_finite(pre, "add")
+            if i == n_layers - 1:
+                return pre
+            if self.config.activation == "silu":
+                h = nd.sigmoid_values(pre)
+                np.multiply(pre, h, out=h)
+                nd.check_finite(h, "mul")
+            elif self.config.activation == "relu":
+                h = np.maximum(pre, 0.0, out=pre)
+            else:
+                h = np.tanh(pre, out=pre)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

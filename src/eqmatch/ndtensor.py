@@ -37,15 +37,26 @@ class GraphError(ValueError):
 _generation = itertools.count()
 
 
-def _as_values(data) -> np.ndarray:
+def as_values(data) -> np.ndarray:
     # order="C" (not ascontiguousarray) so 0-d arrays stay 0-d
     return np.asarray(data, dtype=np.float64, order="C")
 
 
-def _check_finite(values: np.ndarray, op: str) -> None:
+def check_finite(values: np.ndarray, op: str) -> None:
+    """Raise NonFiniteError naming `op` on a NaN or Inf in `values`."""
     # min/max propagate NaN and catch +-inf without allocating a bool mask
     if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
+
+
+def sigmoid_values(v: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-v)) with its bits, computed in one fresh buffer."""
+    out = np.empty_like(v)  # an array even for 0-d v, so every out= below holds
+    np.negative(v, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 #: ops that can produce non-finite outputs from finite inputs; the rest only
@@ -115,10 +126,17 @@ class Graph:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def release(self) -> None:
+        """Drop the recorded ops and leases. The tape is a reference cycle (nodes ->
+        tensors -> graph), so otherwise its buffers wait for the cyclic collector."""
+        self.nodes.clear()
+        self.leaf_ids.clear()
+        self.bindings.clear()
+
     def leaf(self, values) -> Tensor:
         """Register raw data as a differentiable graph input."""
-        vals = _as_values(values)
-        _check_finite(vals, "leaf")
+        vals = as_values(values)
+        check_finite(vals, "leaf")
         t = Tensor(vals, graph=self, node=len(self.nodes))
         self.nodes.append(_Node("leaf", (), t))
         self.leaf_ids.append(t.node)
@@ -127,7 +145,7 @@ class Graph:
     def _register(self, op: str, inputs: tuple[Tensor, ...], values: np.ndarray,
                   extra=None) -> Tensor:
         if op in _CHECKED_OPS:
-            _check_finite(values, op)
+            check_finite(values, op)
         t = Tensor(values, graph=self, node=len(self.nodes))
         self.nodes.append(_Node(op, inputs, t, extra))
         return t
@@ -135,8 +153,8 @@ class Graph:
 
 def constant(data) -> Tensor:
     """Wrap plain data; never receives a gradient."""
-    vals = _as_values(data)
-    _check_finite(vals, "constant")
+    vals = as_values(data)
+    check_finite(vals, "constant")
     return Tensor(vals)
 
 
@@ -166,7 +184,7 @@ def _emit(op: str, inputs: Sequence, values: np.ndarray, extra=None) -> Tensor:
     graph = _common_graph(op, inputs)
     if graph is None:
         if op in _CHECKED_OPS:
-            _check_finite(values, op)
+            check_finite(values, op)
         return Tensor(values)
     return graph._register(op, inputs, values, extra)
 
@@ -227,9 +245,7 @@ def relu(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _coerce(a)
-    with np.errstate(over="ignore"):
-        vals = 1.0 / (1.0 + np.exp(-a.values))
-    return _emit("sigmoid", (a,), vals)
+    return _emit("sigmoid", (a,), sigmoid_values(a.values))
 
 
 def tanh(a) -> Tensor:

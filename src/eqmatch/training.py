@@ -130,6 +130,7 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
                             config.allow_non_equilibrium)
             grads = _parameter_gradients(model, loss)
             optimizer.step(model.params, grads)
+            loss.graph.release()
         except nd.NonFiniteError as e:
             raise nd.NonFiniteError(f"training aborted at step {step}: {e}") from e
         losses[i] = loss.item()

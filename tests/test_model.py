@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqmatch import ndtensor as nd
-from eqmatch.model import (ConditioningError, GradientFieldModel, ModelConfig,
-                           energy, energy_gradient, init_model, noise_features)
+from eqmatch.model import (ACTIVATIONS, ConditioningError, GradientFieldModel,
+                           ModelConfig, energy, energy_gradient, init_model,
+                           noise_features)
 from conftest import central_difference, rel_err
 
 
@@ -22,6 +24,17 @@ def identity_model(energy_kind="none") -> GradientFieldModel:
                                        [0.0, 1.0, 0.0, -1.0]])
     m.params["layers.1.w"] = np.array([[1.0, 0.0], [0.0, 1.0],
                                        [-1.0, 0.0], [0.0, -1.0]])
+    return m
+
+
+def random_model(cfg: ModelConfig, seed: int) -> GradientFieldModel:
+    """Every parameter drawn at unit fan-in scale, including those init_model
+    zeroes, so every op of the forward pass moves the output."""
+    rng = np.random.default_rng(seed)
+    m = init_model(cfg)
+    for name, buf in m.params.items():
+        fan_in = buf.shape[0] if buf.ndim == 2 else 1
+        m.params[name] = rng.standard_normal(buf.shape) / np.sqrt(fan_in)
     return m
 
 
@@ -172,3 +185,84 @@ class TestEnergy:
         batch = energy_gradient(m, x)
         rows = np.vstack([energy_gradient(m, x[i:i + 1]) for i in range(5)])
         np.testing.assert_allclose(batch, rows, atol=1e-12)
+
+
+# 1 row takes BLAS's matrix-vector path; 8k and 8k+1 rows sit on either side
+# of its row blocking
+ROWS = st.one_of(st.integers(1, 40), st.sampled_from([8, 9, 64, 65, 1000, 1001]))
+
+
+def conditioning(cfg: ModelConfig, n: int, seed: int, scalar: bool) -> dict:
+    rng = np.random.default_rng(seed)
+    kw = {}
+    if cfg.num_classes:
+        kw["label"] = 1 if scalar else rng.integers(0, cfg.num_classes, n)
+    if cfg.noise_conditioned:
+        kw["noise_level"] = 0.25 if scalar else rng.uniform(0.0, 1.0, n)
+    return kw
+
+
+class TestForwardValues:
+    """forward_values runs off the tape; forward(Graph(), ...) is its oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(activation=st.sampled_from(ACTIVATIONS), classes=st.sampled_from([0, 3]),
+           noise=st.booleans(), hidden=st.sampled_from([(256, 256, 256), (16,), (64, 64)]),
+           n=ROWS, scalar=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bits_equal_the_tape(self, activation, classes, noise, hidden, n, scalar,
+                                 seed):
+        cfg = ModelConfig(hidden=hidden, activation=activation, num_classes=classes,
+                          noise_conditioned=noise)
+        m = random_model(cfg, seed)
+        x = 3.0 * np.random.default_rng(seed + 1).standard_normal((n, 2))
+        kw = conditioning(cfg, n, seed + 2, scalar)
+        got = m.forward_values(x, **kw)
+        want = m.forward(nd.Graph(), x, **kw).values
+        assert got.shape == want.shape == (n, 2)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "constant", "label",
+                                      "noise level", "input shape"])
+    def test_errors_equal_the_tape(self, case):
+        cfg = ModelConfig(hidden=(8, 8), num_classes=3, noise_conditioned=case == "noise level")
+        m = random_model(cfg, 0)
+        x = np.ones((5, 2))
+        kw = conditioning(cfg, 5, 1, scalar=False)
+        if case == "leaf":
+            m.params["layers.1.b"][3] = np.inf
+        elif case == "matmul":
+            m.params["layers.0.w"][:] = 1e308
+        elif case == "add":
+            m.params["layers.0.w"][:] = 0.5e308
+            m.params["layers.0.b"][:] = 1e308
+        elif case == "constant":
+            x[2, 1] = np.nan
+        elif case == "label":
+            kw["label"] = np.array([0, 1, 2, 3, 0])
+        elif case == "noise level":
+            kw["noise_level"] = np.zeros(4)
+        else:
+            x = np.ones((5, 3))
+        with np.errstate(over="ignore"), pytest.raises(Exception) as tape:
+            m.forward(nd.Graph(), x, **kw)
+        with np.errstate(over="ignore"), pytest.raises(Exception) as values:
+            m.forward_values(x, **kw)
+        assert type(values.value) is type(tape.value)
+        assert str(values.value) == str(tape.value)
+        if case in ("leaf", "matmul", "add", "constant"):
+            assert str(values.value) == f"non-finite values produced by op '{case}'"
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_builds_no_graph(self, monkeypatch, activation):
+        cfg = ModelConfig(hidden=(16, 16), activation=activation, num_classes=3,
+                          noise_conditioned=True)
+        m = random_model(cfg, 5)
+        x = np.random.default_rng(6).standard_normal((9, 2))
+        kw = conditioning(cfg, 9, 7, scalar=False)
+        want = m.forward(nd.Graph(), x, **kw).values
+
+        def no_tape():
+            raise AssertionError("forward_values built a tape")
+
+        monkeypatch.setattr(nd, "Graph", no_tape)
+        assert m.forward_values(x, **kw).tobytes() == want.tobytes()

@@ -1,6 +1,9 @@
 """Autodiff engine checks: forward values, reverse gradients against central
 finite differences, second-order correctness, and tape hygiene."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,17 @@ def test_relu_hand_value():
 def test_dot_hand_value():
     # a dot product is tsum(mul), the way the dot energy head builds one
     assert nd.tsum(nd.mul(nd.constant([1.0, 2.0]), nd.constant([3.0, 4.0]))).item() == 11.0
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (8,), (9,), (37, 3), (1001, 16)])
+def test_sigmoid_values_has_the_bits_of_the_formula(shape):
+    v = np.random.default_rng(len(shape)).standard_normal(shape) * 300.0
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-v))
+    got = nd.sigmoid_values(v)
+    assert isinstance(got, np.ndarray) and got.shape == shape
+    assert got.tobytes() == np.asarray(want).tobytes()
+    assert nd.sigmoid(nd.constant(v)).values.tobytes() == got.tobytes()
 
 
 def test_constant_ops_stay_off_tape():
@@ -331,3 +345,22 @@ def test_determinism_bitwise(rng):
 
     a, b = run(), run()
     assert a.tobytes() == b.tobytes()
+
+
+def test_release_frees_the_tape_without_the_collector():
+    """The tape is a reference cycle; release() breaks it, so dropping the
+    last outside reference frees the graph with the collector off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = nd.Graph()
+        loss = nd.tsum(nd.silu(g.leaf(np.ones((4, 3)))))
+        nd.backward(loss)
+        g.release()
+        assert len(g) == 0 and not g.leaf_ids and not g.bindings
+        ref = weakref.ref(g)
+        del g, loss
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

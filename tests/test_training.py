@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +9,10 @@ import pytest
 from eqmatch.checkpoint import CheckpointError, load_checkpoint
 from eqmatch.config import (DatasetSpec, OptimizerSettings, RunConfig,
                             TrainSettings, ValidationError)
+from eqmatch import ndtensor as nd
 from eqmatch.model import ModelConfig
 from eqmatch.ndtensor import NonFiniteError
+from eqmatch.optimizer import AdamW
 from eqmatch.schedule import Schedule
 from eqmatch.training import train
 from test_checkpoint import read_header, rewrite_header
@@ -162,3 +166,38 @@ def test_conditional_training_runs():
                      train=TrainSettings(steps=20, batch_size=16))
     result = train(cfg)
     assert "label_embed" in result.model.params
+
+
+@pytest.mark.parametrize("objective,energy_kind", [("eqm", "none"), ("eqm-e", "dot")])
+def test_each_step_frees_its_tape_without_the_collector(monkeypatch, objective,
+                                                        energy_kind):
+    """A tape is a reference cycle, so a step that left it to the cyclic
+    collector would keep every step's graph alive with the collector off."""
+    graphs = []
+
+    class RecordedGraph(nd.Graph):
+        def __init__(self):
+            super().__init__()
+            graphs.append(weakref.ref(self))
+
+    alive_at_update = []
+    adamw_step = AdamW.step
+
+    def step(self, params, grads):
+        alive_at_update.append(sum(ref() is not None for ref in graphs))
+        adamw_step(self, params, grads)
+
+    monkeypatch.setattr(nd, "Graph", RecordedGraph)
+    monkeypatch.setattr(AdamW, "step", step)
+    cfg = run_config(objective=objective, train=TrainSettings(steps=6, batch_size=8),
+                     model=ModelConfig(hidden=(16, 16), energy_kind=energy_kind))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train(cfg)
+        # each update sees only its own step's graph; none outlives train()
+        assert alive_at_update == [1] * 6
+        assert len(graphs) == 6 and all(ref() is None for ref in graphs)
+    finally:
+        if enabled:
+            gc.enable()
