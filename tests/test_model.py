@@ -207,8 +207,9 @@ class TestForwardValues:
 
     @settings(max_examples=80, deadline=None)
     @given(activation=st.sampled_from(ACTIVATIONS), classes=st.sampled_from([0, 3]),
-           noise=st.booleans(), hidden=st.sampled_from([(256, 256, 256), (16,), (64, 64)]),
-           n=ROWS, scalar=st.booleans(), seed=st.integers(0, 2**32 - 1))
+           noise=st.booleans(), n=ROWS, scalar=st.booleans(),
+           hidden=st.sampled_from([(256, 256, 256), (16,), (64, 64)]),
+           seed=st.integers(0, 2**32 - 1))
     def test_bits_equal_the_tape(self, activation, classes, noise, hidden, n, scalar,
                                  seed):
         cfg = ModelConfig(hidden=hidden, activation=activation, num_classes=classes,
@@ -224,7 +225,8 @@ class TestForwardValues:
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "constant", "label",
                                       "noise level", "input shape"])
     def test_errors_equal_the_tape(self, case):
-        cfg = ModelConfig(hidden=(8, 8), num_classes=3, noise_conditioned=case == "noise level")
+        cfg = ModelConfig(hidden=(8, 8), num_classes=3,
+                          noise_conditioned=case == "noise level")
         m = random_model(cfg, 0)
         x = np.ones((5, 2))
         kw = conditioning(cfg, 5, 1, scalar=False)
