@@ -2,9 +2,10 @@
 
 Train a time-invariant gradient field over an implicit energy landscape by
 matching scaled noise-to-data directions, then sample by descending the
-learned field. Includes explicit-energy variants, velocity-matching
-baselines, optimization-based samplers, and the measurement kit for checking
-the framework's claims at desk scale.
+learned field. Includes explicit-energy variants, flow-matching baselines
+(the same objective under the constant schedule), gradient-descent sampling
+with optional Nesterov look-ahead and per-sample stopping, and the
+measurement kit for checking the framework's claims at desk scale.
 """
 
 from .config import DatasetSpec, OptimizerSettings, RunConfig, TrainSettings

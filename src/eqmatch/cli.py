@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, CheckpointError, load_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint
 from .config import RunConfig, ValidationError, load_config, to_dict
 from .data import (draw_from, ood_sets, read_csv, read_points, sample_noise,
                    write_csv)
@@ -30,10 +30,10 @@ from .evaluation import (EvalReport, QuadraticEnergy, append_reports, auroc,
                          nearest_neighbor_audit, partial_noise_sweep)
 from .model import energy
 from .ndtensor import NonFiniteError
-from .plotting import (PLOT_KINDS, PlotError, contour_svg, curves_svg,
-                       histogram_svg, scatter_svg, vector_field_svg)
-from .sampler import (LOOK_AHEAD_METHODS, METHODS, FunctionField, ModelField,
-                      SamplerConfig, compose, sample, save_trajectory_csv)
+from .plotting import (PLOT_KINDS, contour_svg, curves_svg, histogram_svg,
+                       scatter_svg, vector_field_svg)
+from .sampler import (METHODS, FunctionField, ModelField, SamplerConfig, compose,
+                      sample, save_trajectory_csv)
 from .schedule import KINDS as SCHEDULE_KINDS
 from .training import train
 
@@ -61,8 +61,6 @@ def _sampler_from_args(base: SamplerConfig, args) -> SamplerConfig:
     method = fields.get("method", base.method)
     if method != "adaptive":
         fields.setdefault("g_min", None)
-    if method not in LOOK_AHEAD_METHODS:
-        fields.setdefault("mu", 0.0)
     try:
         return replace(base, **fields)
     except ValueError as e:
@@ -317,8 +315,7 @@ def _sweep_sampler(base: SamplerConfig, axis: str, value) -> SamplerConfig:
     if axis == "g-min":
         return replace(base, method="adaptive", g_min=value)
     if axis == "mu":
-        return replace(base, mu=value, method=base.method
-                       if base.method in LOOK_AHEAD_METHODS else "nag")
+        return replace(base, mu=value)
     return replace(base, eta=value)
 
 
@@ -380,20 +377,38 @@ def cmd_compose(args) -> int:
     return _sample_to_csv(args, ck, field, "composed.csv")
 
 
+def _plot_bounds(text: str | None) -> tuple | None:
+    """--bounds read as four finite numbers xmin < xmax, ymin < ymax."""
+    if text is None:
+        return None
+    try:
+        bounds = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        bounds = ()
+    if not (len(bounds) == 4 and np.all(np.isfinite(bounds))
+            and bounds[0] < bounds[1] and bounds[2] < bounds[3]):
+        raise ValidationError(f"--bounds: '{text}' is not four finite numbers "
+                              "xmin,xmax,ymin,ymax with xmin < xmax and ymin < ymax")
+    return bounds
+
+
 def cmd_plot(args) -> int:
+    bounds = _plot_bounds(args.bounds)
+    if args.grid is not None and args.grid < 1:
+        raise ValidationError(f"--grid: {args.grid} must be >= 1")
+    grid = {} if args.grid is None else {"grid": args.grid}  # else each kind's default
     out = Path(args.out) if args.out else _default_out_dir() / f"{args.kind}.svg"
     out.parent.mkdir(parents=True, exist_ok=True)
-    bounds = tuple(float(v) for v in args.bounds.split(",")) if args.bounds else None
     if args.kind == "vector-field":
         ck = load_checkpoint(_require(args.checkpoint, "--checkpoint"))
         vector_field_svg(out, ModelField(ck.model, label=args.label),
-                         bounds=bounds or (-4.5, 4.5, -4.5, 4.5), grid=args.grid)
+                         bounds=bounds or (-4.5, 4.5, -4.5, 4.5), **grid)
     elif args.kind == "scatter":
         scatter_svg(out, read_points(_require(args.samples, "--samples")), bounds=bounds)
     elif args.kind == "contour":
         ck = load_checkpoint(_require(args.checkpoint, "--checkpoint"))
         contour_svg(out, ck.model, bounds=bounds or (-4.5, 4.5, -4.5, 4.5),
-                    label=args.label)
+                    label=args.label, **grid)
     elif args.kind == "step-hist":
         rows = read_csv(_require(args.samples, "--samples"))
         if not rows or "steps_used" not in rows[0]:
@@ -496,7 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves")
     p.add_argument("--label", type=int)
     p.add_argument("--bounds", help="xmin,xmax,ymin,ymax")
-    p.add_argument("--grid", type=int, default=40)
+    p.add_argument("--grid", type=int,
+                   help="grid points per side (vector-field 40, contour 60)")
     p.set_defaults(fn=cmd_plot)
     return parser
 
@@ -509,10 +525,7 @@ def main(argv=None) -> int:
     except NonFiniteError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
-    except (ValidationError, CheckpointError, PlotError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

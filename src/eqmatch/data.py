@@ -112,11 +112,6 @@ def draw_from(dist: ToyDistribution, n: int, rng: np.random.Generator
     return _sample_box(dist, n, rng)
 
 
-def sample_data(dist: ToyDistribution, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """i.i.d. draws plus integer labels, reproducible per seed."""
-    return draw_from(dist, n, np.random.default_rng(seed))
-
-
 def sample_noise(n: int, d: int, seed: int) -> np.ndarray:
     """Standard normal [n, d], the gamma=0 endpoint of the corruption path."""
     if n < 1 or d < 1:

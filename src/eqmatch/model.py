@@ -84,9 +84,6 @@ class GradientFieldModel:
     config: ModelConfig
     params: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     # -- forward ------------------------------------------------------------
 
     def _bind(self, graph: nd.Graph) -> dict[str, nd.Tensor]:

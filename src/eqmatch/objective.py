@@ -1,22 +1,22 @@
 """Corruption process, matching targets, and the training loss.
 
-All four objectives are one mean-squared error between a model output and a
+Both objectives are one mean-squared error between a model output and a
 target built from the same (x, eps, gamma) triple:
 
   eqm        f(x_gamma)        vs (eps - x) * c(gamma)
   eqm-e      grad g(x_gamma)   vs (eps - x) * c(gamma)   (input-gradient)
-  fm         f(x_gamma, gamma) vs (eps - x)
-  uncond-fm  f(x_gamma)        vs (eps - x)
 
 Every target is a multiple of eps - x, so every trained output (or energy
-input-gradient) is the direction the sampler descends along. The
-flow-matching baselines learn the negative of the usual data-ward velocity
-x - eps; uncond-fm is eqm under the constant schedule.
+input-gradient) is the direction the sampler descends along. Flow matching
+is the non-equilibrium case: eqm under the constant schedule (with
+allow_non_equilibrium) matches the velocity eps - x itself, the negative of
+the usual data-ward velocity x - eps, on a plain model or, as the
+time-conditioned baseline, on a noise-conditioned one.
 
 The interpolation factor gamma is drawn per sample and never shown to the
-model, except to a noise-conditioned one (the fm baseline, or an eqm
-ablation), where it doubles as the noise level input. Reduction is the mean
-over batch and coordinates so step sizes stay comparable across batch sizes.
+model, except to a noise-conditioned one, where it doubles as the noise
+level input. Reduction is the mean over batch and coordinates so step sizes
+stay comparable across batch sizes.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from . import ndtensor as nd
 from .model import GradientFieldModel, ModelConfig, _total_energy
 from .schedule import Schedule, eval_schedule, is_equilibrium
 
-OBJECTIVES = ("eqm", "eqm-e", "fm", "uncond-fm")
-#: objectives that match the unscaled velocity eps - x and ignore the schedule
-VELOCITY_OBJECTIVES = ("fm", "uncond-fm")
+OBJECTIVES = ("eqm", "eqm-e")
 
 
 class ObjectiveError(ValueError):
@@ -94,9 +92,8 @@ def gradient_target(x, eps, gamma, sched: Schedule) -> np.ndarray:
 
 def check_pairing(objective: str, model_config: ModelConfig) -> None:
     """Raise ObjectiveError unless `objective` can train a model built from
-    `model_config`: eqm fits a plain field, eqm-e an explicit energy head's
-    input-gradient, fm a noise-conditioned field and uncond-fm a plain field
-    with no noise-level input."""
+    `model_config`: eqm fits an implicit field, eqm-e an explicit energy
+    head's input-gradient."""
     if objective not in OBJECTIVES:
         raise ObjectiveError(f"unknown objective '{objective}', not one of {OBJECTIVES}")
     has_energy = model_config.energy_kind != "none"
@@ -105,26 +102,19 @@ def check_pairing(objective: str, model_config: ModelConfig) -> None:
                              "(model.energy_kind='none')")
     if objective == "eqm-e" and not has_energy:
         raise ObjectiveError("objective 'eqm-e' needs an explicit energy head")
-    if objective == "fm" and not model_config.noise_conditioned:
-        raise ObjectiveError("objective 'fm' needs model.noise_conditioned=true")
-    if objective == "uncond-fm" and (model_config.noise_conditioned or has_energy):
-        raise ObjectiveError("objective 'uncond-fm' needs a plain unconditioned model")
 
 
 def loss_for(objective: str, model: GradientFieldModel, batch: TrainBatch,
              sched: Schedule, allow_non_equilibrium: bool = False) -> nd.Tensor:
     """The training loss of `objective` (table above) as a live scalar node.
-    eqm and eqm-e refuse a schedule that does not vanish at gamma=1 unless
-    `allow_non_equilibrium`; fm and uncond-fm ignore the schedule."""
+    A schedule that does not vanish at gamma=1 is refused unless
+    `allow_non_equilibrium`."""
     check_pairing(objective, model.config)
-    if objective in VELOCITY_OBJECTIVES:
-        target = batch.eps - batch.x
-    else:
-        if not is_equilibrium(sched) and not allow_non_equilibrium:
-            raise ObjectiveError(
-                "schedule does not vanish at gamma=1; pass allow_non_equilibrium=True "
-                "to train a non-equilibrium control")
-        target = gradient_target(batch.x, batch.eps, batch.gamma, sched)
+    if not is_equilibrium(sched) and not allow_non_equilibrium:
+        raise ObjectiveError(
+            "schedule does not vanish at gamma=1; pass allow_non_equilibrium=True "
+            "to train a non-equilibrium control")
+    target = gradient_target(batch.x, batch.eps, batch.gamma, sched)
     conditional = model.config.num_classes > 0
     if conditional and batch.labels is None:
         raise ObjectiveError("conditional model needs batch labels")

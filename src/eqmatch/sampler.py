@@ -1,12 +1,13 @@
 """Optimization-based sampling on a learned gradient field.
 
 Sampling is one descent loop with a step size, an optional Nesterov
-look-ahead and optional per-sample stopping. The method names pick its
-options: `gd` (plain descent), `nag` (look-ahead factor mu), `euler-ode`
-(the same recurrence read as forward Euler on the velocity v = -grad) and
-`adaptive` (each sample stops once its gradient norm is no longer above
-g_min). Partial-noise denoising is the same loop started from a corrupted
-batch instead of pure noise.
+look-ahead (factor mu, 0 for plain descent) and optional per-sample
+stopping. Two methods pick its options: `gd` takes a fixed number of steps,
+and `adaptive` stops each sample once its gradient norm is no longer above
+g_min. With mu = 0, `gd` is also forward Euler on the velocity v = -grad,
+and with mu > 0 it is Nesterov's accelerated gradient. Partial-noise
+denoising is the same loop started from a corrupted batch instead of pure
+noise.
 
 Samplers act on a *field*: any callable (x [n,d], progress in [0,1]) -> grad
 [n,d] whose row i depends only on row i of x. Models wrap into fields via
@@ -33,8 +34,7 @@ from .data import write_csv
 from .model import GradientFieldModel, energy_gradient
 from .ndtensor import NonFiniteError
 
-METHODS = ("gd", "nag", "euler-ode", "adaptive")
-LOOK_AHEAD_METHODS = ("nag", "adaptive")  # the methods that take mu
+METHODS = ("gd", "adaptive")
 
 # OpenBLAS dgemm gives a row the same bits in a smaller batch only if the
 # row sits in the same kind of kernel block (whole blocks of 8 rows, or the
@@ -58,7 +58,8 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown sampler method '{self.method}'")
+            raise ValueError(f"unknown sampler method '{self.method}', "
+                             f"not one of {METHODS}")
         if self.eta < 0.0:
             raise ValueError(f"step size eta={self.eta} must be >= 0")
         if self.mu < 0.0:
@@ -71,9 +72,6 @@ class SamplerConfig:
             raise ValueError("adaptive sampling needs g_min > 0")
         if self.method != "adaptive" and self.g_min is not None:
             raise ValueError("g_min only applies to the adaptive method")
-        if self.method not in LOOK_AHEAD_METHODS and self.mu != 0.0:
-            raise ValueError(f"look-ahead factor mu={self.mu} needs the nag or "
-                             "adaptive method")
 
 
 @dataclass
@@ -85,14 +83,6 @@ class Trajectory:
     grad_norms: list[np.ndarray] | None = None
     # rows passed to the field at each step (adaptive evaluates fewer)
     points_evaluated: np.ndarray | None = None
-
-    @property
-    def path_lengths(self) -> np.ndarray:
-        if self.states is None:
-            raise ValueError("trajectory was not recorded (pass record=True)")
-        hops = [np.linalg.norm(b - a, axis=1)
-                for a, b in zip(self.states, self.states[1:])]
-        return np.sum(hops, axis=0) if hops else np.zeros(len(self.final))
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +164,10 @@ def as_field(obj, label=None):
 
 def compose(models: Sequence, weights: Sequence[float] | None = None,
             labels: Sequence | None = None) -> ComposedField:
-    """Virtual field whose gradient is the weighted sum of member gradients."""
+    """Virtual field whose gradient is the weighted sum of member gradients;
+    `labels`, if given, needs one label per model."""
     if labels is not None:
-        fields = [as_field(m, label=l) for m, l in zip(models, labels)]
+        fields = [as_field(m, label=l) for m, l in zip(models, labels, strict=True)]
     else:
         fields = [as_field(m) for m in models]
     return ComposedField(fields, weights)
@@ -228,8 +219,8 @@ def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory
     """Look-ahead descent x <- x - eta * grad(x + mu * (x - x_prev)), with
     x_prev starting at x0, so the first step is a plain descent step.
 
-    Fixed-budget methods take `steps` steps with every sample active and
-    hand time-dependent fields progress k/steps. `adaptive` takes at most
+    `gd` takes `steps` steps with every sample active and hands
+    time-dependent fields progress k/steps. `adaptive` takes at most
     `max_steps` steps and freezes each sample once the gradient at its
     look-ahead point is no longer above g_min; one more gradient at the end
     point decides `cap_reached`. Frozen samples are masked out, so the batch

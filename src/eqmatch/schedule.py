@@ -46,9 +46,6 @@ class Schedule:
         if not self.lam > 0.0:
             raise ValueError(f"multiplier lambda={self.lam} must be > 0")
 
-    def __call__(self, gamma):
-        return eval_schedule(self, gamma)
-
 
 def _base(schedule: Schedule, gamma: np.ndarray) -> np.ndarray:
     kind = schedule.kind

@@ -74,11 +74,15 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
 
     init_from warm-starts parameters from another checkpoint (architectures
     must agree); resume_from continues an interrupted run exactly, including
-    the data stream. A config given with resume_from must describe the
-    checkpoint's model; its optimizer settings apply from the resumed step
-    on, with the checkpoint's moments and step count. With out_dir None the
-    run writes nothing.
+    the data stream, and excludes init_from. A config given with resume_from
+    must describe the checkpoint's model; its optimizer settings apply from
+    the resumed step on, with the checkpoint's moments and step count. With
+    out_dir None the run writes nothing.
     """
+    if resume_from is not None and init_from is not None:
+        raise ValidationError("resume_from (--resume) and init_from (--init-from) "
+                              "exclude each other: a resume keeps the checkpoint's "
+                              "parameters")
     start_step = 0
     if resume_from is not None:
         ck = load_checkpoint(resume_from)

@@ -39,10 +39,14 @@ MODE_RADIUS = 3 * MIXTURE.mode_std
 
 
 def fit(objective: str, dataset: dict, steps: int, lr: float, batch_size: int,
-        **model):
-    """Train one model on the default truncated schedule (a 0.8, lambda 4)."""
+        flow_matching: bool = False, **model):
+    """Train one model on the default truncated schedule (a 0.8, lambda 4),
+    or with `flow_matching` on the constant schedule, whose eqm target is the
+    velocity eps - x."""
     config = RunConfig.from_dict({
         "seed": SEED, "objective": objective, "dataset": dataset,
+        "schedule": {"kind": "constant"} if flow_matching else None,
+        "allow_non_equilibrium": flow_matching,
         "model": {"hidden": [64, 64, 64], "init_seed": SEED, **model},
         "optimizer": {"lr": lr},
         "train": {"steps": steps, "batch_size": batch_size}})
@@ -108,14 +112,14 @@ def generated(mixture_eqm):
     x0 = sample_noise(N, 2, SEED)
     g_min = calibrate_g_min(mixture_eqm, mixture_draws(512, 1), percentile=5.0)
     configs = {"gd": SamplerConfig(eta=0.01, steps=250),
-               "nag": SamplerConfig(method="nag", eta=0.01, mu=0.35, steps=250),
+               "gd-mu-0.35": SamplerConfig(eta=0.01, mu=0.35, steps=250),
                "adaptive": SamplerConfig(method="adaptive", eta=0.01, g_min=g_min,
                                          max_steps=250)}
     runs = {name: sample(mixture_eqm, x0, cfg) for name, cfg in configs.items()}
     return runs, mixture_draws(N, 2)
 
 
-METHODS = ("gd", "nag", "adaptive")
+METHODS = ("gd", "gd-mu-0.35", "adaptive")
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -128,8 +132,8 @@ def test_generation_covers_every_mode(generated, method, record_property):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "finding: MMD is 5-13x the null p99 on seeds 0-3 (gd 0.045-0.081, nag the same "
-    "to 3 digits, adaptive 0.038-0.055; p99 0.006-0.010): samples drift between "
+    "finding: MMD is 5-13x the null p99 on seeds 0-3 (gd 0.045-0.081, gd mu 0.35 the "
+    "same to 3 digits, adaptive 0.038-0.055; p99 0.006-0.010): samples drift between "
     "modes as sampling time grows, so descent never settles on the mixture"))
 @pytest.mark.parametrize("method", METHODS)
 def test_generation_mmd_below_permutation_null(generated, method, record_property):
@@ -224,13 +228,13 @@ def test_composed_fields_sample_both_classes(conditional, labels, record_propert
 # ---------------------------------------------------------------------------
 # partial-noise denoising (the partial-noise suite): started from held-out
 # data corrupted to gamma, eqm descent ends nearer the data distribution than
-# the unconditional velocity-matching baseline
+# the unconditional flow-matching baseline (eqm on the constant schedule)
 
 
 @pytest.fixture(scope="module")
 def uncond_fm():
-    return fit("uncond-fm", {"kind": "gaussian-mixture"}, steps=8000, lr=1e-3,
-               batch_size=64)
+    return fit("eqm", {"kind": "gaussian-mixture"}, steps=8000, lr=1e-3,
+               batch_size=64, flow_matching=True)
 
 
 @pytest.mark.xfail(strict=True, reason=(

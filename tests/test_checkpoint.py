@@ -19,7 +19,7 @@ from eqmatch.config import (DATASET_KINDS, DatasetSpec, OptimizerSettings,
 from eqmatch.model import ACTIVATIONS, ModelConfig, init_model
 from eqmatch.objective import OBJECTIVES
 from eqmatch.optimizer import AdamW
-from eqmatch.sampler import LOOK_AHEAD_METHODS, METHODS, SamplerConfig
+from eqmatch.sampler import METHODS, SamplerConfig
 from eqmatch.schedule import KINDS as SCHEDULE_KINDS, Schedule
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -53,12 +53,12 @@ class TestRunConfig:
     def test_objective_model_consistency(self):
         with pytest.raises(ValidationError, match="energy"):
             tiny_config(objective="eqm-e").validate()
-        with pytest.raises(ValidationError, match="noise_conditioned"):
-            tiny_config(objective="fm").validate()
-        with pytest.raises(ValidationError, match="unconditioned"):
-            tiny_config(objective="uncond-fm",
-                        model=ModelConfig(input_dim=2, hidden=(8,),
-                                          noise_conditioned=True)).validate()
+        with pytest.raises(ValidationError, match="implicit"):
+            tiny_config(model=ModelConfig(input_dim=2, hidden=(8,),
+                                          energy_kind="dot")).validate()
+        # the flow-matching baseline: eqm on a noise-conditioned model
+        tiny_config(model=ModelConfig(input_dim=2, hidden=(8,),
+                                      noise_conditioned=True)).validate()
 
     def test_conditional_model_needs_labeled_dataset(self):
         cfg = tiny_config(model=ModelConfig(input_dim=2, hidden=(8,), num_classes=4),
@@ -107,7 +107,7 @@ class TestRunConfig:
         ({"seed": 1e999}, "seed"),
         ({"objective": 3}, "objective"),
         ({"dataset": {"modes": 1.5}}, "dataset.modes"),
-        ({"objective": "fm", "model": {"noise_conditioned": "false"}},
+        ({"objective": "eqm", "model": {"noise_conditioned": "false"}},
          "model.noise_conditioned"),
         ({"model": {"noise_conditioned": 0}}, "model.noise_conditioned"),
         ({"allow_non_equilibrium": "true"}, "allow_non_equilibrium"),
@@ -151,7 +151,7 @@ def run_configs(draw) -> RunConfig:
         hidden=tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))),
         activation=draw(st.sampled_from(ACTIVATIONS)),
         num_classes=draw(st.integers(0, 3)) if dataset.labeled else 0,
-        noise_conditioned=objective == "fm",
+        noise_conditioned=objective == "eqm" and draw(st.booleans()),
         energy_kind=(draw(st.sampled_from(["dot", "l2norm"])) if objective == "eqm-e"
                      else "none"),
         init_seed=draw(st.integers(0, 2**31)))
@@ -163,7 +163,7 @@ def run_configs(draw) -> RunConfig:
     method = draw(st.sampled_from(METHODS))
     sampler = SamplerConfig(
         method=method, eta=draw(st.floats(0.0, 1.0)),
-        mu=draw(st.floats(0.0, 1.0)) if method in LOOK_AHEAD_METHODS else 0.0,
+        mu=draw(st.floats(0.0, 1.0)),
         steps=draw(st.integers(1, 500)),
         g_min=draw(positive) if method == "adaptive" else None,
         max_steps=draw(st.integers(1, 2000)))
@@ -372,6 +372,10 @@ class TestHeaderChecks:
         (lambda h: h.update(step="3"), "step '3'"),
         (lambda h: h["run_config"].update(seed="x"), "run_config: seed"),
         (lambda h: h["optimizer"].pop("lr"), "optimizer"),
+        (lambda h: h["run_config"].update(objective="uncond-fm"),
+         "run_config: unknown objective 'uncond-fm'"),
+        (lambda h: h["run_config"]["sampler"].update(method="nag"),
+         "run_config: sampler: unknown sampler method 'nag'"),
     ])
     def test_bad_header_raises_checkpoint_error(self, saved_checkpoint, tmp_path, edit,
                                                 match):

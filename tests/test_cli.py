@@ -11,6 +11,11 @@ from eqmatch.cli import main
 from eqmatch.data import read_csv, read_points
 
 
+# a flow-matching baseline: eqm whose target keeps the velocity eps - x
+FLOW_MATCHING = {"objective": "eqm", "schedule": {"kind": "constant"},
+                 "allow_non_equilibrium": True}
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One tiny trained run shared by the command tests."""
@@ -30,7 +35,7 @@ def workspace(tmp_path_factory):
     cond = dict(cfg)
     cond["model"] = {**cfg["model"], "num_classes": 8}
     (root / "cond.json").write_text(json.dumps(cond))
-    (root / "cond-fm.json").write_text(json.dumps({**cond, "objective": "uncond-fm"}))
+    (root / "cond-fm.json").write_text(json.dumps({**cond, **FLOW_MATCHING}))
     for name, out in (("cfg", "run"), ("cond", "cond"), ("cond-fm", "cond-fm")):
         assert main(["train", "--config", str(root / f"{name}.json"),
                      "--out", str(root / out)]) == 0
@@ -102,10 +107,38 @@ class TestExitCodes:
         assert code == 1
 
     def test_mu_with_gd_names_mu(self, workspace, tmp_path, capsys):
-        code = main(["sample", "--checkpoint", ckpt(workspace), "--mu", "0.35",
-                     "--n", "4", "--out", str(tmp_path / "s.csv")])
+        code = main(["sample", "--checkpoint", ckpt(workspace), "--method", "gd",
+                     "--mu", "-0.35", "--n", "4", "--out", str(tmp_path / "s.csv")])
         assert code == 1
         assert "mu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, name", [
+        ({"objective": "fm", "model": {"noise_conditioned": True}}, "objective 'fm'"),
+        ({"objective": "uncond-fm"}, "objective 'uncond-fm'"),
+        ({"sampler": {"method": "nag", "mu": 0.35}}, "sampler: unknown sampler method"),
+        ({"sampler": {"method": "euler-ode"}}, "sampler: unknown sampler method"),
+    ])
+    def test_removed_names_fail_to_load(self, payload, name, tmp_path, capsys):
+        bad = tmp_path / "old.json"
+        bad.write_text(json.dumps({**payload, "train": {"steps": 2}}))
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_unreadable_path_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        code = main(["sample", "--checkpoint", str(tmp_path), "--n", "4",
+                     "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+
+    def test_resume_with_init_from_names_both(self, workspace, tmp_path, capsys):
+        code = main(["train", "--resume", ckpt(workspace), "--init-from",
+                     str(tmp_path / "missing.eqmckpt"), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+        assert "--resume" in err and "--init-from" in err
+        assert not (tmp_path / "run").exists()
 
     def test_label_on_unconditional_checkpoint(self, workspace, tmp_path):
         code = main(["sample", "--checkpoint", ckpt(workspace), "--label", "2",
@@ -163,25 +196,56 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestSamplerIdentities:
-    def test_nag_mu_zero_equals_gd(self, workspace, tmp_path):
-        a, b = tmp_path / "gd.csv", tmp_path / "nag.csv"
-        assert main(["sample", "--checkpoint", ckpt(workspace), "--n", "16",
-                     "--seed", "2", "--method", "gd", "--out", str(a)]) == 0
-        assert main(["sample", "--checkpoint", ckpt(workspace), "--n", "16",
-                     "--seed", "2", "--method", "nag", "--mu", "0.0",
-                     "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+class TestPlotFlags:
+    @pytest.mark.parametrize("bounds", ["1,2", "1,1,0,1", "0,1,2,-2", "0,1,0,nan",
+                                        "0,inf,0,1", "a,b,c,d", "0,1,0,1,2"])
+    def test_bad_bounds_name_the_flag(self, workspace, tmp_path, capsys, bounds):
+        out = tmp_path / "f.svg"
+        assert main(["plot", "--kind", "vector-field", "--checkpoint", ckpt(workspace),
+                     "--bounds", bounds, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --bounds") and "Traceback" not in err
+        assert not out.exists()
 
-    def test_euler_ode_equals_gd(self, workspace, tmp_path):
-        a, b = tmp_path / "gd.csv", tmp_path / "ode.csv"
-        assert main(["sample", "--checkpoint", ckpt(workspace), "--n", "16",
-                     "--seed", "2", "--method", "gd", "--eta", "0.015",
-                     "--out", str(a)]) == 0
-        assert main(["sample", "--checkpoint", ckpt(workspace), "--n", "16",
-                     "--seed", "2", "--method", "euler-ode", "--eta", "0.015",
-                     "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_bad_grid_names_the_flag(self, workspace, tmp_path, capsys, grid):
+        assert main(["plot", "--kind", "vector-field", "--checkpoint", ckpt(workspace),
+                     "--grid", grid, "--out", str(tmp_path / "f.svg")]) == 1
+        assert capsys.readouterr().err.startswith("error: --grid")
+
+    def test_grid_reaches_vector_field_and_contour(self, workspace, tmp_path,
+                                                   monkeypatch):
+        out = tmp_path / "f.svg"
+        for flags, arrows in (([], 40 * 40), (["--grid", "5"], 25)):
+            assert main(["plot", "--kind", "vector-field", "--checkpoint",
+                         ckpt(workspace), "--bounds=-2,2,-1,1", *flags,
+                         "--out", str(out)]) == 0
+            assert out.read_text().count('<path class="arrow"') == arrows
+        seen = []
+        monkeypatch.setattr("eqmatch.cli.contour_svg", lambda *a, **kw: seen.append(kw))
+        for flags in ([], ["--grid", "7"]):
+            assert main(["plot", "--kind", "contour", "--checkpoint", ckpt(workspace),
+                         *flags, "--out", str(out)]) == 0
+        assert "grid" not in seen[0] and seen[1]["grid"] == 7
+
+
+class TestSamplerIdentities:
+    def test_gd_keeps_the_checkpoints_mu(self, workspace, tmp_path):
+        cfg = json.loads((workspace / "cfg.json").read_text())
+        cfg.update(train={"steps": 5, "batch_size": 8},
+                   sampler={**cfg["sampler"], "mu": 0.35})
+        (tmp_path / "look.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "look.json"),
+                     "--out", str(tmp_path / "look")]) == 0
+        look_ckpt = str(tmp_path / "look" / "checkpoint.eqmckpt")
+        outs = {}
+        for name, flags in (("kept", ["--method", "gd"]), ("given", ["--mu", "0.35"]),
+                            ("plain", ["--method", "gd", "--mu", "0"])):
+            outs[name] = tmp_path / f"{name}.csv"
+            assert main(["sample", "--checkpoint", look_ckpt, "--n", "16", "--seed", "2",
+                         *flags, "--out", str(outs[name])]) == 0
+        assert outs["kept"].read_bytes() == outs["given"].read_bytes()
+        assert outs["kept"].read_bytes() != outs["plain"].read_bytes()
 
 
     def test_adaptive_summary_counts_points_not_csv(self, workspace, tmp_path, capsys):
@@ -325,7 +389,8 @@ class TestSuitesAndSweeps:
                      "--out-dir", str(tmp_path)]) == 0
         with open(tmp_path / "sweep-mu.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert [r["method"] for r in rows] == ["nag"] * 3
+        assert [(r["method"], r["mu"]) for r in rows] == \
+            [("gd", "0.0"), ("gd", "0.35"), ("gd", "0.9")]
         assert len({r["mmd"] for r in rows}) == 3
 
     def test_lambda_sweep_retrains(self, workspace, tmp_path):
@@ -412,8 +477,7 @@ class TestSuitesAndSweeps:
 
     def test_partial_noise_suite_writes_curves(self, workspace, tmp_path):
         # baseline: a tiny unconditional velocity-matching run
-        cfg = json.loads((workspace / "cfg.json").read_text())
-        cfg["objective"] = "uncond-fm"
+        cfg = {**json.loads((workspace / "cfg.json").read_text()), **FLOW_MATCHING}
         (tmp_path / "fm.json").write_text(json.dumps(cfg))
         assert main(["train", "--config", str(tmp_path / "fm.json"),
                      "--out", str(tmp_path / "fm")]) == 0

@@ -4,15 +4,15 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eqmatch.config import ValidationError
-from eqmatch.data import (ToyDistribution, default_mixture, default_modes,
+from eqmatch.data import (ToyDistribution, default_mixture, default_modes, draw_from,
                           fixed_memorization_set, ood_sets, read_csv, read_points,
-                          sample_data, sample_noise, write_csv)
+                          sample_noise, write_csv)
 
 
 def test_same_seed_identical_arrays():
     dist = default_mixture()
-    a, la = sample_data(dist, 100, seed=4)
-    b, lb = sample_data(dist, 100, seed=4)
+    a, la = draw_from(dist, 100, np.random.default_rng(4))
+    b, lb = draw_from(dist, 100, np.random.default_rng(4))
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(la, lb)
     np.testing.assert_array_equal(sample_noise(50, 2, 7), sample_noise(50, 2, 7))
@@ -20,7 +20,7 @@ def test_same_seed_identical_arrays():
 
 def test_degenerate_single_mode_collapses_to_center():
     dist = ToyDistribution(modes=np.zeros((1, 2)), mode_std=1e-12)
-    pts, labels = sample_data(dist, 64, seed=0)
+    pts, labels = draw_from(dist, 64, np.random.default_rng(0))
     assert np.all(np.linalg.norm(pts, axis=1) < 1e-9)
     assert np.all(labels == 0)
 
@@ -30,7 +30,7 @@ def test_two_mode_counts_binomial_concentration():
     standard deviations of n/2."""
     n = 10_000
     dist = ToyDistribution(modes=[[-2.0, 0.0], [2.0, 0.0]], mode_std=0.1)
-    _, labels = sample_data(dist, n, seed=13)
+    _, labels = draw_from(dist, n, np.random.default_rng(13))
     counts = np.bincount(labels, minlength=2)
     slack = 3.0 * np.sqrt(n * 0.25)
     assert abs(counts[0] - n / 2) < slack and abs(counts[1] - n / 2) < slack
@@ -45,7 +45,7 @@ def test_noise_moments_clt():
 def test_labels_match_nearest_mode_for_small_sigma():
     # modes >= 2 apart, sigma far below the separation
     dist = ToyDistribution(modes=default_modes(radius=3.0), mode_std=0.05)
-    pts, labels = sample_data(dist, 20_000, seed=3)
+    pts, labels = draw_from(dist, 20_000, np.random.default_rng(3))
     d2 = ((pts[:, None, :] - dist.modes[None, :, :]) ** 2).sum(axis=2)
     agreement = np.mean(np.argmin(d2, axis=1) == labels)
     assert agreement >= 0.999
@@ -62,19 +62,19 @@ def test_mixture_weights_validation():
 
 def test_all_generators_finite_and_shaped():
     for kind in ("gaussian-mixture", "two-moons", "checkerboard", "uniform-box"):
-        pts, labels = sample_data(ToyDistribution(kind=kind), 257, seed=1)
+        pts, labels = draw_from(ToyDistribution(kind=kind), 257, np.random.default_rng(1))
         assert pts.shape == (257, 2) and labels.shape == (257,)
         assert np.all(np.isfinite(pts))
 
 
 def test_moons_have_two_labels():
-    _, labels = sample_data(ToyDistribution(kind="two-moons"), 100, seed=0)
+    _, labels = draw_from(ToyDistribution(kind="two-moons"), 100, np.random.default_rng(0))
     assert set(np.unique(labels)) == {0, 1}
 
 
 def test_sample_size_validation():
     with pytest.raises(ValueError):
-        sample_data(default_mixture(), 0, seed=0)
+        draw_from(default_mixture(), 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         sample_noise(0, 2, seed=0)
 
@@ -128,7 +128,7 @@ def points_table(path, pts, labels=None, append=False):
 
 
 def test_csv_round_trip_exact(tmp_path):
-    pts, labels = sample_data(default_mixture(), 50, seed=21)
+    pts, labels = draw_from(default_mixture(), 50, np.random.default_rng(21))
     p = tmp_path / "data.csv"
     points_table(p, pts, labels)
     np.testing.assert_array_equal(read_points(p), pts)

@@ -1,13 +1,20 @@
-"""Static checks on the sources: no module imports a name it never uses, and
-nothing in the package imports scipy (a test-only oracle)."""
+"""Static checks on the sources and docs: no module imports a name it never
+uses, nothing in the package imports scipy (a test-only oracle), and the
+README's run-config block is the default config."""
 
 import ast
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from eqmatch.config import RunConfig, to_dict
+from eqmatch.objective import OBJECTIVES
+from eqmatch.sampler import METHODS
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in (ROOT / "src" / "eqmatch").glob("*.py")
@@ -65,3 +72,16 @@ def test_package_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_run_config_block_is_every_default():
+    """With its // comments stripped, the README's run-config block is
+    to_dict(RunConfig()), and its comments on `objective` and `method` list
+    exactly OBJECTIVES and METHODS."""
+    section = (ROOT / "README.md").read_text().split("## Run config (JSON)")[1]
+    block = section.split("```json")[1].split("```")[0]
+    assert json.loads(re.sub(r"//[^\n]*", "", block)) == to_dict(RunConfig())
+    # the comment after a key's scalar value, e.g. "method": "gd",  // gd | ...
+    comments = dict(re.findall(r'"([a-z_]+)": "[^"]*",\s*// ([^\n]*)', block))
+    for key, names in (("objective", OBJECTIVES), ("method", METHODS)):
+        assert tuple(c.strip() for c in comments[key].split("|")) == names, key

@@ -103,36 +103,39 @@ def test_eqm_rejects_energy_models(rng):
 
 
 def test_uncond_fm_is_eqm_with_constant_schedule():
-    """With c == 1 the eqm objective and the uncond-fm objective are one
-    loss: the same model gives the same bits on random batches."""
+    """The unconditional flow-matching baseline is eqm under the constant
+    schedule: it matches f(x_gamma) to the velocity eps - x itself."""
     for seed in range(50):
         rng = np.random.default_rng(seed)
         m = fresh_model(init_seed=seed)
         m.params["layers.2.w"] = 0.5 * rng.standard_normal((8, 2))
         m.params["layers.2.b"] = 0.1 * rng.standard_normal(2)
         b = batch_of(rng, n=16)
-        assert loss_for("uncond-fm", m, b, CONST).item() == \
-            loss_for("eqm", m, b, CONST, allow_non_equilibrium=True).item()
-
-
-def test_fm_loss_conditioning_contracts(rng):
-    cond = fresh_model(noise_conditioned=True)
-    plain = fresh_model()
-    b = batch_of(rng)
-    assert loss_for("fm", cond, b, LINEAR).item() >= 0.0
-    with pytest.raises(ObjectiveError):
-        loss_for("fm", plain, b, LINEAR)
-    with pytest.raises(ObjectiveError):
-        loss_for("uncond-fm", cond, b, LINEAR)
+        out = m.forward_values(corrupt(b.x, b.eps, b.gamma))
+        assert loss_for("eqm", m, b, CONST, allow_non_equilibrium=True).item() == \
+            pytest.approx(np.mean((out - (b.eps - b.x)) ** 2), rel=1e-12)
 
 
 def test_fm_target_is_velocity_not_zero_at_gamma_one(rng):
+    """The flow-matching baseline is eqm under the constant schedule: its
+    target at the data end is the velocity eps - x, not zero."""
     m = fresh_model()
     b = batch_of(rng)
     b.gamma = np.ones_like(b.gamma)
-    fm = loss_for("uncond-fm", m, b, LINEAR).item()
+    fm = loss_for("eqm", m, b, CONST, allow_non_equilibrium=True).item()
     eq = loss_for("eqm", m, b, LINEAR).item()
     assert eq == 0.0 and fm == pytest.approx(np.mean((b.x - b.eps) ** 2), rel=1e-12)
+
+
+def test_fm_loss_conditioning_contracts(rng):
+    """The time-conditioned flow-matching baseline (a noise-conditioned model,
+    constant schedule) matches its output at noise level gamma to eps - x."""
+    m = fresh_model(noise_conditioned=True)
+    m.params["layers.2.w"] = 0.5 * rng.standard_normal((8, 2))
+    b = batch_of(rng, n=16)
+    out = m.forward_values(corrupt(b.x, b.eps, b.gamma), noise_level=b.gamma)
+    loss = loss_for("eqm", m, b, CONST, allow_non_equilibrium=True).item()
+    assert loss == pytest.approx(np.mean((out - (b.eps - b.x)) ** 2), rel=1e-12)
 
 
 def test_eqme_loss_zero_when_gradient_matches(rng):
@@ -203,9 +206,11 @@ def test_eqme_smoke_training_reduces_loss(kind):
 def test_loss_for_dispatch(rng):
     b = batch_of(rng)
     assert loss_for("eqm", fresh_model(), b, LINEAR).item() >= 0.0
-    assert loss_for("uncond-fm", fresh_model(), b, LINEAR).item() >= 0.0
-    with pytest.raises(ObjectiveError, match="unknown objective"):
-        loss_for("score", fresh_model(), b, LINEAR)
+    assert loss_for("eqm-e", fresh_model(energy_kind="dot"), b, LINEAR).item() >= 0.0
+    assert OBJECTIVES == ("eqm", "eqm-e")
+    for objective in ("score", "fm", "uncond-fm"):
+        with pytest.raises(ObjectiveError, match="unknown objective"):
+            loss_for(objective, fresh_model(), b, LINEAR)
 
 
 def test_conditional_model_needs_labels(rng):
@@ -214,14 +219,6 @@ def test_conditional_model_needs_labels(rng):
         loss_for("eqm", m, batch_of(rng), LINEAR)
     b = batch_of(rng, labels=np.array([0, 1, 2, 0, 1, 2]))
     assert loss_for("eqm", m, b, LINEAR).item() >= 0.0
-
-
-def test_velocity_objectives_ignore_the_schedule(rng):
-    b = batch_of(rng)
-    for objective, model in (("fm", fresh_model(noise_conditioned=True)),
-                             ("uncond-fm", fresh_model())):
-        lhs = loss_for(objective, model, b, CONST).item()
-        assert lhs == loss_for(objective, model, b, TRUNC4).item()
 
 
 def test_run_config_states_the_same_pairing_rules():
