@@ -149,10 +149,15 @@ class GradientFieldModel:
             h = act(pre) if i < n_layers - 1 else pre
         return h
 
-    def forward_values(self, x, label=None, noise_level=None) -> np.ndarray:
+    def forward_values(self, x, label=None, noise_level=None, cache=None) -> np.ndarray:
         """`forward(nd.Graph(), x, ...).values` off the tape, each layer written
         in place: the same ops in the same order (same bits) and the same
-        finite checks at the same op boundaries (same errors)."""
+        finite checks at the same op boundaries (same errors).
+
+        With a list as `cache`, each layer appends what `parameter_gradients`
+        needs: [input, one-hot labels or None, pre-activation, sigmoid or
+        None]. ReLU and tanh write their output over the pre-activation; the
+        sigmoid is SiLU's."""
         self._check_conditioning(label, noise_level)
         h = nd.constant(x).values
         n = self._batch_size(h.shape)
@@ -167,21 +172,70 @@ class GradientFieldModel:
             nd.check_finite(pre, "matmul")
             pre += p[f"layers.{i}.b"]
             nd.check_finite(pre, "add")
+            hot = None
             if i == 0 and self.config.num_classes > 0:
-                embedded = nd.constant(self._one_hot(label, n)).values @ p["label_embed"]
+                hot = nd.constant(self._one_hot(label, n)).values
+                embedded = hot @ p["label_embed"]
                 nd.check_finite(embedded, "matmul")
                 pre += embedded
                 nd.check_finite(pre, "add")
+            if cache is not None:
+                cache.append([h, hot, pre, None])
             if i == n_layers - 1:
                 return pre
             if self.config.activation == "silu":
-                h = nd.sigmoid_values(pre)
-                np.multiply(pre, h, out=h)
+                s = nd.sigmoid_values(pre)
+                if cache is None:
+                    h = s
+                else:
+                    h = np.empty_like(s)
+                    cache[-1][3] = s
+                np.multiply(pre, s, out=h)
                 nd.check_finite(h, "mul")
             elif self.config.activation == "relu":
                 h = np.maximum(pre, 0.0, out=pre)
             else:
                 h = np.tanh(pre, out=pre)
+
+    def parameter_gradients(self, cache: list, grad: np.ndarray) -> dict[str, np.ndarray]:
+        """The gradient of a loss with respect to every parameter, given `grad`,
+        its gradient with respect to the output of `forward_values(...,
+        cache=cache)`. This is `nd.backward`'s transposed chain off the tape:
+        the same ops in the same order (same bits). It makes each of the
+        tape's finite checks that can fire, in the tape's order (same errors);
+        a product with a factor in [0, 1] (the sigmoid, its derivative, a ReLU
+        mask, tanh's derivative) stays finite, so those go unchecked."""
+        p = self.params
+        grads = {}
+        g = grad
+        for i in reversed(range(len(cache))):
+            h_in, hot, pre, s = cache[i]
+            if i < len(cache) - 1:  # a hidden layer: back through its activation
+                if self.config.activation == "silu":
+                    through_pre = g * s
+                    through_sigmoid = g * pre
+                    nd.check_finite(through_sigmoid, "mul")
+                    through_sigmoid *= s * (1.0 - s)
+                    g = through_pre + through_sigmoid
+                    nd.check_finite(g, "add")
+                # ReLU and tanh wrote their output over `pre`
+                elif self.config.activation == "relu":
+                    g = g * (pre > 0.0)
+                else:
+                    g = g * (1.0 - pre * pre)
+            if hot is not None:
+                # the one-hot's gradient: unused, but the tape makes and checks it
+                nd.check_finite(g @ p["label_embed"].T, "matmul")
+                grads["label_embed"] = hot.T @ g
+                nd.check_finite(grads["label_embed"], "matmul")
+            grads[f"layers.{i}.b"] = g.sum(axis=0)
+            nd.check_finite(grads[f"layers.{i}.b"], "reduce_leading")
+            g_in = g @ p[f"layers.{i}.w"].T  # layer 0's too, as the tape does
+            nd.check_finite(g_in, "matmul")
+            grads[f"layers.{i}.w"] = h_in.T @ g
+            nd.check_finite(grads[f"layers.{i}.w"], "matmul")
+            g = g_in
+        return {name: grads[name] for name in p}
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

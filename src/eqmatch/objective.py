@@ -104,11 +104,10 @@ def check_pairing(objective: str, model_config: ModelConfig) -> None:
         raise ObjectiveError("objective 'eqm-e' needs an explicit energy head")
 
 
-def loss_for(objective: str, model: GradientFieldModel, batch: TrainBatch,
-             sched: Schedule, allow_non_equilibrium: bool = False) -> nd.Tensor:
-    """The training loss of `objective` (table above) as a live scalar node.
-    A schedule that does not vanish at gamma=1 is refused unless
-    `allow_non_equilibrium`."""
+def _loss_inputs(objective: str, model: GradientFieldModel, batch: TrainBatch,
+                 sched: Schedule, allow_non_equilibrium: bool):
+    """The corrupted points, the target and the labels of a loss, after its
+    precondition checks."""
     check_pairing(objective, model.config)
     if not is_equilibrium(sched) and not allow_non_equilibrium:
         raise ObjectiveError(
@@ -119,7 +118,16 @@ def loss_for(objective: str, model: GradientFieldModel, batch: TrainBatch,
     if conditional and batch.labels is None:
         raise ObjectiveError("conditional model needs batch labels")
     label = batch.labels if conditional else None
-    xg = corrupt(batch.x, batch.eps, batch.gamma)
+    return corrupt(batch.x, batch.eps, batch.gamma), target, label
+
+
+def loss_for(objective: str, model: GradientFieldModel, batch: TrainBatch,
+             sched: Schedule, allow_non_equilibrium: bool = False) -> nd.Tensor:
+    """The training loss of `objective` (table above) as a live scalar node.
+    A schedule that does not vanish at gamma=1 is refused unless
+    `allow_non_equilibrium`."""
+    xg, target, label = _loss_inputs(objective, model, batch, sched,
+                                     allow_non_equilibrium)
     graph = nd.Graph()
     if objective == "eqm-e":
         xt = graph.leaf(xg)
@@ -128,3 +136,32 @@ def loss_for(objective: str, model: GradientFieldModel, batch: TrainBatch,
         level = batch.gamma if model.config.noise_conditioned else None
         field = model.forward(graph, xg, label=label, noise_level=level)
     return nd.tmean(nd.square(nd.sub(field, nd.constant(target))))
+
+
+def loss_and_gradients(model: GradientFieldModel, batch: TrainBatch, sched: Schedule,
+                       allow_non_equilibrium: bool = False
+                       ) -> tuple[float, dict[str, np.ndarray]]:
+    """The eqm loss and its gradient with respect to every parameter, off the
+    tape: `forward_values` with a cache, the mean squared error and its
+    gradient written out, then `parameter_gradients`. It gives the bits and
+    the errors of `loss_for("eqm", ...)` + `nd.backward`; the tape's checks
+    it skips are on values that checked ones bound (the loss is at most the
+    checked sum, the output gradient at most the checked difference or its
+    square). eqm-e trains through an input-gradient, so it needs the tape's
+    double backward: `loss_for` + `nd.backward`."""
+    xg, target, label = _loss_inputs("eqm", model, batch, sched, allow_non_equilibrium)
+    level = batch.gamma if model.config.noise_conditioned else None
+    cache = []
+    f = model.forward_values(xg, label=label, noise_level=level, cache=cache)
+    diff = f - nd.constant(target).values
+    nd.check_finite(diff, "sub")
+    squared = diff * diff
+    nd.check_finite(squared, "square")
+    if squared.size == 0:
+        raise nd.ShapeMismatchError("op 'mean': empty tensor")
+    scale = 1.0 / squared.size
+    total = squared.sum(axis=(0, 1))
+    nd.check_finite(total, "reduce_leading")
+    grad = scale * diff  # (the tape's ones(()) * scale is scale exactly)
+    grad *= 2.0
+    return float(total * scale), model.parameter_gradients(cache, grad)

@@ -54,6 +54,12 @@ def _write(path, canvas: _Canvas) -> None:
     Path(path).write_text(canvas.document())
 
 
+def _spread(lo: float, hi: float) -> tuple[float, float]:
+    """An axis's bounds with a width: one value gets 0.5 on each side, the
+    padding `data_bounds` gives scatter plots."""
+    return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+
+
 def data_bounds(points: np.ndarray, pad: float = 0.5) -> tuple:
     lo = points.min(axis=0) - pad
     hi = points.max(axis=0) + pad
@@ -168,8 +174,8 @@ def curves_svg(path, x: np.ndarray, series: dict[str, np.ndarray],
     x = np.asarray(x, dtype=np.float64)
     all_y = np.concatenate([np.asarray(v, dtype=np.float64) for v in series.values()])
     pad = 0.05 * (all_y.max() - all_y.min() + 1e-9)
-    cv = _Canvas((float(x.min()), float(x.max()),
-                  float(all_y.min() - pad), float(all_y.max() + pad)))
+    cv = _Canvas((*_spread(float(x.min()), float(x.max())),
+                  *_spread(float(all_y.min() - pad), float(all_y.max() + pad))))
     for i, (name, ys) in enumerate(sorted(series.items())):
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(f"{_fmt(px)},{_fmt(py)}"

@@ -241,6 +241,19 @@ class TestCheckpointContainer:
         save_checkpoint(again, ck.config, ck.model, ck.optimizer, ck.step, ck.rng_state)
         assert again.read_bytes() == path.read_bytes()
 
+    def test_returned_digest_is_the_sha256_of_the_file(self, tmp_path):
+        path, cfg, model, opt = self._save_one(tmp_path)
+        raw = path.read_bytes()
+        digest = save_checkpoint(tmp_path / "again.eqmckpt", cfg, model, opt, 3,
+                                 load_checkpoint(path).rng_state)
+        assert digest == hashlib.sha256(raw[:-32]).hexdigest()
+        assert raw[-32:] == bytes.fromhex(digest)
+        # the documented layout, built from copies: magic, header, data, digest
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        tensors = {**model.params, **opt.moment_buffers()}
+        data = b"".join(tensors[e["name"]].tobytes() for e in read_header(path)["tensors"])
+        assert raw[:-32] == raw[:12 + hlen] + data
+
     def test_save_leaves_no_temporary_file(self, tmp_path):
         path, *_ = self._save_one(tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]

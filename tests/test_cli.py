@@ -3,6 +3,7 @@ sampler identities surfaced through flags."""
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -292,16 +293,16 @@ class TestResume:
         full, crashed = tmp_path / "full", tmp_path / "crashed"
         assert main(["train", "--config", str(cfg), "--out", str(full)]) == 0
 
-        real_loss_for, calls = training.loss_for, []
+        real_step_loss, calls = training.loss_and_gradients, []
 
         def crash_at_step_25(*args, **kwargs):
             if len(calls) == 25:
                 raise RuntimeError("simulated crash at step 25")
             calls.append(None)
-            return real_loss_for(*args, **kwargs)
+            return real_step_loss(*args, **kwargs)
 
         with monkeypatch.context() as m:
-            m.setattr(training, "loss_for", crash_at_step_25)
+            m.setattr(training, "loss_and_gradients", crash_at_step_25)
             with pytest.raises(RuntimeError, match="simulated crash"):
                 main(["train", "--config", str(cfg), "--out", str(crashed)])
         # the loss history holds exactly the steps before the last checkpoint
@@ -316,7 +317,7 @@ class TestResume:
                                                              capsys, monkeypatch):
         other = tmp_path / "other.json"
         other.write_text(json.dumps({"model": {"hidden": [4]}}))
-        monkeypatch.setattr(training, "loss_for", None)  # no step may run
+        monkeypatch.setattr(training, "loss_and_gradients", None)  # no step may run
         code = main(["train", "--resume", ckpt(workspace), "--config", str(other),
                      "--out", str(tmp_path / "run")])
         err = capsys.readouterr().err
@@ -474,6 +475,21 @@ class TestSuitesAndSweeps:
                      "--label2", "3", "--n", "16", "--seed", "4", "--eta", "0.01",
                      "--out", str(double)]) == 0
         assert single.read_bytes() == double.read_bytes()
+
+    @pytest.mark.parametrize("rows", [["0.5,0.1,0.2"], ["0.5,0.1,0.2", "0.5,0.3,0.2"],
+                                      ["0.2,1e9,1e9", "0.5,1e9,1e9"]],
+                             ids=["one row", "equal gammas", "flat large values"])
+    def test_gamma_curves_with_one_gamma_plot_finite(self, tmp_path, rows):
+        curves = tmp_path / "curves.csv"
+        curves.write_text("\n".join(["gamma,model,baseline", *rows]) + "\n")
+        out = tmp_path / "curves.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["plot", "--kind", "gamma-curves", "--curves", str(curves),
+                         "--out", str(out)]) == 0
+        svg = out.read_text()
+        assert "nan" not in svg and "inf" not in svg
+        assert svg.count('<polyline class="curve"') == 2
 
     def test_partial_noise_suite_writes_curves(self, workspace, tmp_path):
         # baseline: a tiny unconditional velocity-matching run

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqmatch import ndtensor as nd
 from eqmatch.config import RunConfig, ValidationError
-from eqmatch.model import ModelConfig, init_model
+from eqmatch.model import ACTIVATIONS, ModelConfig, init_model
 from eqmatch.objective import (OBJECTIVES, ObjectiveError, TrainBatch, check_pairing,
-                               corrupt, draw_batch, gradient_target, loss_for)
+                               corrupt, draw_batch, gradient_target, loss_and_gradients,
+                               loss_for)
 from eqmatch.optimizer import AdamW
 from eqmatch.schedule import Schedule
 from conftest import central_difference, rel_err
+from test_model import random_model
 
 LINEAR = Schedule(kind="linear")
 CONST = Schedule(kind="constant")
@@ -219,6 +222,90 @@ def test_conditional_model_needs_labels(rng):
         loss_for("eqm", m, batch_of(rng), LINEAR)
     b = batch_of(rng, labels=np.array([0, 1, 2, 0, 1, 2]))
     assert loss_for("eqm", m, b, LINEAR).item() >= 0.0
+
+
+def tape_loss_and_gradients(m, b, sched, allow_non_equilibrium=False):
+    loss = loss_for("eqm", m, b, sched, allow_non_equilibrium)
+    grads = nd.backward(loss)
+    return loss.item(), {name: nd.grad_values(grads, leaf)
+                         for name, leaf in m._bind(loss.graph).items()}
+
+
+class TestLossAndGradients:
+    """loss_and_gradients trains eqm off the tape; loss_for("eqm", ...) +
+    nd.backward is its oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(activation=st.sampled_from(ACTIVATIONS), classes=st.sampled_from([0, 3]),
+           noise=st.booleans(), n=st.sampled_from([1, 7, 9, 64]),
+           hidden=st.sampled_from([(256, 256, 256), (16,), (64, 64)]),
+           sched=st.sampled_from([TRUNC4, CONST]), seed=st.integers(0, 2**32 - 1))
+    def test_bits_equal_the_tape(self, activation, classes, noise, n, hidden, sched,
+                                 seed):
+        cfg = ModelConfig(hidden=hidden, activation=activation, num_classes=classes,
+                          noise_conditioned=noise)
+        m = random_model(cfg, seed)
+        rng = np.random.default_rng(seed + 1)
+        labels = rng.integers(0, classes, n) if classes else None
+        b = draw_batch(rng, 2.0 * rng.standard_normal((n, 2)), labels=labels)
+        want_loss, want = tape_loss_and_gradients(m, b, sched, True)
+        got_loss, got = loss_and_gradients(m, b, sched, True)
+        assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+        assert list(got) == list(want) == list(m.params)
+        for name, g in got.items():
+            assert g.shape == want[name].shape and g.tobytes() == want[name].tobytes()
+
+    @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "nan input", "label",
+                                      "backward matmul", "backward mul", "schedule",
+                                      "no labels", "energy head"])
+    def test_errors_equal_the_tape(self, case):
+        head = "dot" if case == "energy head" else "none"
+        m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), 0)
+        x, eps = np.ones((5, 2)), np.ones((5, 2))
+        labels, sched = np.array([0, 1, 2, 0, 1]), TRUNC4
+        if case == "leaf":
+            m.params["layers.1.b"][3] = np.inf
+        elif case == "matmul":
+            m.params["layers.0.w"][:] = 1e308
+        elif case == "add":
+            m.params["layers.0.w"][:] = 0.5e308
+            m.params["layers.0.b"][:] = 1e308
+        elif case == "nan input":
+            x[2, 1] = np.nan
+        elif case == "label":
+            labels[4] = 3
+        elif case == "backward matmul":
+            # layer 0 is finite on tiny inputs; its input gradient overflows
+            x, eps = np.full((5, 2), 1e-300), np.full((5, 2), 1e-300)
+            m.params["layers.0.w"][:] = 1e308
+        elif case == "backward mul":
+            # SiLU at -1e160 outputs -0, so the huge last layer sees nothing
+            # going forward but scales the gradient going back
+            m.params["layers.0.w"][:] = 0.0
+            m.params["layers.0.b"][:] = 1.0
+            m.params["label_embed"][:] = 0.0
+            m.params["layers.1.w"][:] = -1e160
+            m.params["layers.2.w"][:] = 1e200
+        elif case == "schedule":
+            sched = CONST
+        elif case == "no labels":
+            labels = None
+        b = TrainBatch(x=x, eps=eps, gamma=np.full(5, 0.5), labels=labels)
+        if case.startswith("backward"):
+            with np.errstate(over="ignore"):
+                loss_for("eqm", m, b, sched)  # the forward pass is finite
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(Exception) as tape:
+            tape_loss_and_gradients(m, b, sched)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(Exception) as values:
+            loss_and_gradients(m, b, sched)
+        assert type(values.value) is type(tape.value)
+        assert str(values.value) == str(tape.value)
+        op = {"nan input": "constant", "backward matmul": "matmul",
+              "backward mul": "mul"}.get(case, case)
+        if case not in ("label", "schedule", "no labels", "energy head"):
+            assert str(values.value) == f"non-finite values produced by op '{op}'"
 
 
 def test_run_config_states_the_same_pairing_rules():

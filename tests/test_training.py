@@ -172,7 +172,9 @@ def test_conditional_training_runs():
 def test_each_step_frees_its_tape_without_the_collector(monkeypatch, objective,
                                                         energy_kind):
     """A tape is a reference cycle, so a step that left it to the cyclic
-    collector would keep every step's graph alive with the collector off."""
+    collector would keep every step's graph alive with the collector off.
+    eqm trains off the tape; eqm-e builds one per step and frees it after
+    the update."""
     graphs = []
 
     class RecordedGraph(nd.Graph):
@@ -196,8 +198,23 @@ def test_each_step_frees_its_tape_without_the_collector(monkeypatch, objective,
     try:
         train(cfg)
         # each update sees only its own step's graph; none outlives train()
-        assert alive_at_update == [1] * 6
-        assert len(graphs) == 6 and all(ref() is None for ref in graphs)
+        tapes = 1 if objective == "eqm-e" else 0
+        assert alive_at_update == [tapes] * 6
+        assert len(graphs) == 6 * tapes and all(ref() is None for ref in graphs)
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("model", [ModelConfig(hidden=(16, 16)),
+                                   ModelConfig(hidden=(16, 16), num_classes=8),
+                                   ModelConfig(hidden=(16, 16), noise_conditioned=True)],
+                         ids=["plain", "labelled", "noise-conditioned"])
+def test_eqm_trains_without_a_tape(monkeypatch, model):
+    def no_tape():
+        raise AssertionError("an eqm training step built a tape")
+
+    monkeypatch.setattr(nd, "Graph", no_tape)
+    cfg = run_config(model=model, train=TrainSettings(steps=3, batch_size=8))
+    result = train(cfg, out_dir=None)
+    assert result.losses.shape == (3,) and np.all(np.isfinite(result.losses))
