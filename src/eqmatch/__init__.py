@@ -13,17 +13,17 @@ from .data import ToyDistribution, default_mixture, fixed_memorization_set
 from .model import GradientFieldModel, ModelConfig, init_model
 from .objective import TrainBatch, corrupt, gradient_target
 from .optimizer import AdamW
-from .sampler import SamplerConfig, Trajectory, compose, sample
+from .sampler import ComposedField, ModelField, SamplerConfig, Trajectory, sample
 from .schedule import Schedule
 from .training import TrainResult, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamW", "DatasetSpec", "GradientFieldModel", "ModelConfig",
-    "OptimizerSettings", "RunConfig", "SamplerConfig", "Schedule",
+    "AdamW", "ComposedField", "DatasetSpec", "GradientFieldModel", "ModelConfig",
+    "ModelField", "OptimizerSettings", "RunConfig", "SamplerConfig", "Schedule",
     "ToyDistribution", "TrainBatch", "TrainResult", "TrainSettings",
-    "Trajectory", "compose", "corrupt", "default_mixture",
+    "Trajectory", "corrupt", "default_mixture",
     "fixed_memorization_set", "gradient_target", "init_model", "sample",
     "train",
 ]

@@ -1,8 +1,9 @@
 """Command-line orchestration.
 
-Subcommands: train, sample, eval, sweep, compose, plot. Every command honors
---seed and reads entropy only through seeded generators. Exit codes: 0 on
-success, 1 on validation errors, 2 on numerical failures.
+Subcommands: train, sample, eval, sweep, plot. Every command honors --seed
+and reads entropy only through seeded generators. Exit codes: 0 on success,
+1 on validation errors, 2 on numerical failures. `sample --label` may repeat:
+the field sampled is the sum of the model's fields at the given labels.
 
 The default output directory comes from $EQMATCH_OUT (falling back to the
 current directory) whenever a command does not pass one explicitly.
@@ -32,8 +33,8 @@ from .model import energy
 from .ndtensor import NonFiniteError
 from .plotting import (PLOT_KINDS, contour_svg, curves_svg, histogram_svg,
                        scatter_svg, vector_field_svg)
-from .sampler import (METHODS, FunctionField, ModelField, SamplerConfig, compose,
-                      sample, save_trajectory_csv)
+from .sampler import (METHODS, ComposedField, ModelField, SamplerConfig, sample,
+                      save_trajectory_csv)
 from .schedule import KINDS as SCHEDULE_KINDS
 from .training import train
 
@@ -95,33 +96,30 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _sample_to_csv(args, ck: Checkpoint, field, default_name: str,
-                   start_csv=None, trajectory=None) -> int:
-    """Sample `field` with the checkpoint's sampler, overridden by the flags,
-    from the --start-csv points or seeded noise; write the samples CSV and,
-    if asked, the trajectory CSV."""
+def cmd_sample(args) -> int:
+    """Sample the sum of the model's fields at the --label values (its
+    unlabelled field without one) with the checkpoint's sampler, overridden
+    by the flags, from the --start-csv points or seeded noise; write the
+    samples CSV and, if asked, the trajectory CSV."""
+    ck = load_checkpoint(args.checkpoint)
+    field = ComposedField([ModelField(ck.model, label=label)
+                           for label in args.label or [None]])
     config = _sampler_from_args(ck.config.sampler, args)
-    if start_csv:
-        x0 = read_points(start_csv)
+    if args.start_csv:
+        x0 = read_points(args.start_csv)
     else:
         x0 = sample_noise(args.n, ck.config.model.input_dim, args.seed)
-    record = trajectory is not None
+    record = args.trajectory is not None
     traj = sample(field, x0, config, record=record)
-    out = Path(args.out) if args.out else _default_out_dir() / default_name
+    out = Path(args.out) if args.out else _default_out_dir() / "samples.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_samples_csv(out, traj)
     if record:
-        save_trajectory_csv(trajectory, traj)
+        save_trajectory_csv(args.trajectory, traj)
     print(f"wrote {len(traj.final)} samples to {out} "
           f"(mean steps {traj.steps_used.mean():.1f}; "
           f"points evaluated {traj.points_evaluated.sum()})")
     return 0
-
-
-def cmd_sample(args) -> int:
-    ck = load_checkpoint(args.checkpoint)
-    return _sample_to_csv(args, ck, ModelField(ck.model, label=args.label),
-                          "samples.csv", args.start_csv, args.trajectory)
 
 
 def _suite_fingerprint(args, ck: Checkpoint | None) -> str:
@@ -152,15 +150,15 @@ def _suite_statements(args, ck, out_dir: Path, fp: str) -> list[EvalReport]:
     anchors = 3.0 * np.stack([np.cos(np.arange(4) * np.pi / 2),
                               np.sin(np.arange(4) * np.pi / 2)], axis=1)
 
-    def anchor_field(x):
+    def anchor_field(x, progress):
         d = ((x[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
         return x - anchors[np.argmin(d, axis=1)]
 
-    stats = grad_norm_at_data(FunctionField(anchor_field), anchors)
+    stats = grad_norm_at_data(anchor_field, anchors)
     reports.append(EvalReport("statement1-analytic-mean-grad-at-data",
                               stats["at_data"].mean, fp, args.seed))
     frac = local_minima_membership(
-        FunctionField(anchor_field), anchors, n_inits=256, radius=0.25,
+        anchor_field, anchors, n_inits=256, radius=0.25,
         config=SamplerConfig(method="adaptive", eta=0.2, g_min=1e-6, max_steps=500),
         seed=args.seed)
     reports.append(EvalReport("statement2-analytic-membership", frac, fp, args.seed))
@@ -369,14 +367,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_compose(args) -> int:
-    ck = load_checkpoint(args.checkpoint)
-    if ck.config.model.num_classes == 0:
-        raise ValidationError("compose needs a class-conditional checkpoint")
-    field = compose([ck.model, ck.model], labels=[args.label1, args.label2])
-    return _sample_to_csv(args, ck, field, "composed.csv")
-
-
 def _plot_bounds(text: str | None) -> tuple | None:
     """--bounds read as four finite numbers xmin < xmax, ymin < ymax."""
     if text is None:
@@ -439,15 +429,6 @@ def _require(value, flag: str):
 # parser
 
 
-def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--g-min", dest="g_min", type=float)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eqmatch",
                                      description="equilibrium gradient-field lab")
@@ -465,12 +446,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--label", type=int)
+    p.add_argument("--label", type=int, action="append",
+                   help="class label; repeat it to sample the sum of the fields")
     p.add_argument("--out")
     p.add_argument("--trajectory", help="also record the full trajectory CSV")
     p.add_argument("--start-csv", dest="start_csv",
                    help="initialize from these points instead of noise")
-    _add_sampler_flags(p)
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--eta", type=float)
+    p.add_argument("--mu", type=float)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--g-min", dest="g_min", type=float)
+    p.add_argument("--max-steps", dest="max_steps", type=int)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("eval", help="run an evaluation suite into the ledger")
@@ -492,16 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", dest="out_dir")
     p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("compose", help="sample from two added conditional fields")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--label1", type=int, required=True)
-    p.add_argument("--label2", type=int, required=True)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    _add_sampler_flags(p)
-    p.set_defaults(fn=cmd_compose)
 
     p = sub.add_parser("plot", help="emit a deterministic SVG")
     p.add_argument("--kind", required=True, choices=PLOT_KINDS)

@@ -5,17 +5,19 @@ field's JSON key is its name unless its `key` metadata renames it, and
 tuples are written as lists. A missing or null key takes the field's
 default, and a missing, null or `{}` section the section's default;
 `schedule` needs `kind`. Numbers are converted to the annotated int or
-float (an int field takes only an integral number, and neither takes a
-boolean), a bool field takes only a JSON boolean, and a key that names no
-field is an error. Malformed input raises ValidationError naming the key
-path. The dict round-trips exactly and is embedded verbatim in checkpoints,
-so a checkpoint is self-describing.
+float (an int field takes only an integral number, a float field only a
+finite one, and neither takes a boolean), a bool field takes only a JSON
+boolean, and a key that names no field is an error. Malformed input raises
+ValidationError naming the key path; a dataset's values are checked by
+building its distribution. The dict round-trips exactly and is embedded
+verbatim in checkpoints, so a checkpoint is self-describing.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -63,6 +65,8 @@ class DatasetSpec:
         if not 1 <= self.k <= 12:
             raise ValidationError(f"dataset.k: {self.k} is outside 1..12")
         _require_non_negative("dataset.data_seed", self.data_seed)
+        if self.kind != "memorization":
+            self.distribution()  # a malformed value fails while the config is read
 
     @property
     def labeled(self) -> bool:
@@ -218,7 +222,7 @@ def from_dict(cls, d, path: str = ""):
 
 def _coerce(hint, value, key: str):
     """`value` read as the annotated type `hint`: an int takes an integral
-    number, a float any number, bool must be a JSON boolean, tuple[int, ...]
+    number, a float a finite number, bool must be a JSON boolean, tuple[int, ...]
     is read from a list, str and list must match, and an optional type is
     read as its one non-None member."""
     if get_origin(hint) is UnionType:
@@ -233,16 +237,20 @@ def _coerce(hint, value, key: str):
             return tuple(_coerce(get_args(hint)[0], v, key) for v in value)
     elif hint in (int, float):
         # an int field takes only an integral number, so 5.0 reads as 5 and
-        # 5.7 is an error; a JSON boolean is not a number here
+        # 5.7 is an error; a float field takes no NaN or infinity (JSON's
+        # NaN, Infinity); a JSON boolean is not a number here
         try:
             if not isinstance(value, bool) and (
                     hint is float or isinstance(value, int) or float(value).is_integer()):
-                return hint(value)
+                number = hint(value)
+                if hint is int or math.isfinite(number):
+                    return number
         except (TypeError, ValueError, OverflowError):
             pass
     elif isinstance(value, hint):
         return value
-    name = hint.__name__ if isinstance(hint, type) else str(hint)
+    name = "finite float" if hint is float else \
+        hint.__name__ if isinstance(hint, type) else str(hint)
     raise ValidationError(f"{key}: cannot read {value!r:.60} as {name}")
 
 

@@ -47,21 +47,35 @@ class ToyDistribution:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind '{self.kind}'")
-        self.modes = np.asarray(self.modes, dtype=np.float64).reshape(-1, 2)
-        stds = np.broadcast_to(np.asarray(self.mode_std, dtype=np.float64),
-                               (len(self.modes),))
+        self.modes = _finite("modes", self.modes).reshape(-1, 2)
+        if len(self.modes) == 0:
+            raise ValueError("modes must hold at least one mode")
+        stds = np.broadcast_to(_finite("mode_std", self.mode_std), (len(self.modes),))
         if np.any(stds <= 0.0):
             raise ValueError("mode_std must be > 0")
         if self.weights is None:
             self.weights = np.full(len(self.modes), 1.0 / len(self.modes))
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.weights = _finite("weights", self.weights)
         if self.weights.shape != (len(self.modes),):
             raise ValueError("one weight per mode required")
         if abs(float(self.weights.sum()) - 1.0) > 1e-12 or np.any(self.weights < 0):
             raise ValueError("weights must be non-negative and sum to 1")
-        xmin, xmax, ymin, ymax = self.box
-        if not (xmin < xmax and ymin < ymax):
-            raise ValueError(f"degenerate box {self.box}")
+        box = _finite("box", self.box)
+        if box.shape != (4,) or not (box[0] < box[1] and box[2] < box[3]):
+            raise ValueError(f"box: {self.box} is not xmin, xmax, ymin, ymax "
+                             "with xmin < xmax and ymin < ymax")
+
+
+def _finite(name: str, value) -> np.ndarray:
+    """`value` as a float64 array; ValueError naming `name` unless every
+    entry is a finite number (not a string, null or boolean)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.array(None)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must hold finite numbers, got {value!r:.60}")
+    return np.asarray(arr, dtype=np.float64)
 
 
 def _sample_mixture(dist: ToyDistribution, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +203,8 @@ def read_csv(path) -> list[dict[str, str]]:
 
 def read_points(path) -> np.ndarray:
     """The [n, d] points of a table, read by name from its columns x0 ...
-    x{d-1}; any other column (sample id, label, steps) is ignored."""
+    x{d-1}; any other column (sample id, label, steps) is ignored. Every
+    coordinate must be a finite number."""
     from .config import ValidationError  # config imports this module
 
     rows = read_csv(path)
@@ -200,10 +215,15 @@ def read_points(path) -> np.ndarray:
         raise ValidationError(f"{path}: no points (a points table needs an x0 "
                               "column and at least one row)")
     try:
-        return np.array([[float(r[f"x{i}"]) for i in range(d)] for r in rows],
-                        dtype=np.float64)
+        points = np.array([[float(r[f"x{i}"]) for i in range(d)] for r in rows],
+                          dtype=np.float64)
     except (TypeError, ValueError) as e:
         raise ValidationError(f"{path}: cannot read the points: {e}") from e
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad):
+        raise ValidationError(f"{path}: the point in data row {bad[0] + 1} is not "
+                              f"finite: {points[bad[0]].tolist()}")
+    return points
 
 
 def default_mixture() -> ToyDistribution:

@@ -77,11 +77,11 @@ class GradNormStats:
                    p50=float(np.percentile(norms, 50)), p95=float(np.percentile(norms, 95)))
 
 
-def grad_norm_at_data(model_or_field, data: np.ndarray, seed: int = 0,
-                      label=None) -> dict[str, GradNormStats]:
+def grad_norm_at_data(model_or_field, data: np.ndarray,
+                      seed: int = 0) -> dict[str, GradNormStats]:
     """Gradient-norm statistics at data points, with the same statistics at
     half-corrupted points as the contrast scale."""
-    f = as_field(model_or_field, label=label)
+    f = as_field(model_or_field)
     data = np.asarray(data, dtype=np.float64)
     at_data = np.linalg.norm(f(data, 0.0), axis=1)
     rng = np.random.default_rng(seed)
@@ -92,13 +92,12 @@ def grad_norm_at_data(model_or_field, data: np.ndarray, seed: int = 0,
 
 def local_minima_membership(model_or_field, data: np.ndarray, n_inits: int,
                             radius: float, config: SamplerConfig,
-                            seed: int = 0, label=None) -> float:
+                            seed: int = 0) -> float:
     """Fraction of descent endpoints (from fresh noise) that land within
     `radius` of some data point."""
-    f = as_field(model_or_field, label=label)
     data = np.asarray(data, dtype=np.float64)
     x0 = np.random.default_rng(seed).standard_normal((n_inits, data.shape[1]))
-    endpoints = sample(f, x0, config).final
+    endpoints = sample(model_or_field, x0, config).final
     d = np.sqrt(_sq_dists(endpoints, data))
     return float(np.mean(d.min(axis=1) <= radius))
 
@@ -306,7 +305,7 @@ def partial_noise_sweep(model_field, baseline_field, gammas, config: SamplerConf
         eps = rng.standard_normal(holdout.shape)
         start = corrupt(holdout, eps, np.full(len(holdout), float(g)))
         for key, fld in (("model", model_field), ("baseline", baseline_field)):
-            final = sample(as_field(fld), start, config).final
+            final = sample(fld, start, config).final
             curves[key].append(max(0.0, mmd(final, reference)))
     return curves
 

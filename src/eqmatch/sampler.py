@@ -10,8 +10,9 @@ denoising is the same loop started from a corrupted batch instead of pure
 noise.
 
 Samplers act on a *field*: any callable (x [n,d], progress in [0,1]) -> grad
-[n,d] whose row i depends only on row i of x. Models wrap into fields via
-:class:`ModelField`; summed fields via :func:`compose`. Every objective trains
+[n,d] whose row i depends only on row i of x. A model (with a fixed label, if
+it is conditional) is a field through :class:`ModelField`, and a weighted sum
+of fields is one through :class:`ComposedField`. Every objective trains
 its model toward a multiple of eps - x, so a model's field is its output (or
 its energy's input-gradient) as it stands, whichever objective trained it.
 Time-invariant fields ignore `progress`; it exists so the noise-conditioned
@@ -26,7 +27,7 @@ what a fresh evaluation at its unmoved look-ahead point would give.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,10 +61,10 @@ class SamplerConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown sampler method '{self.method}', "
                              f"not one of {METHODS}")
-        if self.eta < 0.0:
-            raise ValueError(f"step size eta={self.eta} must be >= 0")
-        if self.mu < 0.0:
-            raise ValueError(f"look-ahead factor mu={self.mu} must be >= 0")
+        if not 0.0 <= self.eta < np.inf:
+            raise ValueError(f"step size eta={self.eta} must be finite and >= 0")
+        if not 0.0 <= self.mu < np.inf:
+            raise ValueError(f"look-ahead factor mu={self.mu} must be finite and >= 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.max_steps < 1:
@@ -104,12 +105,10 @@ class ModelField:
         self.time_dependent = model.config.noise_conditioned
 
     def __call__(self, x: np.ndarray, progress: float = 0.0) -> np.ndarray:
-        if self.time_dependent:
-            return self.model.forward_values(x, label=self.label, noise_level=progress)
-        if self.model.config.energy_kind == "none":
-            return self.model.forward_values(np.asarray(x, dtype=np.float64),
-                                             label=self.label)
-        return energy_gradient(self.model, x, label=self.label)
+        if self.model.config.energy_kind != "none":
+            return energy_gradient(self.model, x, label=self.label)
+        return self.model.forward_values(
+            x, label=self.label, noise_level=progress if self.time_dependent else None)
 
 
 class ComposedField:
@@ -118,7 +117,7 @@ class ComposedField:
 
     def __init__(self, fields: Sequence, weights: Sequence[float] | None = None):
         if not fields:
-            raise ValueError("compose needs at least one field")
+            raise ValueError("a composed field needs at least one member")
         self.fields = [as_field(f) for f in fields]
         self.weights = [1.0] * len(self.fields) if weights is None else [float(w) for w in weights]
         if len(self.weights) != len(self.fields):
@@ -140,37 +139,14 @@ class ComposedField:
         return np.zeros_like(x) if total is None else total
 
 
-class FunctionField:
-    """Wraps a plain (x) -> grad function, e.g. analytic test energies."""
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], dim: int | None = None):
-        self.fn = fn
-        self.dim = dim
-        self.time_dependent = False
-
-    def __call__(self, x: np.ndarray, progress: float = 0.0) -> np.ndarray:
-        return self.fn(x)
-
-
-def as_field(obj, label=None):
-    if isinstance(obj, (ModelField, ComposedField, FunctionField)):
-        return obj
+def as_field(obj):
+    """A model as its unlabelled ModelField; any other callable is a field as
+    it stands."""
     if isinstance(obj, GradientFieldModel):
-        return ModelField(obj, label=label)
+        return ModelField(obj)
     if callable(obj):
-        return FunctionField(obj)
+        return obj
     raise TypeError(f"cannot interpret {type(obj).__name__} as a gradient field")
-
-
-def compose(models: Sequence, weights: Sequence[float] | None = None,
-            labels: Sequence | None = None) -> ComposedField:
-    """Virtual field whose gradient is the weighted sum of member gradients;
-    `labels`, if given, needs one label per model."""
-    if labels is not None:
-        fields = [as_field(m, label=l) for m, l in zip(models, labels, strict=True)]
-    else:
-        fields = [as_field(m) for m in models]
-    return ComposedField(fields, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +253,11 @@ def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory
                       points_evaluated=np.array(points, dtype=np.int64))
 
 
-def calibrate_g_min(model_or_field, data: np.ndarray, percentile: float = 5.0,
-                    label=None) -> float:
+def calibrate_g_min(model_or_field, data: np.ndarray, percentile: float = 5.0) -> float:
     """Adaptive-stop threshold: a low percentile of the gradient norm over
     training data on the trained model (image-scale thresholds do not carry
     over to 2D units)."""
-    field = as_field(model_or_field, label=label)
+    field = as_field(model_or_field)
     norms = np.linalg.norm(field(np.asarray(data, dtype=np.float64), 0.0), axis=1)
     return float(np.percentile(norms, percentile))
 

@@ -26,7 +26,8 @@ from eqmatch.evaluation import (auroc, component_energy, grad_norm_at_data,
                                 local_minima_membership, mmd, mmd_permutation_null,
                                 mode_coverage, partial_noise_sweep)
 from eqmatch.model import energy
-from eqmatch.sampler import ModelField, SamplerConfig, calibrate_g_min, compose, sample
+from eqmatch.sampler import (ComposedField, ModelField, SamplerConfig, calibrate_g_min,
+                             sample)
 from eqmatch.training import train
 
 pytestmark = pytest.mark.skipif(os.environ.get("EQMATCH_ACCEPTANCE") != "1",
@@ -212,7 +213,8 @@ def test_composed_fields_sample_both_classes(conditional, labels, record_propert
         return float(np.median(component_energy(conditional, points, label=a)
                                + component_energy(conditional, points, label=b)))
 
-    composed = sample(compose([conditional, conditional], labels=[a, b]), x0, config).final
+    composed = sample(ComposedField([ModelField(conditional, label=a),
+                                     ModelField(conditional, label=b)]), x0, config).final
     singles = np.concatenate([sample(ModelField(conditional, label=k), x0, config).final
                               for k in (a, b)])
     measured = {"near_both_composed": near_both(composed),

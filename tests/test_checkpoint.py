@@ -136,10 +136,13 @@ def run_configs(draw) -> RunConfig:
     objective = draw(st.sampled_from(OBJECTIVES))
     kind = draw(st.sampled_from(DATASET_KINDS))
     n_modes = draw(st.integers(1, 4))
+    modes = draw(st.none() | st.lists(st.lists(st.floats(-4, 4), min_size=2, max_size=2),
+                                      min_size=n_modes, max_size=n_modes))
+    if modes is None:
+        n_modes = 8  # the default mixture's, which per-mode lists must match
     dataset = DatasetSpec(
         kind=kind,
-        modes=draw(st.none() | st.lists(st.lists(st.floats(-4, 4), min_size=2, max_size=2),
-                                        min_size=n_modes, max_size=n_modes)),
+        modes=modes,
         mode_std=draw(st.none() | positive | st.lists(positive, min_size=n_modes,
                                                       max_size=n_modes)),
         weights=draw(st.none() | st.just([1.0 / n_modes] * n_modes)),

@@ -83,6 +83,24 @@ class TestExitCodes:
          "dataset.k"),
         ({"dataset": {"kind": "memorization", "k": 13}, "train": {"steps": 2}},
          "dataset.k"),
+        # a malformed dataset value fails when the distribution is built, at read
+        ({"dataset": {"modes": []}, "train": {"steps": 2}}, "dataset: modes"),
+        ({"dataset": {"kind": "uniform-box", "box": [0, "a", 0, 1]},
+          "train": {"steps": 2}}, "dataset: box"),
+        ({"dataset": {"kind": "uniform-box", "box": [0, None, 0, 1]},
+          "train": {"steps": 2}}, "dataset: box"),
+        ({"dataset": {"mode_std": {"a": 1}}, "train": {"steps": 2}}, "dataset: mode_std"),
+        # a float field takes only a finite number (JSON's NaN and Infinity)
+        ({"sampler": {"eta": float("nan")}, "train": {"steps": 2}}, "sampler.eta"),
+        ({"optimizer": {"lr": float("inf")}, "train": {"steps": 2}}, "optimizer.lr"),
+        ({"optimizer": {"weight_decay": float("inf")}, "train": {"steps": 2}},
+         "optimizer.weight_decay"),
+        ({"schedule": {"kind": "truncated", "lambda": float("inf")},
+          "train": {"steps": 2}}, "schedule.lambda"),
+        ({"schedule": {"kind": "piecewise", "b": float("nan")}, "train": {"steps": 2}},
+         "schedule.b"),
+        ({"schedule": {"kind": "piecewise", "b": float("inf")}, "train": {"steps": 2}},
+         "schedule.b"),
     ])
     def test_malformed_config_names_the_key(self, payload, key, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -106,6 +124,17 @@ class TestExitCodes:
         code = main(["sample", "--checkpoint", ckpt(workspace), "--method", "gd",
                      "--g-min", "0.5", "--n", "4", "--out", str(tmp_path / "s.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("flag, value", [("--eta", "nan"), ("--eta", "inf"),
+                                             ("--mu", "nan")])
+    def test_non_finite_sampler_flag_names_it(self, workspace, tmp_path, capsys,
+                                              flag, value):
+        out = tmp_path / "s.csv"
+        code = main(["sample", "--checkpoint", ckpt(workspace), flag, value,
+                     "--n", "4", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and f"{flag[2:]}={value}" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_mu_with_gd_names_mu(self, workspace, tmp_path, capsys):
         code = main(["sample", "--checkpoint", ckpt(workspace), "--method", "gd",
@@ -151,17 +180,19 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path)])
         assert code == 1
 
-    def test_compose_needs_conditional(self, workspace, tmp_path):
-        code = main(["compose", "--checkpoint", ckpt(workspace), "--label1", "0",
-                     "--label2", "1", "--n", "4", "--out", str(tmp_path / "c.csv")])
-        assert code == 1
+    def test_compose_needs_conditional(self, workspace, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code = main(["sample", "--checkpoint", ckpt(workspace), "--label", "0",
+                     "--label", "1", "--n", "4", "--out", str(out)])
+        assert code == 1 and "unconditional" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_compose_label_out_of_range(self, workspace, tmp_path):
-        code = main(["compose", "--checkpoint",
+    def test_compose_label_out_of_range(self, workspace, tmp_path, capsys):
+        code = main(["sample", "--checkpoint",
                      str(workspace / "cond" / "checkpoint.eqmckpt"),
-                     "--label1", "0", "--label2", "99", "--n", "4",
+                     "--label", "0", "--label", "99", "--n", "4",
                      "--out", str(tmp_path / "c.csv")])
-        assert code == 1
+        assert code == 1 and "out of range" in capsys.readouterr().err
 
     def test_contour_plot_needs_energy_head(self, workspace, tmp_path):
         code = main(["plot", "--kind", "contour", "--checkpoint", ckpt(workspace),
@@ -206,6 +237,15 @@ class TestPlotFlags:
                      "--bounds", bounds, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --bounds") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_scatter_of_non_finite_points_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "inf.csv"
+        bad.write_text("sample_id,x0,x1\n0,inf,0.1\n")
+        out = tmp_path / "s.svg"
+        assert main(["plot", "--kind", "scatter", "--samples", str(bad),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}")
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["0", "-3"])
@@ -274,6 +314,16 @@ class TestStartCsv:
                      "--steps", "5", "--out", str(more)]) == 0
         assert main(["sample", *common, "--steps", "35", "--out", str(once)]) == 0
         assert read_points(more).tobytes() == read_points(once).tobytes()
+
+    def test_non_finite_point_names_the_file(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("sample_id,x0,x1\n0,0.5,0.1\n1,nan,0.2\n")
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--checkpoint", ckpt(workspace), "--start-csv", str(bad),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}") and "row 2" in err
+        assert not out.exists()
 
     def test_table_without_points_names_the_file(self, workspace, tmp_path, capsys):
         bad = tmp_path / "steps.csv"
@@ -471,8 +521,8 @@ class TestSuitesAndSweeps:
         assert main(["sample", "--checkpoint", cond_ckpt, "--label", "3",
                      "--n", "16", "--seed", "4", "--eta", "0.02",
                      "--out", str(single)]) == 0
-        assert main(["compose", "--checkpoint", cond_ckpt, "--label1", "3",
-                     "--label2", "3", "--n", "16", "--seed", "4", "--eta", "0.01",
+        assert main(["sample", "--checkpoint", cond_ckpt, "--label", "3",
+                     "--label", "3", "--n", "16", "--seed", "4", "--eta", "0.01",
                      "--out", str(double)]) == 0
         assert single.read_bytes() == double.read_bytes()
 

@@ -10,19 +10,19 @@ from eqmatch.evaluation import (DEFAULT_BANDWIDTHS, EvalReport, QuadraticEnergy,
                                 mmd_permutation_null, mode_coverage,
                                 nearest_neighbor_audit, partial_noise_sweep)
 from eqmatch.model import ModelConfig, init_model
-from eqmatch.sampler import FunctionField, SamplerConfig, sample
+from eqmatch.sampler import SamplerConfig, sample
 from test_model import identity_model
 
 
-def nearest_point_field(points: np.ndarray) -> FunctionField:
+def nearest_point_field(points: np.ndarray):
     """Attraction toward the closest anchor: minima exactly at the anchors."""
     pts = np.asarray(points, dtype=np.float64)
 
-    def fn(x):
+    def fn(x, progress):
         d = ((x[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         return x - pts[np.argmin(d, axis=1)]
 
-    return FunctionField(fn, dim=pts.shape[1])
+    return fn
 
 
 class TestGradNorms:
@@ -33,7 +33,7 @@ class TestGradNorms:
         assert stats["at_half_corrupted"].mean == 0.0
 
     def test_linear_field_zero_at_origin(self):
-        stats = grad_norm_at_data(FunctionField(lambda x: x), np.zeros((5, 2)))
+        stats = grad_norm_at_data(lambda x, progress: x, np.zeros((5, 2)))
         assert stats["at_data"].mean == 0.0
 
 
@@ -52,7 +52,7 @@ class TestLocalMinima:
         data = np.array([[0.5, 0.0], [-1.0, 1.0]])
         radius, n, seed = 0.8, 2048, 7
         frac = local_minima_membership(
-            FunctionField(np.zeros_like), data, n_inits=n, radius=radius,
+            lambda x, progress: np.zeros_like(x), data, n_inits=n, radius=radius,
             config=SamplerConfig(method="adaptive", eta=0.1, g_min=1e-9, max_steps=10),
             seed=seed)
         inits = np.random.default_rng(seed).standard_normal((n, 2))
@@ -285,7 +285,9 @@ class TestNearestNeighbors:
 
 class TestPartialNoiseSweep:
     def test_gamma_zero_equals_standard_generation(self, rng):
-        field = FunctionField(lambda x: x)
+        def field(x, progress):
+            return x
+
         holdout = rng.standard_normal((120, 2))
         reference = rng.standard_normal((120, 2))
         config = SamplerConfig(eta=0.2, steps=10)

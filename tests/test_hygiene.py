@@ -1,7 +1,9 @@
 """Static checks on the sources and docs: no module imports a name it never
-uses, nothing in the package imports scipy (a test-only oracle), and the
-README's run-config block is the default config."""
+uses, nothing in the package imports scipy (a test-only oracle), the
+README's run-config block is the default config, and the docs name exactly
+the CLI's subcommands."""
 
+import argparse
 import ast
 import json
 import os
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from eqmatch import cli
 from eqmatch.config import RunConfig, to_dict
 from eqmatch.objective import OBJECTIVES
 from eqmatch.sampler import METHODS
@@ -85,3 +88,18 @@ def test_readme_run_config_block_is_every_default():
     comments = dict(re.findall(r'"([a-z_]+)": "[^"]*",\s*// ([^\n]*)', block))
     for key, names in (("objective", OBJECTIVES), ("method", METHODS)):
         assert tuple(c.strip() for c in comments[key].split("|")) == names, key
+
+
+def test_docs_name_exactly_the_subcommands():
+    """The `eqmatch <command>` lines of README's CLI block and the
+    `Subcommands:` list of the cli module docstring name exactly the
+    subcommands build_parser() defines."""
+    parser = cli.build_parser()
+    commands = {name for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)
+                for name in action.choices}
+    section = (ROOT / "README.md").read_text().split("## CLI")[1]
+    block = section.split("```bash")[1].split("```")[0]
+    assert set(re.findall(r"^eqmatch (\S+)", block, flags=re.M)) == commands
+    listed = re.search(r"Subcommands: ([^.]*)\.", " ".join(cli.__doc__.split())).group(1)
+    assert {c.strip() for c in listed.split(",")} == commands

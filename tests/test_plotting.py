@@ -5,18 +5,17 @@ from eqmatch.model import ModelConfig, init_model
 from eqmatch.plotting import (PlotError, _marching_squares, contour_svg,
                               curves_svg, histogram_svg, scatter_svg,
                               vector_field_svg)
-from eqmatch.sampler import FunctionField
 
 
 def test_vector_field_emits_grid_squared_arrows(tmp_path):
     out = tmp_path / "vf.svg"
-    vector_field_svg(out, FunctionField(lambda x: x), grid=40)
+    vector_field_svg(out, lambda x, progress: x, grid=40)
     assert out.read_text().count('<path class="arrow"') == 1600
 
 
 def test_vector_field_other_grid(tmp_path):
     out = tmp_path / "vf.svg"
-    vector_field_svg(out, FunctionField(lambda x: x), grid=10)
+    vector_field_svg(out, lambda x, progress: x, grid=10)
     assert out.read_text().count('<path class="arrow"') == 100
 
 

@@ -6,14 +6,18 @@ from eqmatch.config import from_dict, to_dict
 from eqmatch.model import ModelConfig, init_model
 from eqmatch.ndtensor import NonFiniteError
 from eqmatch.objective import corrupt
-from eqmatch.sampler import (BLAS_ROW_BLOCK, METHODS, FunctionField, ModelField,
-                             SamplerConfig, _eval_field, _subset_rows,
-                             calibrate_g_min, compose, sample,
-                             save_trajectory_csv)
+from eqmatch.sampler import (BLAS_ROW_BLOCK, METHODS, ComposedField, ModelField,
+                             SamplerConfig, _eval_field, _subset_rows, as_field,
+                             calibrate_g_min, sample, save_trajectory_csv)
 from test_model import identity_model
 
-linear_field = FunctionField(lambda x: x, dim=2)  # energy 0.5 ||x||^2
-zero_field = FunctionField(np.zeros_like, dim=2)
+
+def linear_field(x, progress=0.0):  # energy 0.5 ||x||^2
+    return x
+
+
+def zero_field(x, progress=0.0):
+    return np.zeros_like(x)
 
 
 def cfg(**kw):
@@ -63,7 +67,7 @@ class TestGradOf:
         np.testing.assert_allclose(ModelField(m)(x), 2.0 * x, atol=1e-12)
 
     def test_composed_equals_sum_of_members(self, rng):
-        f = compose([linear_field, linear_field, zero_field], weights=[1.0, 2.0, 5.0])
+        f = ComposedField([linear_field, linear_field, zero_field], weights=[1.0, 2.0, 5.0])
         x = rng.standard_normal((7, 2))
         np.testing.assert_array_equal(f(x, 0.0), 3.0 * x)
 
@@ -91,7 +95,9 @@ class TestGD:
         assert len(traj.states) == 6 and len(traj.grad_norms) == 5
 
     def test_non_finite_state_reports_step(self):
-        exploding = FunctionField(lambda x: np.full_like(x, 1e308))
+        def exploding(x, progress):
+            return np.full_like(x, 1e308)
+
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="step"):
             sample(exploding, np.ones((1, 2)), cfg(eta=10.0, steps=5))
 
@@ -120,7 +126,10 @@ class TestNAG:
         which would turn -0.0 into +0.0."""
         x0 = np.array([[-0.0, 2.0]])
         seen = []
-        spy = FunctionField(lambda x: seen.append(x.copy()) or x)
+        def spy(x, progress):
+            seen.append(x.copy())
+            return x
+
         for c in (cfg(eta=0.1, steps=2),
                   cfg(method="adaptive", eta=0.1, mu=0.35, g_min=0.01, max_steps=2)):
             seen.clear()
@@ -145,7 +154,9 @@ class TestEulerODE:
     def test_unit_horizon(self, rng):
         """N steps of h=1/N integrate a constant velocity over total time 1."""
         c = np.array([0.3, -1.2])
-        const_field = FunctionField(lambda x: -np.broadcast_to(c, x.shape))
+        def const_field(x, progress):
+            return -np.broadcast_to(c, x.shape)
+
         x0 = rng.standard_normal((4, 2))
         n = 125
         traj = sample(const_field, x0, cfg(eta=1.0 / n, steps=n))
@@ -171,7 +182,7 @@ class TestAdaptive:
         eta, g = 0.25, 0.05
         for x0_val in (3.7, 1.3, 9.9):
             want = int(np.ceil(np.log(g / x0_val) / np.log(1.0 - eta)))
-            traj = sample(FunctionField(lambda x: x), np.array([[x0_val, 0.0]]),
+            traj = sample(linear_field, np.array([[x0_val, 0.0]]),
                           cfg(method="adaptive", eta=eta, g_min=g))
             assert traj.steps_used[0] == want, x0_val
 
@@ -187,7 +198,9 @@ class TestAdaptive:
                       cfg(method="adaptive", eta=0.1, g_min=0.01, max_steps=3))
         # zero field never moves and never converges above... norm is 0 -> stops
         assert traj.steps_used.max() == 0
-        slow = FunctionField(lambda x: np.full_like(x, 1.0))
+        def slow(x, progress):
+            return np.full_like(x, 1.0)
+
         traj = sample(slow, np.full((2, 2), 5.0),
                       cfg(method="adaptive", eta=1e-6, g_min=0.5, max_steps=3))
         assert traj.cap_reached.all() and traj.steps_used.max() == 3
@@ -349,7 +362,7 @@ class TestActiveRows:
 
         x0 = 2.0 * np.random.default_rng(n).standard_normal((n, 2))
         c = cfg(method="adaptive", eta=0.1, mu=mu, g_min=0.3, max_steps=25)
-        traj = sample(FunctionField(field_plus_linear, dim=2), x0, c, record=True)
+        traj = sample(field_plus_linear, x0, c, record=True)
         final, steps_used, cap, states, norms = full_batch_sample(field_plus_linear, x0, c)
         assert 0 < cap.sum() < n and len(set(steps_used.tolist())) > 5
         assert traj.final.tobytes() == final.tobytes()
@@ -362,45 +375,43 @@ class TestActiveRows:
     def test_points_evaluated_counts_rows_given_to_the_field(self, rng):
         seen = []
 
-        def counting(x):
+        def counting(x, progress):
             seen.append(len(x))
             return x
 
-        field = FunctionField(counting, dim=2)
         x0 = 3.0 * rng.standard_normal((50, 2))
-        traj = sample(field, x0, cfg(method="adaptive", eta=0.25, g_min=0.05))
+        traj = sample(counting, x0, cfg(method="adaptive", eta=0.25, g_min=0.05))
         assert traj.points_evaluated.tolist() == seen
         assert seen[0] == 50 and min(seen) < 50
         seen.clear()
-        traj = sample(field, x0, cfg(eta=0.25, steps=7))
+        traj = sample(counting, x0, cfg(eta=0.25, steps=7))
         assert traj.points_evaluated.tolist() == seen == [50] * 7
 
 
 class TestCompose:
     def test_duplicate_model_doubles_gradient(self, rng):
         m = identity_model()
-        f = compose([m, m])
+        f = ComposedField([m, m])
         x = rng.standard_normal((6, 2))
         np.testing.assert_array_equal(f(x, 0.0), 2.0 * x)
 
     def test_zero_weight_drops_member(self, rng):
         m = identity_model()
-        f = compose([m, FunctionField(lambda x: x * 100)], weights=[1.0, 0.0])
+        f = ComposedField([m, lambda x, progress: x * 100], weights=[1.0, 0.0])
         x = rng.standard_normal((6, 2))
         np.testing.assert_array_equal(f(x, 0.0), x)
 
     def test_two_quadratics_share_midpoint_minimum(self):
         c1, c2 = np.array([2.0, 0.0]), np.array([0.0, 2.0])
-        f = compose([FunctionField(lambda x: x - c1), FunctionField(lambda x: x - c2)])
+        f = ComposedField([lambda x, progress: x - c1, lambda x, progress: x - c2])
         traj = sample(f, np.zeros((1, 2)), cfg(eta=0.2, steps=200))
         np.testing.assert_allclose(traj.final, [(c1 + c2) / 2.0], atol=1e-10)
 
     def test_composition_linearity_exact(self, rng):
         """Composed gradient equals the weighted member sum at 1000 points."""
         m = identity_model()
-        g2 = FunctionField(lambda x: np.sin(x))
         w = [0.7, -1.3]
-        f = compose([m, g2], weights=w)
+        f = ComposedField([m, lambda x, progress: np.sin(x)], weights=w)
         x = rng.standard_normal((1000, 2))
         want = w[0] * m.forward_values(x) + w[1] * np.sin(x)
         np.testing.assert_array_equal(f(x, 0.0), want)
@@ -409,20 +420,19 @@ class TestCompose:
         m = init_model(ModelConfig(input_dim=2, hidden=(8,), num_classes=3, init_seed=8))
         m.params["layers.1.w"] = 0.3 * rng.standard_normal((8, 2))
         x0 = rng.standard_normal((4, 2))
-        double = compose([m, m], labels=[1, 1])
+        double = ComposedField([ModelField(m, label=1), ModelField(m, label=1)])
         a = sample(double, x0, cfg(eta=0.005, steps=30)).final
         b = sample(ModelField(m, label=1), x0, cfg(eta=0.01, steps=30)).final
         assert a.tobytes() == b.tobytes()
 
-    def test_one_label_per_model(self):
-        m = identity_model()
-        for labels in ([1], [1, 1, 1]):
-            with pytest.raises(ValueError):
-                compose([m, m], labels=labels)
-
     def test_dimension_mismatch_rejected(self):
+        models = [init_model(ModelConfig(input_dim=d, hidden=(4,))) for d in (2, 3)]
         with pytest.raises(ValueError, match="dim"):
-            compose([FunctionField(lambda x: x, dim=2), FunctionField(lambda x: x, dim=3)])
+            ComposedField([ModelField(m) for m in models])
+
+    def test_as_field_rejects_a_non_callable(self):
+        with pytest.raises(TypeError, match="gradient field"):
+            as_field(np.zeros((2, 2)))
 
 
 class TestDenoiseAndMisc:
