@@ -197,19 +197,26 @@ class GradientFieldModel:
             else:
                 h = np.tanh(pre, out=pre)
 
-    def parameter_gradients(self, cache: list, grad: np.ndarray) -> dict[str, np.ndarray]:
+    def parameter_gradients(self, cache: list, grad: np.ndarray,
+                            keep: list | None = None) -> dict[str, np.ndarray]:
         """The gradient of a loss with respect to every parameter, given `grad`,
         its gradient with respect to the output of `forward_values(...,
         cache=cache)`. This is `nd.backward`'s transposed chain off the tape:
         the same ops in the same order (same bits). It makes each of the
         tape's finite checks that can fire, in the tape's order (same errors);
         a product with a factor in [0, 1] (the sigmoid, its derivative, a ReLU
-        mask, tanh's derivative) stays finite, so those go unchecked."""
+        mask, tanh's derivative) stays finite, so those go unchecked.
+
+        With a list as `keep`, each layer from the output down appends [the
+        gradient at its output, the gradient at its pre-activation], and last
+        the input gradient: what `energy_parameter_gradients` replays."""
         p = self.params
         grads = {}
         g = grad
         for i in reversed(range(len(cache))):
             h_in, hot, pre, s = cache[i]
+            if keep is not None:
+                keep.append([g])
             if i < len(cache) - 1:  # a hidden layer: back through its activation
                 if self.config.activation == "silu":
                     through_pre = g * s
@@ -223,6 +230,8 @@ class GradientFieldModel:
                     g = g * (pre > 0.0)
                 else:
                     g = g * (1.0 - pre * pre)
+            if keep is not None:
+                keep[-1].append(g)
             if hot is not None:
                 # the one-hot's gradient: unused, but the tape makes and checks it
                 nd.check_finite(g @ p["label_embed"].T, "matmul")
@@ -234,6 +243,137 @@ class GradientFieldModel:
             nd.check_finite(g_in, "matmul")
             grads[f"layers.{i}.w"] = h_in.T @ g
             nd.check_finite(grads[f"layers.{i}.w"], "matmul")
+            g = g_in
+        if keep is not None:
+            keep.append(g)
+        return {name: grads[name] for name in p}
+
+    def energy_input_gradient(self, cache: list, keep: list) -> np.ndarray:
+        """The input-gradient of the batch-summed energy of `forward_values(x,
+        ..., cache=cache)`: `nd.input_gradient(_total_energy(...), x)` off the
+        tape, with its bits and its errors. The tape makes and checks the
+        energy and every parameter's first-order gradient, though nothing
+        uses them, so this does too. `keep` collects what
+        `energy_parameter_gradients` needs (see `parameter_gradients`)."""
+        x, f = cache[0][0], cache[-1][2]
+        if self.config.energy_kind == "dot":
+            energy = x * f
+            nd.check_finite(energy, "mul")
+            q = x  # the tape's ones * x
+        else:
+            energy = f * f
+            nd.check_finite(energy, "square")
+            q = f * -0.5  # the ones scaled by -0.5, then square's 2.0
+            q *= 2.0
+        nd.check_finite(energy.sum(axis=(0, 1)), "reduce_leading")
+        self.parameter_gradients(cache, q, keep)
+        if self.config.energy_kind == "l2norm":
+            return keep[-1]
+        field = f + keep[-1]  # the dot's own x-gradient, then the chain's
+        nd.check_finite(field, "add")
+        return field
+
+    def energy_parameter_gradients(self, cache: list, keep: list,
+                                   grad: np.ndarray) -> dict[str, np.ndarray]:
+        """The gradient of a loss with respect to every parameter, given `grad`,
+        its gradient with respect to `energy_input_gradient(cache, keep)`.
+        This is the tape's double backward off the tape: the adjoint of the
+        first backward from layer 0 up, then of the forward pass from the
+        output down, with each sum taken in the tape's order (same bits). Like
+        `parameter_gradients`, it makes each finite check that can fire in the
+        tape's order, including those on products nothing uses; it skips those
+        a checked value or a factor in [0, 1] bounds."""
+        p, act, last = self.params, self.config.activation, len(cache) - 1
+        x, f = cache[0][0], cache[last][2]
+        first = keep[-2::-1]  # per layer, from the input up
+        w_grads, pending = [], []
+        g = grad  # the adjoint of layer 0's input gradient
+        for i in range(last + 1):
+            u, g_pre = first[i]
+            v = g @ p[f"layers.{i}.w"]  # the adjoint of g_pre
+            nd.check_finite(v, "matmul")
+            w_grads.append(g.T @ g_pre)
+            nd.check_finite(w_grads[i], "matmul")
+            if i == last:
+                break
+            pre, s = cache[i][2], cache[i][3]
+            if act == "silu":  # g_pre = u * s + (u * pre) * d, d = s * (1 - s)
+                c = 1.0 - s
+                d = s * c
+                r_bar = v * d
+                d_bar = v * (u * pre)
+                nd.check_finite(d_bar, "mul")
+                s_bar = d_bar * c + (d_bar * s) * -1.0
+                nd.check_finite(s_bar, "add")
+                g = r_bar * pre
+                nd.check_finite(g, "mul")
+                a_bar = r_bar * u
+                nd.check_finite(a_bar, "mul")
+                through_u = v * u
+                nd.check_finite(through_u, "mul")
+                g = g + v * s
+                nd.check_finite(g, "add")
+                s_bar += through_u
+                nd.check_finite(s_bar, "add")
+                pending.append((a_bar, s_bar, d))
+            elif act == "relu":  # g_pre = u * mask
+                nd.check_finite(v * u, "mul")  # the mask's gradient: unused
+                g = v * (pre > 0.0)
+            else:  # g_pre = u * c, c = 1 - y * y
+                c = 1.0 - pre * pre
+                c_bar = v * u
+                nd.check_finite(c_bar, "mul")
+                g = v * c
+                y_bar = c_bar * -1.0 * pre * 2.0  # the tape's order: -c_bar, * y, * 2
+                nd.check_finite(y_bar, "scalar_mul")
+                pending.append((y_bar, c))
+        # `v` is now the adjoint of the output's first-order gradient
+        if self.config.energy_kind == "dot":
+            nd.check_finite(v * x, "mul")  # the gradients of the tape's ones:
+            nd.check_finite(grad * f, "mul")  # unused
+            x_bar, g = v, grad
+        else:
+            v = v * 2.0
+            nd.check_finite(v, "scalar_mul")
+            nd.check_finite(v * f, "mul")  # unused
+            x_bar, g = None, v * -0.5
+        grads = {}
+        for i in reversed(range(last + 1)):
+            h_in, hot, pre, s = cache[i]
+            if i < last:
+                if act == "silu":
+                    a_bar, s_bar, d = pending[i]
+                    through_s = g * pre
+                    nd.check_finite(through_s, "mul")
+                    a_bar = a_bar + g * s
+                    nd.check_finite(a_bar, "add")
+                    s_bar = s_bar + through_s
+                    nd.check_finite(s_bar, "add")
+                    g = a_bar + s_bar * d
+                    nd.check_finite(g, "add")
+                elif act == "relu":
+                    g = g * (pre > 0.0)
+                else:
+                    g = g * pending[i][1]
+            if hot is not None:
+                nd.check_finite(g @ p["label_embed"].T, "matmul")
+                grads["label_embed"] = hot.T @ g
+                nd.check_finite(grads["label_embed"], "matmul")
+            grads[f"layers.{i}.b"] = g.sum(axis=0)
+            nd.check_finite(grads[f"layers.{i}.b"], "reduce_leading")
+            g_in = g @ p[f"layers.{i}.w"].T
+            nd.check_finite(g_in, "matmul")
+            w_part = h_in.T @ g
+            nd.check_finite(w_part, "matmul")
+            # the input's adjoint from the first backward: tanh's output's, or
+            # the x-leaf's (unused)
+            prior = x_bar if i == 0 else pending[i - 1][0] if act == "tanh" else None
+            if prior is not None:
+                g_in = prior + g_in
+                nd.check_finite(g_in, "add")
+            w_grads[i] += w_part
+            nd.check_finite(w_grads[i], "add")
+            grads[f"layers.{i}.w"] = w_grads[i]
             g = g_in
         return {name: grads[name] for name in p}
 

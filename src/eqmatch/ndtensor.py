@@ -3,8 +3,11 @@
 The engine keeps one append-only tape (`Graph`) per differentiable
 computation. Every backward rule is itself expressed through the public ops,
 so the gradients returned by :func:`backward` and :func:`input_gradient` are
-live graph nodes and can be differentiated again (double backprop). That is
-what lets an explicit-energy loss train through an input-gradient.
+live graph nodes and can be differentiated again (double backprop).
+
+Training (`objective.loss_and_gradients`) and implicit-model inference
+(`model.forward_values`) run off the tape with the same bits and errors:
+the tape is their test oracle, and the engine of `model.energy_gradient`.
 
 Conventions:
   - all buffers are contiguous float64; non-finite values raise at op
@@ -125,13 +128,6 @@ class Graph:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def release(self) -> None:
-        """Drop the recorded ops and leases. The tape is a reference cycle (nodes ->
-        tensors -> graph), so otherwise its buffers wait for the cyclic collector."""
-        self.nodes.clear()
-        self.leaf_ids.clear()
-        self.bindings.clear()
 
     def leaf(self, values) -> Tensor:
         """Register raw data as a differentiable graph input."""

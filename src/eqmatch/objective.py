@@ -138,22 +138,27 @@ def loss_for(objective: str, model: GradientFieldModel, batch: TrainBatch,
     return nd.tmean(nd.square(nd.sub(field, nd.constant(target))))
 
 
-def loss_and_gradients(model: GradientFieldModel, batch: TrainBatch, sched: Schedule,
-                       allow_non_equilibrium: bool = False
+def loss_and_gradients(objective: str, model: GradientFieldModel, batch: TrainBatch,
+                       sched: Schedule, allow_non_equilibrium: bool = False
                        ) -> tuple[float, dict[str, np.ndarray]]:
-    """The eqm loss and its gradient with respect to every parameter, off the
-    tape: `forward_values` with a cache, the mean squared error and its
-    gradient written out, then `parameter_gradients`. It gives the bits and
-    the errors of `loss_for("eqm", ...)` + `nd.backward`; the tape's checks
-    it skips are on values that checked ones bound (the loss is at most the
-    checked sum, the output gradient at most the checked difference or its
-    square). eqm-e trains through an input-gradient, so it needs the tape's
-    double backward: `loss_for` + `nd.backward`."""
-    xg, target, label = _loss_inputs("eqm", model, batch, sched, allow_non_equilibrium)
+    """The loss of `objective` and its gradient with respect to every
+    parameter, off the tape: `forward_values` with a cache (for eqm-e, then
+    `energy_input_gradient`), the mean squared error and its gradient
+    written out, then `parameter_gradients` (eqm) or
+    `energy_parameter_gradients` (eqm-e). It gives the bits and the errors of
+    `loss_for(objective, ...)` + `nd.backward`; the tape's checks it skips
+    are on values that checked ones bound (the loss is at most the checked
+    sum, the output gradient at most the checked difference or its square)."""
+    xg, target, label = _loss_inputs(objective, model, batch, sched,
+                                      allow_non_equilibrium)
     level = batch.gamma if model.config.noise_conditioned else None
-    cache = []
-    f = model.forward_values(xg, label=label, noise_level=level, cache=cache)
-    diff = f - nd.constant(target).values
+    if objective == "eqm-e":
+        nd.check_finite(xg, "leaf")  # loss_for leases x before the forward pass
+    cache, keep = [], []
+    field = model.forward_values(xg, label=label, noise_level=level, cache=cache)
+    if objective == "eqm-e":
+        field = model.energy_input_gradient(cache, keep)
+    diff = field - nd.constant(target).values
     nd.check_finite(diff, "sub")
     squared = diff * diff
     nd.check_finite(squared, "square")
@@ -164,4 +169,6 @@ def loss_and_gradients(model: GradientFieldModel, batch: TrainBatch, sched: Sche
     nd.check_finite(total, "reduce_leading")
     grad = scale * diff  # (the tape's ones(()) * scale is scale exactly)
     grad *= 2.0
+    if objective == "eqm-e":
+        return float(total * scale), model.energy_parameter_gradients(cache, keep, grad)
     return float(total * scale), model.parameter_gradients(cache, grad)

@@ -69,8 +69,10 @@ class SamplerConfig:
             raise ValueError("steps must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.method == "adaptive" and not (self.g_min and self.g_min > 0.0):
-            raise ValueError("adaptive sampling needs g_min > 0")
+        if self.method == "adaptive" and not (self.g_min is not None
+                                              and 0.0 < self.g_min < np.inf):
+            raise ValueError("adaptive sampling needs a finite g_min > 0, "
+                             f"got g_min={self.g_min}")
         if self.method != "adaptive" and self.g_min is not None:
             raise ValueError("g_min only applies to the adaptive method")
 

@@ -35,6 +35,9 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind '{self.kind}'")
+        for key, value in (("a", self.a), ("b", self.b), ("lambda", self.lam)):
+            if not np.isfinite(value):
+                raise ValueError(f"{key}={value} must be finite")
         if not 0.0 <= self.a < 1.0:
             raise ValueError(f"truncation point a={self.a} outside [0, 1)")
         if self.b < 0.0:

@@ -19,7 +19,7 @@ from .checkpoint import (CheckpointError, load_checkpoint, load_params_into,
 from .config import RunConfig, ValidationError, to_dict
 from .data import ToyDistribution, draw_from, read_csv, write_csv
 from .model import GradientFieldModel, ModelConfig, init_model
-from .objective import TrainBatch, draw_batch, loss_and_gradients, loss_for
+from .objective import TrainBatch, draw_batch, loss_and_gradients
 from .optimizer import AdamW
 
 CHECKPOINT_NAME = "checkpoint.eqmckpt"
@@ -49,12 +49,6 @@ def _next_batch(config: RunConfig, rng: np.random.Generator,
         if config.model.num_classes == 0:
             labels = None
     return draw_batch(rng, x, labels=labels)
-
-
-def _parameter_gradients(model: GradientFieldModel, loss: nd.Tensor) -> dict[str, np.ndarray]:
-    grads = nd.backward(loss)
-    bound = model._bind(loss.graph)
-    return {name: nd.grad_values(grads, leaf) for name, leaf in bound.items()}
 
 
 def _require_same_model(given: ModelConfig, saved: ModelConfig, path) -> None:
@@ -130,20 +124,10 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
     for i, step in enumerate(range(start_step, config.train.steps)):
         batch = _next_batch(config, rng, source)
         try:
-            if config.objective == "eqm":
-                losses[i], grads = loss_and_gradients(model, batch, config.schedule,
-                                                      config.allow_non_equilibrium)
-                optimizer.step(model.params, grads)
-            else:  # eqm-e trains through an input-gradient: double backward
-                loss = loss_for(config.objective, model, batch, config.schedule,
-                                config.allow_non_equilibrium)
-                grads = _parameter_gradients(model, loss)
-                optimizer.step(model.params, grads)
-                # released after the update: released before it, the freed
-                # tape went back to the OS each step (4x the page faults) and
-                # steps ran about 15% slower
-                loss.graph.release()
-                losses[i] = loss.item()
+            losses[i], grads = loss_and_gradients(config.objective, model, batch,
+                                                  config.schedule,
+                                                  config.allow_non_equilibrium)
+            optimizer.step(model.params, grads)
         except nd.NonFiniteError as e:
             raise nd.NonFiniteError(f"training aborted at step {step}: {e}") from e
         if not quiet and config.train.log_every and step % config.train.log_every == 0:

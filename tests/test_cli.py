@@ -136,6 +136,27 @@ class TestExitCodes:
         assert code == 1 and f"{flag[2:]}={value}" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["sample", "--method", "adaptive", "--g-min", "inf", "--n", "4"],
+        ["sweep", "--axis", "g-min", "--values", "0.1,inf", "--n", "4"]],
+        ids=["sample", "sweep"])
+    def test_infinite_g_min_names_it(self, workspace, tmp_path, capsys, command):
+        """An infinite g_min would stop every sample at step 0."""
+        code = main([*command, "--checkpoint", ckpt(workspace),
+                     "--out" if command[0] == "sample" else "--out-dir",
+                     str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and "g_min=inf" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_lambda_sweep_names_lambda(self, workspace, tmp_path, capsys):
+        code = main(["sweep", "--axis", "lambda", "--values", "1,inf", "--config",
+                     str(workspace / "cfg.json"), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and "lambda=inf must be finite" in err
+        assert "vanish" not in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_mu_with_gd_names_mu(self, workspace, tmp_path, capsys):
         code = main(["sample", "--checkpoint", ckpt(workspace), "--method", "gd",
                      "--mu", "-0.35", "--n", "4", "--out", str(tmp_path / "s.csv")])
@@ -334,11 +355,14 @@ class TestStartCsv:
 
 
 class TestResume:
-    def test_crash_then_resume_matches_uninterrupted_run(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("objective,head", [("eqm", "none"), ("eqm-e", "dot")])
+    def test_crash_then_resume_matches_uninterrupted_run(self, tmp_path, monkeypatch,
+                                                         objective, head):
         monkeypatch.setenv("EQMATCH_OUT", str(tmp_path / "default-out"))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "seed": 3, "model": {"hidden": [8, 8], "init_seed": 1},
+            "seed": 3, "objective": objective,
+            "model": {"hidden": [8, 8], "init_seed": 1, "energy_kind": head},
             "train": {"steps": 30, "batch_size": 8, "checkpoint_every": 10}}))
         full, crashed = tmp_path / "full", tmp_path / "crashed"
         assert main(["train", "--config", str(cfg), "--out", str(full)]) == 0

@@ -1,9 +1,6 @@
 """Autodiff engine checks: forward values, reverse gradients against central
 finite differences, second-order correctness, and tape hygiene."""
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
@@ -345,22 +342,3 @@ def test_determinism_bitwise(rng):
 
     a, b = run(), run()
     assert a.tobytes() == b.tobytes()
-
-
-def test_release_frees_the_tape_without_the_collector():
-    """The tape is a reference cycle; release() breaks it, so dropping the
-    last outside reference frees the graph with the collector off."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        g = nd.Graph()
-        loss = nd.tsum(nd.silu(g.leaf(np.ones((4, 3)))))
-        nd.backward(loss)
-        g.release()
-        assert len(g) == 0 and not g.leaf_ids and not g.bindings
-        ref = weakref.ref(g)
-        del g, loss
-        assert ref() is None
-    finally:
-        if enabled:
-            gc.enable()

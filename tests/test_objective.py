@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from eqmatch import ndtensor as nd
 from eqmatch.config import RunConfig, ValidationError
-from eqmatch.model import ACTIVATIONS, ModelConfig, init_model
+from eqmatch.model import ACTIVATIONS, ModelConfig, energy, init_model
 from eqmatch.objective import (OBJECTIVES, ObjectiveError, TrainBatch, check_pairing,
                                corrupt, draw_batch, gradient_target, loss_and_gradients,
                                loss_for)
@@ -224,15 +224,34 @@ def test_conditional_model_needs_labels(rng):
     assert loss_for("eqm", m, b, LINEAR).item() >= 0.0
 
 
-def tape_loss_and_gradients(m, b, sched, allow_non_equilibrium=False):
-    loss = loss_for("eqm", m, b, sched, allow_non_equilibrium)
+def tape_loss_and_gradients(m, b, sched, allow_non_equilibrium=False, objective="eqm"):
+    loss = loss_for(objective, m, b, sched, allow_non_equilibrium)
     grads = nd.backward(loss)
     return loss.item(), {name: nd.grad_values(grads, leaf)
                          for name, leaf in m._bind(loss.graph).items()}
 
 
+def assert_same_bits(got_loss, got, want_loss, want, names):
+    assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+    assert list(got) == list(want) == list(names)
+    for name, g in got.items():
+        assert g.shape == want[name].shape and g.tobytes() == want[name].tobytes()
+
+
+def assert_same_error(objective, m, b, sched):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(Exception) as tape:
+        tape_loss_and_gradients(m, b, sched, objective=objective)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(Exception) as values:
+        loss_and_gradients(objective, m, b, sched)
+    assert type(values.value) is type(tape.value)
+    assert str(values.value) == str(tape.value)
+    return str(values.value)
+
+
 class TestLossAndGradients:
-    """loss_and_gradients trains eqm off the tape; loss_for("eqm", ...) +
+    """loss_and_gradients trains both objectives off the tape; loss_for +
     nd.backward is its oracle."""
 
     @settings(max_examples=60, deadline=None)
@@ -249,11 +268,25 @@ class TestLossAndGradients:
         labels = rng.integers(0, classes, n) if classes else None
         b = draw_batch(rng, 2.0 * rng.standard_normal((n, 2)), labels=labels)
         want_loss, want = tape_loss_and_gradients(m, b, sched, True)
-        got_loss, got = loss_and_gradients(m, b, sched, True)
-        assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
-        assert list(got) == list(want) == list(m.params)
-        for name, g in got.items():
-            assert g.shape == want[name].shape and g.tobytes() == want[name].tobytes()
+        got_loss, got = loss_and_gradients("eqm", m, b, sched, True)
+        assert_same_bits(got_loss, got, want_loss, want, m.params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(head=st.sampled_from(["dot", "l2norm"]), activation=st.sampled_from(ACTIVATIONS),
+           classes=st.sampled_from([0, 3]), n=st.sampled_from([1, 7, 9, 64]),
+           hidden=st.sampled_from([(256, 256, 256), (16,), (64, 64)]),
+           sched=st.sampled_from([TRUNC4, CONST]), seed=st.integers(0, 2**32 - 1))
+    def test_eqm_e_bits_equal_the_tape(self, head, activation, classes, n, hidden, sched,
+                                       seed):
+        cfg = ModelConfig(hidden=hidden, activation=activation, num_classes=classes,
+                          energy_kind=head)
+        m = random_model(cfg, seed)
+        rng = np.random.default_rng(seed + 1)
+        labels = rng.integers(0, classes, n) if classes else None
+        b = draw_batch(rng, 2.0 * rng.standard_normal((n, 2)), labels=labels)
+        want_loss, want = tape_loss_and_gradients(m, b, sched, True, "eqm-e")
+        got_loss, got = loss_and_gradients("eqm-e", m, b, sched, True)
+        assert_same_bits(got_loss, got, want_loss, want, m.params)
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "nan input", "label",
                                       "backward matmul", "backward mul", "schedule",
@@ -294,18 +327,55 @@ class TestLossAndGradients:
         if case.startswith("backward"):
             with np.errstate(over="ignore"):
                 loss_for("eqm", m, b, sched)  # the forward pass is finite
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(Exception) as tape:
-            tape_loss_and_gradients(m, b, sched)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(Exception) as values:
-            loss_and_gradients(m, b, sched)
-        assert type(values.value) is type(tape.value)
-        assert str(values.value) == str(tape.value)
+        message = assert_same_error("eqm", m, b, sched)
         op = {"nan input": "constant", "backward matmul": "matmul",
               "backward mul": "mul"}.get(case, case)
         if case not in ("label", "schedule", "no labels", "energy head"):
-            assert str(values.value) == f"non-finite values produced by op '{op}'"
+            assert message == f"non-finite values produced by op '{op}'"
+
+    @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "nan input", "label",
+                                      "first backward", "second backward", "schedule",
+                                      "no labels", "no energy head"])
+    def test_eqm_e_errors_equal_the_tape(self, case):
+        head = "none" if case == "no energy head" else "dot"
+        m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), 0)
+        x, eps = np.ones((5, 2)), np.ones((5, 2))
+        labels, sched = np.array([0, 1, 2, 0, 1]), TRUNC4
+        if case == "leaf":
+            m.params["layers.1.b"][3] = np.inf
+        elif case == "matmul":
+            m.params["layers.0.w"][:] = 1e308
+        elif case == "add":
+            m.params["layers.0.w"][:] = 0.5e308
+            m.params["layers.0.b"][:] = 1e308
+        elif case == "nan input":
+            x[2, 1] = np.nan
+        elif case == "label":
+            labels[4] = 3
+        elif case == "first backward":
+            # SiLU outputs 1e308 into a tiny last layer, so the forward pass is
+            # finite; the last layer's weight gradient sums five of them
+            m.params["layers.1.w"][:] = 0.0
+            m.params["layers.1.b"][:] = 1e308
+            m.params["layers.2.w"] *= 1e-300
+        elif case == "second backward":
+            # the field and the loss are finite; the adjoint of SiLU's
+            # `grad * pre` in the first backward overflows
+            x, m.params["layers.2.w"] = np.full((5, 2), 1e100), m.params["layers.2.w"] * 1e50
+        elif case == "schedule":
+            sched = CONST
+        elif case == "no labels":
+            labels = None
+        b = TrainBatch(x=x, eps=eps, gamma=np.full(5, 0.5), labels=labels)
+        if case == "first backward":
+            energy(m, corrupt(x, eps, b.gamma), labels)  # the forward pass is finite
+        elif case == "second backward":
+            loss_for("eqm-e", m, b, sched)  # so are the first backward and the loss
+        message = assert_same_error("eqm-e", m, b, sched)
+        op = {"nan input": "leaf", "first backward": "matmul",
+              "second backward": "mul"}.get(case, case)
+        if case not in ("label", "schedule", "no labels", "no energy head"):
+            assert message == f"non-finite values produced by op '{op}'"
 
 
 def test_run_config_states_the_same_pairing_rules():

@@ -35,6 +35,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="g_min"):
             cfg(method="adaptive")
 
+    @pytest.mark.parametrize("g_min", [0.0, -1.0, np.inf, np.nan])
+    def test_adaptive_needs_a_finite_positive_g_min(self, g_min):
+        with pytest.raises(ValueError, match=f"finite g_min > 0, got g_min={g_min}"):
+            cfg(method="adaptive", g_min=g_min)
+
     def test_g_min_only_for_adaptive(self):
         with pytest.raises(ValueError, match="g_min"):
             cfg(method="gd", g_min=0.1)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from eqmatch.config import from_dict, to_dict
-from eqmatch.schedule import Schedule, eval_schedule, is_equilibrium
+from eqmatch.schedule import KINDS, Schedule, eval_schedule, is_equilibrium
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 kinds = st.sampled_from(["constant", "linear", "truncated", "piecewise"])
@@ -106,6 +106,16 @@ def test_invalid_parameters_rejected(bad):
     kwargs.update(bad)
     with pytest.raises(ValueError):
         Schedule(**kwargs)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("key, field", [("a", "a"), ("b", "b"), ("lambda", "lam")])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_parameter_names_its_key(kind, key, field, value):
+    """Every kind rejects a non-finite a, b or lambda, even one it does not
+    read, by the key the JSON config uses."""
+    with pytest.raises(ValueError, match=rf"^{key}=.* must be finite"):
+        Schedule(**{"kind": kind, field: value})
 
 
 def test_dict_round_trip():

@@ -173,8 +173,7 @@ def test_each_step_frees_its_tape_without_the_collector(monkeypatch, objective,
                                                         energy_kind):
     """A tape is a reference cycle, so a step that left it to the cyclic
     collector would keep every step's graph alive with the collector off.
-    eqm trains off the tape; eqm-e builds one per step and frees it after
-    the update."""
+    Both objectives train off the tape, so no step builds one."""
     graphs = []
 
     class RecordedGraph(nd.Graph):
@@ -197,10 +196,7 @@ def test_each_step_frees_its_tape_without_the_collector(monkeypatch, objective,
     gc.disable()
     try:
         train(cfg)
-        # each update sees only its own step's graph; none outlives train()
-        tapes = 1 if objective == "eqm-e" else 0
-        assert alive_at_update == [tapes] * 6
-        assert len(graphs) == 6 * tapes and all(ref() is None for ref in graphs)
+        assert alive_at_update == [0] * 6 and graphs == []
     finally:
         if enabled:
             gc.enable()
@@ -216,5 +212,20 @@ def test_eqm_trains_without_a_tape(monkeypatch, model):
 
     monkeypatch.setattr(nd, "Graph", no_tape)
     cfg = run_config(model=model, train=TrainSettings(steps=3, batch_size=8))
+    result = train(cfg, out_dir=None)
+    assert result.losses.shape == (3,) and np.all(np.isfinite(result.losses))
+
+
+@pytest.mark.parametrize("model", [ModelConfig(hidden=(16, 16), energy_kind="dot"),
+                                   ModelConfig(hidden=(16,), activation="tanh",
+                                               num_classes=8, energy_kind="l2norm")],
+                         ids=["dot", "labelled-l2norm"])
+def test_eqm_e_trains_without_a_tape(monkeypatch, model):
+    def no_tape():
+        raise AssertionError("an eqm-e training step built a tape")
+
+    monkeypatch.setattr(nd, "Graph", no_tape)
+    cfg = run_config(objective="eqm-e", model=model,
+                     train=TrainSettings(steps=3, batch_size=8))
     result = train(cfg, out_dir=None)
     assert result.losses.shape == (3,) and np.all(np.isfinite(result.losses))
