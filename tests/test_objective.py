@@ -334,8 +334,8 @@ class TestLossAndGradients:
             assert message == f"non-finite values produced by op '{op}'"
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "nan input", "label",
-                                      "first backward", "second backward", "schedule",
-                                      "no labels", "no energy head"])
+                                      "weight gradient", "schedule", "no labels",
+                                      "no energy head"])
     def test_eqm_e_errors_equal_the_tape(self, case):
         head = "none" if case == "no energy head" else "dot"
         m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), 0)
@@ -352,30 +352,91 @@ class TestLossAndGradients:
             x[2, 1] = np.nan
         elif case == "label":
             labels[4] = 3
-        elif case == "first backward":
+        elif case == "weight gradient":
             # SiLU outputs 1e308 into a tiny last layer, so the forward pass is
-            # finite; the last layer's weight gradient sums five of them
+            # finite; the first backward's last weight gradient sums five of them
             m.params["layers.1.w"][:] = 0.0
             m.params["layers.1.b"][:] = 1e308
             m.params["layers.2.w"] *= 1e-300
-        elif case == "second backward":
-            # the field and the loss are finite; the adjoint of SiLU's
-            # `grad * pre` in the first backward overflows
-            x, m.params["layers.2.w"] = np.full((5, 2), 1e100), m.params["layers.2.w"] * 1e50
         elif case == "schedule":
             sched = CONST
         elif case == "no labels":
             labels = None
         b = TrainBatch(x=x, eps=eps, gamma=np.full(5, 0.5), labels=labels)
-        if case == "first backward":
+        if case == "weight gradient":
             energy(m, corrupt(x, eps, b.gamma), labels)  # the forward pass is finite
-        elif case == "second backward":
-            loss_for("eqm-e", m, b, sched)  # so are the first backward and the loss
         message = assert_same_error("eqm-e", m, b, sched)
-        op = {"nan input": "leaf", "first backward": "matmul",
-              "second backward": "mul"}.get(case, case)
+        op = {"nan input": "leaf", "weight gradient": "matmul"}.get(case, case)
         if case not in ("label", "schedule", "no labels", "no energy head"):
             assert message == f"non-finite values produced by op '{op}'"
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("head", ["dot", "l2norm"])
+    @pytest.mark.parametrize("phase", ["first backward", "second backward",
+                                       "head adjoint"])
+    def test_eqm_e_backward_errors_equal_the_tape(self, phase, head, activation):
+        """Overflows that first appear past the forward pass, for every head
+        and activation. The second backward reaches each activation's own
+        checks: SiLU's, ReLU's unused `v * u`, tanh's `c_bar` and `y_bar`. The
+        head adjoint reaches each head's: dot's unused `v * x`, l2norm's
+        `v * 2.0` and its unused `v * f`. Weights, biases and inputs that are
+        powers of two keep each product exact, so the sizes below hold."""
+        m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, activation=activation,
+                                     energy_kind=head), 0)
+        p, tiny = m.params, 2.0 ** -1000
+        if phase == "first backward":
+            # layer 1 outputs 0, so the output is the bias 1e100 and finite;
+            # the 1e100 gradient at the output meets the 1e250 last layer
+            p["layers.1.w"][:] = p["layers.1.b"][:] = 0.0
+            p["layers.2.w"] *= 1e250
+            p["layers.2.b"][:] = 1e100
+            x = eps = np.full((5, 2), 1e100)
+        elif phase == "second backward":
+            # Layer 1 sits at -800: ReLU and SiLU output 0, tanh -1, each at
+            # slope 0, so the field (dot: the output, about 2^504; l2norm: 0)
+            # and the loss are finite. The gradient u at layer 1's output is
+            # 2^522 (dot: x_t's 2^22 times the last layer's 2^500) or about
+            # 2^1004 (l2norm: the output times the last layer). The adjoint v
+            # there grows with the loss gradient (dot: about 2^502 from the
+            # output; l2norm: 1.6 * 2^16 from the target), and v * u
+            # overflows. For l2norm + tanh it is 1.44e308, finite, and tanh's
+            # y_bar = -2 * c_bar * y overflows.
+            w2 = 2.0 ** 500
+            p["label_embed"][:] = 0.0
+            p["layers.0.w"][:] = [[1.0], [0.0]]
+            p["layers.1.w"][:] = 1.0
+            p["layers.2.w"][:] = [w2, -w2]
+            p["layers.0.b"][:], p["layers.1.b"][:] = tiny, -800.0
+            p["layers.2.b"][:] = [16 * w2, -16 * w2]
+            x = np.tile([-2.0 ** 16, 2.0 ** 22], (5, 1))
+            eps = np.tile([2.0 ** 16, 2.0 ** 22], (5, 1))
+        else:
+            # Every weight is t = 2^254 and the hidden pre-activations are
+            # tiny, so each activation has slope 1 (SiLU's 1/2). x_t = (t, -t)
+            # meets equal rows, and the output (2^34, -2^34) equal columns, so
+            # the first backward is 0. The target 8t's loss gradient reaches
+            # the output's adjoint as v = 204.8 * 2^1016 = 1.44e308 (SiLU: a
+            # quarter): dot's v * x overflows, or l2norm's v * 2.0, or for
+            # SiLU its v * f.
+            t = 2.0 ** 254
+            p["label_embed"][:] = 0.0
+            for i in range(3):
+                p[f"layers.{i}.w"][:] = t
+            p["layers.0.b"][:] = p["layers.1.b"][:] = tiny
+            p["layers.2.b"][:] = [2.0 ** 34, -2.0 ** 34]
+            x, eps = np.tile([0.0, -2 * t], (5, 1)), np.tile([2 * t, 0.0], (5, 1))
+        labels = np.array([0, 1, 2, 0, 1])
+        b = TrainBatch(x=x, eps=eps, gamma=np.full(5, 0.5), labels=labels)
+        if phase == "first backward":
+            energy(m, corrupt(x, eps, b.gamma), labels)  # the forward pass is finite
+        else:
+            loss_for("eqm-e", m, b, TRUNC4)  # so are the first backward and the loss
+        message = assert_same_error("eqm-e", m, b, TRUNC4)
+        scalar_mul = {("second backward", "l2norm", "tanh"),
+                      ("head adjoint", "l2norm", "relu"), ("head adjoint", "l2norm", "tanh")}
+        op = ("matmul" if phase == "first backward" else
+              "scalar_mul" if (phase, head, activation) in scalar_mul else "mul")
+        assert message == f"non-finite values produced by op '{op}'"
 
 
 def test_run_config_states_the_same_pairing_rules():

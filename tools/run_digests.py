@@ -1,10 +1,10 @@
 """Print the SHA-256 of every file a default training run writes.
 
     python tools/run_digests.py [--repo DIR] [--steps 150] [--checkpoint-every 50]
-                                [--resume-from 50] [--seed 0]
+                                [--resume-from 50]
 
-Trains the default eqm and eqm-e (dot head) configs with `eqmatch train`
-from DIR/src (DIR defaults to this checkout), with the benchmark's run
+Trains the default eqm and eqm-e (dot head) configs (seed 0) with `eqmatch
+train` from DIR/src (DIR defaults to this checkout), with the benchmark's run
 length and checkpoint interval, then resumes a copy of each run from its
 step `--resume-from` checkpoint. Each line is `<objective> <fresh|resumed>
 <file> <sha256>`, for `losses.csv` and every checkpoint. Two checkouts that
@@ -44,14 +44,14 @@ def digests(run_dir: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
 
 
-def run_digests(repo: Path, work: Path, steps: int, every: int, resume_from: int,
-                seed: int) -> list[str]:
+def run_digests(repo: Path, work: Path, steps: int, every: int,
+                resume_from: int) -> list[str]:
     lines = []
     for objective, head in OBJECTIVES.items():
         config = work / f"{objective}.json"
         config.write_text(json.dumps({
-            "seed": seed, "objective": objective,
-            "model": {"energy_kind": head, "init_seed": seed},
+            "seed": 0, "objective": objective,
+            "model": {"energy_kind": head, "init_seed": 0},
             "train": {"steps": steps, "checkpoint_every": every}}))
         fresh, resumed = work / objective, work / f"{objective}-resumed"
         train(repo, ["--config", str(config), "--out", str(fresh)])
@@ -72,7 +72,6 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=150)
     parser.add_argument("--checkpoint-every", type=int, default=50)
     parser.add_argument("--resume-from", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if not (0 < args.resume_from < args.steps
             and args.resume_from % args.checkpoint_every == 0):
@@ -80,7 +79,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         try:
             lines = run_digests(Path(args.repo), Path(work), args.steps,
-                                args.checkpoint_every, args.resume_from, args.seed)
+                                args.checkpoint_every, args.resume_from)
         except (OSError, subprocess.CalledProcessError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
