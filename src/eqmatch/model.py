@@ -149,15 +149,32 @@ class GradientFieldModel:
             h = act(pre) if i < n_layers - 1 else pre
         return h
 
-    def forward_values(self, x, label=None, noise_level=None, cache=None) -> np.ndarray:
+    def run_pass(self, run):
+        """`nd.run_pass(run)` for a pass through this model. A ReLU or tanh
+        model scans inside every pass: max(-inf, 0) and tanh(+-inf) are
+        finite, so a non-finite value could vanish before a boundary scan."""
+        return nd.run_pass(run, scan_inside=self.config.activation != "silu")
+
+    def forward_values(self, x, label=None, noise_level=None, cache=None,
+                       check=nd.check_finite) -> np.ndarray:
         """`forward(nd.Graph(), x, ...).values` off the tape, each layer written
-        in place: the same ops in the same order (same bits) and the same
-        finite checks at the same op boundaries (same errors).
+        in place: the same ops in the same order (same bits). The input, the
+        parameters and the output are scanned with `nd.check_finite` and the
+        values inside the pass with `check`, at the tape's op boundaries, so
+        with every scan made the pass raises the tape's errors (see
+        `nd.run_pass`). Without a cache this is an inference pass, and it
+        runs through `run_pass`, which chooses `check`.
 
         With a list as `cache`, each layer appends what `parameter_gradients`
         needs: [input, one-hot labels or None, pre-activation, sigmoid or
         None]. ReLU and tanh write their output over the pre-activation; the
         sigmoid is SiLU's."""
+        if cache is None:
+            return self.run_pass(
+                lambda check: self._forward_values(x, label, noise_level, None, check))
+        return self._forward_values(x, label, noise_level, cache, check)
+
+    def _forward_values(self, x, label, noise_level, cache, check) -> np.ndarray:
         self._check_conditioning(label, noise_level)
         h = nd.constant(x).values
         n = self._batch_size(h.shape)
@@ -166,22 +183,22 @@ class GradientFieldModel:
         p = {name: nd.as_values(buf) for name, buf in self.params.items()}
         for buf in p.values():  # where forward leases its leaves
             nd.check_finite(buf, "leaf")
-        n_layers = len(self.config.hidden) + 1
-        for i in range(n_layers):
+        last = len(self.config.hidden)
+        for i in range(last + 1):
             pre = h @ p[f"layers.{i}.w"]
-            nd.check_finite(pre, "matmul")
+            check(pre, "matmul")
             pre += p[f"layers.{i}.b"]
-            nd.check_finite(pre, "add")
+            (check if i < last else nd.check_finite)(pre, "add")
             hot = None
             if i == 0 and self.config.num_classes > 0:
                 hot = nd.constant(self._one_hot(label, n)).values
                 embedded = hot @ p["label_embed"]
-                nd.check_finite(embedded, "matmul")
+                check(embedded, "matmul")
                 pre += embedded
-                nd.check_finite(pre, "add")
+                check(pre, "add")
             if cache is not None:
                 cache.append([h, hot, pre, None])
-            if i == n_layers - 1:
+            if i == last:
                 return pre
             if self.config.activation == "silu":
                 s = nd.sigmoid_values(pre)
@@ -191,21 +208,24 @@ class GradientFieldModel:
                     h = np.empty_like(s)
                     cache[-1][3] = s
                 np.multiply(pre, s, out=h)
-                nd.check_finite(h, "mul")
+                check(h, "mul")
             elif self.config.activation == "relu":
                 h = np.maximum(pre, 0.0, out=pre)
             else:
                 h = np.tanh(pre, out=pre)
 
-    def parameter_gradients(self, cache: list, grad: np.ndarray,
-                            keep: list | None = None) -> dict[str, np.ndarray]:
+    def parameter_gradients(self, cache: list, grad: np.ndarray, keep: list | None = None,
+                            check=nd.check_finite) -> dict[str, np.ndarray]:
         """The gradient of a loss with respect to every parameter, given `grad`,
         its gradient with respect to the output of `forward_values(...,
         cache=cache)`. This is `nd.backward`'s transposed chain off the tape:
-        the same ops in the same order (same bits). It makes each of the
-        tape's finite checks that can fire, in the tape's order (same errors);
-        a product with a factor in [0, 1] (the sigmoid, its derivative, a ReLU
-        mask, tanh's derivative) stays finite, so those go unchecked.
+        the same ops in the same order (same bits). Each of the tape's finite
+        checks that can fire is made in the tape's order, on the gradients it
+        returns and on products only the tape uses (layer 0's input gradient,
+        the one-hot's) with `nd.check_finite`, on the rest with `check` (same
+        errors, see `nd.run_pass`); a product with a factor in [0, 1] (the
+        sigmoid, its derivative, a ReLU mask, tanh's derivative) stays
+        finite, so those go unchecked.
 
         With a list as `keep`, each layer from the output down appends [the
         gradient at its output, the gradient at its pre-activation], and last
@@ -221,10 +241,10 @@ class GradientFieldModel:
                 if self.config.activation == "silu":
                     through_pre = g * s
                     through_sigmoid = g * pre
-                    nd.check_finite(through_sigmoid, "mul")
+                    check(through_sigmoid, "mul")
                     through_sigmoid *= s * (1.0 - s)
                     g = through_pre + through_sigmoid
-                    nd.check_finite(g, "add")
+                    check(g, "add")
                 # ReLU and tanh wrote their output over `pre`
                 elif self.config.activation == "relu":
                     g = g * (pre > 0.0)
@@ -240,7 +260,7 @@ class GradientFieldModel:
             grads[f"layers.{i}.b"] = g.sum(axis=0)
             nd.check_finite(grads[f"layers.{i}.b"], "reduce_leading")
             g_in = g @ p[f"layers.{i}.w"].T  # layer 0's too, as the tape does
-            nd.check_finite(g_in, "matmul")
+            (check if i else nd.check_finite)(g_in, "matmul")
             grads[f"layers.{i}.w"] = h_in.T @ g
             nd.check_finite(grads[f"layers.{i}.w"], "matmul")
             g = g_in
@@ -248,41 +268,46 @@ class GradientFieldModel:
             keep.append(g)
         return {name: grads[name] for name in p}
 
-    def energy_input_gradient(self, cache: list, keep: list) -> np.ndarray:
+    def energy_input_gradient(self, cache: list, keep: list,
+                              check=nd.check_finite) -> np.ndarray:
         """The input-gradient of the batch-summed energy of `forward_values(x,
         ..., cache=cache)`: `nd.input_gradient(_total_energy(...), x)` off the
         tape, with its bits and its errors. The tape makes and checks the
         energy and every parameter's first-order gradient, though nothing
-        uses them, so this does too. `keep` collects what
-        `energy_parameter_gradients` needs (see `parameter_gradients`)."""
+        uses them, so this does too; those and the returned gradient are
+        scanned with `nd.check_finite`, the rest with `check`. `keep` collects
+        what `energy_parameter_gradients` needs (see `parameter_gradients`)."""
+        if self.config.energy_kind == "none":
+            raise ValueError("model has no explicit energy head (energy_kind='none')")
         x, f = cache[0][0], cache[-1][2]
         if self.config.energy_kind == "dot":
             energy = x * f
-            nd.check_finite(energy, "mul")
+            check(energy, "mul")
             q = x  # the tape's ones * x
         else:
             energy = f * f
-            nd.check_finite(energy, "square")
+            check(energy, "square")
             q = f * -0.5  # the ones scaled by -0.5, then square's 2.0
             q *= 2.0
         nd.check_finite(energy.sum(axis=(0, 1)), "reduce_leading")
-        self.parameter_gradients(cache, q, keep)
+        self.parameter_gradients(cache, q, keep, check)
         if self.config.energy_kind == "l2norm":
             return keep[-1]
         field = f + keep[-1]  # the dot's own x-gradient, then the chain's
         nd.check_finite(field, "add")
         return field
 
-    def energy_parameter_gradients(self, cache: list, keep: list,
-                                   grad: np.ndarray) -> dict[str, np.ndarray]:
+    def energy_parameter_gradients(self, cache: list, keep: list, grad: np.ndarray,
+                                   check=nd.check_finite) -> dict[str, np.ndarray]:
         """The gradient of a loss with respect to every parameter, given `grad`,
         its gradient with respect to `energy_input_gradient(cache, keep)`.
         This is the tape's double backward off the tape: the adjoint of the
         first backward from layer 0 up, then of the forward pass from the
         output down, with each sum taken in the tape's order (same bits). Like
         `parameter_gradients`, it makes each finite check that can fire in the
-        tape's order, including those on products nothing uses; it skips those
-        a checked value or a factor in [0, 1] bounds."""
+        tape's order, with `nd.check_finite` on the gradients it returns and
+        on products nothing uses, with `check` on the rest; it skips those a
+        checked value or a factor in [0, 1] bounds."""
         p, act, last = self.params, self.config.activation, len(cache) - 1
         x, f = cache[0][0], cache[last][2]
         first = keep[-2::-1]  # per layer, from the input up
@@ -291,9 +316,9 @@ class GradientFieldModel:
         for i in range(last + 1):
             u, g_pre = first[i]
             v = g @ p[f"layers.{i}.w"]  # the adjoint of g_pre
-            nd.check_finite(v, "matmul")
+            check(v, "matmul")
             w_grads.append(g.T @ g_pre)
-            nd.check_finite(w_grads[i], "matmul")
+            check(w_grads[i], "matmul")
             if i == last:
                 break
             pre, s = cache[i][2], cache[i][3]
@@ -302,19 +327,19 @@ class GradientFieldModel:
                 d = s * c
                 r_bar = v * d
                 d_bar = v * (u * pre)
-                nd.check_finite(d_bar, "mul")
+                check(d_bar, "mul")
                 s_bar = d_bar * c + (d_bar * s) * -1.0
-                nd.check_finite(s_bar, "add")
+                check(s_bar, "add")
                 g = r_bar * pre
-                nd.check_finite(g, "mul")
+                check(g, "mul")
                 a_bar = r_bar * u
-                nd.check_finite(a_bar, "mul")
+                check(a_bar, "mul")
                 through_u = v * u
-                nd.check_finite(through_u, "mul")
+                check(through_u, "mul")
                 g = g + v * s
-                nd.check_finite(g, "add")
+                check(g, "add")
                 s_bar += through_u
-                nd.check_finite(s_bar, "add")
+                check(s_bar, "add")
                 pending.append((a_bar, s_bar, d))
             elif act == "relu":  # g_pre = u * mask
                 nd.check_finite(v * u, "mul")  # the mask's gradient: unused
@@ -322,10 +347,10 @@ class GradientFieldModel:
             else:  # g_pre = u * c, c = 1 - y * y
                 c = 1.0 - pre * pre
                 c_bar = v * u
-                nd.check_finite(c_bar, "mul")
+                check(c_bar, "mul")
                 g = v * c
                 y_bar = c_bar * -1.0 * pre * 2.0  # the tape's order: -c_bar, * y, * 2
-                nd.check_finite(y_bar, "scalar_mul")
+                check(y_bar, "scalar_mul")
                 pending.append((y_bar, c))
         # `v` is now the adjoint of the output's first-order gradient
         if self.config.energy_kind == "dot":
@@ -334,7 +359,7 @@ class GradientFieldModel:
             x_bar, g = v, grad
         else:
             v = v * 2.0
-            nd.check_finite(v, "scalar_mul")
+            check(v, "scalar_mul")
             nd.check_finite(v * f, "mul")  # unused
             x_bar, g = None, v * -0.5
         grads = {}
@@ -344,13 +369,13 @@ class GradientFieldModel:
                 if act == "silu":
                     a_bar, s_bar, d = pending[i]
                     through_s = g * pre
-                    nd.check_finite(through_s, "mul")
+                    check(through_s, "mul")
                     a_bar = a_bar + g * s
-                    nd.check_finite(a_bar, "add")
+                    check(a_bar, "add")
                     s_bar = s_bar + through_s
-                    nd.check_finite(s_bar, "add")
+                    check(s_bar, "add")
                     g = a_bar + s_bar * d
-                    nd.check_finite(g, "add")
+                    check(g, "add")
                 elif act == "relu":
                     g = g * (pre > 0.0)
                 else:
@@ -361,16 +386,16 @@ class GradientFieldModel:
                 nd.check_finite(grads["label_embed"], "matmul")
             grads[f"layers.{i}.b"] = g.sum(axis=0)
             nd.check_finite(grads[f"layers.{i}.b"], "reduce_leading")
-            g_in = g @ p[f"layers.{i}.w"].T
-            nd.check_finite(g_in, "matmul")
-            w_part = h_in.T @ g
-            nd.check_finite(w_part, "matmul")
             # the input's adjoint from the first backward: tanh's output's, or
-            # the x-leaf's (unused)
+            # the x-leaf's (unused, like layer 0's input gradient)
             prior = x_bar if i == 0 else pending[i - 1][0] if act == "tanh" else None
+            g_in = g @ p[f"layers.{i}.w"].T
+            (check if i or prior is not None else nd.check_finite)(g_in, "matmul")
+            w_part = h_in.T @ g
+            check(w_part, "matmul")
             if prior is not None:
                 g_in = prior + g_in
-                nd.check_finite(g_in, "add")
+                (check if i else nd.check_finite)(g_in, "add")
             w_grads[i] += w_part
             nd.check_finite(w_grads[i], "add")
             grads[f"layers.{i}.w"] = w_grads[i]
@@ -429,8 +454,15 @@ def energy(model: GradientFieldModel, x, label=None) -> np.ndarray:
 
 
 def energy_gradient(model: GradientFieldModel, x, label=None) -> np.ndarray:
-    """Input-gradient of the energy, [n, d] (rows are independent points)."""
-    graph = nd.Graph()
-    xt = graph.leaf(np.asarray(x, dtype=np.float64))
-    total = _total_energy(model, graph, xt, label=label)
-    return nd.input_gradient(total, xt).values
+    """Input-gradient of the energy, [n, d] (rows are independent points):
+    `nd.input_gradient(_total_energy(...), x)` off the tape, with its bits and
+    its errors, from `forward_values` and `energy_input_gradient`."""
+    x = nd.as_values(x)
+
+    def run(check):
+        nd.check_finite(x, "leaf")  # the tape leases x before the forward pass
+        cache = []
+        model.forward_values(x, label=label, cache=cache, check=check)
+        return model.energy_input_gradient(cache, [], check)
+
+    return model.run_pass(run)

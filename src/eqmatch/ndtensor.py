@@ -5,9 +5,9 @@ computation. Every backward rule is itself expressed through the public ops,
 so the gradients returned by :func:`backward` and :func:`input_gradient` are
 live graph nodes and can be differentiated again (double backprop).
 
-Training (`objective.loss_and_gradients`) and implicit-model inference
-(`model.forward_values`) run off the tape with the same bits and errors:
-the tape is their test oracle, and the engine of `model.energy_gradient`.
+Training (`objective.loss_and_gradients`) and inference
+(`model.forward_values`, `model.energy_gradient`) run off the tape with the
+same bits and errors, through `run_pass`: the tape is their test oracle.
 
 Conventions:
   - all buffers are contiguous float64; non-finite values raise at op
@@ -20,7 +20,8 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+import math
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,11 +46,44 @@ def as_values(data) -> np.ndarray:
     return np.asarray(data, dtype=np.float64, order="C")
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """Whether `values` holds no NaN or Inf."""
+    # min/max propagate NaN and catch +-inf without allocating a bool mask;
+    # the ufuncs' reduce skips ndarray.min/max's Python wrappers
+    return not values.size or (math.isfinite(np.minimum.reduce(values, axis=None))
+                               and math.isfinite(np.maximum.reduce(values, axis=None)))
+
+
 def check_finite(values: np.ndarray, op: str) -> None:
     """Raise NonFiniteError naming `op` on a NaN or Inf in `values`."""
-    # min/max propagate NaN and catch +-inf without allocating a bool mask
-    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+    if not all_finite(values):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
+
+
+def _no_check(values: np.ndarray, op: str) -> None:
+    """The inner scan of a pass that scans only at its boundaries."""
+
+
+def run_pass(run: Callable, scan_inside: bool = False):
+    """`run(check)`, for an off-tape pass that scans each value entering or
+    leaving it (parameters, inputs, outputs, returned gradients, products
+    only the tape uses) with `check_finite`, and each value computed inside
+    it with `check`.
+
+    First `check` scans nothing, under `np.errstate(all="ignore")`. A NaN or
+    Inf inside the pass still reaches a scanned value: `+`, `-`, `*`, matmul,
+    sums and SiLU carry it on (inf * 0 and silu(-inf) are NaN). If that pass
+    raises anything, a skipped scan may have fired first, so `run` runs again
+    with `check = check_finite`: every scan in the tape's order, which raises
+    the tape's error with the warnings it emits. `scan_inside` runs only that
+    checked pass, for ops that can turn a non-finite value finite."""
+    if not scan_inside:
+        try:
+            with np.errstate(all="ignore"):
+                return run(_no_check)
+        except Exception:  # the checked pass below decides what is raised
+            pass
+    return run(check_finite)
 
 
 def sigmoid_values(v: np.ndarray) -> np.ndarray:

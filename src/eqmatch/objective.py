@@ -145,30 +145,37 @@ def loss_and_gradients(objective: str, model: GradientFieldModel, batch: TrainBa
     parameter, off the tape: `forward_values` with a cache (for eqm-e, then
     `energy_input_gradient`), the mean squared error and its gradient
     written out, then `parameter_gradients` (eqm) or
-    `energy_parameter_gradients` (eqm-e). It gives the bits and the errors of
+    `energy_parameter_gradients` (eqm-e), as one pass through
+    `model.run_pass`. It gives the bits and the errors of
     `loss_for(objective, ...)` + `nd.backward`; the tape's checks it skips
     are on values that checked ones bound (the loss is at most the checked
     sum, the output gradient at most the checked difference or its square)."""
     xg, target, label = _loss_inputs(objective, model, batch, sched,
                                       allow_non_equilibrium)
     level = batch.gamma if model.config.noise_conditioned else None
-    if objective == "eqm-e":
-        nd.check_finite(xg, "leaf")  # loss_for leases x before the forward pass
-    cache, keep = [], []
-    field = model.forward_values(xg, label=label, noise_level=level, cache=cache)
-    if objective == "eqm-e":
-        field = model.energy_input_gradient(cache, keep)
-    diff = field - nd.constant(target).values
-    nd.check_finite(diff, "sub")
-    squared = diff * diff
-    nd.check_finite(squared, "square")
-    if squared.size == 0:
-        raise nd.ShapeMismatchError("op 'mean': empty tensor")
-    scale = 1.0 / squared.size
-    total = squared.sum(axis=(0, 1))
-    nd.check_finite(total, "reduce_leading")
-    grad = scale * diff  # (the tape's ones(()) * scale is scale exactly)
-    grad *= 2.0
-    if objective == "eqm-e":
-        return float(total * scale), model.energy_parameter_gradients(cache, keep, grad)
-    return float(total * scale), model.parameter_gradients(cache, grad)
+
+    def run(check):
+        if objective == "eqm-e":
+            nd.check_finite(xg, "leaf")  # loss_for leases x before the forward pass
+        cache, keep = [], []
+        field = model.forward_values(xg, label=label, noise_level=level, cache=cache,
+                                     check=check)
+        if objective == "eqm-e":
+            field = model.energy_input_gradient(cache, keep, check)
+        diff = field - nd.constant(target).values
+        check(diff, "sub")
+        squared = diff * diff
+        check(squared, "square")
+        if squared.size == 0:
+            raise nd.ShapeMismatchError("op 'mean': empty tensor")
+        scale = 1.0 / squared.size
+        total = squared.sum(axis=(0, 1))
+        nd.check_finite(total, "reduce_leading")
+        grad = scale * diff  # (the tape's ones(()) * scale is scale exactly)
+        grad *= 2.0
+        if objective == "eqm-e":
+            return float(total * scale), model.energy_parameter_gradients(cache, keep, grad,
+                                                                          check)
+        return float(total * scale), model.parameter_gradients(cache, grad, check=check)
+
+    return model.run_pass(run)

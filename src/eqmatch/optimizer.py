@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ndtensor import NonFiniteError
+from .ndtensor import NonFiniteError, all_finite
 
 
 class GradientError(ValueError):
@@ -57,7 +57,7 @@ class AdamW:
             if g.shape != p.shape:
                 raise GradientError(f"gradient for '{name}' has shape {g.shape}, "
                                     f"parameter has {p.shape}")
-            if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
+            if not all_finite(g):
                 raise NonFiniteError(f"non-finite gradient for '{name}'")
             m = self.m[name]
             v = self.v[name]

@@ -4,8 +4,12 @@ The finite-difference functions below are the independent oracle for every
 gradient assertion in the suite: they only ever evaluate forward passes.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+
+from eqmatch import ndtensor as nd
 
 
 def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -36,6 +40,25 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0), 1e-12)
     return float(np.max(np.abs(a - b)) / scale)
+
+
+def assert_replay_matches_the_checked_pass(call) -> None:
+    """`call()` raises the error, with the RuntimeWarnings, that it raises
+    when its passes scan every value (`nd.run_pass` running only the checked
+    pass): the boundary-scanned pass that fails first is silent."""
+    def outcome():
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(Exception) as error:
+            warnings.simplefilter("always")
+            call()
+        return type(error.value), str(error.value), [
+            (w.category, str(w.message)) for w in caught]
+
+    got = outcome()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nd, "run_pass", lambda run, scan_inside=False: run(nd.check_finite))
+        want = outcome()
+    assert got == want
 
 
 @pytest.fixture

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from eqmatch import ndtensor as nd
 from eqmatch.model import (ACTIVATIONS, ConditioningError, GradientFieldModel,
-                           ModelConfig, energy, energy_gradient, init_model,
-                           noise_features)
-from conftest import central_difference, rel_err
+                           ModelConfig, _total_energy, energy, energy_gradient,
+                           init_model, noise_features)
+from conftest import assert_replay_matches_the_checked_pass, central_difference, rel_err
 
 
 def small_config(**kw):
@@ -36,6 +36,16 @@ def random_model(cfg: ModelConfig, seed: int) -> GradientFieldModel:
         fan_in = buf.shape[0] if buf.ndim == 2 else 1
         m.params[name] = rng.standard_normal(buf.shape) / np.sqrt(fan_in)
     return m
+
+
+def hide_an_inf(params: dict) -> None:
+    """Make layer 1's first unit overflow to inf, which SiLU keeps, and zero
+    the row of layer 2 that reads it: the tape fails at layer 1's matmul, and
+    the output is NaN (inf * 0). For a (8, 8) model with labels."""
+    params["layers.0.w"][:] = params["label_embed"][:] = 0.0
+    params["layers.0.b"][:] = 1.0
+    params["layers.1.w"][:, 0] = 1e308
+    params["layers.2.w"][0] = 0.0
 
 
 class TestInit:
@@ -189,6 +199,67 @@ class TestEnergy:
         rows = np.vstack([energy_gradient(m, x[i:i + 1]) for i in range(5)])
         np.testing.assert_allclose(batch, rows, atol=1e-12)
 
+    # energy_gradient runs off the tape; nd.input_gradient of the tape's
+    # batch-summed energy is its oracle
+
+    @staticmethod
+    def tape_gradient(m, x, label=None):
+        graph = nd.Graph()
+        xt = graph.leaf(np.asarray(x, dtype=np.float64))
+        return nd.input_gradient(_total_energy(m, graph, xt, label=label), xt).values
+
+    @pytest.mark.parametrize("n", [1, 37, 1000])
+    @pytest.mark.parametrize("classes", [0, 3])
+    @pytest.mark.parametrize("head", ["dot", "l2norm"])
+    def test_gradient_bits_equal_the_tape(self, head, classes, n):
+        m = random_model(ModelConfig(num_classes=classes, energy_kind=head), n)
+        rng = np.random.default_rng(n + 1)
+        x = 2.0 * rng.standard_normal((n, 2))
+        label = rng.integers(0, classes, n) if classes else None
+        got, want = energy_gradient(m, x, label), self.tape_gradient(m, x, label)
+        assert got.shape == want.shape == (n, 2)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("head", ["dot", "l2norm"])
+    @pytest.mark.parametrize("case", ["leaf", "nan input", "matmul", "hidden inf", "label",
+                                      "first backward", "no energy head"])
+    def test_gradient_errors_equal_the_tape(self, case, head):
+        cfg = ModelConfig(hidden=(8, 8), num_classes=3,
+                          energy_kind="none" if case == "no energy head" else head)
+        m = random_model(cfg, 0)
+        p = m.params
+        x, label = np.ones((5, 2)), np.array([0, 1, 2, 0, 1])
+        if case == "leaf":
+            p["layers.1.b"][3] = np.inf
+        elif case == "nan input":
+            x[2, 1] = np.nan
+        elif case == "matmul":
+            p["layers.0.w"][:] = 1e308
+        elif case == "hidden inf":
+            hide_an_inf(p)
+        elif case == "label":
+            label[4] = 3
+        elif case == "first backward":
+            # layer 1 outputs 0, so the output is the bias 1e100 and finite;
+            # the head's 1e100 gradient at the output meets the 1e250 last layer
+            p["layers.1.w"][:] = p["layers.1.b"][:] = 0.0
+            p["layers.2.w"] *= 1e250
+            p["layers.2.b"][:] = 1e100
+            x = np.full((5, 2), 1e100)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(Exception) as tape:
+            self.tape_gradient(m, x, label)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(Exception) as values:
+            energy_gradient(m, x, label)
+        assert type(values.value) is type(tape.value)
+        assert str(values.value) == str(tape.value)
+        assert_replay_matches_the_checked_pass(lambda: energy_gradient(m, x, label))
+        op = {"nan input": "leaf", "hidden inf": "matmul",
+              "first backward": "matmul"}.get(case, case)
+        if case not in ("label", "no energy head"):
+            assert str(values.value) == f"non-finite values produced by op '{op}'"
+
 
 # 1 row takes BLAS's matrix-vector path; 8k and 8k+1 rows sit on either side
 # of its row blocking
@@ -226,7 +297,7 @@ class TestForwardValues:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "constant", "label",
-                                      "noise level", "input shape"])
+                                      "hidden inf", "noise level", "input shape"])
     def test_errors_equal_the_tape(self, case):
         cfg = ModelConfig(hidden=(8, 8), num_classes=3,
                           noise_conditioned=case == "noise level")
@@ -244,6 +315,8 @@ class TestForwardValues:
             x[2, 1] = np.nan
         elif case == "label":
             kw["label"] = np.array([0, 1, 2, 3, 0])
+        elif case == "hidden inf":
+            hide_an_inf(m.params)
         elif case == "noise level":
             kw["noise_level"] = np.zeros(4)
         else:
@@ -254,8 +327,10 @@ class TestForwardValues:
             m.forward_values(x, **kw)
         assert type(values.value) is type(tape.value)
         assert str(values.value) == str(tape.value)
-        if case in ("leaf", "matmul", "add", "constant"):
-            assert str(values.value) == f"non-finite values produced by op '{case}'"
+        assert_replay_matches_the_checked_pass(lambda: m.forward_values(x, **kw))
+        if case in ("leaf", "matmul", "add", "constant", "hidden inf"):
+            op = "matmul" if case == "hidden inf" else case
+            assert str(values.value) == f"non-finite values produced by op '{op}'"
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_builds_no_graph(self, monkeypatch, activation):

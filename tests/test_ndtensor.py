@@ -280,6 +280,23 @@ def test_non_finite_raises():
         nd.square(nd.constant([1e200]))
 
 
+@pytest.mark.parametrize("layout", ["0-d", "empty", "broadcast", "strided"])
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+def test_check_finite_on_every_layout(layout, bad):
+    values = np.arange(12.0).reshape(3, 4)
+    if bad is not None:
+        values[1, 2] = bad
+    values = {"0-d": values[1, 2, ...], "empty": values[:0],
+              "broadcast": np.broadcast_to(values[1], (5, 4)),
+              "strided": values[:, ::2]}[layout]
+    assert nd.all_finite(values) == bool(np.isfinite(values).all())
+    if nd.all_finite(values):
+        nd.check_finite(values, "op")
+    else:
+        with pytest.raises(nd.NonFiniteError, match="op 'op'"):
+            nd.check_finite(values, "op")
+
+
 def test_backward_rejects_non_scalar():
     g = nd.Graph()
     x = g.leaf([1.0, 2.0])

@@ -10,8 +10,8 @@ from eqmatch.objective import (OBJECTIVES, ObjectiveError, TrainBatch, check_pai
                                loss_for)
 from eqmatch.optimizer import AdamW
 from eqmatch.schedule import Schedule
-from conftest import central_difference, rel_err
-from test_model import random_model
+from conftest import assert_replay_matches_the_checked_pass, central_difference, rel_err
+from test_model import hide_an_inf, random_model
 
 LINEAR = Schedule(kind="linear")
 CONST = Schedule(kind="constant")
@@ -247,6 +247,7 @@ def assert_same_error(objective, m, b, sched):
         loss_and_gradients(objective, m, b, sched)
     assert type(values.value) is type(tape.value)
     assert str(values.value) == str(tape.value)
+    assert_replay_matches_the_checked_pass(lambda: loss_and_gradients(objective, m, b, sched))
     return str(values.value)
 
 
@@ -289,7 +290,8 @@ class TestLossAndGradients:
         assert_same_bits(got_loss, got, want_loss, want, m.params)
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "nan input", "label",
-                                      "backward matmul", "backward mul", "schedule",
+                                      "hidden inf", "backward matmul", "backward mul",
+                                      "first-layer backward mul", "schedule",
                                       "no labels", "energy head"])
     def test_errors_equal_the_tape(self, case):
         head = "dot" if case == "energy head" else "none"
@@ -307,6 +309,8 @@ class TestLossAndGradients:
             x[2, 1] = np.nan
         elif case == "label":
             labels[4] = 3
+        elif case == "hidden inf":
+            hide_an_inf(m.params)
         elif case == "backward matmul":
             # layer 0 is finite on tiny inputs; its input gradient overflows
             x, eps = np.full((5, 2), 1e-300), np.full((5, 2), 1e-300)
@@ -319,17 +323,24 @@ class TestLossAndGradients:
             m.params["label_embed"][:] = 0.0
             m.params["layers.1.w"][:] = -1e160
             m.params["layers.2.w"][:] = 1e200
+        elif case == "first-layer backward mul":
+            # the same at layer 0: it outputs -0 into the 1e160 layer 1, whose
+            # gradient meets layer 0's -1e160 pre-activation in SiLU's g * pre
+            m.params["layers.0.w"][:] = m.params["label_embed"][:] = 0.0
+            m.params["layers.0.b"][:] = -1e160
+            m.params["layers.1.w"][:] = 1e160
+            m.params["layers.1.b"][:] = 1.0
         elif case == "schedule":
             sched = CONST
         elif case == "no labels":
             labels = None
         b = TrainBatch(x=x, eps=eps, gamma=np.full(5, 0.5), labels=labels)
-        if case.startswith("backward"):
+        if "backward" in case:
             with np.errstate(over="ignore"):
                 loss_for("eqm", m, b, sched)  # the forward pass is finite
         message = assert_same_error("eqm", m, b, sched)
-        op = {"nan input": "constant", "backward matmul": "matmul",
-              "backward mul": "mul"}.get(case, case)
+        op = {"nan input": "constant", "hidden inf": "matmul", "backward matmul": "matmul",
+              "backward mul": "mul", "first-layer backward mul": "mul"}.get(case, case)
         if case not in ("label", "schedule", "no labels", "energy head"):
             assert message == f"non-finite values produced by op '{op}'"
 
@@ -373,14 +384,16 @@ class TestLossAndGradients:
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("head", ["dot", "l2norm"])
     @pytest.mark.parametrize("phase", ["first backward", "second backward",
-                                       "head adjoint"])
+                                       "head adjoint", "output adjoint"])
     def test_eqm_e_backward_errors_equal_the_tape(self, phase, head, activation):
         """Overflows that first appear past the forward pass, for every head
         and activation. The second backward reaches each activation's own
         checks: SiLU's, ReLU's unused `v * u`, tanh's `c_bar` and `y_bar`. The
         head adjoint reaches each head's: dot's unused `v * x`, l2norm's
-        `v * 2.0` and its unused `v * f`. Weights, biases and inputs that are
-        powers of two keep each product exact, so the sizes below hold."""
+        `v * 2.0` and its unused `v * f`; with a target 8 times as far, the
+        output adjoint overflows first, in the matmul that makes `v`. Weights,
+        biases and inputs that are powers of two keep each product exact, so
+        the sizes below hold."""
         m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, activation=activation,
                                      energy_kind=head), 0)
         p, tiny = m.params, 2.0 ** -1000
@@ -424,7 +437,8 @@ class TestLossAndGradients:
                 p[f"layers.{i}.w"][:] = t
             p["layers.0.b"][:] = p["layers.1.b"][:] = tiny
             p["layers.2.b"][:] = [2.0 ** 34, -2.0 ** 34]
-            x, eps = np.tile([0.0, -2 * t], (5, 1)), np.tile([2 * t, 0.0], (5, 1))
+            k = 8.0 if phase == "output adjoint" else 1.0  # x_t stays on the zero line
+            x, eps = np.tile([0.0, -2 * k * t], (5, 1)), np.tile([2 * k * t, 0.0], (5, 1))
         labels = np.array([0, 1, 2, 0, 1])
         b = TrainBatch(x=x, eps=eps, gamma=np.full(5, 0.5), labels=labels)
         if phase == "first backward":
@@ -434,9 +448,43 @@ class TestLossAndGradients:
         message = assert_same_error("eqm-e", m, b, TRUNC4)
         scalar_mul = {("second backward", "l2norm", "tanh"),
                       ("head adjoint", "l2norm", "relu"), ("head adjoint", "l2norm", "tanh")}
-        op = ("matmul" if phase == "first backward" else
+        op = ("matmul" if phase in ("first backward", "output adjoint") else
               "scalar_mul" if (phase, head, activation) in scalar_mul else "mul")
         assert message == f"non-finite values produced by op '{op}'"
+
+    @pytest.mark.parametrize("activation, counts", [("silu", (21, 35, 10)),
+                                                    ("relu", (33, 67, 17)),
+                                                    ("tanh", (33, 73, 17))])
+    def test_finite_passes_scan_only_their_boundaries(self, monkeypatch, activation,
+                                                      counts):
+        """`nd.check_finite` calls in a finite default eqm step, eqm-e (dot)
+        step and n=1000 forward. A SiLU pass scans what enters it and what
+        leaves it. An eqm step scans the input, 8 parameters, the output, the
+        target, the loss, 8 gradients and layer 0's input gradient (21). An
+        eqm-e step scans x as leaf and as constant, 8 parameters, the output,
+        the energy, the first backward's 8 gradients and input gradient, the
+        field, the target, the loss, dot's `v * x` and `grad * f`, 8 gradients
+        and x's adjoint (35). A forward pass scans the input, 8 parameters and
+        the output (10). ReLU and tanh passes make every scan, in the tape's
+        order."""
+        calls, check_finite = [], nd.check_finite
+
+        def counted(values, op):
+            calls.append(op)
+            check_finite(values, op)
+
+        monkeypatch.setattr(nd, "check_finite", counted)
+        rng = np.random.default_rng(0)
+        got = []
+        for objective, head in (("eqm", "none"), ("eqm-e", "dot")):
+            m = random_model(ModelConfig(activation=activation, energy_kind=head), 1)
+            calls.clear()
+            loss_and_gradients(objective, m, batch_of(rng, n=64), TRUNC4)
+            got.append(len(calls))
+        calls.clear()
+        random_model(ModelConfig(activation=activation), 2).forward_values(
+            rng.standard_normal((1000, 2)))
+        assert (*got, len(calls)) == counts
 
 
 def test_run_config_states_the_same_pairing_rules():

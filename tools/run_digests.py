@@ -1,14 +1,18 @@
-"""Print the SHA-256 of every file a default training run writes.
+"""Print the SHA-256 of every file default training and inference runs write.
 
     python tools/run_digests.py [--repo DIR] [--steps 150] [--checkpoint-every 50]
-                                [--resume-from 50]
+                                [--resume-from 50] [--n 200]
 
 Trains the default eqm and eqm-e (dot head) configs (seed 0) with `eqmatch
 train` from DIR/src (DIR defaults to this checkout), with the benchmark's run
 length and checkpoint interval, then resumes a copy of each run from its
 step `--resume-from` checkpoint. Each line is `<objective> <fresh|resumed>
-<file> <sha256>`, for `losses.csv` and every checkpoint. Two checkouts that
-train the same bits print the same lines, so
+<file> <sha256>`, for `losses.csv` and every checkpoint. Then it runs
+`eqmatch sample` (gd, and adaptive at g_min 0.1) and `eqmatch eval --suite
+quality` at `--n` points on this checkout's bench/fixture/checkpoint.eqmckpt,
+and `eqmatch sample` on the eqm-e run's final checkpoint (an energy head's
+field), each printing `<fixture|eqm-e> <operation> <file> <sha256>`. Two
+checkouts that train and sample the same bits print the same lines, so
 
     diff <(python tools/run_digests.py --repo A) <(python tools/run_digests.py --repo B)
 
@@ -30,22 +34,27 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "bench" / "fixture" / "checkpoint.eqmckpt"
 OBJECTIVES = {"eqm": "none", "eqm-e": "dot"}
 
 
-def train(repo: Path, args: list[str]) -> None:
+def eqmatch(repo: Path, args: list[str]) -> None:
     env = {**os.environ, "PYTHONPATH": str(repo / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    subprocess.run([sys.executable, "-m", "eqmatch.cli", "train", *args], env=env,
+    subprocess.run([sys.executable, "-m", "eqmatch.cli", *args], env=env,
                    check=True, stdout=subprocess.DEVNULL)
 
 
 def digests(run_dir: Path) -> dict[str, str]:
     files = [run_dir / "losses.csv", *sorted(run_dir.glob("*.eqmckpt"))]
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    return {p.name: sha256(p) for p in files}
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run_digests(repo: Path, work: Path, steps: int, every: int,
-                resume_from: int) -> list[str]:
+                resume_from: int, n: int) -> list[str]:
     lines = []
     for objective, head in OBJECTIVES.items():
         config = work / f"{objective}.json"
@@ -54,15 +63,32 @@ def run_digests(repo: Path, work: Path, steps: int, every: int,
             "model": {"energy_kind": head, "init_seed": 0},
             "train": {"steps": steps, "checkpoint_every": every}}))
         fresh, resumed = work / objective, work / f"{objective}-resumed"
-        train(repo, ["--config", str(config), "--out", str(fresh)])
+        eqmatch(repo, ["train", "--config", str(config), "--out", str(fresh)])
         start = f"ckpt-{resume_from:06d}.eqmckpt"
         resumed.mkdir()
         for name in ("losses.csv", start):
             shutil.copy(fresh / name, resumed / name)
-        train(repo, ["--resume", str(resumed / start)])
+        eqmatch(repo, ["train", "--resume", str(resumed / start)])
         for kind, run_dir in (("fresh", fresh), ("resumed", resumed)):
             lines += [f"{objective} {kind} {name} {sha}"
                       for name, sha in digests(run_dir).items()]
+    fixture = ["--checkpoint", str(FIXTURE), "--n", str(n)]
+    final = ["--checkpoint", str(work / "eqm-e" / "checkpoint.eqmckpt"), "--n", str(n)]
+    for source, operation, args in (
+            ("fixture", "sample-gd", ["sample", *fixture]),
+            ("fixture", "sample-adaptive", ["sample", *fixture, "--method", "adaptive",
+                                            "--g-min", "0.1"]),
+            ("fixture", "eval-quality", ["eval", "--suite", "quality", *fixture]),
+            ("eqm-e", "sample-gd", ["sample", *final])):
+        out = work / f"{source}-{operation}"
+        out.mkdir()
+        if args[0] == "sample":
+            written = out / "samples.csv"
+            eqmatch(repo, [*args, "--out", str(written)])
+        else:
+            written = out / "results.csv"
+            eqmatch(repo, [*args, "--out-dir", str(out)])
+        lines.append(f"{source} {operation} {written.name} {sha256(written)}")
     return lines
 
 
@@ -72,6 +98,7 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=150)
     parser.add_argument("--checkpoint-every", type=int, default=50)
     parser.add_argument("--resume-from", type=int, default=50)
+    parser.add_argument("--n", type=int, default=200, help="points to sample and evaluate")
     args = parser.parse_args(argv)
     if not (0 < args.resume_from < args.steps
             and args.resume_from % args.checkpoint_every == 0):
@@ -79,7 +106,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         try:
             lines = run_digests(Path(args.repo), Path(work), args.steps,
-                                args.checkpoint_every, args.resume_from)
+                                args.checkpoint_every, args.resume_from, args.n)
         except (OSError, subprocess.CalledProcessError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
