@@ -151,9 +151,12 @@ class GradientFieldModel:
 
     def run_pass(self, run):
         """`nd.run_pass(run)` for a pass through this model. A ReLU or tanh
-        model scans inside every pass: max(-inf, 0) and tanh(+-inf) are
-        finite, so a non-finite value could vanish before a boundary scan."""
-        return nd.run_pass(run, scan_inside=self.config.activation != "silu")
+        model runs only the checked pass `run(nd.check_finite)`: max(-inf, 0)
+        and tanh(+-inf) are finite, so a non-finite value could vanish before
+        a boundary scan."""
+        if self.config.activation != "silu":
+            return run(nd.check_finite)
+        return nd.run_pass(run)
 
     def forward_values(self, x, label=None, noise_level=None, cache=None,
                        check=nd.check_finite) -> np.ndarray:
@@ -162,8 +165,9 @@ class GradientFieldModel:
         parameters and the output are scanned with `nd.check_finite` and the
         values inside the pass with `check`, at the tape's op boundaries, so
         with every scan made the pass raises the tape's errors (see
-        `nd.run_pass`). Without a cache this is an inference pass, and it
-        runs through `run_pass`, which chooses `check`.
+        `nd.run_pass`). `check` applies only together with `cache`: without
+        one this is an inference pass, which runs through `run_pass`, and
+        `run_pass` chooses the inner scan.
 
         With a list as `cache`, each layer appends what `parameter_gradients`
         needs: [input, one-hot labels or None, pre-activation, sigmoid or

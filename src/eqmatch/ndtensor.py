@@ -64,7 +64,7 @@ def _no_check(values: np.ndarray, op: str) -> None:
     """The inner scan of a pass that scans only at its boundaries."""
 
 
-def run_pass(run: Callable, scan_inside: bool = False):
+def run_pass(run: Callable):
     """`run(check)`, for an off-tape pass that scans each value entering or
     leaving it (parameters, inputs, outputs, returned gradients, products
     only the tape uses) with `check_finite`, and each value computed inside
@@ -75,14 +75,13 @@ def run_pass(run: Callable, scan_inside: bool = False):
     sums and SiLU carry it on (inf * 0 and silu(-inf) are NaN). If that pass
     raises anything, a skipped scan may have fired first, so `run` runs again
     with `check = check_finite`: every scan in the tape's order, which raises
-    the tape's error with the warnings it emits. `scan_inside` runs only that
-    checked pass, for ops that can turn a non-finite value finite."""
-    if not scan_inside:
-        try:
-            with np.errstate(all="ignore"):
-                return run(_no_check)
-        except Exception:  # the checked pass below decides what is raised
-            pass
+    the tape's error with the warnings it emits. A pass through an op that
+    can turn a non-finite value finite must call `run(check_finite)` itself."""
+    try:
+        with np.errstate(all="ignore"):
+            return run(_no_check)
+    except Exception:  # the checked pass below decides what is raised
+        pass
     return run(check_finite)
 
 

@@ -56,7 +56,7 @@ def assert_replay_matches_the_checked_pass(call) -> None:
 
     got = outcome()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nd, "run_pass", lambda run, scan_inside=False: run(nd.check_finite))
+        mp.setattr(nd, "run_pass", lambda run: run(nd.check_finite))
         want = outcome()
     assert got == want
 

@@ -41,11 +41,22 @@ def random_model(cfg: ModelConfig, seed: int) -> GradientFieldModel:
 def hide_an_inf(params: dict) -> None:
     """Make layer 1's first unit overflow to inf, which SiLU keeps, and zero
     the row of layer 2 that reads it: the tape fails at layer 1's matmul, and
-    the output is NaN (inf * 0). For a (8, 8) model with labels."""
+    the output is NaN (inf * 0). For a model with labels and at least two
+    hidden layers."""
     params["layers.0.w"][:] = params["label_embed"][:] = 0.0
     params["layers.0.b"][:] = 1.0
     params["layers.1.w"][:, 0] = 1e308
     params["layers.2.w"][0] = 0.0
+
+
+#: the hidden-inf cases' rows and hidden widths: 1 row takes BLAS's
+#: matrix-vector path, and 1000 rows at width 256 (the sampler's shape) its
+#: blocked matrix-matrix kernels; each must carry inf * 0 on as NaN
+HIDDEN_INF = {"hidden inf": (5, (8, 8)),
+              "hidden inf 1 row": (1, (8, 8)),
+              "hidden inf 1000 rows": (1000, (8, 8)),
+              "hidden inf 1 row width 256": (1, (256, 256, 256)),
+              "hidden inf 1000 rows width 256": (1000, (256, 256, 256))}
 
 
 class TestInit:
@@ -221,21 +232,22 @@ class TestEnergy:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("head", ["dot", "l2norm"])
-    @pytest.mark.parametrize("case", ["leaf", "nan input", "matmul", "hidden inf", "label",
+    @pytest.mark.parametrize("case", ["leaf", "nan input", "matmul", *HIDDEN_INF, "label",
                                       "first backward", "no energy head"])
     def test_gradient_errors_equal_the_tape(self, case, head):
-        cfg = ModelConfig(hidden=(8, 8), num_classes=3,
+        n, hidden = HIDDEN_INF.get(case, (5, (8, 8)))
+        cfg = ModelConfig(hidden=hidden, num_classes=3,
                           energy_kind="none" if case == "no energy head" else head)
         m = random_model(cfg, 0)
         p = m.params
-        x, label = np.ones((5, 2)), np.array([0, 1, 2, 0, 1])
+        x, label = np.ones((n, 2)), np.arange(n) % 3
         if case == "leaf":
             p["layers.1.b"][3] = np.inf
         elif case == "nan input":
             x[2, 1] = np.nan
         elif case == "matmul":
             p["layers.0.w"][:] = 1e308
-        elif case == "hidden inf":
+        elif case in HIDDEN_INF:
             hide_an_inf(p)
         elif case == "label":
             label[4] = 3
@@ -255,8 +267,8 @@ class TestEnergy:
         assert type(values.value) is type(tape.value)
         assert str(values.value) == str(tape.value)
         assert_replay_matches_the_checked_pass(lambda: energy_gradient(m, x, label))
-        op = {"nan input": "leaf", "hidden inf": "matmul",
-              "first backward": "matmul"}.get(case, case)
+        op = {"nan input": "leaf", "first backward": "matmul",
+              **dict.fromkeys(HIDDEN_INF, "matmul")}.get(case, case)
         if case not in ("label", "no energy head"):
             assert str(values.value) == f"non-finite values produced by op '{op}'"
 
@@ -297,13 +309,14 @@ class TestForwardValues:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "constant", "label",
-                                      "hidden inf", "noise level", "input shape"])
+                                      *HIDDEN_INF, "noise level", "input shape"])
     def test_errors_equal_the_tape(self, case):
-        cfg = ModelConfig(hidden=(8, 8), num_classes=3,
+        n, hidden = HIDDEN_INF.get(case, (5, (8, 8)))
+        cfg = ModelConfig(hidden=hidden, num_classes=3,
                           noise_conditioned=case == "noise level")
         m = random_model(cfg, 0)
-        x = np.ones((5, 2))
-        kw = conditioning(cfg, 5, 1, scalar=False)
+        x = np.ones((n, 2))
+        kw = conditioning(cfg, n, 1, scalar=False)
         if case == "leaf":
             m.params["layers.1.b"][3] = np.inf
         elif case == "matmul":
@@ -315,7 +328,7 @@ class TestForwardValues:
             x[2, 1] = np.nan
         elif case == "label":
             kw["label"] = np.array([0, 1, 2, 3, 0])
-        elif case == "hidden inf":
+        elif case in HIDDEN_INF:
             hide_an_inf(m.params)
         elif case == "noise level":
             kw["noise_level"] = np.zeros(4)
@@ -328,8 +341,8 @@ class TestForwardValues:
         assert type(values.value) is type(tape.value)
         assert str(values.value) == str(tape.value)
         assert_replay_matches_the_checked_pass(lambda: m.forward_values(x, **kw))
-        if case in ("leaf", "matmul", "add", "constant", "hidden inf"):
-            op = "matmul" if case == "hidden inf" else case
+        if case in ("leaf", "matmul", "add", "constant", *HIDDEN_INF):
+            op = "matmul" if case in HIDDEN_INF else case
             assert str(values.value) == f"non-finite values produced by op '{op}'"
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)

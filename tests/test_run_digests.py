@@ -17,7 +17,7 @@ INFERENCE = [["fixture", "sample-gd", "samples.csv"],
 
 def test_prints_every_file_and_a_resume_reproduces_the_run():
     out = subprocess.run([sys.executable, str(TOOL), "--steps", "4",
-                          "--checkpoint-every", "2", "--resume-from", "2", "--n", "20"],
+                          "--checkpoint-every", "2", "--resume-from", "2"],
                          capture_output=True, text=True, check=True).stdout
     rows = [line.split() for line in out.splitlines()]
     files = ["losses.csv", "checkpoint.eqmckpt", "ckpt-000002.eqmckpt"]

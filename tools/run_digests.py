@@ -1,7 +1,7 @@
 """Print the SHA-256 of every file default training and inference runs write.
 
     python tools/run_digests.py [--repo DIR] [--steps 150] [--checkpoint-every 50]
-                                [--resume-from 50] [--n 200]
+                                [--resume-from 50]
 
 Trains the default eqm and eqm-e (dot head) configs (seed 0) with `eqmatch
 train` from DIR/src (DIR defaults to this checkout), with the benchmark's run
@@ -9,9 +9,9 @@ length and checkpoint interval, then resumes a copy of each run from its
 step `--resume-from` checkpoint. Each line is `<objective> <fresh|resumed>
 <file> <sha256>`, for `losses.csv` and every checkpoint. Then it runs
 `eqmatch sample` (gd, and adaptive at g_min 0.1) and `eqmatch eval --suite
-quality` at `--n` points on this checkout's bench/fixture/checkpoint.eqmckpt,
-and `eqmatch sample` on the eqm-e run's final checkpoint (an energy head's
-field), each printing `<fixture|eqm-e> <operation> <file> <sha256>`. Two
+quality` on this checkout's bench/fixture/checkpoint.eqmckpt, and `eqmatch
+sample` on the eqm-e run's final checkpoint (an energy head's field), all at
+`--n 200`, each printing `<fixture|eqm-e> <operation> <file> <sha256>`. Two
 checkouts that train and sample the same bits print the same lines, so
 
     diff <(python tools/run_digests.py --repo A) <(python tools/run_digests.py --repo B)
@@ -36,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "bench" / "fixture" / "checkpoint.eqmckpt"
 OBJECTIVES = {"eqm": "none", "eqm-e": "dot"}
+N = 200  # points each inference command samples or evaluates
 
 
 def eqmatch(repo: Path, args: list[str]) -> None:
@@ -54,7 +55,7 @@ def sha256(path: Path) -> str:
 
 
 def run_digests(repo: Path, work: Path, steps: int, every: int,
-                resume_from: int, n: int) -> list[str]:
+                resume_from: int) -> list[str]:
     lines = []
     for objective, head in OBJECTIVES.items():
         config = work / f"{objective}.json"
@@ -72,8 +73,8 @@ def run_digests(repo: Path, work: Path, steps: int, every: int,
         for kind, run_dir in (("fresh", fresh), ("resumed", resumed)):
             lines += [f"{objective} {kind} {name} {sha}"
                       for name, sha in digests(run_dir).items()]
-    fixture = ["--checkpoint", str(FIXTURE), "--n", str(n)]
-    final = ["--checkpoint", str(work / "eqm-e" / "checkpoint.eqmckpt"), "--n", str(n)]
+    fixture = ["--checkpoint", str(FIXTURE), "--n", str(N)]
+    final = ["--checkpoint", str(work / "eqm-e" / "checkpoint.eqmckpt"), "--n", str(N)]
     for source, operation, args in (
             ("fixture", "sample-gd", ["sample", *fixture]),
             ("fixture", "sample-adaptive", ["sample", *fixture, "--method", "adaptive",
@@ -98,7 +99,6 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=150)
     parser.add_argument("--checkpoint-every", type=int, default=50)
     parser.add_argument("--resume-from", type=int, default=50)
-    parser.add_argument("--n", type=int, default=200, help="points to sample and evaluate")
     args = parser.parse_args(argv)
     if not (0 < args.resume_from < args.steps
             and args.resume_from % args.checkpoint_every == 0):
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         try:
             lines = run_digests(Path(args.repo), Path(work), args.steps,
-                                args.checkpoint_every, args.resume_from, args.n)
+                                args.checkpoint_every, args.resume_from)
         except (OSError, subprocess.CalledProcessError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
