@@ -156,7 +156,7 @@ def _suite_statements(args, ck, out_dir: Path, fp: str) -> list[EvalReport]:
 
     stats = grad_norm_at_data(anchor_field, anchors)
     reports.append(EvalReport("statement1-analytic-mean-grad-at-data",
-                              stats["at_data"].mean, fp, args.seed))
+                              stats["at_data"], fp, args.seed))
     frac = local_minima_membership(
         anchor_field, anchors, n_inits=256, radius=0.25,
         config=SamplerConfig(method="adaptive", eta=0.2, g_min=1e-6, max_steps=500),
@@ -413,8 +413,6 @@ def cmd_plot(args) -> int:
         series = {k: np.array([float(r[k]) for r in rows])
                   for k in rows[0] if k != "gamma"}
         curves_svg(out, x, series, title="quality vs start noise")
-    else:
-        raise ValidationError(f"unknown plot kind '{args.kind}'")
     print(f"wrote {out}")
     return 0
 

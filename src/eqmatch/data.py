@@ -12,6 +12,7 @@ The module also owns the CSV format of every table eqmatch writes or reads
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -184,15 +185,29 @@ def write_csv(path, header: list[str], rows, append: bool = False) -> None:
     """Write a table: the header line, then one line per row. Float cells
     print as FLOAT_FMT, None as an empty cell and any other cell as str, so
     a caller that wants a float printed otherwise passes it as text. With
-    `append`, an existing file keeps its header and rows and gains `rows`."""
+    `append`, an existing file keeps its header and rows and gains `rows`.
+
+    The file is on disk when this returns. An append is fsynced in place;
+    any other write goes to a temporary file beside `path`, which is fsynced
+    and then renamed over it, so a failure leaves the old file as it was."""
     path = Path(path)
     fresh = not (append and path.exists())
-    with open(path, "w" if fresh else "a", newline="") as fh:
-        w = csv.writer(fh)
+    target = path.with_name(path.name + ".tmp") if fresh else path
+    try:
+        with open(target, "w" if fresh else "a", newline="") as fh:
+            w = csv.writer(fh)
+            if fresh:
+                w.writerow(header)
+            w.writerows([FLOAT_FMT % v if isinstance(v, float) else v for v in row]
+                        for row in rows)
+            fh.flush()
+            os.fsync(fh.fileno())
         if fresh:
-            w.writerow(header)
-        w.writerows([FLOAT_FMT % v if isinstance(v, float) else v for v in row]
-                    for row in rows)
+            os.replace(target, path)
+    except BaseException:
+        if fresh:
+            target.unlink(missing_ok=True)
+        raise
 
 
 def read_csv(path) -> list[dict[str, str]]:

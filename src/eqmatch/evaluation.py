@@ -64,30 +64,16 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
 # stationarity / minima checks
 
 
-@dataclass
-class GradNormStats:
-    mean: float
-    p05: float
-    p50: float
-    p95: float
-
-    @classmethod
-    def of(cls, norms: np.ndarray) -> "GradNormStats":
-        return cls(mean=float(norms.mean()), p05=float(np.percentile(norms, 5)),
-                   p50=float(np.percentile(norms, 50)), p95=float(np.percentile(norms, 95)))
-
-
-def grad_norm_at_data(model_or_field, data: np.ndarray,
-                      seed: int = 0) -> dict[str, GradNormStats]:
-    """Gradient-norm statistics at data points, with the same statistics at
-    half-corrupted points as the contrast scale."""
+def grad_norm_at_data(model_or_field, data: np.ndarray, seed: int = 0) -> dict[str, float]:
+    """The mean gradient norm at data points, and at half-corrupted points as
+    the contrast scale."""
     f = as_field(model_or_field)
     data = np.asarray(data, dtype=np.float64)
     at_data = np.linalg.norm(f(data, 0.0), axis=1)
     rng = np.random.default_rng(seed)
     halfway = corrupt(data, rng.standard_normal(data.shape), np.full(len(data), 0.5))
     at_half = np.linalg.norm(f(halfway, 0.0), axis=1)
-    return {"at_data": GradNormStats.of(at_data), "at_half_corrupted": GradNormStats.of(at_half)}
+    return {"at_data": float(at_data.mean()), "at_half_corrupted": float(at_half.mean())}
 
 
 def local_minima_membership(model_or_field, data: np.ndarray, n_inits: int,

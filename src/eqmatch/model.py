@@ -149,36 +149,22 @@ class GradientFieldModel:
             h = act(pre) if i < n_layers - 1 else pre
         return h
 
-    def run_pass(self, run):
-        """`nd.run_pass(run)` for a pass through this model. A ReLU or tanh
-        model runs only the checked pass `run(nd.check_finite)`: max(-inf, 0)
-        and tanh(+-inf) are finite, so a non-finite value could vanish before
-        a boundary scan."""
-        if self.config.activation != "silu":
-            return run(nd.check_finite)
-        return nd.run_pass(run)
+    def forward_values(self, x, label=None, noise_level=None) -> np.ndarray:
+        """`forward(nd.Graph(), x, ...).values` off the tape, as an inference
+        pass through `nd.run_pass`: the same bits and the same errors."""
+        return nd.run_pass(
+            lambda check: self._forward_values(x, label, noise_level, None, check))
 
-    def forward_values(self, x, label=None, noise_level=None, cache=None,
-                       check=nd.check_finite) -> np.ndarray:
-        """`forward(nd.Graph(), x, ...).values` off the tape, each layer written
-        in place: the same ops in the same order (same bits). The input, the
-        parameters and the output are scanned with `nd.check_finite` and the
-        values inside the pass with `check`, at the tape's op boundaries, so
-        with every scan made the pass raises the tape's errors (see
-        `nd.run_pass`). `check` applies only together with `cache`: without
-        one this is an inference pass, which runs through `run_pass`, and
-        `run_pass` chooses the inner scan.
+    def _forward_values(self, x, label, noise_level, cache, check) -> np.ndarray:
+        """`forward_values`, each layer written in place, for a pass that
+        scans what enters and leaves it with `nd.check_finite` and the values
+        inside it with `check` (see `nd.run_pass`). The value entering a ReLU
+        or tanh is a boundary: max(-inf, 0) and tanh(+-inf) are finite.
 
         With a list as `cache`, each layer appends what `parameter_gradients`
         needs: [input, one-hot labels or None, pre-activation, sigmoid or
         None]. ReLU and tanh write their output over the pre-activation; the
         sigmoid is SiLU's."""
-        if cache is None:
-            return self.run_pass(
-                lambda check: self._forward_values(x, label, noise_level, None, check))
-        return self._forward_values(x, label, noise_level, cache, check)
-
-    def _forward_values(self, x, label, noise_level, cache, check) -> np.ndarray:
         self._check_conditioning(label, noise_level)
         h = nd.constant(x).values
         n = self._batch_size(h.shape)
@@ -188,18 +174,19 @@ class GradientFieldModel:
         for buf in p.values():  # where forward leases its leaves
             nd.check_finite(buf, "leaf")
         last = len(self.config.hidden)
+        enter = check if self.config.activation == "silu" else nd.check_finite
         for i in range(last + 1):
             pre = h @ p[f"layers.{i}.w"]
             check(pre, "matmul")
             pre += p[f"layers.{i}.b"]
-            (check if i < last else nd.check_finite)(pre, "add")
+            (enter if i < last else nd.check_finite)(pre, "add")
             hot = None
             if i == 0 and self.config.num_classes > 0:
                 hot = nd.constant(self._one_hot(label, n)).values
                 embedded = hot @ p["label_embed"]
                 check(embedded, "matmul")
                 pre += embedded
-                check(pre, "add")
+                enter(pre, "add")
             if cache is not None:
                 cache.append([h, hot, pre, None])
             if i == last:
@@ -221,8 +208,8 @@ class GradientFieldModel:
     def parameter_gradients(self, cache: list, grad: np.ndarray, keep: list | None = None,
                             check=nd.check_finite) -> dict[str, np.ndarray]:
         """The gradient of a loss with respect to every parameter, given `grad`,
-        its gradient with respect to the output of `forward_values(...,
-        cache=cache)`. This is `nd.backward`'s transposed chain off the tape:
+        its gradient with respect to the output of `_forward_values` with
+        `cache`. This is `nd.backward`'s transposed chain off the tape:
         the same ops in the same order (same bits). Each of the tape's finite
         checks that can fire is made in the tape's order, on the gradients it
         returns and on products only the tape uses (layer 0's input gradient,
@@ -274,8 +261,8 @@ class GradientFieldModel:
 
     def energy_input_gradient(self, cache: list, keep: list,
                               check=nd.check_finite) -> np.ndarray:
-        """The input-gradient of the batch-summed energy of `forward_values(x,
-        ..., cache=cache)`: `nd.input_gradient(_total_energy(...), x)` off the
+        """The input-gradient of the batch-summed energy of `_forward_values`
+        with `cache`: `nd.input_gradient(_total_energy(...), x)` off the
         tape, with its bits and its errors. The tape makes and checks the
         energy and every parameter's first-order gradient, though nothing
         uses them, so this does too; those and the returned gradient are
@@ -460,13 +447,13 @@ def energy(model: GradientFieldModel, x, label=None) -> np.ndarray:
 def energy_gradient(model: GradientFieldModel, x, label=None) -> np.ndarray:
     """Input-gradient of the energy, [n, d] (rows are independent points):
     `nd.input_gradient(_total_energy(...), x)` off the tape, with its bits and
-    its errors, from `forward_values` and `energy_input_gradient`."""
+    its errors, from `_forward_values` and `energy_input_gradient`."""
     x = nd.as_values(x)
 
     def run(check):
         nd.check_finite(x, "leaf")  # the tape leases x before the forward pass
         cache = []
-        model.forward_values(x, label=label, cache=cache, check=check)
+        model._forward_values(x, label, None, cache, check)
         return model.energy_input_gradient(cache, [], check)
 
-    return model.run_pass(run)
+    return nd.run_pass(run)

@@ -7,7 +7,8 @@ live graph nodes and can be differentiated again (double backprop).
 
 Training (`objective.loss_and_gradients`) and inference
 (`model.forward_values`, `model.energy_gradient`) run off the tape with the
-same bits and errors, through `run_pass`: the tape is their test oracle.
+same bits and errors, each as one `run_pass`, which scans a pass only at its
+boundaries for every activation: the tape is their test oracle.
 
 Conventions:
   - all buffers are contiguous float64; non-finite values raise at op
@@ -75,8 +76,10 @@ def run_pass(run: Callable):
     sums and SiLU carry it on (inf * 0 and silu(-inf) are NaN). If that pass
     raises anything, a skipped scan may have fired first, so `run` runs again
     with `check = check_finite`: every scan in the tape's order, which raises
-    the tape's error with the warnings it emits. A pass through an op that
-    can turn a non-finite value finite must call `run(check_finite)` itself."""
+    the tape's error with the warnings it emits. A value entering an op that
+    can turn a non-finite value finite (ReLU's max(-inf, 0), tanh(+-inf)) is
+    a boundary too; the backward factors of those ops lie in [0, 1], and
+    inf * 0 is NaN, so no backward value is."""
     try:
         with np.errstate(all="ignore"):
             return run(_no_check)

@@ -142,11 +142,11 @@ def loss_and_gradients(objective: str, model: GradientFieldModel, batch: TrainBa
                        sched: Schedule, allow_non_equilibrium: bool = False
                        ) -> tuple[float, dict[str, np.ndarray]]:
     """The loss of `objective` and its gradient with respect to every
-    parameter, off the tape: `forward_values` with a cache (for eqm-e, then
-    `energy_input_gradient`), the mean squared error and its gradient
-    written out, then `parameter_gradients` (eqm) or
+    parameter, off the tape: `model._forward_values` with a cache (for
+    eqm-e, then `energy_input_gradient`), the mean squared error and its
+    gradient written out, then `parameter_gradients` (eqm) or
     `energy_parameter_gradients` (eqm-e), as one pass through
-    `model.run_pass`. It gives the bits and the errors of
+    `nd.run_pass`. It gives the bits and the errors of
     `loss_for(objective, ...)` + `nd.backward`; the tape's checks it skips
     are on values that checked ones bound (the loss is at most the checked
     sum, the output gradient at most the checked difference or its square)."""
@@ -158,8 +158,7 @@ def loss_and_gradients(objective: str, model: GradientFieldModel, batch: TrainBa
         if objective == "eqm-e":
             nd.check_finite(xg, "leaf")  # loss_for leases x before the forward pass
         cache, keep = [], []
-        field = model.forward_values(xg, label=label, noise_level=level, cache=cache,
-                                     check=check)
+        field = model._forward_values(xg, label, level, cache, check)
         if objective == "eqm-e":
             field = model.energy_input_gradient(cache, keep, check)
         diff = field - nd.constant(target).values
@@ -178,4 +177,4 @@ def loss_and_gradients(objective: str, model: GradientFieldModel, batch: TrainBa
                                                                           check)
         return float(total * scale), model.parameter_gradients(cache, grad, check=check)
 
-    return model.run_pass(run)
+    return nd.run_pass(run)

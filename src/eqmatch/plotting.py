@@ -15,7 +15,7 @@ PLOT_KINDS = ("vector-field", "scatter", "contour", "step-hist", "gamma-curves")
 
 
 class PlotError(ValueError):
-    """Unknown plot kind or inputs that do not fit it."""
+    """Inputs that do not fit the plot kind."""
 
 
 def _fmt(v: float) -> str:

@@ -11,8 +11,8 @@ noise.
 
 Samplers act on a *field*: any callable (x [n,d], progress in [0,1]) -> grad
 [n,d] whose row i depends only on row i of x. A model (with a fixed label, if
-it is conditional) is a field through :class:`ModelField`, and a weighted sum
-of fields is one through :class:`ComposedField`. Every objective trains
+it is conditional) is a field through :class:`ModelField`, and a sum of
+fields is one through :class:`ComposedField`. Every objective trains
 its model toward a multiple of eps - x, so a model's field is its output (or
 its energy's input-gradient) as it stands, whichever objective trained it.
 Time-invariant fields ignore `progress`; it exists so the noise-conditioned
@@ -114,16 +114,13 @@ class ModelField:
 
 
 class ComposedField:
-    """Weighted sum of member fields; adding gradients adds the underlying
-    energy landscapes."""
+    """Sum of member fields; adding gradients adds the underlying energy
+    landscapes."""
 
-    def __init__(self, fields: Sequence, weights: Sequence[float] | None = None):
+    def __init__(self, fields: Sequence):
         if not fields:
             raise ValueError("a composed field needs at least one member")
         self.fields = [as_field(f) for f in fields]
-        self.weights = [1.0] * len(self.fields) if weights is None else [float(w) for w in weights]
-        if len(self.weights) != len(self.fields):
-            raise ValueError("one weight per field required")
         dims = {f.dim for f in self.fields if getattr(f, "dim", None) is not None}
         if len(dims) > 1:
             raise ValueError(f"composed fields disagree on input dim: {sorted(dims)}")
@@ -131,14 +128,10 @@ class ComposedField:
         self.time_dependent = any(getattr(f, "time_dependent", False) for f in self.fields)
 
     def __call__(self, x: np.ndarray, progress: float = 0.0) -> np.ndarray:
-        total = None
-        for w, f in zip(self.weights, self.fields):
-            if w == 0.0:
-                continue
-            g = f(x, progress)
-            g = g if w == 1.0 else w * g
-            total = g if total is None else total + g
-        return np.zeros_like(x) if total is None else total
+        total = self.fields[0](x, progress)
+        for f in self.fields[1:]:
+            total = total + f(x, progress)
+        return total
 
 
 def as_field(obj):

@@ -113,11 +113,13 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         # a resume keeps the loss history of the steps before it; a fresh run
-        # starts an empty table
+        # starts an empty table. A row without a loss was torn by a crash
+        # during an append: its step may be a prefix of the one written.
         losses_path = out_path / LOSSES_NAME
         kept = read_csv(losses_path) if start_step and losses_path.exists() else []
         write_csv(losses_path, LOSSES_HEADER,
-                  ([r["step"], r["loss"]] for r in kept if int(r["step"]) < start_step))
+                  ([r["step"], r["loss"]] for r in kept
+                   if r["loss"] and int(r["step"]) < start_step))
 
     losses = np.empty(config.train.steps - start_step)
     logged = 0  # entries of `losses` already in losses.csv
@@ -135,8 +137,9 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
         every = config.train.checkpoint_every
         last = step + 1 == config.train.steps
         if out_path is not None and (last or every and (step + 1) % every == 0):
-            # losses first: a crash between the two writes leaves rows that a
-            # resume from the previous checkpoint drops, never a gap
+            # losses first, fsynced by write_csv: a crash between the two
+            # writes leaves rows that a resume from the previous checkpoint
+            # drops, never a gap
             write_csv(losses_path, LOSSES_HEADER,
                       ([start_step + j, losses[j]] for j in range(logged, i + 1)),
                       append=True)

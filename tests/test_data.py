@@ -165,6 +165,21 @@ def test_append_keeps_header_and_rows(tmp_path):
     assert p.read_bytes() == b"b\r\n4\r\n"
 
 
+def test_a_failed_rewrite_keeps_the_old_file(tmp_path):
+    p = tmp_path / "t.csv"
+    write_csv(p, ["a"], [[1], [2]])
+    before = p.read_bytes()
+
+    def rows():
+        yield [3]
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError, match="no space"):
+        write_csv(p, ["a"], rows())
+    assert p.read_bytes() == before
+    assert [q.name for q in tmp_path.iterdir()] == ["t.csv"]
+
+
 def test_points_read_by_name(tmp_path):
     p = tmp_path / "samples.csv"
     write_csv(p, ["sample_id", "x0", "x1", "steps_used"],

@@ -1,7 +1,8 @@
 """Static checks on the sources and docs: no module imports a name it never
 uses, nothing in the package imports scipy (a test-only oracle), the
-README's run-config block is the default config, and the docs name exactly
-the CLI's subcommands."""
+README's run-config block is the default config, the docs name exactly
+the CLI's subcommands, and README's layout table exactly the package
+modules and tools."""
 
 import argparse
 import ast
@@ -103,3 +104,14 @@ def test_docs_name_exactly_the_subcommands():
     assert set(re.findall(r"^eqmatch (\S+)", block, flags=re.M)) == commands
     listed = re.search(r"Subcommands: ([^.]*)\.", " ".join(cli.__doc__.split())).group(1)
     assert {c.strip() for c in listed.split(",")} == commands
+
+
+def test_readme_layout_names_exactly_the_modules_and_tools():
+    """The first column of README's layout table names every module of
+    src/eqmatch (but `__init__`) and every script in tools/, and no other."""
+    section = (ROOT / "README.md").read_text().split("## Layout")[1].split("\n## ")[0]
+    named = set(re.findall(r"^\| `([^`]+)` \|", section, flags=re.M))
+    modules = {f"eqmatch.{p.stem}" for p in (ROOT / "src" / "eqmatch").glob("*.py")
+               if p.name != "__init__.py"}
+    tools = {f"tools/{p.name}" for p in (ROOT / "tools").glob("*.py")}
+    assert {n for n in named if n.startswith(("eqmatch.", "tools/"))} == modules | tools

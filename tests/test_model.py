@@ -38,14 +38,15 @@ def random_model(cfg: ModelConfig, seed: int) -> GradientFieldModel:
     return m
 
 
-def hide_an_inf(params: dict) -> None:
-    """Make layer 1's first unit overflow to inf, which SiLU keeps, and zero
-    the row of layer 2 that reads it: the tape fails at layer 1's matmul, and
-    the output is NaN (inf * 0). For a model with labels and at least two
-    hidden layers."""
+def hide_an_inf(params: dict, sign: float = 1.0) -> None:
+    """Make layer 1's first unit overflow to sign * inf and zero the row of
+    layer 2 that reads it: the tape fails at layer 1's matmul. SiLU keeps
+    +inf, so the output is NaN (inf * 0); ReLU turns -inf and tanh +inf
+    finite, so only a scan of the value entering the activation sees it.
+    For a model with labels and at least two hidden layers."""
     params["layers.0.w"][:] = params["label_embed"][:] = 0.0
     params["layers.0.b"][:] = 1.0
-    params["layers.1.w"][:, 0] = 1e308
+    params["layers.1.w"][:, 0] = sign * 1e308
     params["layers.2.w"][0] = 0.0
 
 
@@ -57,6 +58,11 @@ HIDDEN_INF = {"hidden inf": (5, (8, 8)),
               "hidden inf 1000 rows": (1000, (8, 8)),
               "hidden inf 1 row width 256": (1, (256, 256, 256)),
               "hidden inf 1000 rows width 256": (1000, (256, 256, 256))}
+
+#: the activation and the sign of the hidden overflow of the cases where it
+#: leaves the activation finite: max(-inf, 0) = 0 and tanh(inf) = 1
+SATURATED = {"relu -inf": ("relu", -1.0), "tanh +inf": ("tanh", 1.0)}
+
 
 
 class TestInit:
@@ -232,11 +238,13 @@ class TestEnergy:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("head", ["dot", "l2norm"])
-    @pytest.mark.parametrize("case", ["leaf", "nan input", "matmul", *HIDDEN_INF, "label",
-                                      "first backward", "no energy head"])
+    @pytest.mark.parametrize("case", ["leaf", "nan input", "matmul", *HIDDEN_INF,
+                                      *SATURATED, "label", "first backward",
+                                      "no energy head"])
     def test_gradient_errors_equal_the_tape(self, case, head):
         n, hidden = HIDDEN_INF.get(case, (5, (8, 8)))
-        cfg = ModelConfig(hidden=hidden, num_classes=3,
+        activation, sign = SATURATED.get(case, ("silu", 1.0))
+        cfg = ModelConfig(hidden=hidden, activation=activation, num_classes=3,
                           energy_kind="none" if case == "no energy head" else head)
         m = random_model(cfg, 0)
         p = m.params
@@ -247,8 +255,8 @@ class TestEnergy:
             x[2, 1] = np.nan
         elif case == "matmul":
             p["layers.0.w"][:] = 1e308
-        elif case in HIDDEN_INF:
-            hide_an_inf(p)
+        elif case in HIDDEN_INF or case in SATURATED:
+            hide_an_inf(p, sign)
         elif case == "label":
             label[4] = 3
         elif case == "first backward":
@@ -268,7 +276,7 @@ class TestEnergy:
         assert str(values.value) == str(tape.value)
         assert_replay_matches_the_checked_pass(lambda: energy_gradient(m, x, label))
         op = {"nan input": "leaf", "first backward": "matmul",
-              **dict.fromkeys(HIDDEN_INF, "matmul")}.get(case, case)
+              **dict.fromkeys([*HIDDEN_INF, *SATURATED], "matmul")}.get(case, case)
         if case not in ("label", "no energy head"):
             assert str(values.value) == f"non-finite values produced by op '{op}'"
 
@@ -309,10 +317,13 @@ class TestForwardValues:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "constant", "label",
-                                      *HIDDEN_INF, "noise level", "input shape"])
+                                      *HIDDEN_INF, *SATURATED, "relu label add",
+                                      "noise level", "input shape"])
     def test_errors_equal_the_tape(self, case):
         n, hidden = HIDDEN_INF.get(case, (5, (8, 8)))
-        cfg = ModelConfig(hidden=hidden, num_classes=3,
+        relu = case == "relu label add"
+        activation, sign = SATURATED.get(case, ("relu" if relu else "silu", 1.0))
+        cfg = ModelConfig(hidden=hidden, activation=activation, num_classes=3,
                           noise_conditioned=case == "noise level")
         m = random_model(cfg, 0)
         x = np.ones((n, 2))
@@ -328,8 +339,12 @@ class TestForwardValues:
             x[2, 1] = np.nan
         elif case == "label":
             kw["label"] = np.array([0, 1, 2, 3, 0])
-        elif case in HIDDEN_INF:
-            hide_an_inf(m.params)
+        elif case in HIDDEN_INF or case in SATURATED:
+            hide_an_inf(m.params, sign)
+        elif case == "relu label add":
+            # the bias and the label's embedding are finite, their sum -inf
+            m.params["layers.0.w"][:] = 0.0
+            m.params["layers.0.b"][:] = m.params["label_embed"][:] = -1e308
         elif case == "noise level":
             kw["noise_level"] = np.zeros(4)
         else:
@@ -341,8 +356,10 @@ class TestForwardValues:
         assert type(values.value) is type(tape.value)
         assert str(values.value) == str(tape.value)
         assert_replay_matches_the_checked_pass(lambda: m.forward_values(x, **kw))
-        if case in ("leaf", "matmul", "add", "constant", *HIDDEN_INF):
-            op = "matmul" if case in HIDDEN_INF else case
+        if case in ("leaf", "matmul", "add", "constant", *HIDDEN_INF, *SATURATED,
+                    "relu label add"):
+            op = ("matmul" if case in HIDDEN_INF or case in SATURATED else
+                  "add" if relu else case)
             assert str(values.value) == f"non-finite values produced by op '{op}'"
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)

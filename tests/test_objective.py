@@ -11,7 +11,7 @@ from eqmatch.objective import (OBJECTIVES, ObjectiveError, TrainBatch, check_pai
 from eqmatch.optimizer import AdamW
 from eqmatch.schedule import Schedule
 from conftest import assert_replay_matches_the_checked_pass, central_difference, rel_err
-from test_model import hide_an_inf, random_model
+from test_model import SATURATED, hide_an_inf, random_model
 
 LINEAR = Schedule(kind="linear")
 CONST = Schedule(kind="constant")
@@ -290,12 +290,14 @@ class TestLossAndGradients:
         assert_same_bits(got_loss, got, want_loss, want, m.params)
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "nan input", "label",
-                                      "hidden inf", "backward matmul", "backward mul",
-                                      "first-layer backward mul", "schedule",
-                                      "no labels", "energy head"])
+                                      "hidden inf", *SATURATED, "backward matmul",
+                                      "backward mul", "first-layer backward mul",
+                                      "schedule", "no labels", "energy head"])
     def test_errors_equal_the_tape(self, case):
         head = "dot" if case == "energy head" else "none"
-        m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), 0)
+        activation, sign = SATURATED.get(case, ("silu", 1.0))
+        m = random_model(ModelConfig(hidden=(8, 8), activation=activation, num_classes=3,
+                                     energy_kind=head), 0)
         x, eps = np.ones((5, 2)), np.ones((5, 2))
         labels, sched = np.array([0, 1, 2, 0, 1]), TRUNC4
         if case == "leaf":
@@ -309,8 +311,8 @@ class TestLossAndGradients:
             x[2, 1] = np.nan
         elif case == "label":
             labels[4] = 3
-        elif case == "hidden inf":
-            hide_an_inf(m.params)
+        elif case == "hidden inf" or case in SATURATED:
+            hide_an_inf(m.params, sign)
         elif case == "backward matmul":
             # layer 0 is finite on tiny inputs; its input gradient overflows
             x, eps = np.full((5, 2), 1e-300), np.full((5, 2), 1e-300)
@@ -340,16 +342,19 @@ class TestLossAndGradients:
                 loss_for("eqm", m, b, sched)  # the forward pass is finite
         message = assert_same_error("eqm", m, b, sched)
         op = {"nan input": "constant", "hidden inf": "matmul", "backward matmul": "matmul",
-              "backward mul": "mul", "first-layer backward mul": "mul"}.get(case, case)
+              "backward mul": "mul", "first-layer backward mul": "mul",
+              **dict.fromkeys(SATURATED, "matmul")}.get(case, case)
         if case not in ("label", "schedule", "no labels", "energy head"):
             assert message == f"non-finite values produced by op '{op}'"
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "nan input", "label",
-                                      "weight gradient", "schedule", "no labels",
-                                      "no energy head"])
+                                      *SATURATED, "weight gradient", "schedule",
+                                      "no labels", "no energy head"])
     def test_eqm_e_errors_equal_the_tape(self, case):
         head = "none" if case == "no energy head" else "dot"
-        m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), 0)
+        activation, sign = SATURATED.get(case, ("silu", 1.0))
+        m = random_model(ModelConfig(hidden=(8, 8), activation=activation, num_classes=3,
+                                     energy_kind=head), 0)
         x, eps = np.ones((5, 2)), np.ones((5, 2))
         labels, sched = np.array([0, 1, 2, 0, 1]), TRUNC4
         if case == "leaf":
@@ -363,6 +368,8 @@ class TestLossAndGradients:
             x[2, 1] = np.nan
         elif case == "label":
             labels[4] = 3
+        elif case in SATURATED:
+            hide_an_inf(m.params, sign)
         elif case == "weight gradient":
             # SiLU outputs 1e308 into a tiny last layer, so the forward pass is
             # finite; the first backward's last weight gradient sums five of them
@@ -377,7 +384,8 @@ class TestLossAndGradients:
         if case == "weight gradient":
             energy(m, corrupt(x, eps, b.gamma), labels)  # the forward pass is finite
         message = assert_same_error("eqm-e", m, b, sched)
-        op = {"nan input": "leaf", "weight gradient": "matmul"}.get(case, case)
+        op = {"nan input": "leaf", "weight gradient": "matmul",
+              **dict.fromkeys(SATURATED, "matmul")}.get(case, case)
         if case not in ("label", "schedule", "no labels", "no energy head"):
             assert message == f"non-finite values produced by op '{op}'"
 
@@ -453,8 +461,8 @@ class TestLossAndGradients:
         assert message == f"non-finite values produced by op '{op}'"
 
     @pytest.mark.parametrize("activation, counts", [("silu", (21, 35, 10)),
-                                                    ("relu", (33, 67, 17)),
-                                                    ("tanh", (33, 73, 17))])
+                                                    ("relu", (24, 41, 13)),
+                                                    ("tanh", (24, 38, 13))])
     def test_finite_passes_scan_only_their_boundaries(self, monkeypatch, activation,
                                                       counts):
         """`nd.check_finite` calls in a finite default eqm step, eqm-e (dot)
@@ -465,8 +473,9 @@ class TestLossAndGradients:
         the energy, the first backward's 8 gradients and input gradient, the
         field, the target, the loss, dot's `v * x` and `grad * f`, 8 gradients
         and x's adjoint (35). A forward pass scans the input, 8 parameters and
-        the output (10). ReLU and tanh passes make every scan, in the tape's
-        order."""
+        the output (10). A ReLU or tanh pass also scans the pre-activation
+        entering each of its 3 hidden activations (24, 38, 13), and a ReLU
+        eqm-e step the second backward's unused `v * u` at each (41)."""
         calls, check_finite = [], nd.check_finite
 
         def counted(values, op):

@@ -72,9 +72,9 @@ class TestGradOf:
         np.testing.assert_allclose(ModelField(m)(x), 2.0 * x, atol=1e-12)
 
     def test_composed_equals_sum_of_members(self, rng):
-        f = ComposedField([linear_field, linear_field, zero_field], weights=[1.0, 2.0, 5.0])
+        f = ComposedField([linear_field, linear_field, zero_field])
         x = rng.standard_normal((7, 2))
-        np.testing.assert_array_equal(f(x, 0.0), 3.0 * x)
+        np.testing.assert_array_equal(f(x, 0.0), 2.0 * x)
 
 
 class TestGD:
@@ -400,12 +400,6 @@ class TestCompose:
         x = rng.standard_normal((6, 2))
         np.testing.assert_array_equal(f(x, 0.0), 2.0 * x)
 
-    def test_zero_weight_drops_member(self, rng):
-        m = identity_model()
-        f = ComposedField([m, lambda x, progress: x * 100], weights=[1.0, 0.0])
-        x = rng.standard_normal((6, 2))
-        np.testing.assert_array_equal(f(x, 0.0), x)
-
     def test_two_quadratics_share_midpoint_minimum(self):
         c1, c2 = np.array([2.0, 0.0]), np.array([0.0, 2.0])
         f = ComposedField([lambda x, progress: x - c1, lambda x, progress: x - c2])
@@ -413,12 +407,11 @@ class TestCompose:
         np.testing.assert_allclose(traj.final, [(c1 + c2) / 2.0], atol=1e-10)
 
     def test_composition_linearity_exact(self, rng):
-        """Composed gradient equals the weighted member sum at 1000 points."""
+        """Composed gradient equals the member sum at 1000 points."""
         m = identity_model()
-        w = [0.7, -1.3]
-        f = ComposedField([m, lambda x, progress: np.sin(x)], weights=w)
+        f = ComposedField([m, lambda x, progress: np.sin(x)])
         x = rng.standard_normal((1000, 2))
-        want = w[0] * m.forward_values(x) + w[1] * np.sin(x)
+        want = m.forward_values(x) + np.sin(x)
         np.testing.assert_array_equal(f(x, 0.0), want)
 
     def test_equal_labels_half_step_matches_single(self, rng):

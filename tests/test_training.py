@@ -1,3 +1,4 @@
+import os
 import re
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ from eqmatch.checkpoint import CheckpointError, load_checkpoint
 from eqmatch.config import (DatasetSpec, OptimizerSettings, RunConfig,
                             TrainSettings, ValidationError)
 from eqmatch import ndtensor as nd
+from eqmatch.data import read_csv
 from eqmatch.model import ModelConfig
 from eqmatch.ndtensor import NonFiniteError
 from eqmatch.schedule import Schedule
@@ -82,6 +84,18 @@ def test_resume_into_the_run_directory_keeps_history(tmp_path):
         assert (tmp_path / name).read_bytes() == data
 
 
+def test_resume_drops_a_row_torn_by_a_crash(tmp_path):
+    cfg = run_config(train=TrainSettings(steps=20, batch_size=8, checkpoint_every=10))
+    train(cfg, out_dir=tmp_path)
+    losses = tmp_path / "losses.csv"
+    finished = losses.read_bytes()
+    # a crash while steps 10-19 were appended: the header, steps 0-9 and "1"
+    # of step 10's "10,..."
+    losses.write_bytes(b"".join(finished.splitlines(keepends=True)[:11]) + b"1")
+    train(resume_from=tmp_path / "ckpt-000010.eqmckpt", out_dir=tmp_path)
+    assert losses.read_bytes() == finished
+
+
 def test_resume_of_a_finished_run_is_rejected(tmp_path):
     done = train(run_config(train=TrainSettings(steps=5, batch_size=4)), out_dir=tmp_path)
     with pytest.raises(ValidationError, match="already finished"):
@@ -98,6 +112,32 @@ def test_resume_with_a_malformed_generator_state_is_rejected(tmp_path, state):
     rewrite_header(source, edited, header)
     with pytest.raises(CheckpointError, match=f"^{re.escape(str(edited))}: rng_state"):
         train(resume_from=edited, out_dir=tmp_path / "resumed")
+
+
+def test_losses_are_on_disk_before_each_checkpoint(tmp_path, monkeypatch):
+    """Each checkpoint is renamed into place only after losses.csv, holding
+    every row up to its step, was fsynced."""
+    fsync, rename = os.fsync, os.replace
+    synced = {}  # inode -> size at its last fsync
+    last_rows = []
+
+    def recording_fsync(fd):
+        fsync(fd)
+        st = os.fstat(fd)
+        synced[st.st_ino] = st.st_size
+
+    def checking_replace(src, dst):
+        if str(dst).endswith(".eqmckpt"):
+            st = (tmp_path / "losses.csv").stat()
+            assert synced.get(st.st_ino) == st.st_size
+            last_rows.append(int(read_csv(tmp_path / "losses.csv")[-1]["step"]))
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", checking_replace)
+    train(run_config(train=TrainSettings(steps=30, batch_size=8, checkpoint_every=10)),
+          out_dir=tmp_path)
+    assert last_rows == [9, 19, 29]
 
 
 def test_fresh_run_replaces_stale_losses(tmp_path):
