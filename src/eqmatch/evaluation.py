@@ -12,14 +12,16 @@ the test oracle, so importing eqmatch does not pay for loading it.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import read_csv, write_csv
+from .data import write_csv
 from .model import GradientFieldModel
 from .objective import corrupt
 from .sampler import SamplerConfig, as_field, sample
@@ -322,13 +324,30 @@ class EvalReport:
 LEDGER_HEADER = ["fingerprint", "metric", "value", "seed", "aux"]
 
 
+def _ledger_rows(path) -> list[list[str]]:
+    """The rows of the ledger at `path` below its header that a newline ends
+    and that have every column. A crash while an older version appended to
+    a ledger could tear its last row, and that version's next append joined
+    its first row onto the torn one: neither counts."""
+    path = Path(path)
+    if not path.exists():
+        return []
+    with open(path, newline="") as fh:
+        text = fh.read()
+    whole = text[:text.rfind("\n") + 1]
+    return [row for row in list(csv.reader(io.StringIO(whole)))[1:]
+            if len(row) == len(LEDGER_HEADER)]
+
+
 def append_reports(path, reports: list[EvalReport]) -> None:
-    write_csv(path, LEDGER_HEADER,
-              ([r.fingerprint, r.metric, float(r.value), r.seed,
-                json.dumps(r.aux, sort_keys=True)] for r in reports), append=True)
+    """Add `reports` to the ledger at `path`. Its rows and the new ones are
+    rewritten through `write_csv`'s temporary file, so a crash leaves all of
+    the new rows or none of them."""
+    write_csv(path, LEDGER_HEADER, _ledger_rows(path) + [
+        [r.fingerprint, r.metric, float(r.value), r.seed, json.dumps(r.aux, sort_keys=True)]
+        for r in reports])
 
 
-def ledger_has(path, fingerprint: str, metric: str | None = None) -> bool:
-    return Path(path).exists() and any(
-        row["fingerprint"] == fingerprint and (metric is None or row["metric"] == metric)
-        for row in read_csv(path))
+def ledger_has(path, fingerprint: str) -> bool:
+    """Whether the ledger at `path` holds a row of `fingerprint`."""
+    return any(row[0] == fingerprint for row in _ledger_rows(path))

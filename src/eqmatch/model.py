@@ -9,6 +9,8 @@ R^d. Conditioning options:
   - noise level (baseline models only): a fixed 16-dim sinusoidal feature of
     the level concatenated to the input.
 
+Every hidden layer is followed by SiLU, silu(z) = z * sigmoid(z).
+
 An explicit-energy model reuses the same network and derives a scalar per
 point, either `dot` g(x) = x . f(x) or `l2norm` g(x) = -0.5 ||f(x)||^2; its
 gradient field is the input-gradient of that scalar.
@@ -22,7 +24,6 @@ import numpy as np
 
 from . import ndtensor as nd
 
-ACTIVATIONS = ("silu", "relu", "tanh")
 ENERGY_KINDS = ("none", "dot", "l2norm")
 
 NOISE_FEATURES = 16
@@ -48,7 +49,8 @@ class ModelConfig:
             raise ValueError(f"input_dim={self.input_dim} must be >= 1")
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths {self.hidden} must be non-empty positives")
-        if self.activation not in ACTIVATIONS:
+        # SiLU is the one activation; checkpoints and configs still record it
+        if self.activation != "silu":
             raise ValueError(f"unknown activation '{self.activation}'")
         if self.energy_kind not in ENERGY_KINDS:
             raise ValueError(f"unknown energy kind '{self.energy_kind}'")
@@ -138,7 +140,6 @@ class GradientFieldModel:
             h = nd.constant(np.concatenate([xt.values, noise_features(noise_level, n)],
                                            axis=1))
         p = self._bind(graph)
-        act = {"silu": nd.silu, "relu": nd.relu, "tanh": nd.tanh}[self.config.activation]
         n_layers = len(self.config.hidden) + 1
         for i in range(n_layers):
             pre = nd.matmul(h, p[f"layers.{i}.w"])
@@ -146,7 +147,7 @@ class GradientFieldModel:
             if i == 0 and self.config.num_classes > 0:
                 hot = nd.constant(self._one_hot(label, n))
                 pre = nd.add(pre, nd.matmul(hot, p["label_embed"]))
-            h = act(pre) if i < n_layers - 1 else pre
+            h = nd.silu(pre) if i < n_layers - 1 else pre
         return h
 
     def forward_values(self, x, label=None, noise_level=None) -> np.ndarray:
@@ -158,13 +159,11 @@ class GradientFieldModel:
     def _forward_values(self, x, label, noise_level, cache, check) -> np.ndarray:
         """`forward_values`, each layer written in place, for a pass that
         scans what enters and leaves it with `nd.check_finite` and the values
-        inside it with `check` (see `nd.run_pass`). The value entering a ReLU
-        or tanh is a boundary: max(-inf, 0) and tanh(+-inf) are finite.
+        inside it with `check` (see `nd.run_pass`).
 
         With a list as `cache`, each layer appends what `parameter_gradients`
-        needs: [input, one-hot labels or None, pre-activation, sigmoid or
-        None]. ReLU and tanh write their output over the pre-activation; the
-        sigmoid is SiLU's."""
+        needs: [input, one-hot labels or None, pre-activation, its sigmoid or
+        None (the output layer)]."""
         self._check_conditioning(label, noise_level)
         h = nd.constant(x).values
         n = self._batch_size(h.shape)
@@ -174,39 +173,29 @@ class GradientFieldModel:
         for buf in p.values():  # where forward leases its leaves
             nd.check_finite(buf, "leaf")
         last = len(self.config.hidden)
-        enter = check if self.config.activation == "silu" else nd.check_finite
         for i in range(last + 1):
             pre = h @ p[f"layers.{i}.w"]
             check(pre, "matmul")
             pre += p[f"layers.{i}.b"]
-            (enter if i < last else nd.check_finite)(pre, "add")
+            (check if i < last else nd.check_finite)(pre, "add")
             hot = None
             if i == 0 and self.config.num_classes > 0:
                 hot = nd.constant(self._one_hot(label, n)).values
                 embedded = hot @ p["label_embed"]
                 check(embedded, "matmul")
                 pre += embedded
-                enter(pre, "add")
+                check(pre, "add")
+            s = None if i == last else nd.sigmoid_values(pre)
             if cache is not None:
-                cache.append([h, hot, pre, None])
+                cache.append([h, hot, pre, s])
             if i == last:
                 return pre
-            if self.config.activation == "silu":
-                s = nd.sigmoid_values(pre)
-                if cache is None:
-                    h = s
-                else:
-                    h = np.empty_like(s)
-                    cache[-1][3] = s
-                np.multiply(pre, s, out=h)
-                check(h, "mul")
-            elif self.config.activation == "relu":
-                h = np.maximum(pre, 0.0, out=pre)
-            else:
-                h = np.tanh(pre, out=pre)
+            h = s if cache is None else np.empty_like(s)  # over s unless cached
+            np.multiply(pre, s, out=h)
+            check(h, "mul")
 
-    def parameter_gradients(self, cache: list, grad: np.ndarray, keep: list | None = None,
-                            check=nd.check_finite) -> dict[str, np.ndarray]:
+    def parameter_gradients(self, cache: list, grad: np.ndarray, check,
+                            keep: list | None = None) -> dict[str, np.ndarray]:
         """The gradient of a loss with respect to every parameter, given `grad`,
         its gradient with respect to the output of `_forward_values` with
         `cache`. This is `nd.backward`'s transposed chain off the tape:
@@ -215,8 +204,7 @@ class GradientFieldModel:
         returns and on products only the tape uses (layer 0's input gradient,
         the one-hot's) with `nd.check_finite`, on the rest with `check` (same
         errors, see `nd.run_pass`); a product with a factor in [0, 1] (the
-        sigmoid, its derivative, a ReLU mask, tanh's derivative) stays
-        finite, so those go unchecked.
+        sigmoid, its derivative) stays finite, so those go unchecked.
 
         With a list as `keep`, each layer from the output down appends [the
         gradient at its output, the gradient at its pre-activation], and last
@@ -228,19 +216,13 @@ class GradientFieldModel:
             h_in, hot, pre, s = cache[i]
             if keep is not None:
                 keep.append([g])
-            if i < len(cache) - 1:  # a hidden layer: back through its activation
-                if self.config.activation == "silu":
-                    through_pre = g * s
-                    through_sigmoid = g * pre
-                    check(through_sigmoid, "mul")
-                    through_sigmoid *= s * (1.0 - s)
-                    g = through_pre + through_sigmoid
-                    check(g, "add")
-                # ReLU and tanh wrote their output over `pre`
-                elif self.config.activation == "relu":
-                    g = g * (pre > 0.0)
-                else:
-                    g = g * (1.0 - pre * pre)
+            if i < len(cache) - 1:  # a hidden layer: back through its SiLU
+                through_pre = g * s
+                through_sigmoid = g * pre
+                check(through_sigmoid, "mul")
+                through_sigmoid *= s * (1.0 - s)
+                g = through_pre + through_sigmoid
+                check(g, "add")
             if keep is not None:
                 keep[-1].append(g)
             if hot is not None:
@@ -259,8 +241,7 @@ class GradientFieldModel:
             keep.append(g)
         return {name: grads[name] for name in p}
 
-    def energy_input_gradient(self, cache: list, keep: list,
-                              check=nd.check_finite) -> np.ndarray:
+    def energy_input_gradient(self, cache: list, keep: list, check) -> np.ndarray:
         """The input-gradient of the batch-summed energy of `_forward_values`
         with `cache`: `nd.input_gradient(_total_energy(...), x)` off the
         tape, with its bits and its errors. The tape makes and checks the
@@ -281,7 +262,7 @@ class GradientFieldModel:
             q = f * -0.5  # the ones scaled by -0.5, then square's 2.0
             q *= 2.0
         nd.check_finite(energy.sum(axis=(0, 1)), "reduce_leading")
-        self.parameter_gradients(cache, q, keep, check)
+        self.parameter_gradients(cache, q, check, keep)
         if self.config.energy_kind == "l2norm":
             return keep[-1]
         field = f + keep[-1]  # the dot's own x-gradient, then the chain's
@@ -289,7 +270,7 @@ class GradientFieldModel:
         return field
 
     def energy_parameter_gradients(self, cache: list, keep: list, grad: np.ndarray,
-                                   check=nd.check_finite) -> dict[str, np.ndarray]:
+                                   check) -> dict[str, np.ndarray]:
         """The gradient of a loss with respect to every parameter, given `grad`,
         its gradient with respect to `energy_input_gradient(cache, keep)`.
         This is the tape's double backward off the tape: the adjoint of the
@@ -299,7 +280,7 @@ class GradientFieldModel:
         tape's order, with `nd.check_finite` on the gradients it returns and
         on products nothing uses, with `check` on the rest; it skips those a
         checked value or a factor in [0, 1] bounds."""
-        p, act, last = self.params, self.config.activation, len(cache) - 1
+        p, last = self.params, len(cache) - 1
         x, f = cache[0][0], cache[last][2]
         first = keep[-2::-1]  # per layer, from the input up
         w_grads, pending = [], []
@@ -313,36 +294,25 @@ class GradientFieldModel:
             if i == last:
                 break
             pre, s = cache[i][2], cache[i][3]
-            if act == "silu":  # g_pre = u * s + (u * pre) * d, d = s * (1 - s)
-                c = 1.0 - s
-                d = s * c
-                r_bar = v * d
-                d_bar = v * (u * pre)
-                check(d_bar, "mul")
-                s_bar = d_bar * c + (d_bar * s) * -1.0
-                check(s_bar, "add")
-                g = r_bar * pre
-                check(g, "mul")
-                a_bar = r_bar * u
-                check(a_bar, "mul")
-                through_u = v * u
-                check(through_u, "mul")
-                g = g + v * s
-                check(g, "add")
-                s_bar += through_u
-                check(s_bar, "add")
-                pending.append((a_bar, s_bar, d))
-            elif act == "relu":  # g_pre = u * mask
-                nd.check_finite(v * u, "mul")  # the mask's gradient: unused
-                g = v * (pre > 0.0)
-            else:  # g_pre = u * c, c = 1 - y * y
-                c = 1.0 - pre * pre
-                c_bar = v * u
-                check(c_bar, "mul")
-                g = v * c
-                y_bar = c_bar * -1.0 * pre * 2.0  # the tape's order: -c_bar, * y, * 2
-                check(y_bar, "scalar_mul")
-                pending.append((y_bar, c))
+            # g_pre = u * s + (u * pre) * d, d = s * (1 - s)
+            c = 1.0 - s
+            d = s * c
+            r_bar = v * d
+            d_bar = v * (u * pre)
+            check(d_bar, "mul")
+            s_bar = d_bar * c + (d_bar * s) * -1.0
+            check(s_bar, "add")
+            g = r_bar * pre
+            check(g, "mul")
+            a_bar = r_bar * u
+            check(a_bar, "mul")
+            through_u = v * u
+            check(through_u, "mul")
+            g = g + v * s
+            check(g, "add")
+            s_bar += through_u
+            check(s_bar, "add")
+            pending.append((a_bar, s_bar, d))
         # `v` is now the adjoint of the output's first-order gradient
         if self.config.energy_kind == "dot":
             nd.check_finite(v * x, "mul")  # the gradients of the tape's ones:
@@ -357,36 +327,30 @@ class GradientFieldModel:
         for i in reversed(range(last + 1)):
             h_in, hot, pre, s = cache[i]
             if i < last:
-                if act == "silu":
-                    a_bar, s_bar, d = pending[i]
-                    through_s = g * pre
-                    check(through_s, "mul")
-                    a_bar = a_bar + g * s
-                    check(a_bar, "add")
-                    s_bar = s_bar + through_s
-                    check(s_bar, "add")
-                    g = a_bar + s_bar * d
-                    check(g, "add")
-                elif act == "relu":
-                    g = g * (pre > 0.0)
-                else:
-                    g = g * pending[i][1]
+                a_bar, s_bar, d = pending[i]
+                through_s = g * pre
+                check(through_s, "mul")
+                a_bar = a_bar + g * s
+                check(a_bar, "add")
+                s_bar = s_bar + through_s
+                check(s_bar, "add")
+                g = a_bar + s_bar * d
+                check(g, "add")
             if hot is not None:
                 nd.check_finite(g @ p["label_embed"].T, "matmul")
                 grads["label_embed"] = hot.T @ g
                 nd.check_finite(grads["label_embed"], "matmul")
             grads[f"layers.{i}.b"] = g.sum(axis=0)
             nd.check_finite(grads[f"layers.{i}.b"], "reduce_leading")
-            # the input's adjoint from the first backward: tanh's output's, or
-            # the x-leaf's (unused, like layer 0's input gradient)
-            prior = x_bar if i == 0 else pending[i - 1][0] if act == "tanh" else None
             g_in = g @ p[f"layers.{i}.w"].T
-            (check if i or prior is not None else nd.check_finite)(g_in, "matmul")
+            (check if i or x_bar is not None else nd.check_finite)(g_in, "matmul")
             w_part = h_in.T @ g
             check(w_part, "matmul")
-            if prior is not None:
-                g_in = prior + g_in
-                (check if i else nd.check_finite)(g_in, "add")
+            if i == 0 and x_bar is not None:
+                # the x-leaf's adjoint from the first backward joins it (unused,
+                # like layer 0's input gradient)
+                g_in = x_bar + g_in
+                nd.check_finite(g_in, "add")
             w_grads[i] += w_part
             nd.check_finite(w_grads[i], "add")
             grads[f"layers.{i}.w"] = w_grads[i]

@@ -8,7 +8,7 @@ live graph nodes and can be differentiated again (double backprop).
 Training (`objective.loss_and_gradients`) and inference
 (`model.forward_values`, `model.energy_gradient`) run off the tape with the
 same bits and errors, each as one `run_pass`, which scans a pass only at its
-boundaries for every activation: the tape is their test oracle.
+boundaries: the tape is their test oracle.
 
 Conventions:
   - all buffers are contiguous float64; non-finite values raise at op
@@ -76,10 +76,7 @@ def run_pass(run: Callable):
     sums and SiLU carry it on (inf * 0 and silu(-inf) are NaN). If that pass
     raises anything, a skipped scan may have fired first, so `run` runs again
     with `check = check_finite`: every scan in the tape's order, which raises
-    the tape's error with the warnings it emits. A value entering an op that
-    can turn a non-finite value finite (ReLU's max(-inf, 0), tanh(+-inf)) is
-    a boundary too; the backward factors of those ops lie in [0, 1], and
-    inf * 0 is NaN, so no backward value is."""
+    the tape's error with the warnings it emits."""
     try:
         with np.errstate(all="ignore"):
             return run(_no_check)
@@ -270,19 +267,9 @@ def _matmul(a, b, ta: bool, tb: bool) -> Tensor:
     return _emit("matmul", (a, b), av @ bv, extra=(ta, tb))
 
 
-def relu(a) -> Tensor:
-    a = _coerce(a)
-    return _emit("relu", (a,), np.maximum(a.values, 0.0))
-
-
 def sigmoid(a) -> Tensor:
     a = _coerce(a)
     return _emit("sigmoid", (a,), sigmoid_values(a.values))
-
-
-def tanh(a) -> Tensor:
-    a = _coerce(a)
-    return _emit("tanh", (a,), np.tanh(a.values))
 
 
 def square(a) -> Tensor:
@@ -374,16 +361,9 @@ def _vjp(node: _Node, g: Tensor) -> list[Tensor | None]:
         if not ta and tb:          # C = A B^T
             return [_matmul(g, b, False, False), _matmul(g, a, True, False)]
         return [_matmul(b, g, True, True), _matmul(g, a, True, True)]
-    if op == "relu":
-        # derivative is a constant mask; its own derivative is 0 a.e.
-        mask = constant((a.values > 0.0).astype(np.float64))
-        return [mul(g, mask)]
     if op == "sigmoid":
         y = node.out
         return [mul(g, mul(y, sub(_ones_like(y), y)))]
-    if op == "tanh":
-        y = node.out
-        return [mul(g, sub(_ones_like(y), square(y)))]
     if op == "square":
         return [scalar_mul(mul(g, a), 2.0)]
     if op == "reduce_leading":

@@ -175,6 +175,6 @@ def loss_and_gradients(objective: str, model: GradientFieldModel, batch: TrainBa
         if objective == "eqm-e":
             return float(total * scale), model.energy_parameter_gradients(cache, keep, grad,
                                                                           check)
-        return float(total * scale), model.parameter_gradients(cache, grad, check=check)
+        return float(total * scale), model.parameter_gradients(cache, grad, check)
 
     return nd.run_pass(run)

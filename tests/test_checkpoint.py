@@ -16,7 +16,7 @@ from eqmatch.checkpoint import (HEADER_KEYS, TENSOR_KEYS, CheckpointError,
 from eqmatch.config import (DATASET_KINDS, DatasetSpec, OptimizerSettings,
                             RunConfig, TrainSettings, ValidationError,
                             load_config, save_config)
-from eqmatch.model import ACTIVATIONS, ModelConfig, init_model
+from eqmatch.model import ModelConfig, init_model
 from eqmatch.objective import OBJECTIVES
 from eqmatch.optimizer import AdamW
 from eqmatch.sampler import METHODS, SamplerConfig
@@ -152,7 +152,6 @@ def run_configs(draw) -> RunConfig:
     model = ModelConfig(
         input_dim=draw(st.integers(1, 3)),
         hidden=tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))),
-        activation=draw(st.sampled_from(ACTIVATIONS)),
         num_classes=draw(st.integers(0, 3)) if dataset.labeled else 0,
         noise_conditioned=objective == "eqm" and draw(st.booleans()),
         energy_kind=(draw(st.sampled_from(["dot", "l2norm"])) if objective == "eqm-e"
@@ -392,6 +391,8 @@ class TestHeaderChecks:
          "run_config: unknown objective 'uncond-fm'"),
         (lambda h: h["run_config"]["sampler"].update(method="nag"),
          "run_config: sampler: unknown sampler method 'nag'"),
+        (lambda h: h["run_config"]["model"].update(activation="tanh"),
+         "run_config: model: unknown activation 'tanh'"),
     ])
     def test_bad_header_raises_checkpoint_error(self, saved_checkpoint, tmp_path, edit,
                                                 match):

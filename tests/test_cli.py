@@ -101,6 +101,9 @@ class TestExitCodes:
          "schedule.b"),
         ({"schedule": {"kind": "piecewise", "b": float("inf")}, "train": {"steps": 2}},
          "schedule.b"),
+        # SiLU is the only activation
+        ({"model": {"activation": "relu", "hidden": [4]}, "train": {"steps": 2}},
+         "model: unknown activation 'relu'"),
     ])
     def test_malformed_config_names_the_key(self, payload, key, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -425,6 +428,21 @@ class TestSuitesAndSweeps:
         capsys.readouterr()
         assert main(args) == 0
         assert "skipping" in capsys.readouterr().out
+
+    def test_eval_rerun_after_a_torn_row_recomputes_once(self, tmp_path, capsys):
+        """A crash while an older version appended the suite's rows left the
+        first of them torn; a re-run computes the suite and writes each of
+        its rows once."""
+        args = ["eval", "--suite", "statements", "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+        ledger = tmp_path / "results.csv"
+        whole = ledger.read_bytes()
+        header_end = whole.index(b"\n") + 1
+        ledger.write_bytes(whole[:header_end + 20])  # the first row, torn
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "skipping" not in capsys.readouterr().out
+        assert ledger.read_bytes() == whole
 
     def test_statements_suite_all_pass(self, tmp_path):
         assert main(["eval", "--suite", "statements", "--out-dir", str(tmp_path)]) == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqmatch import data
 from eqmatch.evaluation import (DEFAULT_BANDWIDTHS, EvalReport, QuadraticEnergy,
                                 _average_ranks, _kernel_matrix, _kernel_sum, _sq_dists,
                                 append_reports, auroc, component_energy, config_fingerprint,
@@ -309,9 +310,45 @@ class TestLedger:
         fp = config_fingerprint({"seed": 1, "metric": "mmd"})
         append_reports(path, [EvalReport("mmd", 0.25, fp, 1, aux={"n": 10})])
         assert ledger_has(path, fp)
-        assert ledger_has(path, fp, "mmd")
-        assert not ledger_has(path, fp, "auroc")
         assert not ledger_has(path, "deadbeef")
+
+    def test_torn_row_neither_counts_nor_joins_the_next(self, tmp_path):
+        """A crash inside an older version's append left a torn last row. It
+        holds the fingerprint of the suite being written, but that suite's
+        result is not in the ledger. The next append drops it, and its own
+        rows stay whole."""
+        path = tmp_path / "ledger.csv"
+        append_reports(path, [EvalReport("mmd", 0.25, "fp1", 1)])
+        with open(path, "a", newline="") as fh:
+            fh.write("fp2,mmd-nu")
+        assert not ledger_has(path, "fp2")
+        append_reports(path, [EvalReport("mmd-null-p99", 0.5, "fp3", 0, aux={"n": 2}),
+                              EvalReport("mmd", 0.125, "fp3", 0)])
+        assert ledger_has(path, "fp1") and ledger_has(path, "fp3")
+        assert not ledger_has(path, "fp2")
+        whole = tmp_path / "whole.csv"
+        append_reports(whole, [EvalReport("mmd", 0.25, "fp1", 1)])
+        append_reports(whole, [EvalReport("mmd-null-p99", 0.5, "fp3", 0, aux={"n": 2}),
+                               EvalReport("mmd", 0.125, "fp3", 0)])
+        assert path.read_bytes() == whole.read_bytes()
+        # an older version's next append joined its first row onto the torn one
+        with open(path, "a", newline="") as fh:
+            fh.write("fp2,mmd-nufp4,mmd,0.5,0,{}\r\n")
+        assert not ledger_has(path, "fp2") and not ledger_has(path, "fp4")
+
+    def test_failed_append_leaves_the_ledger_as_it_was(self, tmp_path, monkeypatch):
+        path = tmp_path / "ledger.csv"
+        append_reports(path, [EvalReport("mmd", 0.25, "fp1", 1)])
+        before = path.read_bytes()
+
+        def no_space(fd):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(data.os, "fsync", no_space)  # after the rows are written
+        with pytest.raises(OSError, match="no space"):
+            append_reports(path, [EvalReport("mmd", 0.5, "fp2", 0)])
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.csv"]
 
     def test_fingerprint_stable_and_order_free(self):
         assert config_fingerprint({"a": 1, "b": 2}) == config_fingerprint({"b": 2, "a": 1})

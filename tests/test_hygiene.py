@@ -1,8 +1,8 @@
 """Static checks on the sources and docs: no module imports a name it never
 uses, nothing in the package imports scipy (a test-only oracle), the
 README's run-config block is the default config, the docs name exactly
-the CLI's subcommands, and README's layout table exactly the package
-modules and tools."""
+the CLI's subcommands, README's layout table exactly the package modules
+and tools, and every repo path README names exists."""
 
 import argparse
 import ast
@@ -115,3 +115,17 @@ def test_readme_layout_names_exactly_the_modules_and_tools():
                if p.name != "__init__.py"}
     tools = {f"tools/{p.name}" for p in (ROOT / "tools").glob("*.py")}
     assert {n for n in named if n.startswith(("eqmatch.", "tools/"))} == modules | tools
+
+
+def test_readme_names_only_paths_that_exist():
+    """Every repo path that README.md names in backticks, inline or in a code
+    block, exists: one with a directory part under bench/, src/, tests/ or
+    tools/, or a top-level BENCH_<n>.json."""
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    inline = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", text,
+                                               flags=re.M | re.S))
+    named = {word for word in inline + " ".join(blocks).split()
+             if re.fullmatch(r"(bench|src|tests|tools)/\S*|BENCH_\d+\.json", word)}
+    assert "tools/run_digests.py" in named
+    assert sorted(p for p in named if not (ROOT / p).exists()) == []

@@ -210,7 +210,7 @@ def test_conditional_training_runs():
     ("eqm", ModelConfig(hidden=(16, 16), num_classes=8)),
     ("eqm", ModelConfig(hidden=(16, 16), noise_conditioned=True)),
     ("eqm-e", ModelConfig(hidden=(16, 16), energy_kind="dot")),
-    ("eqm-e", ModelConfig(hidden=(16,), activation="tanh", num_classes=8,
+    ("eqm-e", ModelConfig(hidden=(16,), num_classes=8,
                           energy_kind="l2norm"))],
     ids=["plain", "labelled", "noise-conditioned", "eqm-e-dot", "eqm-e-labelled-l2norm"])
 def test_eqm_trains_without_a_tape(monkeypatch, objective, model):
