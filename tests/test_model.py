@@ -41,25 +41,28 @@ def random_model(cfg: ModelConfig, seed: int) -> GradientFieldModel:
     return m
 
 
-def hide_an_inf(params: dict) -> None:
-    """Make layer 1's first unit overflow to inf and zero the row of
+def hide_an_inf(params: dict, sign: float = 1.0) -> None:
+    """Make layer 1's first unit overflow to sign * inf and zero the row of
     layer 2 that reads it: the tape fails at layer 1's matmul. SiLU keeps
-    +inf, so the output is NaN (inf * 0). For a model with labels and at
-    least two hidden layers."""
+    +inf, so the output is NaN (inf * 0 in layer 2's matmul); -inf it turns
+    into NaN itself (-inf * sigmoid(-inf) = -inf * 0). For a model with
+    labels and at least two hidden layers."""
     params["layers.0.w"][:] = params["label_embed"][:] = 0.0
     params["layers.0.b"][:] = 1.0
-    params["layers.1.w"][:, 0] = 1e308
+    params["layers.1.w"][:, 0] = sign * 1e308
     params["layers.2.w"][0] = 0.0
 
 
-#: the hidden-inf cases' rows and hidden widths: 1 row takes BLAS's
-#: matrix-vector path, and 1000 rows at width 256 (the sampler's shape) its
-#: blocked matrix-matrix kernels; each must carry inf * 0 on as NaN
-HIDDEN_INF = {"hidden inf": (5, (8, 8)),
-              "hidden inf 1 row": (1, (8, 8)),
-              "hidden inf 1000 rows": (1000, (8, 8)),
-              "hidden inf 1 row width 256": (1, (256, 256, 256)),
-              "hidden inf 1000 rows width 256": (1000, (256, 256, 256))}
+#: the hidden-inf cases' rows, hidden widths and overflow sign: 1 row takes
+#: BLAS's matrix-vector path, and 1000 rows at width 256 (the sampler's
+#: shape) its blocked matrix-matrix kernels; each must carry the NaN on
+HIDDEN_INF = {f"hidden {name}{where}": (n, hidden, sign)
+              for name, sign in (("inf", 1.0), ("-inf", -1.0))
+              for where, n, hidden in (("", 5, (8, 8)),
+                                       (" 1 row", 1, (8, 8)),
+                                       (" 1000 rows", 1000, (8, 8)),
+                                       (" 1 row width 256", 1, (256, 256, 256)),
+                                       (" 1000 rows width 256", 1000, (256, 256, 256)))}
 
 
 class TestInit:
@@ -239,7 +242,7 @@ class TestEnergy:
     @pytest.mark.parametrize("case", ["leaf", "nan input", "matmul", *HIDDEN_INF,
                                       "label", "first backward", "no energy head"])
     def test_gradient_errors_equal_the_tape(self, case, head):
-        n, hidden = HIDDEN_INF.get(case, (5, (8, 8)))
+        n, hidden, sign = HIDDEN_INF.get(case, (5, (8, 8), 1.0))
         cfg = ModelConfig(hidden=hidden, num_classes=3,
                           energy_kind="none" if case == "no energy head" else head)
         m = random_model(cfg, 0)
@@ -252,7 +255,7 @@ class TestEnergy:
         elif case == "matmul":
             p["layers.0.w"][:] = 1e308
         elif case in HIDDEN_INF:
-            hide_an_inf(p)
+            hide_an_inf(p, sign)
         elif case == "label":
             label[4] = 3
         elif case == "first backward":
@@ -313,7 +316,7 @@ class TestForwardValues:
                                       *HIDDEN_INF, "label add", "noise level",
                                       "input shape"])
     def test_errors_equal_the_tape(self, case):
-        n, hidden = HIDDEN_INF.get(case, (5, (8, 8)))
+        n, hidden, sign = HIDDEN_INF.get(case, (5, (8, 8), 1.0))
         cfg = ModelConfig(hidden=hidden, num_classes=3,
                           noise_conditioned=case == "noise level")
         m = random_model(cfg, 0)
@@ -331,7 +334,7 @@ class TestForwardValues:
         elif case == "label":
             kw["label"] = np.array([0, 1, 2, 3, 0])
         elif case in HIDDEN_INF:
-            hide_an_inf(m.params)
+            hide_an_inf(m.params, sign)
         elif case == "label add":
             # the bias and the label's embedding are finite, their sum -inf;
             # SiLU carries it on as NaN (-inf * 0)
@@ -352,10 +355,12 @@ class TestForwardValues:
             op = {**dict.fromkeys(HIDDEN_INF, "matmul"), "label add": "add"}.get(case, case)
             assert str(values.value) == f"non-finite values produced by op '{op}'"
 
-    @pytest.mark.parametrize("activation", ["silu"])
-    def test_builds_no_graph(self, monkeypatch, activation):
-        cfg = ModelConfig(hidden=(16, 16), activation=activation, num_classes=3,
-                          noise_conditioned=True)
+    @pytest.mark.parametrize("classes, noise", [(3, True), (0, False), (3, False),
+                                                (0, True)],
+                             ids=["labelled and noise", "unconditional", "labelled",
+                                  "noise"])
+    def test_builds_no_graph(self, monkeypatch, classes, noise):
+        cfg = ModelConfig(hidden=(16, 16), num_classes=classes, noise_conditioned=noise)
         m = random_model(cfg, 5)
         x = np.random.default_rng(6).standard_normal((9, 2))
         kw = conditioning(cfg, 9, 7, scalar=False)

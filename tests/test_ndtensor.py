@@ -76,6 +76,7 @@ OPS = {
     "silu": nd.silu,
     "sum": nd.tsum,
     "mean": nd.tmean,
+    "reduce-leading": nd.reduce_leading,
     "square": nd.square,
     "broadcast": nd.broadcast_to,
 }
@@ -92,6 +93,8 @@ def _sample_inputs(kind: str, rng: np.random.Generator):
         return [rng.standard_normal((3, 4))], {}
     if kind == "broadcast":
         return [rng.standard_normal(4), (3, 4)], {}
+    if kind == "reduce-leading":  # a partial reduction; sum and mean reduce all axes
+        return [rng.standard_normal((2, 3, 4))], {"n_axes": 1}
     raise AssertionError(kind)
 
 

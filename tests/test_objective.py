@@ -286,9 +286,9 @@ class TestLossAndGradients:
         assert_same_bits(got_loss, got, want_loss, want, m.params)
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "nan input", "label",
-                                      "hidden inf", "backward matmul", "backward mul",
-                                      "first-layer backward mul", "schedule", "no labels",
-                                      "energy head"])
+                                      "hidden inf", "hidden -inf", "backward matmul",
+                                      "backward mul", "first-layer backward mul",
+                                      "schedule", "no labels", "energy head"])
     def test_errors_equal_the_tape(self, case):
         head = "dot" if case == "energy head" else "none"
         m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), 0)
@@ -305,8 +305,8 @@ class TestLossAndGradients:
             x[2, 1] = np.nan
         elif case == "label":
             labels[4] = 3
-        elif case == "hidden inf":
-            hide_an_inf(m.params)
+        elif case in ("hidden inf", "hidden -inf"):
+            hide_an_inf(m.params, -1.0 if case == "hidden -inf" else 1.0)
         elif case == "backward matmul":
             # layer 0 is finite on tiny inputs; its input gradient overflows
             x, eps = np.full((5, 2), 1e-300), np.full((5, 2), 1e-300)
@@ -335,14 +335,15 @@ class TestLossAndGradients:
             with np.errstate(over="ignore"):
                 loss_for("eqm", m, b, sched)  # the forward pass is finite
         message = assert_same_error("eqm", m, b, sched)
-        op = {"nan input": "constant", "hidden inf": "matmul", "backward matmul": "matmul",
-              "backward mul": "mul", "first-layer backward mul": "mul"}.get(case, case)
+        op = {"nan input": "constant", "hidden inf": "matmul", "hidden -inf": "matmul",
+              "backward matmul": "matmul", "backward mul": "mul",
+              "first-layer backward mul": "mul"}.get(case, case)
         if case not in ("label", "schedule", "no labels", "energy head"):
             assert message == f"non-finite values produced by op '{op}'"
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "nan input", "label",
                                       "weight gradient", "schedule", "no labels",
-                                      "no energy head"])
+                                      "no energy head", "hidden inf", "hidden -inf"])
     def test_eqm_e_errors_equal_the_tape(self, case):
         head = "none" if case == "no energy head" else "dot"
         m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), 0)
@@ -369,26 +370,31 @@ class TestLossAndGradients:
             sched = CONST
         elif case == "no labels":
             labels = None
+        elif case in ("hidden inf", "hidden -inf"):
+            hide_an_inf(m.params, -1.0 if case == "hidden -inf" else 1.0)
         b = TrainBatch(x=x, eps=eps, gamma=np.full(5, 0.5), labels=labels)
         if case == "weight gradient":
             energy(m, corrupt(x, eps, b.gamma), labels)  # the forward pass is finite
         message = assert_same_error("eqm-e", m, b, sched)
-        op = {"nan input": "leaf", "weight gradient": "matmul"}.get(case, case)
+        op = {"nan input": "leaf", "weight gradient": "matmul", "hidden inf": "matmul",
+              "hidden -inf": "matmul"}.get(case, case)
         if case not in ("label", "schedule", "no labels", "no energy head"):
             assert message == f"non-finite values produced by op '{op}'"
 
-    @pytest.mark.parametrize("activation", ["silu"])
+    @pytest.mark.parametrize("classes", [3, 0], ids=["labelled", "unlabelled"])
     @pytest.mark.parametrize("head", ["dot", "l2norm"])
     @pytest.mark.parametrize("phase", ["first backward", "second backward",
                                        "head adjoint", "output adjoint"])
-    def test_eqm_e_backward_errors_equal_the_tape(self, phase, head, activation):
-        """Overflows that first appear past the forward pass, for each head.
-        The second backward reaches SiLU's own checks. The head adjoint
-        reaches each head's: dot's unused `v * x`, l2norm's unused `v * f`;
-        with a target 8 times as far, the output adjoint overflows first, in
-        the matmul that makes `v`. Weights, biases and inputs that are powers
-        of two keep each product exact, so the sizes below hold."""
-        m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, activation=activation,
+    def test_eqm_e_backward_errors_equal_the_tape(self, phase, head, classes):
+        """Overflows that first appear past the forward pass, for each head,
+        with and without a label embedding (zero where it matters, so both
+        models give the same values). The second backward reaches SiLU's own
+        checks. The head adjoint reaches each head's: dot's unused `v * x`,
+        l2norm's unused `v * f`; with a target 8 times as far, the output
+        adjoint overflows first, in the matmul that makes `v`. Weights,
+        biases and inputs that are powers of two keep each product exact, so
+        the sizes below hold."""
+        m = random_model(ModelConfig(hidden=(8, 8), num_classes=classes,
                                      energy_kind=head), 0)
         p, tiny = m.params, 2.0 ** -1000
         if phase == "first backward":
@@ -408,7 +414,8 @@ class TestLossAndGradients:
             # output; l2norm: 1.6 * 2^16 from the target), and v * u
             # overflows.
             w2 = 2.0 ** 500
-            p["label_embed"][:] = 0.0
+            if classes:
+                p["label_embed"][:] = 0.0
             p["layers.0.w"][:] = [[1.0], [0.0]]
             p["layers.1.w"][:] = 1.0
             p["layers.2.w"][:] = [w2, -w2]
@@ -424,14 +431,15 @@ class TestLossAndGradients:
             # as v = 51.2 * 2^1016 = 3.6e307: dot's v * x overflows, or
             # l2norm's v * f.
             t = 2.0 ** 254
-            p["label_embed"][:] = 0.0
+            if classes:
+                p["label_embed"][:] = 0.0
             for i in range(3):
                 p[f"layers.{i}.w"][:] = t
             p["layers.0.b"][:] = p["layers.1.b"][:] = tiny
             p["layers.2.b"][:] = [2.0 ** 34, -2.0 ** 34]
             k = 8.0 if phase == "output adjoint" else 1.0  # x_t stays on the zero line
             x, eps = np.tile([0.0, -2 * k * t], (5, 1)), np.tile([2 * k * t, 0.0], (5, 1))
-        labels = np.array([0, 1, 2, 0, 1])
+        labels = np.array([0, 1, 2, 0, 1]) if classes else None
         b = TrainBatch(x=x, eps=eps, gamma=np.full(5, 0.5), labels=labels)
         if phase == "first backward":
             energy(m, corrupt(x, eps, b.gamma), labels)  # the forward pass is finite
@@ -441,18 +449,23 @@ class TestLossAndGradients:
         op = "matmul" if phase in ("first backward", "output adjoint") else "mul"
         assert message == f"non-finite values produced by op '{op}'"
 
-    @pytest.mark.parametrize("activation, counts", [("silu", (21, 35, 10))])
-    def test_finite_passes_scan_only_their_boundaries(self, monkeypatch, activation,
+    @pytest.mark.parametrize("hidden, counts", [((256, 256, 256), (21, 35, 10)),
+                                                ((16,), (13, 23, 6)),
+                                                ((64, 64), (17, 29, 8))],
+                             ids=["3 layers", "1 layer", "2 layers"])
+    def test_finite_passes_scan_only_their_boundaries(self, monkeypatch, hidden,
                                                       counts):
-        """`nd.check_finite` calls in a finite default eqm step, eqm-e (dot)
-        step and n=1000 forward. A SiLU pass scans what enters it and what
-        leaves it. An eqm step scans the input, 8 parameters, the output, the
-        target, the loss, 8 gradients and layer 0's input gradient (21). An
-        eqm-e step scans x as leaf and as constant, 8 parameters, the output,
-        the energy, the first backward's 8 gradients and input gradient, the
-        field, the target, the loss, dot's `v * x` and `grad * f`, 8 gradients
-        and x's adjoint (35). A forward pass scans the input, 8 parameters and
-        the output (10)."""
+        """`nd.check_finite` calls in a finite eqm step, eqm-e (dot) step and
+        n=1000 forward. A pass scans what enters it and what leaves it, so
+        the counts grow with the number of parameters P, not with the layers'
+        inner ops. An eqm step scans the input, P parameters, the output, the
+        target, the loss, P gradients and layer 0's input gradient (2P + 5).
+        An eqm-e step scans x as leaf and as constant, P parameters, the
+        output, the energy, the first backward's P gradients and input
+        gradient, the field, the target, the loss, dot's `v * x` and
+        `grad * f`, P gradients and x's adjoint (3P + 11). A forward pass
+        scans the input, P parameters and the output (P + 2). The default
+        three hidden layers have P = 8."""
         calls, check_finite = [], nd.check_finite
 
         def counted(values, op):
@@ -463,12 +476,12 @@ class TestLossAndGradients:
         rng = np.random.default_rng(0)
         got = []
         for objective, head in (("eqm", "none"), ("eqm-e", "dot")):
-            m = random_model(ModelConfig(activation=activation, energy_kind=head), 1)
+            m = random_model(ModelConfig(hidden=hidden, energy_kind=head), 1)
             calls.clear()
             loss_and_gradients(objective, m, batch_of(rng, n=64), TRUNC4)
             got.append(len(calls))
         calls.clear()
-        random_model(ModelConfig(activation=activation), 2).forward_values(
+        random_model(ModelConfig(hidden=hidden), 2).forward_values(
             rng.standard_normal((1000, 2)))
         assert (*got, len(calls)) == counts
 
