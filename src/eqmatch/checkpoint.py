@@ -20,7 +20,8 @@ A digest only proves the bytes are the ones written, so loading also checks
 the header: every key is present, the index is sorted by unique names, the
 offsets run back to back from 0 to the end of the data region, each nbytes is
 8 x the elements of its shape, and the parameters (and their AdamW moments)
-have the names and shapes the header's model config gives.
+have the names and shapes the header's model config gives: all of the
+moments, or none before the first step (a resume would restart one at zero).
 """
 
 from __future__ import annotations
@@ -206,6 +207,10 @@ def load_checkpoint(path) -> Checkpoint:
         optimizer = AdamW.from_state(header["optimizer"], moments)
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: optimizer: malformed settings ({e!r})") from None
+    missing = sorted(expected.keys() - shapes.keys() - moments.keys())
+    if missing and (moments or optimizer.step_count):
+        raise CheckpointError(f"{path}: optimizer: step {optimizer.step_count} lacks "
+                              f"the moments {', '.join(missing)}")
     return Checkpoint(config=config, params=params, optimizer=optimizer,
                       step=header["step"], rng_state=header["rng_state"])
 

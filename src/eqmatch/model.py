@@ -195,77 +195,88 @@ class GradientFieldModel:
             check(h, "mul")
 
     def parameter_gradients(self, cache: list, grad: np.ndarray, check,
-                            keep: list | None = None) -> dict[str, np.ndarray]:
+                            first: tuple | None = None) -> dict[str, np.ndarray]:
         """The gradient of a loss with respect to every parameter, given `grad`,
         its gradient with respect to the output of `_forward_values` with
-        `cache`. This is `nd.backward`'s transposed chain off the tape:
-        the same ops in the same order (same bits). Each of the tape's finite
-        checks that can fire is made in the tape's order, on the gradients it
-        returns and on products only the tape uses (layer 0's input gradient,
-        the one-hot's) with `nd.check_finite`, on the rest with `check` (same
-        errors, see `nd.run_pass`); a product with a factor in [0, 1] (the
-        sigmoid, its derivative) stays finite, so those go unchecked.
+        `cache`. This is `nd.backward`'s transposed chain off the tape,
+        without the products it returns nothing from (layer 0's input
+        gradient, the one-hot's): the tape's other ops in its order (same
+        bits). The gradients it returns are scanned with `nd.check_finite`,
+        the rest with `check` (see `nd.run_pass`).
 
-        With a list as `keep`, each layer from the output down appends [the
-        gradient at its output, the gradient at its pre-activation], and last
-        the input gradient: what `energy_parameter_gradients` replays."""
-        p = self.params
+        `energy_parameter_gradients` passes as `first` what the adjoint of the
+        first backward adds: (each weight's gradient, each hidden layer's
+        adjoints at its pre-activation and sigmoid with s (1 - s))."""
+        p, last = self.params, len(cache) - 1
         grads = {}
         g = grad
-        for i in reversed(range(len(cache))):
+        for i in reversed(range(last + 1)):
             h_in, hot, pre, s = cache[i]
-            if keep is not None:
-                keep.append([g])
-            if i < len(cache) - 1:  # a hidden layer: back through its SiLU
-                through_pre = g * s
-                through_sigmoid = g * pre
-                check(through_sigmoid, "mul")
-                through_sigmoid *= s * (1.0 - s)
-                g = through_pre + through_sigmoid
+            if i < last and first is None:  # a hidden layer: back through its SiLU
+                g = _silu_backward(g, pre, s, s * (1.0 - s), check)
+            elif i < last:  # the same, summed with the first backward's adjoints
+                a_bar, s_bar, d = first[1][i]
+                through_s = g * pre
+                check(through_s, "mul")
+                a_bar = a_bar + g * s
+                check(a_bar, "add")
+                s_bar = s_bar + through_s
+                check(s_bar, "add")
+                g = a_bar + s_bar * d
                 check(g, "add")
-            if keep is not None:
-                keep[-1].append(g)
             if hot is not None:
-                # the one-hot's gradient: unused, but the tape makes and checks it
-                nd.check_finite(g @ p["label_embed"].T, "matmul")
                 grads["label_embed"] = hot.T @ g
                 nd.check_finite(grads["label_embed"], "matmul")
             grads[f"layers.{i}.b"] = g.sum(axis=0)
             nd.check_finite(grads[f"layers.{i}.b"], "reduce_leading")
-            g_in = g @ p[f"layers.{i}.w"].T  # layer 0's too, as the tape does
-            (check if i else nd.check_finite)(g_in, "matmul")
-            grads[f"layers.{i}.w"] = h_in.T @ g
-            nd.check_finite(grads[f"layers.{i}.w"], "matmul")
+            g_in = None
+            if i:  # layer 0's input gradient is unused
+                g_in = g @ p[f"layers.{i}.w"].T
+                check(g_in, "matmul")
+            w_grad = h_in.T @ g
+            if first is not None:
+                check(w_grad, "matmul")
+                w_grad += first[0][i]
+            nd.check_finite(w_grad, "matmul" if first is None else "add")
+            grads[f"layers.{i}.w"] = w_grad
             g = g_in
-        if keep is not None:
-            keep.append(g)
         return {name: grads[name] for name in p}
 
-    def energy_input_gradient(self, cache: list, keep: list, check) -> np.ndarray:
+    def energy_input_gradient(self, cache: list, keep: list | None,
+                              check) -> np.ndarray:
         """The input-gradient of the batch-summed energy of `_forward_values`
-        with `cache`: `nd.input_gradient(_total_energy(...), x)` off the
-        tape, with its bits and its errors. The tape makes and checks the
-        energy and every parameter's first-order gradient, though nothing
-        uses them, so this does too; those and the returned gradient are
-        scanned with `nd.check_finite`, the rest with `check`. `keep` collects
-        what `energy_parameter_gradients` needs (see `parameter_gradients`)."""
+        with `cache`: `nd.input_gradient(_total_energy(...), x)` off the tape,
+        as the chain from the output down to the input alone (the tape's
+        energy value and first-order parameter gradients are not made). The
+        field it returns is scanned with `nd.check_finite`, the rest with
+        `check`. With a list as `keep`, each layer from the output down
+        appends what `energy_parameter_gradients` replays: [the gradient at
+        its output, the gradient at its pre-activation, and for a hidden
+        layer with sigmoid s, 1 - s and s (1 - s), else None, None]."""
         if self.config.energy_kind == "none":
             raise ValueError("model has no explicit energy head (energy_kind='none')")
+        dot = self.config.energy_kind == "dot"
         x, f = cache[0][0], cache[-1][2]
-        if self.config.energy_kind == "dot":
-            energy = x * f
-            check(energy, "mul")
-            q = x  # the tape's ones * x
+        if dot:
+            g = x  # the tape's ones * x
         else:
-            energy = f * f
-            check(energy, "square")
-            q = f * -0.5  # the ones scaled by -0.5, then square's 2.0
-            q *= 2.0
-        nd.check_finite(energy.sum(axis=(0, 1)), "reduce_leading")
-        self.parameter_gradients(cache, q, check, keep)
-        if self.config.energy_kind == "l2norm":
-            return keep[-1]
-        field = f + keep[-1]  # the dot's own x-gradient, then the chain's
+            g = f * -0.5  # the ones scaled by -0.5, then square's 2.0
+            g *= 2.0
+        for i in reversed(range(len(cache))):
+            pre, s = cache[i][2], cache[i][3]
+            out, c, d = g, None, None
+            if s is not None:  # a hidden layer: back through its SiLU
+                c = 1.0 - s
+                d = s * c
+                g = _silu_backward(g, pre, s, d, check)
+            if keep is not None:
+                keep.append([out, g, c, d])
+            g = g @ self.params[f"layers.{i}.w"].T
+            # l2norm returns layer 0's input gradient
+            (check if i or dot else nd.check_finite)(g, "matmul")
+        if not dot:
+            return g
+        field = f + g  # the dot's own x-gradient, then the chain's
         nd.check_finite(field, "add")
         return field
 
@@ -275,28 +286,26 @@ class GradientFieldModel:
         its gradient with respect to `energy_input_gradient(cache, keep)`.
         This is the tape's double backward off the tape: the adjoint of the
         first backward from layer 0 up, then of the forward pass from the
-        output down, with each sum taken in the tape's order (same bits). Like
-        `parameter_gradients`, it makes each finite check that can fire in the
-        tape's order, with `nd.check_finite` on the gradients it returns and
-        on products nothing uses, with `check` on the rest; it skips those a
-        checked value or a factor in [0, 1] bounds."""
+        output down (`parameter_gradients`), with each sum taken in the tape's
+        order (same bits). It leaves out the products it returns nothing from
+        (the heads' adjoints of the tape's ones, layer 0's input gradient),
+        and scans like `parameter_gradients`."""
         p, last = self.params, len(cache) - 1
-        x, f = cache[0][0], cache[last][2]
-        first = keep[-2::-1]  # per layer, from the input up
+        dot = self.config.energy_kind == "dot"
+        chain = keep[::-1]  # per layer, from the input up
         w_grads, pending = [], []
         g = grad  # the adjoint of layer 0's input gradient
         for i in range(last + 1):
-            u, g_pre = first[i]
-            v = g @ p[f"layers.{i}.w"]  # the adjoint of g_pre
-            check(v, "matmul")
+            u, g_pre, c, d = chain[i]
+            if i < last or not dot:  # dot's output adjoint reaches only x
+                v = g @ p[f"layers.{i}.w"]  # the adjoint of g_pre
+                check(v, "matmul")
             w_grads.append(g.T @ g_pre)
             check(w_grads[i], "matmul")
             if i == last:
                 break
             pre, s = cache[i][2], cache[i][3]
-            # g_pre = u * s + (u * pre) * d, d = s * (1 - s)
-            c = 1.0 - s
-            d = s * c
+            # g_pre = u * s + (u * pre) * d, d = s * (1 - s) = s * c
             r_bar = v * d
             d_bar = v * (u * pre)
             check(d_bar, "mul")
@@ -313,49 +322,26 @@ class GradientFieldModel:
             s_bar += through_u
             check(s_bar, "add")
             pending.append((a_bar, s_bar, d))
-        # `v` is now the adjoint of the output's first-order gradient
-        if self.config.energy_kind == "dot":
-            nd.check_finite(v * x, "mul")  # the gradients of the tape's ones:
-            nd.check_finite(grad * f, "mul")  # unused
-            x_bar, g = v, grad
-        else:
+        if dot:
+            g = grad  # the field's adjoint, through the tape's ones * f
+        else:  # `v` is the adjoint of the output's first-order gradient
             v = v * 2.0
             check(v, "scalar_mul")
-            nd.check_finite(v * f, "mul")  # unused
-            x_bar, g = None, v * -0.5
-        grads = {}
-        for i in reversed(range(last + 1)):
-            h_in, hot, pre, s = cache[i]
-            if i < last:
-                a_bar, s_bar, d = pending[i]
-                through_s = g * pre
-                check(through_s, "mul")
-                a_bar = a_bar + g * s
-                check(a_bar, "add")
-                s_bar = s_bar + through_s
-                check(s_bar, "add")
-                g = a_bar + s_bar * d
-                check(g, "add")
-            if hot is not None:
-                nd.check_finite(g @ p["label_embed"].T, "matmul")
-                grads["label_embed"] = hot.T @ g
-                nd.check_finite(grads["label_embed"], "matmul")
-            grads[f"layers.{i}.b"] = g.sum(axis=0)
-            nd.check_finite(grads[f"layers.{i}.b"], "reduce_leading")
-            g_in = g @ p[f"layers.{i}.w"].T
-            (check if i or x_bar is not None else nd.check_finite)(g_in, "matmul")
-            w_part = h_in.T @ g
-            check(w_part, "matmul")
-            if i == 0 and x_bar is not None:
-                # the x-leaf's adjoint from the first backward joins it (unused,
-                # like layer 0's input gradient)
-                g_in = x_bar + g_in
-                nd.check_finite(g_in, "add")
-            w_grads[i] += w_part
-            nd.check_finite(w_grads[i], "add")
-            grads[f"layers.{i}.w"] = w_grads[i]
-            g = g_in
-        return {name: grads[name] for name in p}
+            g = v * -0.5
+        return self.parameter_gradients(cache, g, check, (w_grads, pending))
+
+
+def _silu_backward(g: np.ndarray, pre: np.ndarray, s: np.ndarray, d: np.ndarray,
+                   check) -> np.ndarray:
+    """The tape's gradient g * s + (g * pre) * d at the input `pre` of a SiLU
+    with sigmoid `s`, d = s (1 - s), from `g` at its output. A product with a
+    factor in [0, 1] stays finite, so only `g * pre` and the sum are checked."""
+    through_sigmoid = g * pre
+    check(through_sigmoid, "mul")
+    through_sigmoid *= d
+    g = g * s + through_sigmoid
+    check(g, "add")
+    return g
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -410,14 +396,15 @@ def energy(model: GradientFieldModel, x, label=None) -> np.ndarray:
 
 def energy_gradient(model: GradientFieldModel, x, label=None) -> np.ndarray:
     """Input-gradient of the energy, [n, d] (rows are independent points):
-    `nd.input_gradient(_total_energy(...), x)` off the tape, with its bits and
-    its errors, from `_forward_values` and `energy_input_gradient`."""
+    `nd.input_gradient(_total_energy(...), x)` off the tape, from
+    `_forward_values` and `energy_input_gradient`, as one `nd.run_pass` (its
+    bits where the tape returns; it raises only where the tape does)."""
     x = nd.as_values(x)
 
     def run(check):
         nd.check_finite(x, "leaf")  # the tape leases x before the forward pass
         cache = []
         model._forward_values(x, label, None, cache, check)
-        return model.energy_input_gradient(cache, [], check)
+        return model.energy_input_gradient(cache, None, check)
 
     return nd.run_pass(run)

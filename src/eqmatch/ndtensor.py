@@ -6,9 +6,9 @@ so the gradients returned by :func:`backward` and :func:`input_gradient` are
 live graph nodes and can be differentiated again (double backprop).
 
 Training (`objective.loss_and_gradients`) and inference
-(`model.forward_values`, `model.energy_gradient`) run off the tape with the
-same bits and errors, each as one `run_pass`, which scans a pass only at its
-boundaries: the tape is their test oracle.
+(`model.forward_values`, `model.energy_gradient`) run off the tape, each as
+one `run_pass`, which scans a pass only at its boundaries. The tape is their
+test oracle: a pass returns the tape's bits and raises only where it does.
 
 Conventions:
   - all buffers are contiguous float64; non-finite values raise at op
@@ -67,16 +67,21 @@ def _no_check(values: np.ndarray, op: str) -> None:
 
 def run_pass(run: Callable):
     """`run(check)`, for an off-tape pass that scans each value entering or
-    leaving it (parameters, inputs, outputs, returned gradients, products
-    only the tape uses) with `check_finite`, and each value computed inside
-    it with `check`.
+    leaving it (parameters, inputs, output, loss, returned gradients) with
+    `check_finite`, and each value computed inside it with `check`.
+
+    A pass computes only what it returns, with the tape's ops in its order.
+    So where the tape returns, the pass returns the same bits, and where the
+    pass raises, the tape raises the same error, unless the tape first fails
+    on a product that the pass does not make: then the pass fails later or
+    returns.
 
     First `check` scans nothing, under `np.errstate(all="ignore")`. A NaN or
     Inf inside the pass still reaches a scanned value: `+`, `-`, `*`, matmul,
     sums and SiLU carry it on (inf * 0 and silu(-inf) are NaN). If that pass
     raises anything, a skipped scan may have fired first, so `run` runs again
-    with `check = check_finite`: every scan in the tape's order, which raises
-    the tape's error with the warnings it emits."""
+    with `check = check_finite`: the tape's checks on the pass's values, in
+    its order, which raise the first failure with its warnings."""
     try:
         with np.errstate(all="ignore"):
             return run(_no_check)

@@ -146,9 +146,9 @@ def loss_and_gradients(objective: str, model: GradientFieldModel, batch: TrainBa
     eqm-e, then `energy_input_gradient`), the mean squared error and its
     gradient written out, then `parameter_gradients` (eqm) or
     `energy_parameter_gradients` (eqm-e), as one pass through
-    `nd.run_pass`. It gives the bits and the errors of
-    `loss_for(objective, ...)` + `nd.backward`; the tape's checks it skips
-    are on values that checked ones bound (the loss is at most the checked
+    `nd.run_pass`: the bits of `loss_for(objective, ...)` + `nd.backward`,
+    raising only where they raise. Of the tape's checks on its values it
+    skips those that checked ones bound (the loss is at most the checked
     sum, the output gradient at most the checked difference or its square)."""
     xg, target, label = _loss_inputs(objective, model, batch, sched,
                                       allow_non_equilibrium)

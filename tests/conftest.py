@@ -61,6 +61,23 @@ def assert_replay_matches_the_checked_pass(call) -> None:
     assert got == want
 
 
+def outcome(call) -> tuple:
+    """`(call(), None)`, or `(None, the exception)` if it raises, with numpy's
+    floating-point warnings off."""
+    with np.errstate(all="ignore"):
+        try:
+            return call(), None
+        except Exception as error:
+            return None, error
+
+
+def scale_by_powers_of_two(params: dict, exponents) -> None:
+    """Multiply each parameter, in sorted name order, by 2^k for its k in
+    `exponents`: exact, unless a value overflows."""
+    for name, k in zip(sorted(params), exponents):
+        params[name] *= 2.0 ** k
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

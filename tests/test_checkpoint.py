@@ -23,6 +23,7 @@ from eqmatch.sampler import METHODS, SamplerConfig
 from eqmatch.schedule import KINDS as SCHEDULE_KINDS, Schedule
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+FIXTURE = README.parent / "bench" / "fixture" / "checkpoint.eqmckpt"
 
 
 def tiny_config(**kw):
@@ -338,6 +339,24 @@ def rewrite_header(source, target, header: dict) -> None:
     target.write_bytes(body + hashlib.sha256(body).digest())
 
 
+def drop_tensors(source, target, names) -> None:
+    """`source` without the tensors `names`: index entries and data, with the
+    offsets laid out again and the digest recomputed."""
+    raw = source.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    header, data = json.loads(raw[12:12 + hlen]), raw[12 + hlen:-32]
+    kept, chunks, offset = [], [], 0
+    for entry in header["tensors"]:
+        if entry["name"] not in names:
+            chunks.append(data[entry["offset"]:entry["offset"] + entry["nbytes"]])
+            kept.append(dict(entry, offset=offset))
+            offset += entry["nbytes"]
+    header["tensors"] = kept
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = raw[:8] + struct.pack("<I", len(text)) + text + b"".join(chunks)
+    target.write_bytes(body + hashlib.sha256(body).digest())
+
+
 def assert_same_checkpoint(got, want) -> None:
     assert got.config == want.config and got.step == want.step
     assert got.rng_state == want.rng_state
@@ -403,6 +422,40 @@ class TestHeaderChecks:
         with pytest.raises(CheckpointError, match=re.escape(match)) as err:
             load_checkpoint(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("dropped", [["opt.v.layers.0.w"],
+                                         ["opt.m.label_embed", "opt.v.layers.2.b"],
+                                         "all moments"],
+                             ids=["one moment", "two moments", "all moments"])
+    def test_missing_moments_raise_checkpoint_error(self, saved_checkpoint, tmp_path,
+                                                    dropped):
+        """After a step, every parameter's two moments must be there: a
+        missing one would restart from zero on a resume."""
+        names = [e["name"] for e in read_header(saved_checkpoint)["tensors"]]
+        if dropped == "all moments":
+            dropped = [name for name in names if name.startswith("opt.")]
+        path = tmp_path / "partial.eqmckpt"
+        drop_tensors(saved_checkpoint, path, dropped)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"{path}: optimizer: step 1 lacks the moments "
+                                  f"{', '.join(sorted(dropped))}")
+
+    def test_no_moments_before_the_first_step_load(self, tmp_path):
+        """A checkpoint saved before the optimizer's first step has no moments."""
+        cfg = tiny_config()
+        path = tmp_path / "step0.eqmckpt"
+        save_checkpoint(path, cfg, init_model(cfg.model), AdamW(lr=1e-3), 0)
+        ck = load_checkpoint(path)
+        assert ck.optimizer.step_count == 0 and not ck.optimizer.m and not ck.optimizer.v
+        again = tmp_path / "again.eqmckpt"
+        save_checkpoint(again, ck.config, ck.model, ck.optimizer, ck.step, ck.rng_state)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_the_benchmark_fixture_loads_with_every_moment(self):
+        ck = load_checkpoint(FIXTURE)
+        assert ck.optimizer.step_count > 0
+        assert ck.optimizer.m.keys() == ck.optimizer.v.keys() == ck.params.keys()
 
     def test_unchanged_header_loads(self, saved_checkpoint, tmp_path):
         path = tmp_path / "same.eqmckpt"

@@ -6,7 +6,8 @@ from eqmatch import ndtensor as nd
 from eqmatch.model import (ConditioningError, GradientFieldModel, ModelConfig,
                            _total_energy, energy, energy_gradient, init_model,
                            noise_features)
-from conftest import assert_replay_matches_the_checked_pass, central_difference, rel_err
+from conftest import (assert_replay_matches_the_checked_pass, central_difference, outcome,
+                      rel_err, scale_by_powers_of_two)
 
 
 def small_config(**kw):
@@ -52,6 +53,11 @@ def hide_an_inf(params: dict, sign: float = 1.0) -> None:
     params["layers.1.w"][:, 0] = sign * 1e308
     params["layers.2.w"][0] = 0.0
 
+
+#: powers of two for the scaled-parameter tests: a parameter's 2^k, k in
+#: [0, 1000], often 0 so that some steps stay finite, and the inputs' 2^j
+EXPONENTS = st.one_of(st.just(0), st.integers(0, 1000))
+X_EXPONENTS = st.integers(-1000, 1000)
 
 #: the hidden-inf cases' rows, hidden widths and overflow sign: 1 row takes
 #: BLAS's matrix-vector path, and 1000 rows at width 256 (the sampler's
@@ -237,6 +243,31 @@ class TestEnergy:
         got, want = energy_gradient(m, x, label), self.tape_gradient(m, x, label)
         assert got.shape == want.shape == (n, 2)
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(head=st.sampled_from(["dot", "l2norm"]),
+           exponents=st.lists(EXPONENTS, min_size=7, max_size=7), x_exponent=X_EXPONENTS,
+           seed=st.integers(0, 2**32 - 1))
+    def test_scaled_parameters_keep_the_contract(self, head, exponents, x_exponent,
+                                                 seed):
+        """Parameters scaled by 2^k, k in [0, 1000], and inputs by 2^j:
+        wherever the tape returns, `energy_gradient` returns its bits;
+        wherever it raises, the tape raises the same type; wherever it
+        returns, the field is finite. It may return where the tape raises on
+        the energy value, which it does not make."""
+        m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), seed)
+        scale_by_powers_of_two(m.params, exponents)
+        rng = np.random.default_rng(seed + 1)
+        x = 2.0 ** x_exponent * rng.standard_normal((5, 2))
+        label = rng.integers(0, 3, 5)
+        want, tape_error = outcome(lambda: self.tape_gradient(m, x, label))
+        got, pass_error = outcome(lambda: energy_gradient(m, x, label))
+        if tape_error is None:
+            assert pass_error is None and got.tobytes() == want.tobytes()
+        elif pass_error is None:
+            assert nd.all_finite(got)
+        else:
+            assert type(pass_error) is type(tape_error)
 
     @pytest.mark.parametrize("head", ["dot", "l2norm"])
     @pytest.mark.parametrize("case", ["leaf", "nan input", "matmul", *HIDDEN_INF,

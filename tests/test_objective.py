@@ -10,8 +10,9 @@ from eqmatch.objective import (OBJECTIVES, ObjectiveError, TrainBatch, check_pai
                                loss_for)
 from eqmatch.optimizer import AdamW
 from eqmatch.schedule import Schedule
-from conftest import assert_replay_matches_the_checked_pass, central_difference, rel_err
-from test_model import hide_an_inf, random_model
+from conftest import (assert_replay_matches_the_checked_pass, central_difference, outcome,
+                      rel_err, scale_by_powers_of_two)
+from test_model import EXPONENTS, X_EXPONENTS, hide_an_inf, random_model
 
 LINEAR = Schedule(kind="linear")
 CONST = Schedule(kind="constant")
@@ -238,6 +239,26 @@ def assert_same_bits(got_loss, got, want_loss, want, names):
         assert g.shape == want[name].shape and g.tobytes() == want[name].tobytes()
 
 
+def assert_the_tape_fails_first(objective, m, b, sched, op, pass_op=None):
+    """The tape raises NonFiniteError at `op` first, on a product that the
+    pass does not make, since no gradient it returns uses it. The pass then
+    returns a finite loss and finite gradients, or, with `pass_op`, raises
+    NonFiniteError at that later op, which a returned gradient does use."""
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(nd.NonFiniteError) as tape:
+        tape_loss_and_gradients(m, b, sched, objective=objective)
+    assert str(tape.value) == f"non-finite values produced by op '{op}'"
+    if pass_op is None:
+        loss, grads = loss_and_gradients(objective, m, b, sched)
+        assert np.isfinite(loss) and all(nd.all_finite(g) for g in grads.values())
+        return
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(nd.NonFiniteError) as values:
+        loss_and_gradients(objective, m, b, sched)
+    assert str(values.value) == f"non-finite values produced by op '{pass_op}'"
+    assert_replay_matches_the_checked_pass(lambda: loss_and_gradients(objective, m, b, sched))
+
+
 def assert_same_error(objective, m, b, sched):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(Exception) as tape:
@@ -290,6 +311,10 @@ class TestLossAndGradients:
                                       "backward mul", "first-layer backward mul",
                                       "schedule", "no labels", "energy head"])
     def test_errors_equal_the_tape(self, case):
+        """Where the tape raises, the pass raises the same error, except in
+        `backward matmul`: there the first overflow is layer 0's input
+        gradient, which the tape makes and checks but no parameter gradient
+        uses, so the pass does not make it and returns finite gradients."""
         head = "dot" if case == "energy head" else "none"
         m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), 0)
         x, eps = np.ones((5, 2)), np.ones((5, 2))
@@ -308,7 +333,7 @@ class TestLossAndGradients:
         elif case in ("hidden inf", "hidden -inf"):
             hide_an_inf(m.params, -1.0 if case == "hidden -inf" else 1.0)
         elif case == "backward matmul":
-            # layer 0 is finite on tiny inputs; its input gradient overflows
+            # layer 0 is finite on tiny inputs; only its input gradient overflows
             x, eps = np.full((5, 2), 1e-300), np.full((5, 2), 1e-300)
             m.params["layers.0.w"][:] = 1e308
         elif case == "backward mul":
@@ -334,10 +359,12 @@ class TestLossAndGradients:
         if "backward" in case:
             with np.errstate(over="ignore"):
                 loss_for("eqm", m, b, sched)  # the forward pass is finite
+        if case == "backward matmul":
+            assert_the_tape_fails_first("eqm", m, b, sched, "matmul")
+            return
         message = assert_same_error("eqm", m, b, sched)
         op = {"nan input": "constant", "hidden inf": "matmul", "hidden -inf": "matmul",
-              "backward matmul": "matmul", "backward mul": "mul",
-              "first-layer backward mul": "mul"}.get(case, case)
+              "backward mul": "mul", "first-layer backward mul": "mul"}.get(case, case)
         if case not in ("label", "schedule", "no labels", "energy head"):
             assert message == f"non-finite values produced by op '{op}'"
 
@@ -362,7 +389,10 @@ class TestLossAndGradients:
             labels[4] = 3
         elif case == "weight gradient":
             # SiLU outputs 1e308 into a tiny last layer, so the forward pass is
-            # finite; the first backward's last weight gradient sums five of them
+            # finite. The tape's first backward overflows first, in the last
+            # layer's weight gradient, which sums five of them. The pass does
+            # not make that gradient; it overflows in the double backward's
+            # product of the same five with the loss gradient, also a matmul.
             m.params["layers.1.w"][:] = 0.0
             m.params["layers.1.b"][:] = 1e308
             m.params["layers.2.w"] *= 1e-300
@@ -389,11 +419,20 @@ class TestLossAndGradients:
         """Overflows that first appear past the forward pass, for each head,
         with and without a label embedding (zero where it matters, so both
         models give the same values). The second backward reaches SiLU's own
-        checks. The head adjoint reaches each head's: dot's unused `v * x`,
-        l2norm's unused `v * f`; with a target 8 times as far, the output
-        adjoint overflows first, in the matmul that makes `v`. Weights,
-        biases and inputs that are powers of two keep each product exact, so
-        the sizes below hold."""
+        checks. The head adjoint overflows first in each head's adjoint of
+        the tape's ones: dot's `v * x`, l2norm's `v * f`. No parameter
+        gradient uses those, so the pass does not make them. On dot the pass
+        then returns finite gradients. On l2norm the output's adjoint
+        `v * 2 * -0.5` is as large as `v`, and the last layer's input
+        gradient carries it into every lower layer's gradients, so the pass
+        raises there, at a matmul, where the tape raised first at `v * f`
+        (the tape with no checks returns those gradients non-finite). With
+        a target 8 times as far, the output adjoint overflows too: the
+        tape's first failure is the matmul that makes `v`, and so is
+        l2norm's; dot makes no `v` at the output (only x's adjoint uses it),
+        and overflows in the next matmul, the last layer's `g.T @ g_pre`.
+        Weights, biases and inputs that are powers of two keep each product
+        exact, so the sizes below hold."""
         m = random_model(ModelConfig(hidden=(8, 8), num_classes=classes,
                                      energy_kind=head), 0)
         p, tiny = m.params, 2.0 ** -1000
@@ -445,13 +484,47 @@ class TestLossAndGradients:
             energy(m, corrupt(x, eps, b.gamma), labels)  # the forward pass is finite
         else:
             loss_for("eqm-e", m, b, TRUNC4)  # so are the first backward and the loss
+        if phase == "head adjoint":
+            assert_the_tape_fails_first("eqm-e", m, b, TRUNC4, "mul",
+                                        None if head == "dot" else "matmul")
+            return
         message = assert_same_error("eqm-e", m, b, TRUNC4)
         op = "matmul" if phase in ("first backward", "output adjoint") else "mul"
         assert message == f"non-finite values produced by op '{op}'"
 
-    @pytest.mark.parametrize("hidden, counts", [((256, 256, 256), (21, 35, 10)),
-                                                ((16,), (13, 23, 6)),
-                                                ((64, 64), (17, 29, 8))],
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.sampled_from([("eqm", "none"), ("eqm-e", "dot"), ("eqm-e", "l2norm")]),
+           exponents=st.lists(EXPONENTS, min_size=7, max_size=7), x_exponent=X_EXPONENTS,
+           seed=st.integers(0, 2**32 - 1))
+    def test_scaled_parameters_keep_the_contract(self, case, exponents, x_exponent,
+                                                 seed):
+        """Parameters scaled by 2^k, k in [0, 1000], and data by 2^j overflow
+        anywhere in a step. Wherever the tape returns, the pass returns its
+        bits; wherever the pass raises, the tape raises the same type;
+        wherever the pass returns, its loss and gradients are finite. The
+        pass may return where the tape raises, on a product that no returned
+        gradient uses."""
+        objective, head = case
+        m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), seed)
+        scale_by_powers_of_two(m.params, exponents)
+        rng = np.random.default_rng(seed + 1)
+        b = draw_batch(rng, 2.0 ** x_exponent * rng.standard_normal((5, 2)),
+                       labels=rng.integers(0, 3, 5))
+        want, tape_error = outcome(
+            lambda: tape_loss_and_gradients(m, b, TRUNC4, objective=objective))
+        got, pass_error = outcome(lambda: loss_and_gradients(objective, m, b, TRUNC4))
+        if tape_error is None:
+            assert pass_error is None
+            assert_same_bits(*got, *want, m.params)
+        elif pass_error is None:
+            loss, grads = got
+            assert np.isfinite(loss) and all(nd.all_finite(g) for g in grads.values())
+        else:
+            assert type(pass_error) is type(tape_error)
+
+    @pytest.mark.parametrize("hidden, counts", [((256, 256, 256), (20, 22, 10)),
+                                                ((16,), (12, 14, 6)),
+                                                ((64, 64), (16, 18, 8))],
                              ids=["3 layers", "1 layer", "2 layers"])
     def test_finite_passes_scan_only_their_boundaries(self, monkeypatch, hidden,
                                                       counts):
@@ -459,13 +532,11 @@ class TestLossAndGradients:
         n=1000 forward. A pass scans what enters it and what leaves it, so
         the counts grow with the number of parameters P, not with the layers'
         inner ops. An eqm step scans the input, P parameters, the output, the
-        target, the loss, P gradients and layer 0's input gradient (2P + 5).
-        An eqm-e step scans x as leaf and as constant, P parameters, the
-        output, the energy, the first backward's P gradients and input
-        gradient, the field, the target, the loss, dot's `v * x` and
-        `grad * f`, P gradients and x's adjoint (3P + 11). A forward pass
-        scans the input, P parameters and the output (P + 2). The default
-        three hidden layers have P = 8."""
+        target, the loss and P gradients (2P + 4). An eqm-e step scans x as
+        leaf and as constant, P parameters, the output, the field, the
+        target, the loss and P gradients (2P + 6). A forward pass scans the
+        input, P parameters and the output (P + 2). The default three hidden
+        layers have P = 8."""
         calls, check_finite = [], nd.check_finite
 
         def counted(values, op):
