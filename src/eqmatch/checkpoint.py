@@ -22,6 +22,8 @@ offsets run back to back from 0 to the end of the data region, each nbytes is
 8 x the elements of its shape, and the parameters (and their AdamW moments)
 have the names and shapes the header's model config gives: all of the
 moments, or none before the first step (a resume would restart one at zero).
+The optimizer's settings must be finite JSON numbers and its step count a
+JSON integer >= 0, as the header's step is.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ FORMAT_VERSION = 1
 HEADER_KEYS = ("format_version", "run_config", "step", "rng_state", "optimizer",
                "tensors")
 TENSOR_KEYS = ("name", "nbytes", "offset", "shape")
+OPTIMIZER_NUMBERS = ("lr", "beta1", "beta2", "weight_decay", "epsilon")
 
 
 class CheckpointError(ValueError):
@@ -118,6 +121,30 @@ def save_checkpoint(path, config: RunConfig, model: GradientFieldModel,
 
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number: an int or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _check_optimizer(path, hyper) -> None:
+    """The optimizer settings must be finite numbers and the step count a
+    count: `AdamW.from_state` would otherwise coerce 2.7, true or "5"."""
+    if not isinstance(hyper, dict):
+        raise CheckpointError(f"{path}: optimizer: {hyper!r} is not a JSON object")
+    for key in (*OPTIMIZER_NUMBERS, "step_count"):
+        if key not in hyper:
+            raise CheckpointError(f"{path}: optimizer: lacks {key}")
+        valid = _is_count if key == "step_count" else _is_number
+        if not valid(hyper[key]):
+            kind = "a count" if key == "step_count" else "a finite number"
+            raise CheckpointError(f"{path}: optimizer: {key} {hyper[key]!r} is not {kind}")
 
 
 def _read_header(path, raw: bytes) -> tuple[dict, int]:
@@ -203,10 +230,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: parameters {sorted(params)} are not the model "
                               f"config's {sorted(shapes)}")
     moments = {k: v for k, v in buffers.items() if k.startswith("opt.")}
-    try:
-        optimizer = AdamW.from_state(header["optimizer"], moments)
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: optimizer: malformed settings ({e!r})") from None
+    _check_optimizer(path, header["optimizer"])
+    optimizer = AdamW.from_state(header["optimizer"], moments)
     missing = sorted(expected.keys() - shapes.keys() - moments.keys())
     if missing and (moments or optimizer.step_count):
         raise CheckpointError(f"{path}: optimizer: step {optimizer.step_count} lacks "

@@ -43,15 +43,13 @@ class AdamW:
 
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, np.ndarray]) -> None:
-        """Update `params` in place from same-keyed `grads`."""
+        """Update `params` in place from same-keyed `grads`. Every gradient's
+        key, shape and values are checked before anything changes, so a step
+        that raises leaves the parameters, moments and step count as they were."""
         if set(params) != set(grads):
             missing = set(params) ^ set(grads)
             raise GradientError(f"gradient keys do not match parameters: {sorted(missing)}")
-        self._ensure_buffers(params)
-        self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        checked = {}
         for name, p in params.items():
             g = np.asarray(grads[name], dtype=np.float64)
             if g.shape != p.shape:
@@ -59,6 +57,14 @@ class AdamW:
                                     f"parameter has {p.shape}")
             if not all_finite(g):
                 raise NonFiniteError(f"non-finite gradient for '{name}'")
+            checked[name] = g
+        self._ensure_buffers(params)
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        for name, p in params.items():
+            g = checked[name]
             m = self.m[name]
             v = self.v[name]
             s, d = self._scratch[name]  # persistent scratch keeps the loop allocation-free

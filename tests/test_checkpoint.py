@@ -423,6 +423,32 @@ class TestHeaderChecks:
             load_checkpoint(path)
         assert str(err.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("key, value, want", [
+        ("step_count", 2.7, "step_count 2.7 is not a count"),
+        ("step_count", True, "step_count True is not a count"),
+        ("step_count", -3, "step_count -3 is not a count"),
+        ("step_count", "5", "step_count '5' is not a count"),
+        ("lr", "1e-4", "lr '1e-4' is not a finite number"),
+        ("lr", True, "lr True is not a finite number"),
+        ("epsilon", float("inf"), "epsilon inf is not a finite number"),
+        ("beta1", float("nan"), "beta1 nan is not a finite number"),
+        ("weight_decay", 10 ** 400, "weight_decay 1000"),
+        ("beta2", None, "beta2 None is not a finite number"),
+    ], ids=["step 2.7", "step true", "step -3", "step '5'", "lr '1e-4'", "lr true",
+            "epsilon inf", "beta1 nan", "weight_decay 1e400", "beta2 null"])
+    def test_bad_optimizer_settings_raise_checkpoint_error(self, saved_checkpoint,
+                                                           tmp_path, key, value, want):
+        """`AdamW.from_state` would coerce these with int() or float(): 2.7
+        steps would load as 2, true as 1, and -3 would make the bias
+        corrections negative."""
+        header = read_header(saved_checkpoint)
+        header["optimizer"][key] = value
+        path = tmp_path / "settings.eqmckpt"
+        rewrite_header(saved_checkpoint, path, header)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: optimizer: {want}")
+
     @pytest.mark.parametrize("dropped", [["opt.v.layers.0.w"],
                                          ["opt.m.label_embed", "opt.v.layers.2.b"],
                                          "all moments"],

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqmatch import data
 from eqmatch.evaluation import (DEFAULT_BANDWIDTHS, EvalReport, QuadraticEnergy,
-                                _average_ranks, _kernel_matrix, _kernel_sum, _sq_dists,
+                                _StreamedSum, _average_ranks, _kernel_matrix, _kernel_sum,
+                                _sq_dists,
                                 append_reports, auroc, component_energy, config_fingerprint,
                                 convergence_bound_check, grad_norm_at_data,
                                 ledger_has, local_minima_membership, mmd,
@@ -104,7 +107,7 @@ class TestConvergenceBound:
 
 def gathered_null(x, y, n_permutations, seed):
     """The permutation null as three gathered blocks of the pooled kernel per
-    permutation: the oracle for the one-matmul form."""
+    permutation: the oracle for the K @ S form."""
     m, n = len(x), len(y)
     pool = np.concatenate([x, y])
     d2 = ((pool[:, None, :] - pool[None, :, :]) ** 2).sum(axis=2)
@@ -119,6 +122,100 @@ def gathered_null(x, y, n_permutations, seed):
                   + k[np.ix_(iy, iy)].sum() / (n * (n - 1))
                   - 2.0 * k[np.ix_(ix, iy)].sum() / (m * n))
     return out
+
+
+def materialized_kernel(x, y):
+    """The full kernel matrix, one exp per bandwidth over the whole distance
+    matrix (`_sq_dists`, which has scipy's bits)."""
+    d2 = _sq_dists(x, y)
+    k = np.zeros_like(d2)
+    for bw in DEFAULT_BANDWIDTHS:
+        k += np.exp(-0.5 * d2 / (bw * bw))
+    return k
+
+
+def materialized_mmd(x, y):
+    """`mmd` as it was with whole kernel matrices: the oracle for its bits."""
+    if x.tobytes() > y.tobytes():
+        x, y = y, x
+    m, n = len(x), len(y)
+    kxx = materialized_kernel(x, x)
+    kyy = materialized_kernel(y, y)
+    kxy = materialized_kernel(x, y)
+    a = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
+    b = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
+    c = kxy.sum() / (m * n)
+    return float(a + b - 2.0 * c)
+
+
+def materialized_null(x, y, n_permutations, seed):
+    """`mmd_permutation_null` as it was with the whole pooled kernel matrix
+    and one product K @ S: the oracle for its bits."""
+    m, n = len(x), len(y)
+    pool = np.concatenate([x, y])
+    k = materialized_kernel(pool, pool)
+    np.fill_diagonal(k, 0.0)
+    rng = np.random.default_rng(seed)
+    s = np.zeros((m + n, n_permutations))
+    for i in range(n_permutations):
+        s[rng.permutation(m + n)[:m], i] = 1.0
+    ks = k @ s
+    sxx = np.sum(s * ks, axis=0)
+    r = np.sum(ks, axis=0)
+    kxx = sxx / (m * (m - 1))
+    kyy = (k.sum() - 2.0 * r + sxx) / (n * (n - 1))
+    kxy = (r - sxx) / (m * n)
+    return kxx + kyy - 2.0 * kxy
+
+
+def traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedKernels:
+    """`mmd` and the null reduce the kernel matrix one row block at a time,
+    with the bits of the whole-matrix reductions."""
+
+    @pytest.mark.parametrize("size", [1, 7, 128, 129, 8192, 8193, 20_000, 100_003])
+    def test_streamed_sum_equals_numpy_sum(self, size):
+        rng = np.random.default_rng(size)
+        values = rng.random(size) * 10.0 ** rng.integers(-8, 8, size)
+        total = _StreamedSum(size)
+        cuts = np.sort(rng.integers(0, size + 1, 12))
+        for a, b in zip([0, *cuts], [*cuts, size]):
+            total.add(values[a:b])
+        assert total.result().tobytes() == np.add.reduce(values).tobytes()
+
+    # (m, n, permutations): the smallest sets, a pool under 64 rows and pools
+    # not a multiple of 8, one permutation (numpy sums one column pairwise;
+    # in one block and in three), m != n, pools where a short row block of
+    # K @ S took another OpenBLAS kernel (150 x 60, 400 x 10, 256 x 20), and
+    # the CLI's shape
+    @pytest.mark.parametrize("m, n, perms", [
+        (2, 2, 1), (2, 5, 3), (20, 17, 7), (37, 40, 1), (1000, 1000, 1), (250, 170, 60),
+        (91, 300, 1), (75, 75, 60), (200, 200, 10), (128, 128, 20), (1000, 1000, 100),
+    ])
+    def test_bits_equal_the_whole_matrices(self, m, n, perms):
+        rng = np.random.default_rng(m * 1000 + n)
+        x = rng.standard_normal((m, 2))
+        y = 1.2 * rng.standard_normal((n, 2)) + 0.2
+        assert mmd(x, y) == materialized_mmd(x, y)
+        got = mmd_permutation_null(x, y, n_permutations=perms, seed=perms)
+        assert got.tobytes() == materialized_null(x, y, perms, seed=perms).tobytes()
+
+    def test_peak_memory_holds_no_kernel_matrix(self):
+        """At 1000 vs 1000 one kernel matrix is 8 MB and the pooled one 32 MB;
+        the whole-matrix versions peaked at 24.8 and 35.1 MB."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1000, 2))
+        y = rng.standard_normal((1000, 2)) + 0.1
+        assert traced_peak_mb(lambda: mmd(x, y)) <= 4.0
+        assert traced_peak_mb(lambda: mmd_permutation_null(x, y, n_permutations=100)) <= 10.0
 
 
 class TestMMD:
@@ -157,9 +254,16 @@ class TestMMD:
         b = rng.standard_normal((130, 2)) + 0.3
         assert mmd(a, b) == mmd(b, a)
 
-    def test_small_sets_rejected(self):
-        with pytest.raises(ValueError):
-            mmd(np.zeros((1, 2)), np.zeros((5, 2)))
+    @pytest.mark.parametrize("fn", [mmd, mmd_permutation_null])
+    @pytest.mark.parametrize("m, n", [(1, 5), (5, 1), (0, 3)])
+    def test_small_sets_rejected(self, fn, m, n):
+        with pytest.raises(ValueError, match="both sets need at least 2 points"):
+            fn(np.zeros((m, 2)), np.ones((n, 2)))
+
+    @pytest.mark.parametrize("perms", [0, -1])
+    def test_null_needs_a_permutation(self, perms):
+        with pytest.raises(ValueError, match="n_permutations must be >= 1"):
+            mmd_permutation_null(np.zeros((3, 2)), np.ones((4, 2)), n_permutations=perms)
 
 
 class TestModeCoverage:

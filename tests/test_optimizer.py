@@ -90,6 +90,31 @@ def test_shape_mismatch_rejected():
         AdamW().step({"w": np.zeros(2)}, {"w": np.zeros(3)})
 
 
+def state_bytes(opt, params):
+    return ({k: v.tobytes() for k, v in params.items()},
+            {k: v.tobytes() for k, v in opt.m.items()},
+            {k: v.tobytes() for k, v in opt.v.items()}, opt.step_count)
+
+
+@pytest.mark.parametrize("stepped", [False, True], ids=["fresh", "after a step"])
+@pytest.mark.parametrize("bad_b, error", [
+    (np.array([1.0, np.nan]), NonFiniteError),
+    (np.array([np.inf, 1.0]), NonFiniteError),
+    (np.zeros(3), GradientError),
+], ids=["nan", "inf", "shape"])
+def test_a_rejected_step_changes_nothing(stepped, bad_b, error):
+    """The bad gradient is the later tensor's, so a step that checked each
+    gradient only as it reached it would already have moved `a`."""
+    params = {"a": np.array([1.0]), "b": np.array([2.0, 3.0])}
+    opt = AdamW(lr=0.1)
+    if stepped:
+        opt.step(params, {"a": np.array([0.5]), "b": np.array([1.0, -1.0])})
+    before = state_bytes(opt, params)
+    with pytest.raises(error):
+        opt.step(params, {"a": np.array([1.0]), "b": bad_b})
+    assert state_bytes(opt, params) == before
+
+
 def test_step_count_increments():
     opt = AdamW()
     params = {"w": np.zeros(1)}

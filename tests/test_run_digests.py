@@ -12,7 +12,8 @@ TOOL = ROOT / "tools" / "run_digests.py"
 INFERENCE = [["fixture", "sample-gd", "samples.csv"],
              ["fixture", "sample-adaptive", "samples.csv"],
              ["fixture", "eval-quality", "results.csv"],
-             ["eqm-e", "sample-gd", "samples.csv"]]
+             ["eqm-e", "sample-gd", "samples.csv"],
+             ["fixture", "eval-quality-n1000", "results.csv"]]
 
 
 def test_prints_every_file_and_a_resume_reproduces_the_run():
@@ -33,6 +34,8 @@ def test_prints_every_file_and_a_resume_reproduces_the_run():
     assert digest["eqm", "fresh", "losses.csv"] != digest["eqm-e", "fresh", "losses.csv"]
     samples = [digest[tuple(row)] for row in INFERENCE if row[2] == "samples.csv"]
     assert len(set(samples)) == len(samples)  # gd, adaptive, the energy head's field
+    assert (digest["fixture", "eval-quality", "results.csv"]
+            != digest["fixture", "eval-quality-n1000", "results.csv"])
 
 
 def test_resume_step_must_be_a_checkpoint_before_the_end():

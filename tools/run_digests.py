@@ -11,7 +11,9 @@ step `--resume-from` checkpoint. Each line is `<objective> <fresh|resumed>
 `eqmatch sample` (gd, and adaptive at g_min 0.1) and `eqmatch eval --suite
 quality` on this checkout's bench/fixture/checkpoint.eqmckpt, and `eqmatch
 sample` on the eqm-e run's final checkpoint (an energy head's field), all at
-`--n 200`, each printing `<fixture|eqm-e> <operation> <file> <sha256>`. Two
+`--n 200`, and `eval --suite quality` on the fixture again at the benchmark's
+`--n 1000` (a pool of 2000 and 100 permutations), each printing
+`<fixture|eqm-e> <operation> <file> <sha256>`. Two
 checkouts that train and sample the same bits print the same lines, so
 
     diff <(python tools/run_digests.py --repo A) <(python tools/run_digests.py --repo B)
@@ -37,6 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "bench" / "fixture" / "checkpoint.eqmckpt"
 OBJECTIVES = {"eqm": "none", "eqm-e": "dot"}
 N = 200  # points each inference command samples or evaluates
+BENCH_N = 1000  # points the benchmark's sample-eval workload evaluates
 
 
 def eqmatch(repo: Path, args: list[str]) -> None:
@@ -73,14 +76,15 @@ def run_digests(repo: Path, work: Path, steps: int, every: int,
         for kind, run_dir in (("fresh", fresh), ("resumed", resumed)):
             lines += [f"{objective} {kind} {name} {sha}"
                       for name, sha in digests(run_dir).items()]
-    fixture = ["--checkpoint", str(FIXTURE), "--n", str(N)]
+    fixture, bench = (["--checkpoint", str(FIXTURE), "--n", str(n)] for n in (N, BENCH_N))
     final = ["--checkpoint", str(work / "eqm-e" / "checkpoint.eqmckpt"), "--n", str(N)]
     for source, operation, args in (
             ("fixture", "sample-gd", ["sample", *fixture]),
             ("fixture", "sample-adaptive", ["sample", *fixture, "--method", "adaptive",
                                             "--g-min", "0.1"]),
             ("fixture", "eval-quality", ["eval", "--suite", "quality", *fixture]),
-            ("eqm-e", "sample-gd", ["sample", *final])):
+            ("eqm-e", "sample-gd", ["sample", *final]),
+            ("fixture", f"eval-quality-n{BENCH_N}", ["eval", "--suite", "quality", *bench])):
         out = work / f"{source}-{operation}"
         out.mkdir()
         if args[0] == "sample":
