@@ -23,7 +23,7 @@ import numpy as np
 from .checkpoint import Checkpoint, load_checkpoint
 from .config import RunConfig, ValidationError, load_config, to_dict
 from .data import (draw_from, ood_sets, read_csv, read_points, sample_noise,
-                   write_csv)
+                   table_values, write_csv)
 from .evaluation import (EvalReport, QuadraticEnergy, append_reports, auroc,
                          config_fingerprint, convergence_bound_check,
                          grad_norm_at_data, ledger_has, local_minima_membership,
@@ -40,6 +40,10 @@ from .training import train
 
 ENV_OUT_DIR = "EQMATCH_OUT"
 SUITES = ("statements", "quality", "ood", "partial-noise", "nn-audit")
+# the least --n each suite takes (None: it reads no --n); quality and
+# partial-noise compare two sets of --n points by MMD
+SUITE_LEAST_N = {"statements": None, "quality": 2, "ood": 1, "partial-noise": 2,
+                 "nn-audit": 1}
 # each sweep axis and how it reads a --values entry
 SWEEP_AXES = {"eta": float, "mu": float, "steps": int, "g-min": float,
               "lambda": float, "schedule": str}
@@ -66,6 +70,15 @@ def _sampler_from_args(base: SamplerConfig, args) -> SamplerConfig:
         return replace(base, **fields)
     except ValueError as e:
         raise ValidationError(str(e)) from e
+
+
+def _check_seed_and_n(args, least_n: int | None) -> None:
+    """Reject a negative --seed, and an --n below `least_n` (None: --n is not
+    read), before anything is loaded or sampled."""
+    if args.seed < 0:
+        raise ValidationError(f"--seed: {args.seed} must be >= 0")
+    if least_n is not None and args.n < least_n:
+        raise ValidationError(f"--n: {args.n} must be >= {least_n}")
 
 
 def _write_samples_csv(path, traj) -> None:
@@ -101,6 +114,7 @@ def cmd_sample(args) -> int:
     unlabelled field without one) with the checkpoint's sampler, overridden
     by the flags, from the --start-csv points or seeded noise; write the
     samples CSV and, if asked, the trajectory CSV."""
+    _check_seed_and_n(args, 1)
     ck = load_checkpoint(args.checkpoint)
     field = ComposedField([ModelField(ck.model, label=label)
                            for label in args.label or [None]])
@@ -244,6 +258,7 @@ def _suite_nn_audit(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[EvalRe
 
 
 def cmd_eval(args) -> int:
+    _check_seed_and_n(args, SUITE_LEAST_N[args.suite])
     out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     ledger = out_dir / "results.csv"
@@ -329,6 +344,7 @@ def _sweep_run_config(base: RunConfig, axis: str, value) -> RunConfig:
 
 
 def cmd_sweep(args) -> int:
+    _check_seed_and_n(args, 2)  # each value's quality row compares two sets by MMD
     values = _sweep_values(args.axis, args.values)
     retrain = args.axis in ("lambda", "schedule")
     if retrain:
@@ -400,19 +416,18 @@ def cmd_plot(args) -> int:
         contour_svg(out, ck.model, bounds=bounds or (-4.5, 4.5, -4.5, 4.5),
                     label=args.label, **grid)
     elif args.kind == "step-hist":
-        rows = read_csv(_require(args.samples, "--samples"))
-        if not rows or "steps_used" not in rows[0]:
-            raise ValidationError("samples file has no steps_used column")
-        histogram_svg(out, np.array([int(r["steps_used"]) for r in rows]),
-                      title="sampling steps per sample")
+        path = _require(args.samples, "--samples")
+        steps = table_values(path, read_csv(path), ["steps_used"])[:, 0]
+        histogram_svg(out, steps, title="sampling steps per sample")
     elif args.kind == "gamma-curves":
-        rows = read_csv(_require(args.curves, "--curves"))
-        if not rows or "gamma" not in rows[0]:
-            raise ValidationError("curves file has no gamma column")
-        x = np.array([float(r["gamma"]) for r in rows])
-        series = {k: np.array([float(r[k]) for r in rows])
-                  for k in rows[0] if k != "gamma"}
-        curves_svg(out, x, series, title="quality vs start noise")
+        path = _require(args.curves, "--curves")
+        rows = read_csv(path)
+        names = [k for k in rows[0] if k not in ("gamma", None)] if rows else []
+        values = table_values(path, rows, ["gamma", *names])
+        if not names:
+            raise ValidationError(f"{path}: no curve column beside gamma")
+        curves_svg(out, values[:, 0], dict(zip(names, values[:, 1:].T)),
+                   title="quality vs start noise")
     print(f"wrote {out}")
     return 0
 

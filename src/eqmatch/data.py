@@ -6,12 +6,13 @@ Labels are mixture-component (or moon) indices and double as class
 conditions.
 
 The module also owns the CSV format of every table eqmatch writes or reads
-(`write_csv`, `read_csv`, `read_points`).
+(`write_csv`, `read_csv`, `read_points`, `table_values`).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -219,7 +220,7 @@ def read_csv(path) -> list[dict[str, str]]:
 def read_points(path) -> np.ndarray:
     """The [n, d] points of a table, read by name from its columns x0 ...
     x{d-1}; any other column (sample id, label, steps) is ignored. Every
-    coordinate must be a finite number."""
+    coordinate must be a finite number (`table_values`)."""
     from .config import ValidationError  # config imports this module
 
     rows = read_csv(path)
@@ -229,16 +230,34 @@ def read_points(path) -> np.ndarray:
     if d == 0:
         raise ValidationError(f"{path}: no points (a points table needs an x0 "
                               "column and at least one row)")
-    try:
-        points = np.array([[float(r[f"x{i}"]) for i in range(d)] for r in rows],
-                          dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"{path}: cannot read the points: {e}") from e
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if len(bad):
-        raise ValidationError(f"{path}: the point in data row {bad[0] + 1} is not "
-                              f"finite: {points[bad[0]].tolist()}")
-    return points
+    return table_values(path, rows, [f"x{i}" for i in range(d)])
+
+
+def table_values(path, rows: list[dict[str, str]], columns: list[str]) -> np.ndarray:
+    """The [n, k] values of the named `columns` of `rows`, the table at
+    `path` as `read_csv` reads it. A table without rows or without one of
+    the columns, a cell missing from a short row and a cell that is not a
+    finite number raise ValidationError naming the file, and for a cell its
+    data row and column."""
+    from .config import ValidationError  # config imports this module
+
+    for name in columns:
+        if not rows or name not in rows[0]:
+            raise ValidationError(f"{path}: no {name} column (the table needs one "
+                                  "and at least one row)")
+    values = []
+    for i, row in enumerate(rows, 1):
+        for name in columns:
+            cell = row[name]  # None where a short row ends
+            try:
+                value = float(cell)
+            except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                what = "missing" if cell is None else f"'{cell}' is not a finite number"
+                raise ValidationError(f"{path}: data row {i}, column {name}: {what}")
+            values.append(value)
+    return np.array(values, dtype=np.float64).reshape(len(rows), len(columns))
 
 
 def default_mixture() -> ToyDistribution:

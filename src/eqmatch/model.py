@@ -152,14 +152,14 @@ class GradientFieldModel:
 
     def forward_values(self, x, label=None, noise_level=None) -> np.ndarray:
         """`forward(nd.Graph(), x, ...).values` off the tape, as an inference
-        pass through `nd.run_pass`: the same bits and the same errors."""
-        return nd.run_pass(
-            lambda check: self._forward_values(x, label, noise_level, None, check))
+        pass through `nd.run_pass`: the same bits, and the tape's errors."""
+        return nd.run_pass(lambda: self._forward_values(x, label, noise_level),
+                           lambda: self.forward(nd.Graph(), x, label, noise_level).values)
 
-    def _forward_values(self, x, label, noise_level, cache, check) -> np.ndarray:
+    def _forward_values(self, x, label, noise_level, cache=None) -> np.ndarray:
         """`forward_values`, each layer written in place, for a pass that
-        scans what enters and leaves it with `nd.check_finite` and the values
-        inside it with `check` (see `nd.run_pass`).
+        scans what enters and leaves it with `nd.check_finite` (see
+        `nd.run_pass`).
 
         With a list as `cache`, each layer appends what `parameter_gradients`
         needs: [input, one-hot labels or None, pre-activation, its sigmoid or
@@ -175,34 +175,28 @@ class GradientFieldModel:
         last = len(self.config.hidden)
         for i in range(last + 1):
             pre = h @ p[f"layers.{i}.w"]
-            check(pre, "matmul")
             pre += p[f"layers.{i}.b"]
-            (check if i < last else nd.check_finite)(pre, "add")
             hot = None
             if i == 0 and self.config.num_classes > 0:
                 hot = nd.constant(self._one_hot(label, n)).values
-                embedded = hot @ p["label_embed"]
-                check(embedded, "matmul")
-                pre += embedded
-                check(pre, "add")
+                pre += hot @ p["label_embed"]
             s = None if i == last else nd.sigmoid_values(pre)
             if cache is not None:
                 cache.append([h, hot, pre, s])
             if i == last:
+                nd.check_finite(pre, "add")
                 return pre
             h = s if cache is None else np.empty_like(s)  # over s unless cached
             np.multiply(pre, s, out=h)
-            check(h, "mul")
 
-    def parameter_gradients(self, cache: list, grad: np.ndarray, check,
+    def parameter_gradients(self, cache: list, grad: np.ndarray,
                             first: tuple | None = None) -> dict[str, np.ndarray]:
         """The gradient of a loss with respect to every parameter, given `grad`,
         its gradient with respect to the output of `_forward_values` with
         `cache`. This is `nd.backward`'s transposed chain off the tape,
         without the products it returns nothing from (layer 0's input
         gradient, the one-hot's): the tape's other ops in its order (same
-        bits). The gradients it returns are scanned with `nd.check_finite`,
-        the rest with `check` (see `nd.run_pass`).
+        bits). The gradients it returns are scanned with `nd.check_finite`.
 
         `energy_parameter_gradients` passes as `first` what the adjoint of the
         first backward adds: (each weight's gradient, each hidden layer's
@@ -213,17 +207,12 @@ class GradientFieldModel:
         for i in reversed(range(last + 1)):
             h_in, hot, pre, s = cache[i]
             if i < last and first is None:  # a hidden layer: back through its SiLU
-                g = _silu_backward(g, pre, s, s * (1.0 - s), check)
+                g = _silu_backward(g, pre, s, s * (1.0 - s))
             elif i < last:  # the same, summed with the first backward's adjoints
                 a_bar, s_bar, d = first[1][i]
-                through_s = g * pre
-                check(through_s, "mul")
                 a_bar = a_bar + g * s
-                check(a_bar, "add")
-                s_bar = s_bar + through_s
-                check(s_bar, "add")
+                s_bar = s_bar + g * pre
                 g = a_bar + s_bar * d
-                check(g, "add")
             if hot is not None:
                 grads["label_embed"] = hot.T @ g
                 nd.check_finite(grads["label_embed"], "matmul")
@@ -232,27 +221,24 @@ class GradientFieldModel:
             g_in = None
             if i:  # layer 0's input gradient is unused
                 g_in = g @ p[f"layers.{i}.w"].T
-                check(g_in, "matmul")
             w_grad = h_in.T @ g
             if first is not None:
-                check(w_grad, "matmul")
                 w_grad += first[0][i]
             nd.check_finite(w_grad, "matmul" if first is None else "add")
             grads[f"layers.{i}.w"] = w_grad
             g = g_in
         return {name: grads[name] for name in p}
 
-    def energy_input_gradient(self, cache: list, keep: list | None,
-                              check) -> np.ndarray:
+    def energy_input_gradient(self, cache: list, keep: list | None = None) -> np.ndarray:
         """The input-gradient of the batch-summed energy of `_forward_values`
         with `cache`: `nd.input_gradient(_total_energy(...), x)` off the tape,
         as the chain from the output down to the input alone (the tape's
         energy value and first-order parameter gradients are not made). The
-        field it returns is scanned with `nd.check_finite`, the rest with
-        `check`. With a list as `keep`, each layer from the output down
-        appends what `energy_parameter_gradients` replays: [the gradient at
-        its output, the gradient at its pre-activation, and for a hidden
-        layer with sigmoid s, 1 - s and s (1 - s), else None, None]."""
+        field it returns is scanned with `nd.check_finite`. With a list as
+        `keep`, each layer from the output down appends what
+        `energy_parameter_gradients` replays: [the gradient at its output,
+        the gradient at its pre-activation, and for a hidden layer with
+        sigmoid s, 1 - s and s (1 - s), else None, None]."""
         if self.config.energy_kind == "none":
             raise ValueError("model has no explicit energy head (energy_kind='none')")
         dot = self.config.energy_kind == "dot"
@@ -268,20 +254,19 @@ class GradientFieldModel:
             if s is not None:  # a hidden layer: back through its SiLU
                 c = 1.0 - s
                 d = s * c
-                g = _silu_backward(g, pre, s, d, check)
+                g = _silu_backward(g, pre, s, d)
             if keep is not None:
                 keep.append([out, g, c, d])
             g = g @ self.params[f"layers.{i}.w"].T
-            # l2norm returns layer 0's input gradient
-            (check if i or dot else nd.check_finite)(g, "matmul")
-        if not dot:
+        if not dot:  # l2norm returns layer 0's input gradient
+            nd.check_finite(g, "matmul")
             return g
         field = f + g  # the dot's own x-gradient, then the chain's
         nd.check_finite(field, "add")
         return field
 
-    def energy_parameter_gradients(self, cache: list, keep: list, grad: np.ndarray,
-                                   check) -> dict[str, np.ndarray]:
+    def energy_parameter_gradients(self, cache: list, keep: list,
+                                   grad: np.ndarray) -> dict[str, np.ndarray]:
         """The gradient of a loss with respect to every parameter, given `grad`,
         its gradient with respect to `energy_input_gradient(cache, keep)`.
         This is the tape's double backward off the tape: the adjoint of the
@@ -299,49 +284,32 @@ class GradientFieldModel:
             u, g_pre, c, d = chain[i]
             if i < last or not dot:  # dot's output adjoint reaches only x
                 v = g @ p[f"layers.{i}.w"]  # the adjoint of g_pre
-                check(v, "matmul")
             w_grads.append(g.T @ g_pre)
-            check(w_grads[i], "matmul")
             if i == last:
                 break
             pre, s = cache[i][2], cache[i][3]
             # g_pre = u * s + (u * pre) * d, d = s * (1 - s) = s * c
             r_bar = v * d
             d_bar = v * (u * pre)
-            check(d_bar, "mul")
             s_bar = d_bar * c + (d_bar * s) * -1.0
-            check(s_bar, "add")
-            g = r_bar * pre
-            check(g, "mul")
             a_bar = r_bar * u
-            check(a_bar, "mul")
-            through_u = v * u
-            check(through_u, "mul")
-            g = g + v * s
-            check(g, "add")
-            s_bar += through_u
-            check(s_bar, "add")
+            g = r_bar * pre + v * s
+            s_bar += v * u
             pending.append((a_bar, s_bar, d))
         if dot:
             g = grad  # the field's adjoint, through the tape's ones * f
         else:  # `v` is the adjoint of the output's first-order gradient
-            v = v * 2.0
-            check(v, "scalar_mul")
-            g = v * -0.5
-        return self.parameter_gradients(cache, g, check, (w_grads, pending))
+            g = v * 2.0 * -0.5
+        return self.parameter_gradients(cache, g, (w_grads, pending))
 
 
-def _silu_backward(g: np.ndarray, pre: np.ndarray, s: np.ndarray, d: np.ndarray,
-                   check) -> np.ndarray:
+def _silu_backward(g: np.ndarray, pre: np.ndarray, s: np.ndarray,
+                   d: np.ndarray) -> np.ndarray:
     """The tape's gradient g * s + (g * pre) * d at the input `pre` of a SiLU
-    with sigmoid `s`, d = s (1 - s), from `g` at its output. A product with a
-    factor in [0, 1] stays finite, so only `g * pre` and the sum are checked."""
+    with sigmoid `s`, d = s (1 - s), from `g` at its output."""
     through_sigmoid = g * pre
-    check(through_sigmoid, "mul")
     through_sigmoid *= d
-    g = g * s + through_sigmoid
-    check(g, "add")
-    return g
+    return g * s + through_sigmoid
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -397,14 +365,18 @@ def energy(model: GradientFieldModel, x, label=None) -> np.ndarray:
 def energy_gradient(model: GradientFieldModel, x, label=None) -> np.ndarray:
     """Input-gradient of the energy, [n, d] (rows are independent points):
     `nd.input_gradient(_total_energy(...), x)` off the tape, from
-    `_forward_values` and `energy_input_gradient`, as one `nd.run_pass` (its
-    bits where the tape returns; it raises only where the tape does)."""
+    `_forward_values` and `energy_input_gradient`, as one `nd.run_pass` (the
+    tape's bits where it returns, and its errors)."""
     x = nd.as_values(x)
 
-    def run(check):
-        nd.check_finite(x, "leaf")  # the tape leases x before the forward pass
+    def run():
         cache = []
-        model._forward_values(x, label, None, cache, check)
-        return model.energy_input_gradient(cache, None, check)
+        model._forward_values(x, label, None, cache)
+        return model.energy_input_gradient(cache)
 
-    return nd.run_pass(run)
+    def tape():
+        graph = nd.Graph()
+        xt = graph.leaf(x)
+        return nd.input_gradient(_total_energy(model, graph, xt, label=label), xt).values
+
+    return nd.run_pass(run, tape)

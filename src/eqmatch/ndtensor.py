@@ -7,8 +7,9 @@ live graph nodes and can be differentiated again (double backprop).
 
 Training (`objective.loss_and_gradients`) and inference
 (`model.forward_values`, `model.energy_gradient`) run off the tape, each as
-one `run_pass`, which scans a pass only at its boundaries. The tape is their
-test oracle: a pass returns the tape's bits and raises only where it does.
+one `run_pass`, which scans a pass only at its boundaries and hands any
+failure to the tape: a pass returns the tape's bits, and its errors are the
+tape's.
 
 Conventions:
   - all buffers are contiguous float64; non-finite values raise at op
@@ -61,33 +62,26 @@ def check_finite(values: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
-def _no_check(values: np.ndarray, op: str) -> None:
-    """The inner scan of a pass that scans only at its boundaries."""
+def run_pass(run: Callable, tape: Callable):
+    """`run()`, an off-tape pass, or where it raises, `tape()`: the same
+    computation on the tape, whose result or error (with its warnings)
+    stands.
 
-
-def run_pass(run: Callable):
-    """`run(check)`, for an off-tape pass that scans each value entering or
-    leaving it (parameters, inputs, output, loss, returned gradients) with
-    `check_finite`, and each value computed inside it with `check`.
-
-    A pass computes only what it returns, with the tape's ops in its order.
-    So where the tape returns, the pass returns the same bits, and where the
-    pass raises, the tape raises the same error, unless the tape first fails
-    on a product that the pass does not make: then the pass fails later or
-    returns.
-
-    First `check` scans nothing, under `np.errstate(all="ignore")`. A NaN or
-    Inf inside the pass still reaches a scanned value: `+`, `-`, `*`, matmul,
-    sums and SiLU carry it on (inf * 0 and silu(-inf) are NaN). If that pass
-    raises anything, a skipped scan may have fired first, so `run` runs again
-    with `check = check_finite`: the tape's checks on the pass's values, in
-    its order, which raise the first failure with its warnings."""
+    A pass computes only what it returns, with the tape's ops in its order,
+    and scans with `check_finite` only the values entering or leaving it
+    (parameters, inputs, output, loss, returned gradients). It runs under
+    `np.errstate(all="ignore")`: a NaN or Inf inside it still reaches a
+    scanned value, since `+`, `-`, `*`, matmul, sums and SiLU carry it on
+    (inf * 0 and silu(-inf) are NaN). So where the tape returns, the pass
+    returns the same bits, and where the pass raises, the error is the
+    tape's. The pass may return where the tape raises first on a product
+    that the pass does not make."""
     try:
         with np.errstate(all="ignore"):
-            return run(_no_check)
-    except Exception:  # the checked pass below decides what is raised
+            return run()
+    except Exception:  # the tape decides what is raised
         pass
-    return run(check_finite)
+    return tape()
 
 
 def sigmoid_values(v: np.ndarray) -> np.ndarray:

@@ -9,8 +9,6 @@ import warnings
 import numpy as np
 import pytest
 
-from eqmatch import ndtensor as nd
-
 
 def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Gradient of scalar-valued `fn` at `x` by central differences."""
@@ -42,23 +40,19 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)) / scale)
 
 
-def assert_replay_matches_the_checked_pass(call) -> None:
-    """`call()` raises the error, with the RuntimeWarnings, that it raises
-    when its passes scan every value (`nd.run_pass` running only the checked
-    pass): the boundary-scanned pass that fails first is silent."""
-    def outcome():
+def assert_raises_as_the_tape(call, tape) -> None:
+    """`call()` raises the error that `tape()` raises, with the same
+    RuntimeWarnings: a failed off-tape pass is silent, and the tape it hands
+    the failure to decides what is raised."""
+    def raised(fn):
         with warnings.catch_warnings(record=True) as caught, \
                 pytest.raises(Exception) as error:
             warnings.simplefilter("always")
-            call()
+            fn()
         return type(error.value), str(error.value), [
             (w.category, str(w.message)) for w in caught]
 
-    got = outcome()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nd, "run_pass", lambda run: run(nd.check_finite))
-        want = outcome()
-    assert got == want
+    assert raised(call) == raised(tape)
 
 
 def outcome(call) -> tuple:

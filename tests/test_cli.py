@@ -294,6 +294,88 @@ class TestPlotFlags:
         assert "grid" not in seen[0] and seen[1]["grid"] == 7
 
 
+class TestPlotTables:
+    @pytest.mark.parametrize("kind, text, problem", [
+        ("gamma-curves", "gamma,model,baseline\n0.0,0.5,0.6\n0.5,0.3\n",
+         "data row 2, column baseline: missing"),
+        ("gamma-curves", "gamma,model\n0.0,nan\n", "data row 1, column model: 'nan' is not "
+                                                    "a finite number"),
+        ("gamma-curves", "gamma,model\n0.0,0.5\n0.5,inf\n",
+         "data row 2, column model: 'inf' is not a finite number"),
+        ("gamma-curves", "gamma,model\nabc,0.5\n",
+         "data row 1, column gamma: 'abc' is not a finite number"),
+        ("gamma-curves", "gamma,model\n0.0,\n",
+         "data row 1, column model: '' is not a finite number"),
+        ("gamma-curves", "gamma\n0.0\n0.5\n", "no curve column beside gamma"),
+        ("step-hist", "sample_id,steps_used\n0,3\n1\n",
+         "data row 2, column steps_used: missing"),
+        ("step-hist", "sample_id,steps_used\n0,nan\n",
+         "data row 1, column steps_used: 'nan' is not a finite number"),
+        ("step-hist", "sample_id,steps_used\n0,3\n1,-inf\n",
+         "data row 2, column steps_used: '-inf' is not a finite number"),
+        ("step-hist", "sample_id,steps_used\n0,abc\n",
+         "data row 1, column steps_used: 'abc' is not a finite number"),
+        ("step-hist", "sample_id,steps_used\n0,\n",
+         "data row 1, column steps_used: '' is not a finite number"),
+    ], ids=["curves short row", "curves nan", "curves inf", "curves text", "curves empty",
+            "gamma only", "steps short row", "steps nan", "steps -inf", "steps text",
+            "steps empty"])
+    def test_malformed_table_names_file_row_and_column(self, tmp_path, capsys, kind,
+                                                       text, problem):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        out = tmp_path / "plot.svg"
+        flag = "--curves" if kind == "gamma-curves" else "--samples"
+        assert main(["plot", "--kind", kind, flag, str(table), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {table}: {problem}\n"
+        assert not out.exists()
+
+
+class TestSeedAndCountFlags:
+    """A negative --seed, or an --n too small for the command, stops it with
+    the flag's name before a checkpoint is loaded or a point sampled."""
+
+    COMMANDS = {"sample": ["sample"],
+                "quality": ["eval", "--suite", "quality"],
+                "ood": ["eval", "--suite", "ood"],
+                "partial-noise": ["eval", "--suite", "partial-noise", "--baseline", "b"],
+                "nn-audit": ["eval", "--suite", "nn-audit"],
+                "statements": ["eval", "--suite", "statements"],
+                "sweep": ["sweep", "--axis", "eta", "--values", "0.01"]}
+
+    def run(self, monkeypatch, tmp_path, name, flags):
+        def no_work(*a, **kw):
+            raise AssertionError("a bad --seed or --n must stop the command first")
+
+        for target in ("load_checkpoint", "sample", "sample_noise", "draw_from"):
+            monkeypatch.setattr(f"eqmatch.cli.{target}", no_work)
+        out = tmp_path / "out"
+        where = ["--out", str(out)] if name == "sample" else ["--out-dir", str(out)]
+        checkpoint = [] if name == "statements" else ["--checkpoint", "c.eqmckpt"]
+        code = main([*self.COMMANDS[name], *checkpoint, *flags, *where])
+        assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize("name", ["sample", "quality", "statements", "sweep"])
+    def test_negative_seed_names_the_flag(self, monkeypatch, tmp_path, capsys, name):
+        assert self.run(monkeypatch, tmp_path, name, ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --seed: -1 must be >= 0\n"
+
+    @pytest.mark.parametrize("name, n, least", [
+        ("sample", 0, 1), ("ood", 0, 1), ("nn-audit", -3, 1), ("quality", 1, 2),
+        ("partial-noise", 1, 2), ("sweep", 1, 2)])
+    def test_too_small_n_names_the_flag(self, monkeypatch, tmp_path, capsys, name, n,
+                                        least):
+        assert self.run(monkeypatch, tmp_path, name, ["--n", str(n)]) == 1
+        assert capsys.readouterr().err == f"error: --n: {n} must be >= {least}\n"
+
+    def test_the_least_n_samples(self, workspace, tmp_path):
+        assert main(["sample", "--checkpoint", ckpt(workspace), "--n", "1",
+                     "--out", str(tmp_path / "one.csv")]) == 0
+        assert main(["eval", "--suite", "quality", "--checkpoint", ckpt(workspace),
+                     "--n", "2", "--out-dir", str(tmp_path)]) == 0
+
+
 class TestSamplerIdentities:
     def test_gd_keeps_the_checkpoints_mu(self, workspace, tmp_path):
         cfg = json.loads((workspace / "cfg.json").read_text())

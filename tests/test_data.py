@@ -187,7 +187,8 @@ def test_points_read_by_name(tmp_path):
     np.testing.assert_array_equal(read_points(p), [[1.5, -2.0], [0.25, 3.0]])
 
 
-@pytest.mark.parametrize("text", ["a,b\n1,2\n", "x0,x1\n", "", "x0\nnot-a-number\n"])
+@pytest.mark.parametrize("text", ["a,b\n1,2\n", "x0,x1\n", "", "x0\nnot-a-number\n",
+                                  "x0,x1\n1,2\n3\n"])
 def test_points_table_errors_name_the_file(tmp_path, text):
     p = tmp_path / "bad.csv"
     p.write_text(text)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from eqmatch.evaluation import (DEFAULT_BANDWIDTHS, EvalReport, QuadraticEnergy,
 from eqmatch.model import ModelConfig, init_model
 from eqmatch.sampler import SamplerConfig, sample
 from test_model import identity_model
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def nearest_point_field(points: np.ndarray):
@@ -168,6 +174,15 @@ def materialized_null(x, y, n_permutations, seed):
     return kxx + kyy - 2.0 * kxy
 
 
+def assert_bits_equal_the_whole_matrices(m, n, perms):
+    rng = np.random.default_rng(m * 1000 + n)
+    x = rng.standard_normal((m, 2))
+    y = 1.2 * rng.standard_normal((n, 2)) + 0.2
+    assert mmd(x, y) == materialized_mmd(x, y)
+    got = mmd_permutation_null(x, y, n_permutations=perms, seed=perms)
+    assert got.tobytes() == materialized_null(x, y, perms, seed=perms).tobytes()
+
+
 def traced_peak_mb(fn) -> float:
     tracemalloc.start()
     try:
@@ -201,12 +216,19 @@ class TestStreamedKernels:
         (91, 300, 1), (75, 75, 60), (200, 200, 10), (128, 128, 20), (1000, 1000, 100),
     ])
     def test_bits_equal_the_whole_matrices(self, m, n, perms):
-        rng = np.random.default_rng(m * 1000 + n)
-        x = rng.standard_normal((m, 2))
-        y = 1.2 * rng.standard_normal((n, 2)) + 0.2
-        assert mmd(x, y) == materialized_mmd(x, y)
-        got = mmd_permutation_null(x, y, n_permutations=perms, seed=perms)
-        assert got.tobytes() == materialized_null(x, y, perms, seed=perms).tobytes()
+        if (m, n, perms) != (1000, 1000, 100):
+            assert_bits_equal_the_whole_matrices(m, n, perms)
+            return
+        # the CLI's shape, on 1 to 4 OpenBLAS threads whatever the machine's
+        # core count: a child process reads the thread count when numpy loads
+        for threads in ("1", "2", "3", "4"):
+            child = subprocess.run(
+                [sys.executable, "-c", "import sys; sys.path[:0] = sys.argv[1:3]; "
+                 "from test_evaluation import assert_bits_equal_the_whole_matrices as a; "
+                 "a(1000, 1000, 100)", str(Path(__file__).parent), str(SRC)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True)
+            assert child.returncode == 0, (threads, child.stderr)
 
     def test_peak_memory_holds_no_kernel_matrix(self):
         """At 1000 vs 1000 one kernel matrix is 8 MB and the pooled one 32 MB;

@@ -6,8 +6,8 @@ from eqmatch import ndtensor as nd
 from eqmatch.model import (ConditioningError, GradientFieldModel, ModelConfig,
                            _total_energy, energy, energy_gradient, init_model,
                            noise_features)
-from conftest import (assert_replay_matches_the_checked_pass, central_difference, outcome,
-                      rel_err, scale_by_powers_of_two)
+from conftest import (assert_raises_as_the_tape, central_difference, outcome, rel_err,
+                      scale_by_powers_of_two)
 
 
 def small_config(**kw):
@@ -252,7 +252,7 @@ class TestEnergy:
                                                  seed):
         """Parameters scaled by 2^k, k in [0, 1000], and inputs by 2^j:
         wherever the tape returns, `energy_gradient` returns its bits;
-        wherever it raises, the tape raises the same type; wherever it
+        wherever it raises, the tape raises the same error; wherever it
         returns, the field is finite. It may return where the tape raises on
         the energy value, which it does not make."""
         m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), seed)
@@ -268,6 +268,7 @@ class TestEnergy:
             assert nd.all_finite(got)
         else:
             assert type(pass_error) is type(tape_error)
+            assert str(pass_error) == str(tape_error)
 
     @pytest.mark.parametrize("head", ["dot", "l2norm"])
     @pytest.mark.parametrize("case", ["leaf", "nan input", "matmul", *HIDDEN_INF,
@@ -304,11 +305,27 @@ class TestEnergy:
             energy_gradient(m, x, label)
         assert type(values.value) is type(tape.value)
         assert str(values.value) == str(tape.value)
-        assert_replay_matches_the_checked_pass(lambda: energy_gradient(m, x, label))
+        assert_raises_as_the_tape(lambda: energy_gradient(m, x, label),
+                                  lambda: self.tape_gradient(m, x, label))
         op = {"nan input": "leaf", "first backward": "matmul",
               **dict.fromkeys(HIDDEN_INF, "matmul")}.get(case, case)
         if case not in ("label", "no energy head"):
             assert str(values.value) == f"non-finite values produced by op '{op}'"
+
+    @pytest.mark.parametrize("head", ["dot", "l2norm"])
+    def test_gradient_builds_no_graph(self, monkeypatch, head):
+        """A finite labelled input's field comes from the off-tape pass: one
+        that failed would hand its input to the tape."""
+        m = random_model(ModelConfig(hidden=(16, 16), num_classes=3, energy_kind=head), 5)
+        rng = np.random.default_rng(6)
+        x, label = rng.standard_normal((9, 2)), rng.integers(0, 3, 9)
+        want = self.tape_gradient(m, x, label)
+
+        def no_tape():
+            raise AssertionError("energy_gradient built a tape")
+
+        monkeypatch.setattr(nd, "Graph", no_tape)
+        assert energy_gradient(m, x, label).tobytes() == want.tobytes()
 
 
 # 1 row takes BLAS's matrix-vector path; 8k and 8k+1 rows sit on either side
@@ -381,7 +398,8 @@ class TestForwardValues:
             m.forward_values(x, **kw)
         assert type(values.value) is type(tape.value)
         assert str(values.value) == str(tape.value)
-        assert_replay_matches_the_checked_pass(lambda: m.forward_values(x, **kw))
+        assert_raises_as_the_tape(lambda: m.forward_values(x, **kw),
+                                  lambda: m.forward(nd.Graph(), x, **kw))
         if case in ("leaf", "matmul", "add", "constant", *HIDDEN_INF, "label add"):
             op = {**dict.fromkeys(HIDDEN_INF, "matmul"), "label add": "add"}.get(case, case)
             assert str(values.value) == f"non-finite values produced by op '{op}'"

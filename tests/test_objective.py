@@ -10,8 +10,8 @@ from eqmatch.objective import (OBJECTIVES, ObjectiveError, TrainBatch, check_pai
                                loss_for)
 from eqmatch.optimizer import AdamW
 from eqmatch.schedule import Schedule
-from conftest import (assert_replay_matches_the_checked_pass, central_difference, outcome,
-                      rel_err, scale_by_powers_of_two)
+from conftest import (assert_raises_as_the_tape, central_difference, outcome, rel_err,
+                      scale_by_powers_of_two)
 from test_model import EXPONENTS, X_EXPONENTS, hide_an_inf, random_model
 
 LINEAR = Schedule(kind="linear")
@@ -239,24 +239,16 @@ def assert_same_bits(got_loss, got, want_loss, want, names):
         assert g.shape == want[name].shape and g.tobytes() == want[name].tobytes()
 
 
-def assert_the_tape_fails_first(objective, m, b, sched, op, pass_op=None):
+def assert_the_tape_fails_first(objective, m, b, sched, op):
     """The tape raises NonFiniteError at `op` first, on a product that the
     pass does not make, since no gradient it returns uses it. The pass then
-    returns a finite loss and finite gradients, or, with `pass_op`, raises
-    NonFiniteError at that later op, which a returned gradient does use."""
+    returns a finite loss and finite gradients."""
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(nd.NonFiniteError) as tape:
         tape_loss_and_gradients(m, b, sched, objective=objective)
     assert str(tape.value) == f"non-finite values produced by op '{op}'"
-    if pass_op is None:
-        loss, grads = loss_and_gradients(objective, m, b, sched)
-        assert np.isfinite(loss) and all(nd.all_finite(g) for g in grads.values())
-        return
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(nd.NonFiniteError) as values:
-        loss_and_gradients(objective, m, b, sched)
-    assert str(values.value) == f"non-finite values produced by op '{pass_op}'"
-    assert_replay_matches_the_checked_pass(lambda: loss_and_gradients(objective, m, b, sched))
+    loss, grads = loss_and_gradients(objective, m, b, sched)
+    assert np.isfinite(loss) and all(nd.all_finite(g) for g in grads.values())
 
 
 def assert_same_error(objective, m, b, sched):
@@ -268,7 +260,9 @@ def assert_same_error(objective, m, b, sched):
         loss_and_gradients(objective, m, b, sched)
     assert type(values.value) is type(tape.value)
     assert str(values.value) == str(tape.value)
-    assert_replay_matches_the_checked_pass(lambda: loss_and_gradients(objective, m, b, sched))
+    assert_raises_as_the_tape(lambda: loss_and_gradients(objective, m, b, sched),
+                              lambda: tape_loss_and_gradients(m, b, sched,
+                                                              objective=objective))
     return str(values.value)
 
 
@@ -425,12 +419,11 @@ class TestLossAndGradients:
         then returns finite gradients. On l2norm the output's adjoint
         `v * 2 * -0.5` is as large as `v`, and the last layer's input
         gradient carries it into every lower layer's gradients, so the pass
-        raises there, at a matmul, where the tape raised first at `v * f`
-        (the tape with no checks returns those gradients non-finite). With
-        a target 8 times as far, the output adjoint overflows too: the
-        tape's first failure is the matmul that makes `v`, and so is
-        l2norm's; dot makes no `v` at the output (only x's adjoint uses it),
-        and overflows in the next matmul, the last layer's `g.T @ g_pre`.
+        fails, and the tape raises its `v * f`. With a target 8 times as
+        far, the output adjoint overflows too: the tape's first failure is
+        the matmul that makes `v`, and so is l2norm's; dot makes no `v` at
+        the output (only x's adjoint uses it), and overflows in the next
+        matmul, the last layer's `g.T @ g_pre`.
         Weights, biases and inputs that are powers of two keep each product
         exact, so the sizes below hold."""
         m = random_model(ModelConfig(hidden=(8, 8), num_classes=classes,
@@ -484,9 +477,8 @@ class TestLossAndGradients:
             energy(m, corrupt(x, eps, b.gamma), labels)  # the forward pass is finite
         else:
             loss_for("eqm-e", m, b, TRUNC4)  # so are the first backward and the loss
-        if phase == "head adjoint":
-            assert_the_tape_fails_first("eqm-e", m, b, TRUNC4, "mul",
-                                        None if head == "dot" else "matmul")
+        if phase == "head adjoint" and head == "dot":
+            assert_the_tape_fails_first("eqm-e", m, b, TRUNC4, "mul")
             return
         message = assert_same_error("eqm-e", m, b, TRUNC4)
         op = "matmul" if phase in ("first backward", "output adjoint") else "mul"
@@ -500,7 +492,7 @@ class TestLossAndGradients:
                                                  seed):
         """Parameters scaled by 2^k, k in [0, 1000], and data by 2^j overflow
         anywhere in a step. Wherever the tape returns, the pass returns its
-        bits; wherever the pass raises, the tape raises the same type;
+        bits; wherever the pass raises, the tape raises the same error;
         wherever the pass returns, its loss and gradients are finite. The
         pass may return where the tape raises, on a product that no returned
         gradient uses."""
@@ -521,10 +513,11 @@ class TestLossAndGradients:
             assert np.isfinite(loss) and all(nd.all_finite(g) for g in grads.values())
         else:
             assert type(pass_error) is type(tape_error)
+            assert str(pass_error) == str(tape_error)
 
-    @pytest.mark.parametrize("hidden, counts", [((256, 256, 256), (20, 22, 10)),
-                                                ((16,), (12, 14, 6)),
-                                                ((64, 64), (16, 18, 8))],
+    @pytest.mark.parametrize("hidden, counts", [((256, 256, 256), (20, 21, 10)),
+                                                ((16,), (12, 13, 6)),
+                                                ((64, 64), (16, 17, 8))],
                              ids=["3 layers", "1 layer", "2 layers"])
     def test_finite_passes_scan_only_their_boundaries(self, monkeypatch, hidden,
                                                       counts):
@@ -532,11 +525,10 @@ class TestLossAndGradients:
         n=1000 forward. A pass scans what enters it and what leaves it, so
         the counts grow with the number of parameters P, not with the layers'
         inner ops. An eqm step scans the input, P parameters, the output, the
-        target, the loss and P gradients (2P + 4). An eqm-e step scans x as
-        leaf and as constant, P parameters, the output, the field, the
-        target, the loss and P gradients (2P + 6). A forward pass scans the
-        input, P parameters and the output (P + 2). The default three hidden
-        layers have P = 8."""
+        target, the loss and P gradients (2P + 4). An eqm-e step scans x,
+        P parameters, the output, the field, the target, the loss and P
+        gradients (2P + 5). A forward pass scans the input, P parameters and
+        the output (P + 2). The default three hidden layers have P = 8."""
         calls, check_finite = [], nd.check_finite
 
         def counted(values, op):
@@ -555,6 +547,15 @@ class TestLossAndGradients:
         random_model(ModelConfig(hidden=hidden), 2).forward_values(
             rng.standard_normal((1000, 2)))
         assert (*got, len(calls)) == counts
+
+    @pytest.mark.parametrize("objective, head", [("eqm", "none"), ("eqm-e", "dot"),
+                                                 ("eqm-e", "l2norm")])
+    def test_empty_batch_raises_the_tapes_error(self, objective, head):
+        m = random_model(ModelConfig(hidden=(8, 8), energy_kind=head), 0)
+        b = TrainBatch(x=np.zeros((0, 2)), eps=np.zeros((0, 2)), gamma=np.zeros(0))
+        with pytest.raises(nd.ShapeMismatchError) as error:
+            loss_and_gradients(objective, m, b, TRUNC4)
+        assert str(error.value) == "op 'mean': empty tensor"
 
 
 def test_run_config_states_the_same_pairing_rules():

@@ -13,7 +13,9 @@ INFERENCE = [["fixture", "sample-gd", "samples.csv"],
              ["fixture", "sample-adaptive", "samples.csv"],
              ["fixture", "eval-quality", "results.csv"],
              ["eqm-e", "sample-gd", "samples.csv"],
-             ["fixture", "eval-quality-n1000", "results.csv"]]
+             ["fixture", "eval-quality-n1000", "results.csv"],
+             ["fixture", "sample-diverge", "stderr"],
+             ["eqm-e", "sample-diverge", "stderr"]]
 
 
 def test_prints_every_file_and_a_resume_reproduces_the_run():
@@ -36,6 +38,9 @@ def test_prints_every_file_and_a_resume_reproduces_the_run():
     assert len(set(samples)) == len(samples)  # gd, adaptive, the energy head's field
     assert (digest["fixture", "eval-quality", "results.csv"]
             != digest["fixture", "eval-quality-n1000", "results.csv"])
+    # the fixture's state overflows; the energy head's field fails first
+    assert (digest["fixture", "sample-diverge", "stderr"]
+            != digest["eqm-e", "sample-diverge", "stderr"])
 
 
 def test_resume_step_must_be_a_checkpoint_before_the_end():

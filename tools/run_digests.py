@@ -13,7 +13,11 @@ quality` on this checkout's bench/fixture/checkpoint.eqmckpt, and `eqmatch
 sample` on the eqm-e run's final checkpoint (an energy head's field), all at
 `--n 200`, and `eval --suite quality` on the fixture again at the benchmark's
 `--n 1000` (a pool of 2000 and 100 permutations), each printing
-`<fixture|eqm-e> <operation> <file> <sha256>`. Two
+`<fixture|eqm-e> <operation> <file> <sha256>`. Last, `eqmatch sample --eta
+1e308 --steps 3` on the fixture and on the eqm-e checkpoint diverges, and
+`<fixture|eqm-e> sample-diverge stderr <sha256>` digests its exit code and
+the last line of its stderr, the error message (the warnings before it name
+source paths, so they are left out). Two
 checkouts that train and sample the same bits print the same lines, so
 
     diff <(python tools/run_digests.py --repo A) <(python tools/run_digests.py --repo B)
@@ -42,10 +46,13 @@ N = 200  # points each inference command samples or evaluates
 BENCH_N = 1000  # points the benchmark's sample-eval workload evaluates
 
 
-def eqmatch(repo: Path, args: list[str]) -> None:
+def eqmatch(repo: Path, args: list[str], check: bool = True) -> subprocess.CompletedProcess:
+    """Run eqmatch from `repo`/src; unless `check`, a failure returns with
+    its stderr captured instead of raising."""
     env = {**os.environ, "PYTHONPATH": str(repo / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    subprocess.run([sys.executable, "-m", "eqmatch.cli", *args], env=env,
-                   check=True, stdout=subprocess.DEVNULL)
+    return subprocess.run([sys.executable, "-m", "eqmatch.cli", *args], env=env,
+                          check=check, stdout=subprocess.DEVNULL,
+                          stderr=None if check else subprocess.PIPE, text=True)
 
 
 def digests(run_dir: Path) -> dict[str, str]:
@@ -94,6 +101,12 @@ def run_digests(repo: Path, work: Path, steps: int, every: int,
             written = out / "results.csv"
             eqmatch(repo, [*args, "--out-dir", str(out)])
         lines.append(f"{source} {operation} {written.name} {sha256(written)}")
+    for source, checkpoint in (("fixture", fixture), ("eqm-e", final)):
+        done = eqmatch(repo, ["sample", *checkpoint, "--eta", "1e308", "--steps", "3",
+                              "--out", str(work / f"{source}-diverge.csv")], check=False)
+        last = done.stderr.splitlines()[-1] if done.stderr else ""
+        outcome = f"{done.returncode}\n{last}".encode()
+        lines.append(f"{source} sample-diverge stderr {hashlib.sha256(outcome).hexdigest()}")
     return lines
 
 
