@@ -48,6 +48,8 @@ HEADER_KEYS = ("format_version", "run_config", "step", "rng_state", "optimizer",
                "tensors")
 TENSOR_KEYS = ("name", "nbytes", "offset", "shape")
 OPTIMIZER_NUMBERS = ("lr", "beta1", "beta2", "weight_decay", "epsilon")
+#: bytes hashed per read while a load checks the digest
+READ_CHUNK = 1 << 16
 
 
 class CheckpointError(ValueError):
@@ -74,10 +76,11 @@ def _canonical_json(payload: dict) -> bytes:
 def save_checkpoint(path, config: RunConfig, model: GradientFieldModel,
                     optimizer: AdamW, step: int,
                     rng_state: dict | None = None) -> str:
-    """Write the container; returns the hex digest. A temporary file beside
-    `path` (not named *.eqmckpt) is flushed to disk and then renamed over
-    `path`, so a crash leaves the previous file or the new one, never a torn
-    one."""
+    """Write the container; returns the hex digest. The magic, the header and
+    each tensor's own buffer pass through one SHA-256 into a temporary file
+    beside `path` (not named *.eqmckpt), so no copy of the file is held. It
+    is flushed to disk and then renamed over `path`, so a crash leaves the
+    previous file or the new one, never a torn one."""
     tensors = dict(model.params)
     tensors.update(optimizer.moment_buffers())
     index = []
@@ -97,19 +100,17 @@ def save_checkpoint(path, config: RunConfig, model: GradientFieldModel,
         "optimizer": optimizer.hyper_dict(),
         "tensors": index,
     })
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", len(header))
-    blob += header
-    for name in ordered:
-        blob += tensors[name].tobytes()
-    digest = hashlib.sha256(bytes(blob)).digest()
-    blob += digest
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    sha = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            for chunk in (MAGIC, struct.pack("<I", len(header)), header,
+                          *(tensors[name] for name in ordered)):
+                sha.update(chunk)
+                fh.write(chunk)
+            digest = sha.digest()
+            fh.write(digest)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -147,14 +148,44 @@ def _check_optimizer(path, hyper) -> None:
             raise CheckpointError(f"{path}: optimizer: {key} {hyper[key]!r} is not {kind}")
 
 
-def _read_header(path, raw: bytes) -> tuple[dict, int]:
-    """The header object and the offset of the data region."""
-    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
+def _read_into(path, fh, buf, what: str) -> None:
+    """Fill `buf` from `fh`. A short read means the file shrank after its
+    digest was checked, and never hands back a partly filled buffer."""
+    if fh.readinto(buf) != memoryview(buf).nbytes:
+        raise CheckpointError(f"{path}: the file ends inside {what}")
+
+
+def _check_digest(path, fh, body_bytes: int) -> None:
+    """Hash the first `body_bytes` of `fh` in fixed-size chunks and compare
+    the digest with the 32 bytes after them."""
+    sha = hashlib.sha256()
+    chunk = memoryview(bytearray(READ_CHUNK))
+    fh.seek(0)
+    left = body_bytes
+    while left:
+        n = fh.readinto(chunk[:min(left, READ_CHUNK)])
+        if not n:  # the file shrank: the digest read below is short
+            break
+        sha.update(chunk[:n])
+        left -= n
+    if fh.read(32) != sha.digest():
+        raise CheckpointError(f"{path}: integrity digest mismatch")
+
+
+def _read_header(path, fh, body_bytes: int) -> tuple[dict, int]:
+    """The header object and the offset of the data region; `fh` is left at
+    that offset."""
     hstart = len(MAGIC) + 4
-    if hstart + hlen > len(raw) - 32:
+    prefix = bytearray(4)
+    fh.seek(len(MAGIC))
+    _read_into(path, fh, prefix, "the header")
+    (hlen,) = struct.unpack("<I", prefix)
+    if hstart + hlen > body_bytes:
         raise CheckpointError(f"{path}: header length {hlen} runs past the data")
+    text = bytearray(hlen)
+    _read_into(path, fh, text, "the header")
     try:
-        header = json.loads(raw[hstart:hstart + hlen].decode())
+        header = json.loads(text.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: header is not JSON: {e}") from None
     if not isinstance(header, dict):
@@ -204,27 +235,31 @@ def _check_index(path, index, data_bytes: int, expected: dict[str, tuple]) -> No
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 4 + 32 or raw[:len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    body, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise CheckpointError(f"{path}: integrity digest mismatch")
-    header, data_start = _read_header(path, raw)
-    try:
-        config = RunConfig.from_dict(header["run_config"])
-    except ValidationError as e:
-        raise CheckpointError(f"{path}: run_config: {e}") from None
-    shapes = param_shapes(config.model)
-    expected = dict(shapes)
-    expected.update((prefix + k, shape) for prefix in ("opt.m.", "opt.v.")
-                    for k, shape in shapes.items())
-    _check_index(path, header["tensors"], len(body) - data_start, expected)
-    buffers: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        buf = np.frombuffer(body, dtype="<f8", count=entry["nbytes"] // 8,
-                            offset=data_start + entry["offset"])
-        buffers[entry["name"]] = buf.reshape(entry["shape"]).copy()
+    """Read the file in three passes over one handle: the digest over every
+    byte in fixed-size chunks, then the header, then each tensor straight
+    into its own array. Beyond the tensors it holds one chunk and the header."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < len(MAGIC) + 4 + 32 or fh.read(len(MAGIC)) != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        body_bytes = size - 32
+        _check_digest(path, fh, body_bytes)
+        header, data_start = _read_header(path, fh, body_bytes)
+        try:
+            config = RunConfig.from_dict(header["run_config"])
+        except ValidationError as e:
+            raise CheckpointError(f"{path}: run_config: {e}") from None
+        shapes = param_shapes(config.model)
+        expected = dict(shapes)
+        expected.update((prefix + k, shape) for prefix in ("opt.m.", "opt.v.")
+                        for k, shape in shapes.items())
+        _check_index(path, header["tensors"], body_bytes - data_start, expected)
+        # the index runs back to back from the data region's start
+        buffers: dict[str, np.ndarray] = {}
+        for entry in header["tensors"]:
+            buf = np.empty(entry["shape"], dtype="<f8")
+            _read_into(path, fh, buf, f"tensor '{entry['name']}'")
+            buffers[entry["name"]] = buf
     params = {k: v for k, v in buffers.items() if not k.startswith("opt.")}
     if params.keys() != shapes.keys():
         raise CheckpointError(f"{path}: parameters {sorted(params)} are not the model "
@@ -255,5 +290,4 @@ def load_params_into(path, model: GradientFieldModel) -> None:
             raise ValidationError(
                 f"shape mismatch for '{name}': checkpoint {buf.shape} vs "
                 f"model {model.params[name].shape}")
-    for name, buf in ck.params.items():
-        model.params[name] = buf.copy()
+    model.params.update(ck.params)

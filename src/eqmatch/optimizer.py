@@ -19,6 +19,10 @@ class AdamW:
 
     Bias correction divides the moments before epsilon enters the
     denominator: update = lr * m_hat / (sqrt(v_hat) + epsilon).
+
+    The optimizer's only state is its settings, its step count and the two
+    moments of each parameter. A step works in two temporaries per tensor,
+    freed before the next tensor, so nothing else outlives it.
     """
 
     lr: float = 1e-4
@@ -30,16 +34,11 @@ class AdamW:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
     def _ensure_buffers(self, params: dict[str, np.ndarray]) -> None:
         for name, p in params.items():
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
-            if name not in self._scratch:
-                self._scratch[name] = (np.empty_like(p), np.empty_like(p))
 
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, np.ndarray]) -> None:
@@ -67,7 +66,7 @@ class AdamW:
             g = checked[name]
             m = self.m[name]
             v = self.v[name]
-            s, d = self._scratch[name]  # persistent scratch keeps the loop allocation-free
+            s = np.empty_like(p)
             if self.weight_decay != 0.0:
                 np.multiply(p, self.lr * self.weight_decay, out=s)
                 p -= s
@@ -78,7 +77,7 @@ class AdamW:
             np.multiply(g, 1.0 - self.beta2, out=s)
             s *= g
             v += s
-            np.divide(v, bc2, out=d)
+            d = np.divide(v, bc2)
             np.sqrt(d, out=d)
             d += self.epsilon
             np.divide(m, bc1, out=s)
@@ -104,12 +103,14 @@ class AdamW:
 
     @classmethod
     def from_state(cls, hyper: dict, moments: dict[str, np.ndarray]) -> "AdamW":
+        """The optimizer a checkpoint describes. It takes the `moments`
+        arrays as they are, not copies, and updates them in place."""
         opt = cls(lr=float(hyper["lr"]), beta1=float(hyper["beta1"]),
                   beta2=float(hyper["beta2"]), weight_decay=float(hyper["weight_decay"]),
                   epsilon=float(hyper["epsilon"]), step_count=int(hyper["step_count"]))
         for key, buf in moments.items():
             if key.startswith("opt.m."):
-                opt.m[key[len("opt.m."):]] = np.array(buf)
+                opt.m[key[len("opt.m."):]] = buf
             elif key.startswith("opt.v."):
-                opt.v[key[len("opt.v."):]] = np.array(buf)
+                opt.v[key[len("opt.v."):]] = buf
         return opt

@@ -130,6 +130,7 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
                                                   config.schedule,
                                                   config.allow_non_equilibrium)
             optimizer.step(model.params, grads)
+            del grads  # not alive while the next step computes its own
         except nd.NonFiniteError as e:
             raise nd.NonFiniteError(f"training aborted at step {step}: {e}") from e
         if not quiet and config.train.log_every and step % config.train.log_every == 0:

@@ -1,16 +1,19 @@
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqmatch import checkpoint
 from eqmatch.checkpoint import (HEADER_KEYS, TENSOR_KEYS, CheckpointError,
                                 load_checkpoint, load_params_into, save_checkpoint)
 from eqmatch.config import (DATASET_KINDS, DatasetSpec, OptimizerSettings,
@@ -261,9 +264,11 @@ class TestCheckpointContainer:
         path, *_ = self._save_one(tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
-    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    @pytest.mark.parametrize("failing", ["fsync", "replace", "write", "hash"])
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch,
                                                        failing):
+        """`write` and `hash` fail on the first tensor, after the header went
+        into the temporary file."""
         path, cfg, model, opt = self._save_one(tmp_path)
         before = path.read_bytes()
         written = []
@@ -272,7 +277,25 @@ class TestCheckpointContainer:
             written.extend(sorted(p.name for p in tmp_path.iterdir()))
             raise OSError(f"simulated {failing} failure")
 
-        monkeypatch.setattr(os, failing, fail)
+        if failing in ("fsync", "replace"):
+            monkeypatch.setattr(os, failing, fail)
+        elif failing == "write":
+            class FailingFile(io.FileIO):
+                def write(self, chunk):
+                    return fail() if isinstance(chunk, np.ndarray) else super().write(chunk)
+
+            monkeypatch.setattr(checkpoint, "open", FailingFile, raising=False)
+        else:
+            sha256 = hashlib.sha256
+
+            class FailingHash:
+                def __init__(self, data=b""):
+                    self.sha = sha256(data)
+
+                def update(self, chunk):
+                    return fail() if isinstance(chunk, np.ndarray) else self.sha.update(chunk)
+
+            monkeypatch.setattr(hashlib, "sha256", FailingHash)
         with pytest.raises(OSError, match="simulated"):
             save_checkpoint(path, cfg, model, opt, 4)
         # the new bytes went to a file that no *.eqmckpt glob picks up
@@ -553,3 +576,120 @@ class TestHeaderChecks:
         else:
             entry[key] = value[0]
         self.assert_loads_equal_or_raises(saved_checkpoint, header)
+
+
+def default_size_checkpoint(path):
+    """The default model and both moments after one AdamW step, saved to
+    `path`; returns the model, the optimizer and the tensors' bytes."""
+    cfg = RunConfig()
+    model = init_model(cfg.model)
+    opt = AdamW(lr=1e-3)
+    rng = np.random.default_rng(0)
+    opt.step(model.params, {k: rng.standard_normal(v.shape)
+                            for k, v in model.params.items()})
+    save_checkpoint(path, cfg, model, opt, 1, rng.bit_generator.state)
+    tensor_bytes = sum(v.nbytes for v in {**model.params, **opt.moment_buffers()}.values())
+    return cfg, model, opt, tensor_bytes
+
+
+def traced_peak_bytes(fn):
+    """fn's result and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def cut_points(path) -> dict[str, int]:
+    """File lengths that end inside the header, inside a tensor and inside
+    the digest."""
+    size = path.stat().st_size
+    header_end = 12 + struct.unpack_from("<I", path.read_bytes(), 8)[0]
+    return {"header": header_end - 5, "tensor": header_end + 12, "digest": size - 7}
+
+
+class TestStreamedIO:
+    """Saving and loading hold no copy of the file: a save streams into the
+    temporary file, a load hashes the file in chunks and reads each tensor
+    into its own array. The checks keep their order: digest, header, data."""
+
+    def test_save_allocates_at_most_half_a_megabyte(self, tmp_path):
+        cfg, model, opt, tensor_bytes = default_size_checkpoint(tmp_path / "first.eqmckpt")
+        assert tensor_bytes > 3_000_000  # the file is about 3.2 MB
+        _, peak = traced_peak_bytes(lambda: save_checkpoint(
+            tmp_path / "ck.eqmckpt", cfg, model, opt, 1))
+        assert peak <= 500_000
+
+    def test_load_allocates_the_tensors_and_at_most_1_5_mb_more(self, tmp_path):
+        path = tmp_path / "ck.eqmckpt"
+        _, model, opt, tensor_bytes = default_size_checkpoint(path)
+        ck, peak = traced_peak_bytes(lambda: load_checkpoint(path))
+        assert peak <= tensor_bytes + 1_500_000
+        for mine, theirs in ((ck.params, model.params), (ck.optimizer.m, opt.m),
+                             (ck.optimizer.v, opt.v)):
+            assert {k: v.tobytes() for k, v in mine.items()} == \
+                {k: v.tobytes() for k, v in theirs.items()}
+
+    @pytest.mark.parametrize("where", ["header", "tensor", "digest"])
+    def test_a_cut_file_fails_its_digest(self, saved_checkpoint, tmp_path, where):
+        raw = saved_checkpoint.read_bytes()
+        path = tmp_path / "cut.eqmckpt"
+        path.write_bytes(raw[:cut_points(saved_checkpoint)[where]])
+        with pytest.raises(CheckpointError, match="integrity digest mismatch"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("where, match", [
+        ("header", "runs past the data"),
+        ("tensor", "the tensors cover"),
+    ])
+    def test_a_cut_file_with_a_fresh_digest_fails_its_header(self, saved_checkpoint,
+                                                              tmp_path, where, match):
+        body = saved_checkpoint.read_bytes()[:cut_points(saved_checkpoint)[where]]
+        path = tmp_path / "cut.eqmckpt"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("where, inside", [
+        ("header", "the header"),
+        ("tensor", "tensor 'label_embed'"),
+    ])
+    def test_a_file_cut_after_its_digest_check_raises(self, saved_checkpoint, tmp_path,
+                                                      monkeypatch, where, inside):
+        """The file shrinks between the digest pass and the reads after it: a
+        short read raises instead of handing back a partly filled array."""
+        path = tmp_path / "shrinking.eqmckpt"
+        path.write_bytes(saved_checkpoint.read_bytes())
+        cut = cut_points(saved_checkpoint)[where]
+        sha256 = hashlib.sha256
+
+        class CuttingHash:
+            def __init__(self, data=b""):
+                self.sha = sha256(data)
+
+            def update(self, chunk):
+                self.sha.update(chunk)
+
+            def digest(self):
+                os.truncate(path, cut)
+                return self.sha.digest()
+
+        monkeypatch.setattr(hashlib, "sha256", CuttingHash)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: the file ends inside {inside}"
+
+    def test_a_flipped_byte_anywhere_fails_the_digest_first(self, saved_checkpoint,
+                                                             tmp_path):
+        raw = saved_checkpoint.read_bytes()
+        path = tmp_path / "flipped.eqmckpt"
+        for i in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[i] ^= 0x01
+            path.write_bytes(flipped)
+            want = "not a checkpoint file" if i < 8 else "integrity digest mismatch"
+            with pytest.raises(CheckpointError) as err:
+                load_checkpoint(path)
+            assert str(err.value) == f"{path}: {want}", i

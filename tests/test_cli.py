@@ -3,11 +3,17 @@ sampler identities surfaced through flags."""
 
 import csv
 import json
+import os
+import platform
+import subprocess
+import sys
+import types
 import warnings
+from pathlib import Path
 
 import pytest
 
-from eqmatch import training
+from eqmatch import cli, training
 from eqmatch.cli import main
 from eqmatch.data import read_csv, read_points
 
@@ -680,3 +686,50 @@ class TestSuitesAndSweeps:
         assert main(["plot", "--kind", "gamma-curves",
                      "--curves", str(tmp_path / "partial-noise-curves.csv"),
                      "--out", str(tmp_path / "curves.svg")]) == 0
+
+
+# the minor page faults of a whole `eqmatch train` in the process that ran it
+TRAIN_THEN_COUNT_FAULTS = """
+import resource, sys
+from eqmatch.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+sys.exit(code)
+"""
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is set through glibc's mallopt")
+    def test_training_steps_do_not_fault_their_memory_in_again(self, tmp_path):
+        """A default eqm-e step frees and allocates the same temporaries each
+        time; with the heap policy they stay mapped. Without it (glibc's
+        dynamic thresholds) each step took about 112 minor faults."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+
+        def faults(steps):
+            cfg = tmp_path / f"steps-{steps}.json"
+            cfg.write_text(json.dumps({"objective": "eqm-e",
+                                       "model": {"energy_kind": "dot"},
+                                       "train": {"steps": steps, "checkpoint_every": 0}}))
+            proc = subprocess.run([sys.executable, "-c", TRAIN_THEN_COUNT_FAULTS, "train",
+                                   "--config", str(cfg), "--out", str(tmp_path / str(steps))],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout.split()[-1])
+
+        assert (faults(110) - faults(10)) / 100 < 20
+
+    @pytest.mark.parametrize("libc", ["no mallopt", "no C library"])
+    def test_commands_run_where_mallopt_is_missing(self, tmp_path, monkeypatch, libc):
+        def load(name):
+            if libc == "no C library":
+                raise OSError("no C library here")
+            return types.SimpleNamespace()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", load)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"hidden": [4]}, "train": {"steps": 2}}))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "checkpoint.eqmckpt").exists()
