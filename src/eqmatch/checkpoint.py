@@ -24,6 +24,10 @@ have the names and shapes the header's model config gives: all of the
 moments, or none before the first step (a resume would restart one at zero).
 The optimizer's settings must be finite JSON numbers and its step count a
 JSON integer >= 0, as the header's step is.
+
+Neither saving nor loading holds a copy of the file: a save streams into the
+temporary file, and a load checks the digest, then the header, then reads
+the tensors, each pass over the open file.
 """
 
 from __future__ import annotations

@@ -6,13 +6,13 @@ and reads entropy only through seeded generators. Exit codes: 0 on success,
 the field sampled is the sum of the model's fields at the given labels.
 
 The default output directory comes from $EQMATCH_OUT (falling back to the
-current directory) whenever a command does not pass one explicitly.
+current directory) whenever a command does not pass one explicitly. `main`
+first fixes glibc's heap thresholds (`set_heap_policy`).
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import os
 import sys
@@ -37,7 +37,7 @@ from .plotting import (PLOT_KINDS, contour_svg, curves_svg, histogram_svg,
 from .sampler import (METHODS, ComposedField, ModelField, SamplerConfig, sample,
                       save_trajectory_csv)
 from .schedule import KINDS as SCHEDULE_KINDS
-from .training import train
+from .training import set_heap_policy, train
 
 ENV_OUT_DIR = "EQMATCH_OUT"
 SUITES = ("statements", "quality", "ood", "partial-noise", "nn-audit")
@@ -506,32 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid points per side (vector-field 40, contour 60)")
     p.set_defaults(fn=cmd_plot)
     return parser
-
-
-#: glibc's mallopt parameters and the values `set_heap_policy` gives them
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-MMAP_THRESHOLD_BYTES = 32 << 20
-TRIM_THRESHOLD_BYTES = 64 << 20
-
-
-def set_heap_policy() -> None:
-    """Fix glibc's heap thresholds for the process: blocks under 32 MiB come
-    from the heap, and the heap's free top goes back to the OS only past
-    64 MiB. By default glibc maps each block over 128 KiB on its own and
-    raises that threshold only after it unmaps one, so whether a training
-    step's temporaries fault their pages in again on every step depends on
-    what the process freed before. With the thresholds fixed they do not.
-    Where libc has no `mallopt` this does nothing."""
-    try:
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    except (OSError, TypeError):  # no C library to load by name
-        return
-    if mallopt is None:
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 def main(argv=None) -> int:

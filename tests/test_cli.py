@@ -2,6 +2,7 @@
 sampler identities surfaced through flags."""
 
 import csv
+import ctypes
 import json
 import os
 import platform
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from eqmatch import cli, training
+from eqmatch import training
 from eqmatch.cli import main
 from eqmatch.data import read_csv, read_points
 
@@ -688,23 +689,34 @@ class TestSuitesAndSweeps:
                      "--out", str(tmp_path / "curves.svg")]) == 0
 
 
-# the minor page faults of a whole `eqmatch train` in the process that ran it
-TRAIN_THEN_COUNT_FAULTS = """
+# a default eqm-e run from its config file, through the command or the library,
+# then the minor page faults of the whole process
+TRAIN_THEN_COUNT_FAULTS = {
+    "eqmatch train": """
 import resource, sys
 from eqmatch.cli import main
-code = main(sys.argv[1:])
+assert main(["train", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
-sys.exit(code)
-"""
+""",
+    "training.train": """
+import resource, sys
+from eqmatch.config import load_config
+from eqmatch.training import train
+train(load_config(sys.argv[1]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+""",
+}
 
 
 class TestHeapPolicy:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap policy is set through glibc's mallopt")
-    def test_training_steps_do_not_fault_their_memory_in_again(self, tmp_path):
-        """A default eqm-e step frees and allocates the same temporaries each
-        time; with the heap policy they stay mapped. Without it (glibc's
-        dynamic thresholds) each step took about 112 minor faults."""
+    @pytest.mark.parametrize("entry", TRAIN_THEN_COUNT_FAULTS)
+    def test_training_steps_do_not_fault_their_memory_in_again(self, tmp_path, entry):
+        """A default eqm-e step frees and allocates the same buffers each
+        time; with the heap policy they stay mapped. Under glibc's dynamic
+        thresholds each step took about 112 minor faults, or about 1600 once
+        a step frees its gradients."""
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
 
@@ -713,8 +725,8 @@ class TestHeapPolicy:
             cfg.write_text(json.dumps({"objective": "eqm-e",
                                        "model": {"energy_kind": "dot"},
                                        "train": {"steps": steps, "checkpoint_every": 0}}))
-            proc = subprocess.run([sys.executable, "-c", TRAIN_THEN_COUNT_FAULTS, "train",
-                                   "--config", str(cfg), "--out", str(tmp_path / str(steps))],
+            proc = subprocess.run([sys.executable, "-c", TRAIN_THEN_COUNT_FAULTS[entry],
+                                   str(cfg), str(tmp_path / str(steps))],
                                   env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             return int(proc.stdout.split()[-1])
@@ -728,7 +740,7 @@ class TestHeapPolicy:
                 raise OSError("no C library here")
             return types.SimpleNamespace()
 
-        monkeypatch.setattr(cli.ctypes, "CDLL", load)
+        monkeypatch.setattr(ctypes, "CDLL", load)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": {"hidden": [4]}, "train": {"steps": 2}}))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
