@@ -81,10 +81,8 @@ def set_heap_policy() -> None:
     1600 minor faults a default eqm-e step). With the thresholds fixed they
     stay mapped. Where libc has no `mallopt` this does nothing."""
     try:
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    except (OSError, TypeError):  # no C library to load by name
-        return
-    if mallopt is None:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library, or no mallopt in it
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
