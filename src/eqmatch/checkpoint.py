@@ -270,7 +270,10 @@ def load_checkpoint(path) -> Checkpoint:
                               f"config's {sorted(shapes)}")
     moments = {k: v for k, v in buffers.items() if k.startswith("opt.")}
     _check_optimizer(path, header["optimizer"])
-    optimizer = AdamW.from_state(header["optimizer"], moments)
+    optimizer = AdamW.from_state(header["optimizer"], {})
+    for key, buf in moments.items():  # the arrays just read, handed over uncopied
+        moment = optimizer.m if key.startswith("opt.m.") else optimizer.v
+        moment[key[len("opt.m."):]] = buf
     missing = sorted(expected.keys() - shapes.keys() - moments.keys())
     if missing and (moments or optimizer.step_count):
         raise CheckpointError(f"{path}: optimizer: step {optimizer.step_count} lacks "

@@ -6,8 +6,7 @@ and reads entropy only through seeded generators. Exit codes: 0 on success,
 the field sampled is the sum of the model's fields at the given labels.
 
 The default output directory comes from $EQMATCH_OUT (falling back to the
-current directory) whenever a command does not pass one explicitly. `main`
-first fixes glibc's heap thresholds (`set_heap_policy`).
+current directory) whenever a command does not pass one explicitly.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .plotting import (PLOT_KINDS, contour_svg, curves_svg, histogram_svg,
 from .sampler import (METHODS, ComposedField, ModelField, SamplerConfig, sample,
                       save_trajectory_csv)
 from .schedule import KINDS as SCHEDULE_KINDS
-from .training import set_heap_policy, train
+from .training import train
 
 ENV_OUT_DIR = "EQMATCH_OUT"
 SUITES = ("statements", "quality", "ood", "partial-noise", "nn-audit")
@@ -509,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    set_heap_policy()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

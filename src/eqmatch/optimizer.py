@@ -103,14 +103,12 @@ class AdamW:
 
     @classmethod
     def from_state(cls, hyper: dict, moments: dict[str, np.ndarray]) -> "AdamW":
-        """The optimizer a checkpoint describes. It takes the `moments`
-        arrays as they are, not copies, and updates them in place."""
         opt = cls(lr=float(hyper["lr"]), beta1=float(hyper["beta1"]),
                   beta2=float(hyper["beta2"]), weight_decay=float(hyper["weight_decay"]),
                   epsilon=float(hyper["epsilon"]), step_count=int(hyper["step_count"]))
         for key, buf in moments.items():
             if key.startswith("opt.m."):
-                opt.m[key[len("opt.m."):]] = buf
+                opt.m[key[len("opt.m."):]] = np.array(buf)
             elif key.startswith("opt.v."):
-                opt.v[key[len("opt.v."):]] = buf
+                opt.v[key[len("opt.v."):]] = np.array(buf)
         return opt

@@ -69,7 +69,7 @@ MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
 
 
-def set_heap_policy() -> None:
+def set_heap_policy() -> bool:
     """Fix glibc's heap thresholds for the process: blocks under 32 MiB come
     from the heap, and the heap's free top goes back to the OS only past
     64 MiB. By default glibc maps each block over 128 KiB on its own, raises
@@ -79,15 +79,20 @@ def set_heap_policy() -> None:
     the default size) and allocates them again, so under the default policy
     their pages are handed back and faulted in again on every step (about
     1600 minor faults a default eqm-e step). With the thresholds fixed they
-    stay mapped. Where libc has no `mallopt` this does nothing."""
+    stay mapped.
+
+    The setting holds for the rest of the process and also ends glibc's
+    dynamic thresholds there; glibc offers no way to read or restore them.
+    Returns whether `mallopt` took both values: False where libc has no
+    `mallopt`, where nothing changes."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):  # no C library, or no mallopt in it
-        return
+        return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+    return all((mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
+                mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)))
 
 
 def train(config: RunConfig | None = None, out_dir=None, init_from=None,
@@ -99,8 +104,11 @@ def train(config: RunConfig | None = None, out_dir=None, init_from=None,
     the data stream, and excludes init_from. A config given with resume_from
     must describe the checkpoint's model; its optimizer settings apply from
     the resumed step on, with the checkpoint's moments and step count. With
-    out_dir None the run writes nothing. It fixes the process's heap
-    thresholds first (`set_heap_policy`).
+    out_dir None the run writes nothing.
+
+    It first calls `set_heap_policy`, which fixes glibc's heap thresholds
+    for the whole process and for good: whatever runs in it afterwards (a
+    notebook, a test session, another library) keeps them.
     """
     set_heap_policy()
     if resume_from is not None and init_from is not None:

@@ -733,6 +733,16 @@ class TestHeapPolicy:
 
         assert (faults(110) - faults(10)) / 100 < 20
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is set through glibc's mallopt")
+    def test_glibc_takes_the_policy(self):
+        assert training.set_heap_policy() is True
+
+    def test_a_refused_setting_is_reported(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(
+            mallopt=lambda param, value: int(param != training.M_TRIM_THRESHOLD)))
+        assert training.set_heap_policy() is False
+
     @pytest.mark.parametrize("libc", ["no mallopt", "no C library"])
     def test_commands_run_where_mallopt_is_missing(self, tmp_path, monkeypatch, libc):
         def load(name):
@@ -741,6 +751,7 @@ class TestHeapPolicy:
             return types.SimpleNamespace()
 
         monkeypatch.setattr(ctypes, "CDLL", load)
+        assert training.set_heap_policy() is False
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": {"hidden": [4]}, "train": {"steps": 2}}))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
