@@ -3,11 +3,12 @@ the descent convergence bound, and desk-scale sample-quality metrics.
 
 FID does not exist at 2D scale; quality is measured by an unbiased squared
 MMD with a sum of RBF kernels (never presented as FID), with significance
-judged against a permutation null. Neither holds a kernel matrix:
-`_kernel_sums` makes one row block at a time and reduces it in the order
-numpy reduces the whole matrix (pairwise for full sums, row by row for
-column sums), so memory is O(block x n) and the bits are the whole-matrix
-ones (README, "Measurement notes", for the OpenBLAS side of that).
+judged against a permutation null. Neither holds a kernel matrix: each
+makes it one block of ROW_BLOCK rows at a time, reduces every block with
+`np.add.reduce` and adds the block results in row order, so memory is
+O(block x n). That order is the estimator's own: the null's product with
+the permutation indicators is an einsum, which calls no BLAS, so the bits
+are the same at every BLAS thread count.
 
 Distances and ranks are plain numpy, bit-identical to scipy's
 `cdist(..., "sqeuclidean")`, `cdist(...)` and `rankdata(...)`; scipy is only
@@ -31,16 +32,10 @@ from .objective import corrupt
 from .sampler import SamplerConfig, as_field, sample
 
 DEFAULT_BANDWIDTHS = (0.1, 0.5, 1.0, 2.0, 5.0)
-# rows of the first operand per distance block: the [64, n] temporaries stay
-# in cache, where whole-matrix temporaries ran 4-6x slower than scipy's cdist
+# rows per distance and kernel block: the [64, n] temporaries stay in
+# cache, where whole-matrix temporaries ran 4-6x slower than scipy's cdist,
+# and the MMD sums one such block of the kernel matrix at a time
 ROW_BLOCK = 64
-# the longest run of a streamed sum (`_StreamedSum`) one np.add.reduce call
-# sums; at least numpy's 128-value pairwise block
-STREAM_LEAF = 8192
-# OpenBLAS's SkylakeX small-matrix kernels take products of at most 1e6
-# multiply-adds (the sampler's BLAS_ROW_BLOCK note); a row block of at least
-# this many takes the kernel that a larger whole product takes
-SMALL_MATRIX_MACS = 1 << 20
 
 
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -198,137 +193,49 @@ def _kernel_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return k
 
 
-def _pairwise_half(n: int) -> int:
-    """Where numpy's pairwise sum splits a run of n > 128 values: at half,
-    rounded down to a multiple of 8."""
-    half = n // 2
-    return half - half % 8
+def _cross_sum(x: np.ndarray, y: np.ndarray) -> np.float64:
+    """The sum of `_kernel_matrix(x, y)`, made one block of ROW_BLOCK rows
+    at a time: each block is one `np.add.reduce`, added in row order."""
+    total = np.float64(0.0)
+    for a in range(0, len(x), ROW_BLOCK):
+        total += np.add.reduce(_kernel_matrix(x[a:a + ROW_BLOCK], y), axis=None)
+    return total
 
 
-def _leaf_sizes(n: int) -> list[int]:
-    """The lengths, in order, of the runs numpy's pairwise split of n values
-    reaches first that hold at most STREAM_LEAF values."""
-    if n <= STREAM_LEAF:
-        return [n]
-    half = _pairwise_half(n)
-    return _leaf_sizes(half) + _leaf_sizes(n - half)
-
-
-class _StreamedSum:
-    """`np.add.reduce` of `size` float64 values fed in order, in chunks of
-    any length, with its bits. numpy sums a contiguous run as the sum of its
-    two halves (`_pairwise_half`) down to 128 values; each leaf run of
-    `_leaf_sizes` is summed by one np.add.reduce call, as numpy sums it
-    inside the whole, and the leaf sums are added up the same tree."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.leaves = _leaf_sizes(size)
-        self.sums: list[np.float64] = []
-        self.buf = np.empty(max(self.leaves))  # a leaf that spans chunks
-        self.filled = 0
-
-    def add(self, chunk: np.ndarray) -> None:
-        i = 0
-        while i < len(chunk):
-            leaf = self.leaves[len(self.sums)]
-            take = min(leaf - self.filled, len(chunk) - i)
-            if take == leaf:
-                self.sums.append(np.add.reduce(chunk[i:i + leaf]))
-            else:
-                self.buf[self.filled:self.filled + take] = chunk[i:i + take]
-                self.filled += take
-                if self.filled == leaf:
-                    self.sums.append(np.add.reduce(self.buf[:leaf]))
-                    self.filled = 0
-            i += take
-
-    def result(self) -> np.float64:
-        sums = iter(self.sums)
-
-        def tree(n):
-            if n <= STREAM_LEAF:
-                return next(sums)
-            half = _pairwise_half(n)
-            left = tree(half)
-            return left + tree(n - half)
-
-        return tree(self.size)
-
-
-class _ColumnSum:
-    """`np.sum(M, axis=0)` of an [n, p] matrix fed in row blocks, with its
-    bits: numpy adds the rows one at a time in order, except that a single
-    column (p == 1) is one pairwise sum."""
-
-    def __init__(self, n: int, p: int):
-        self.column = _StreamedSum(n) if p == 1 else None
-        self.total = np.zeros(p)
-
-    def add(self, block: np.ndarray) -> None:
-        if self.column is not None:
-            self.column.add(block.ravel())
-        else:
-            self.total = np.add.reduce(np.concatenate([self.total[None], block]), axis=0)
-
-    def result(self) -> np.ndarray:
-        if self.column is not None:
-            return np.array([self.column.result()])
-        return self.total
-
-
-def _row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
-    """Blocks of `rows` rows over n rows, a short tail merged into the last."""
-    bounds = [i * rows for i in range(max(1, n // rows))] + [n]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _kernel_sums(x: np.ndarray, y: np.ndarray, s: np.ndarray | None = None,
-                 zero_diagonal: bool = False):
-    """Reductions of K = `_kernel_matrix(x, y)` with the bits numpy gives them
-    on the whole matrix, while only one row block of K is held: each block is
-    `_kernel_matrix(x[a:b], y)`, made once.
-
-    Returns (K.sum(), np.trace(K), np.sum(K @ s, axis=0),
-    np.sum(s * (K @ s), axis=0)): the trace when x is y, else None, and the
-    column sums when `s` is given, else None. With `zero_diagonal` (x is y),
-    K's diagonal is set to 0.0 first, as `np.fill_diagonal` does, and the
-    trace is of the diagonal before that.
+def _pair_sums(x: np.ndarray, s: np.ndarray | None = None):
+    """Sums over the pairs i < j of K = `_kernel_matrix(x, x)`, which is
+    symmetric to the bit. U is K above its diagonal: its rows a:b are
+    `_kernel_matrix(x[a:b], x[a:])` with the entries on and below the
+    diagonal set to 0.0, made once and reduced by `np.add.reduce`, and the
+    block results are added in row order. Returns the sum of U and, for an
+    [len(x), p] matrix `s` (else None), the row sums of U + U^T and the
+    column sums of S * (U S); U S is an einsum, which calls no BLAS.
     """
-    total = _StreamedSum(len(x) * len(y))
-    diagonal = np.empty(len(x)) if x is y else None
-    rows, ks, sks = ROW_BLOCK, None, None
+    total = np.float64(0.0)
+    degree = sus = None
     if s is not None:
-        # a block of K @ s rounds its rows as the whole product does only
-        # while OpenBLAS runs both alike: the same kernel (at least
-        # SMALL_MATRIX_MACS multiply-adds, and ROW_BLOCK rows) and, on two
-        # threads, the same split of the work, by rows (more rows than s
-        # has columns); see README
-        p = s.shape[1]
-        rows = max(ROW_BLOCK, -(-SMALL_MATRIX_MACS // (len(y) * p)), p + 1)
-        rows = -(-rows // 8) * 8
-        ks, sks = _ColumnSum(len(x), p), _ColumnSum(len(x), p)
-    for a, b in _row_blocks(len(x), rows):
-        k = _kernel_matrix(x[a:b], y)
-        if diagonal is not None:
-            at = (np.arange(b - a), np.arange(a, b))
-            diagonal[a:b] = k[at]
-            if zero_diagonal:
-                k[at] = 0.0
-        total.add(k.ravel())
+        degree, sus = np.zeros(len(x)), np.zeros(s.shape[1])
+    for a in range(0, len(x), ROW_BLOCK):
+        u = _kernel_matrix(x[a:a + ROW_BLOCK], x[a:])
+        b = a + len(u)
+        u[np.tril_indices(len(u))] = 0.0
+        total += np.add.reduce(u, axis=None)
         if s is not None:
-            product = k @ s
-            ks.add(product)
-            sks.add(s[a:b] * product)
-    return (total.result(),
-            None if diagonal is None else np.add.reduce(diagonal),
-            None if ks is None else ks.result(),
-            None if sks is None else sks.result())
+            degree[a:b] += np.add.reduce(u, axis=1)
+            degree[a:] += np.add.reduce(u, axis=0)
+            sus += np.add.reduce(s[a:b] * np.einsum("ij,jp->ip", u, s[a:]), axis=0)
+    return total, degree, sus
 
 
-def _check_sizes(m: int, n: int) -> None:
-    if m < 2 or n < 2:
-        raise ValueError("both sets need at least 2 points")
+def _check_sets(x: np.ndarray, y: np.ndarray, least: int = 0) -> None:
+    """Both sets 2-D with the same number of columns, and at least `least`
+    points each."""
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ValueError(f"sets must be 2-D with the same number of columns, "
+                         f"got shapes {x.shape} and {y.shape}")
+    if len(x) < least or len(y) < least:
+        raise ValueError(f"both sets need at least {least} points, "
+                         f"got shapes {x.shape} and {y.shape}")
 
 
 def mmd(samples: np.ndarray, reference: np.ndarray) -> float:
@@ -336,18 +243,15 @@ def mmd(samples: np.ndarray, reference: np.ndarray) -> float:
     slightly negative on matching distributions; callers clamp for reporting."""
     x = np.asarray(samples, dtype=np.float64)
     y = np.asarray(reference, dtype=np.float64)
-    _check_sizes(len(x), len(y))
+    _check_sets(x, y, least=2)
     # the estimator is symmetric; canonicalize operand order so the float
     # summation order is too, making mmd(a, b) == mmd(b, a) bit-exact
     if x.tobytes() > y.tobytes():
         x, y = y, x
     m, n = len(x), len(y)
-    kxx, trace_xx, _, _ = _kernel_sums(x, x)
-    kyy, trace_yy, _, _ = _kernel_sums(y, y)
-    kxy, _, _, _ = _kernel_sums(x, y)
-    a = (kxx - trace_xx) / (m * (m - 1))
-    b = (kyy - trace_yy) / (n * (n - 1))
-    c = kxy / (m * n)
+    a = 2.0 * _pair_sums(x)[0] / (m * (m - 1))
+    b = 2.0 * _pair_sums(y)[0] / (n * (n - 1))
+    c = _cross_sum(x, y) / (m * n)
     return float(a + b - 2.0 * c)
 
 
@@ -355,16 +259,17 @@ def mmd_permutation_null(samples: np.ndarray, reference: np.ndarray,
                          n_permutations: int = 200, seed: int = 0) -> np.ndarray:
     """Null distribution of the estimator under pooled relabeling.
 
-    K is the kernel matrix over the pool with a zero diagonal, and S the
-    indicator [m+n, P] of each permutation's first m rows: per permutation,
-    the x-x block sums to sum(S * KS), the x columns to r = 1^T KS, so the
-    x-y block is r - sxx and the y-y block K.sum() - 2r + sxx. K and KS are
-    reduced one row block at a time (`_kernel_sums`).
+    K is the kernel matrix over the pool with a zero diagonal, U its part
+    above the diagonal (K = U + U^T), and S the indicator [m+n, P] of each
+    permutation's first m rows: per permutation, the x-x block sums to
+    sxx = 2 sum(S * US), the x columns to r = 1^T KS = (row sums of K)^T S,
+    so the x-y block is r - sxx and the y-y block K.sum() - 2r + sxx. U and
+    US are reduced one row block at a time (`_pair_sums`).
     """
     x = np.asarray(samples, dtype=np.float64)
     y = np.asarray(reference, dtype=np.float64)
+    _check_sets(x, y, least=2)
     m, n = len(x), len(y)
-    _check_sizes(m, n)
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
     pool = np.concatenate([x, y])
@@ -372,7 +277,8 @@ def mmd_permutation_null(samples: np.ndarray, reference: np.ndarray,
     s = np.zeros((m + n, n_permutations))
     for i in range(n_permutations):
         s[rng.permutation(m + n)[:m], i] = 1.0
-    k_sum, _, r, sxx = _kernel_sums(pool, pool, s, zero_diagonal=True)
+    pairs, degree, sus = _pair_sums(pool, s)
+    k_sum, r, sxx = 2.0 * pairs, np.einsum("j,jp->p", degree, s), 2.0 * sus
     kxx = sxx / (m * (m - 1))
     kyy = (k_sum - 2.0 * r + sxx) / (n * (n - 1))
     kxy = (r - sxx) / (m * n)
@@ -385,6 +291,7 @@ def mode_coverage(samples: np.ndarray, modes: np.ndarray,
         fraction of samples within radius of any mode)."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     modes = np.atleast_2d(np.asarray(modes, dtype=np.float64))
+    _check_sets(samples, modes)
     if len(modes) == 0:
         raise ValueError("modes must be non-empty")
     d = np.sqrt(_sq_dists(samples, modes))
@@ -414,6 +321,7 @@ def nearest_neighbor_audit(samples: np.ndarray, train: np.ndarray,
     """Exact top-k squared Euclidean distances into the train set, ascending."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     train = np.atleast_2d(np.asarray(train, dtype=np.float64))
+    _check_sets(samples, train)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > len(train):

@@ -1,4 +1,4 @@
-import os
+import ctypes
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from eqmatch import data
 from eqmatch.evaluation import (DEFAULT_BANDWIDTHS, EvalReport, QuadraticEnergy,
-                                _StreamedSum, _average_ranks, _kernel_matrix, _kernel_sum,
+                                _average_ranks, _kernel_matrix, _kernel_sum,
                                 _sq_dists,
                                 append_reports, auroc, component_energy, config_fingerprint,
                                 convergence_bound_check, grad_norm_at_data,
@@ -174,15 +174,6 @@ def materialized_null(x, y, n_permutations, seed):
     return kxx + kyy - 2.0 * kxy
 
 
-def assert_bits_equal_the_whole_matrices(m, n, perms):
-    rng = np.random.default_rng(m * 1000 + n)
-    x = rng.standard_normal((m, 2))
-    y = 1.2 * rng.standard_normal((n, 2)) + 0.2
-    assert mmd(x, y) == materialized_mmd(x, y)
-    got = mmd_permutation_null(x, y, n_permutations=perms, seed=perms)
-    assert got.tobytes() == materialized_null(x, y, perms, seed=perms).tobytes()
-
-
 def traced_peak_mb(fn) -> float:
     tracemalloc.start()
     try:
@@ -192,43 +183,78 @@ def traced_peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
+def openblas_thread_setter() -> tuple[str, str] | None:
+    """(library, symbol) of the OpenBLAS bundled with numpy's wheel and its
+    `openblas_set_num_threads`, or None where numpy has none."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+            setter = f"{prefix}openblas_set_num_threads{suffix}"
+            if hasattr(dll, setter) and hasattr(dll, f"{prefix}openblas_get_num_threads{suffix}"):
+                return str(lib), setter
+    return None
+
+
+# a child process: set the OpenBLAS thread count through the library, check
+# that it took, and print the SHA-256 of `mmd` and of the null on the sets of
+# `test_bits_equal_the_whole_matrices`
+THREADED_DIGEST = """
+import ctypes, hashlib, sys
+import numpy as np
+src, lib, setter, threads, m, n, perms = sys.argv[1:]
+threads, m, n, perms = int(threads), int(m), int(n), int(perms)
+sys.path.insert(0, src)
+from eqmatch.evaluation import mmd, mmd_permutation_null
+dll = ctypes.CDLL(lib)
+getattr(dll, setter)(threads)
+assert getattr(dll, setter.replace("_set_", "_get_"))() == threads
+rng = np.random.default_rng(m * 1000 + n)
+x = rng.standard_normal((m, 2))
+y = 1.2 * rng.standard_normal((n, 2)) + 0.2
+null = mmd_permutation_null(x, y, n_permutations=perms, seed=perms)
+print(hashlib.sha256(np.float64(mmd(x, y)).tobytes() + null.tobytes()).hexdigest())
+"""
+
+
 class TestStreamedKernels:
     """`mmd` and the null reduce the kernel matrix one row block at a time,
-    with the bits of the whole-matrix reductions."""
-
-    @pytest.mark.parametrize("size", [1, 7, 128, 129, 8192, 8193, 20_000, 100_003])
-    def test_streamed_sum_equals_numpy_sum(self, size):
-        rng = np.random.default_rng(size)
-        values = rng.random(size) * 10.0 ** rng.integers(-8, 8, size)
-        total = _StreamedSum(size)
-        cuts = np.sort(rng.integers(0, size + 1, 12))
-        for a, b in zip([0, *cuts], [*cuts, size]):
-            total.add(values[a:b])
-        assert total.result().tobytes() == np.add.reduce(values).tobytes()
+    in an order of their own that no BLAS setting changes."""
 
     # (m, n, permutations): the smallest sets, a pool under 64 rows and pools
-    # not a multiple of 8, one permutation (numpy sums one column pairwise;
-    # in one block and in three), m != n, pools where a short row block of
-    # K @ S took another OpenBLAS kernel (150 x 60, 400 x 10, 256 x 20), and
-    # the CLI's shape
+    # not a multiple of 8, one permutation, m != n, pools with a short last
+    # row block, and the CLI's shape
     @pytest.mark.parametrize("m, n, perms", [
         (2, 2, 1), (2, 5, 3), (20, 17, 7), (37, 40, 1), (1000, 1000, 1), (250, 170, 60),
         (91, 300, 1), (75, 75, 60), (200, 200, 10), (128, 128, 20), (1000, 1000, 100),
     ])
     def test_bits_equal_the_whole_matrices(self, m, n, perms):
-        if (m, n, perms) != (1000, 1000, 100):
-            assert_bits_equal_the_whole_matrices(m, n, perms)
-            return
-        # the CLI's shape, on 1 to 4 OpenBLAS threads whatever the machine's
-        # core count: a child process reads the thread count when numpy loads
-        for threads in ("1", "2", "3", "4"):
+        rng = np.random.default_rng(m * 1000 + n)
+        x = rng.standard_normal((m, 2))
+        y = 1.2 * rng.standard_normal((n, 2)) + 0.2
+        np.testing.assert_allclose(mmd(x, y), materialized_mmd(x, y), rtol=1e-8, atol=0)
+        np.testing.assert_allclose(mmd_permutation_null(x, y, n_permutations=perms, seed=perms),
+                                   materialized_null(x, y, perms, seed=perms),
+                                   rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("m, n, perms", [(1000, 1000, 100), (1000, 1000, 200)])
+    def test_bits_equal_at_every_blas_thread_count(self, m, n, perms):
+        """Each count runs in its own child, set through the library: the
+        OPENBLAS_NUM_THREADS variable is capped at the machine's cores."""
+        found = openblas_thread_setter()
+        if found is None:
+            pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
+        digests = set()
+        for threads in (1, 2, 3, 4):
             child = subprocess.run(
-                [sys.executable, "-c", "import sys; sys.path[:0] = sys.argv[1:3]; "
-                 "from test_evaluation import assert_bits_equal_the_whole_matrices as a; "
-                 "a(1000, 1000, 100)", str(Path(__file__).parent), str(SRC)],
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                [sys.executable, "-c", THREADED_DIGEST, str(SRC), *found,
+                 str(threads), str(m), str(n), str(perms)],
                 capture_output=True, text=True)
             assert child.returncode == 0, (threads, child.stderr)
+            digests.add(child.stdout)
+        assert len(digests) == 1
 
     def test_peak_memory_holds_no_kernel_matrix(self):
         """At 1000 vs 1000 one kernel matrix is 8 MB and the pooled one 32 MB;
@@ -238,6 +264,36 @@ class TestStreamedKernels:
         y = rng.standard_normal((1000, 2)) + 0.1
         assert traced_peak_mb(lambda: mmd(x, y)) <= 4.0
         assert traced_peak_mb(lambda: mmd_permutation_null(x, y, n_permutations=100)) <= 10.0
+
+
+def audit(x, y):
+    return nearest_neighbor_audit(x, y, k=1)
+
+
+def coverage(x, y):
+    return mode_coverage(x, y, radius=1.0)
+
+
+def shape_id(shape) -> str:
+    return "x".join(map(str, shape))
+
+
+# (metric, x's shape, y's shape, the error); the first ids read m-n-metric
+REJECTED_SETS = [
+    pytest.param(fn, (m, 2), (n, 2), "both sets need at least 2 points",
+                 id=f"{m}-{n}-{fn.__name__}")
+    for m, n in [(1, 5), (5, 1), (0, 3)] for fn in (mmd, mmd_permutation_null)
+] + [
+    pytest.param(fn, x_shape, y_shape, "sets must be 2-D with the same number of columns",
+                 id=f"{shape_id(x_shape)}-{shape_id(y_shape)}-{fn.__name__}")
+    for x_shape, y_shape in [((50, 2), (60, 3)), ((50, 3), (60, 2)), ((4, 2, 1), (5, 2))]
+    for fn in (mmd, mmd_permutation_null, audit, coverage)
+] + [
+    # a 1-D set is one point to the audit and to coverage
+    pytest.param(fn, (50,), (60, 2), "sets must be 2-D with the same number of columns",
+                 id=f"50-60x2-{fn.__name__}")
+    for fn in (mmd, mmd_permutation_null)
+]
 
 
 class TestMMD:
@@ -276,11 +332,11 @@ class TestMMD:
         b = rng.standard_normal((130, 2)) + 0.3
         assert mmd(a, b) == mmd(b, a)
 
-    @pytest.mark.parametrize("fn", [mmd, mmd_permutation_null])
-    @pytest.mark.parametrize("m, n", [(1, 5), (5, 1), (0, 3)])
-    def test_small_sets_rejected(self, fn, m, n):
-        with pytest.raises(ValueError, match="both sets need at least 2 points"):
-            fn(np.zeros((m, 2)), np.ones((n, 2)))
+    @pytest.mark.parametrize("fn, x_shape, y_shape, match", REJECTED_SETS)
+    def test_small_sets_rejected(self, fn, x_shape, y_shape, match):
+        with pytest.raises(ValueError, match=match) as err:
+            fn(np.zeros(x_shape), np.ones(y_shape))
+        assert f"shapes {x_shape} and {y_shape}" in str(err.value)
 
     @pytest.mark.parametrize("perms", [0, -1])
     def test_null_needs_a_permutation(self, perms):
