@@ -251,7 +251,7 @@ class TestStreamedKernels:
             child = subprocess.run(
                 [sys.executable, "-c", THREADED_DIGEST, str(SRC), *found,
                  str(threads), str(m), str(n), str(perms)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, timeout=300)
             assert child.returncode == 0, (threads, child.stderr)
             digests.add(child.stdout)
         assert len(digests) == 1
