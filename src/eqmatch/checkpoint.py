@@ -11,10 +11,12 @@ Byte layout (all integers little-endian):
     tail       SHA-256 digest of every preceding byte         (32 bytes)
 
 The header carries: format_version, the full run-config dict, the training
-step count, the generator state, optimizer hyperparameters, and a tensor
-index [{name, shape, offset, nbytes}] with offsets relative to the data
-region. Tensors are sorted by name, which together with canonical JSON makes
-save -> load -> save byte-identical.
+step count, the generator state, the optimizer's settings and step count,
+and a tensor index [{name, shape, offset, nbytes}] with offsets relative to
+the data region. The AdamW moments are tensors named opt.m.<param> and
+opt.v.<param>; this module alone knows that rule. Tensors are sorted by
+name, which together with canonical JSON makes save -> load -> save
+byte-identical.
 
 A digest only proves the bytes are the ones written, so loading also checks
 the header: every key is present, the index is sorted by unique names, the
@@ -37,12 +39,12 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, ValidationError
+from .config import OptimizerSettings, RunConfig, ValidationError
 from .model import GradientFieldModel, param_shapes
 from .optimizer import AdamW
 
@@ -51,7 +53,9 @@ FORMAT_VERSION = 1
 HEADER_KEYS = ("format_version", "run_config", "step", "rng_state", "optimizer",
                "tensors")
 TENSOR_KEYS = ("name", "nbytes", "offset", "shape")
-OPTIMIZER_NUMBERS = ("lr", "beta1", "beta2", "weight_decay", "epsilon")
+OPTIMIZER_NUMBERS = tuple(f.name for f in fields(OptimizerSettings))
+#: the AdamW moments, each stored per parameter as opt.<moment>.<param>
+MOMENTS = ("m", "v")
 #: bytes hashed per read while a load checks the digest
 READ_CHUNK = 1 << 16
 
@@ -73,6 +77,10 @@ class Checkpoint:
         return GradientFieldModel(config=self.config.model, params=self.params)
 
 
+def _moment_name(moment: str, param: str) -> str:
+    return f"opt.{moment}.{param}"
+
+
 def _canonical_json(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
@@ -86,7 +94,9 @@ def save_checkpoint(path, config: RunConfig, model: GradientFieldModel,
     is flushed to disk and then renamed over `path`, so a crash leaves the
     previous file or the new one, never a torn one."""
     tensors = dict(model.params)
-    tensors.update(optimizer.moment_buffers())
+    for moment in MOMENTS:
+        tensors.update((_moment_name(moment, k), buf)
+                       for k, buf in getattr(optimizer, moment).items())
     index = []
     offset = 0
     ordered = sorted(tensors)
@@ -101,7 +111,7 @@ def save_checkpoint(path, config: RunConfig, model: GradientFieldModel,
         "run_config": config.to_dict(),
         "step": int(step),
         "rng_state": rng_state,
-        "optimizer": optimizer.hyper_dict(),
+        "optimizer": {k: getattr(optimizer, k) for k in (*OPTIMIZER_NUMBERS, "step_count")},
         "tensors": index,
     })
     path = Path(path)
@@ -140,7 +150,9 @@ def _is_number(value) -> bool:
 
 def _check_optimizer(path, hyper) -> None:
     """The optimizer settings must be finite numbers and the step count a
-    count: `AdamW.from_state` would otherwise coerce 2.7, true or "5"."""
+    count, checked before `load_checkpoint` builds AdamW from them: float()
+    would take true or "1e-4" as a setting, and a step count of 2.7, true or
+    "5" would reach the bias corrections."""
     if not isinstance(hyper, dict):
         raise CheckpointError(f"{path}: optimizer: {hyper!r} is not a JSON object")
     for key in (*OPTIMIZER_NUMBERS, "step_count"):
@@ -255,7 +267,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: run_config: {e}") from None
         shapes = param_shapes(config.model)
         expected = dict(shapes)
-        expected.update((prefix + k, shape) for prefix in ("opt.m.", "opt.v.")
+        expected.update((_moment_name(moment, k), shape) for moment in MOMENTS
                         for k, shape in shapes.items())
         _check_index(path, header["tensors"], body_bytes - data_start, expected)
         # the index runs back to back from the data region's start
@@ -264,20 +276,21 @@ def load_checkpoint(path) -> Checkpoint:
             buf = np.empty(entry["shape"], dtype="<f8")
             _read_into(path, fh, buf, f"tensor '{entry['name']}'")
             buffers[entry["name"]] = buf
-    params = {k: v for k, v in buffers.items() if not k.startswith("opt.")}
+    params = {k: v for k, v in buffers.items() if k in shapes}
     if params.keys() != shapes.keys():
         raise CheckpointError(f"{path}: parameters {sorted(params)} are not the model "
                               f"config's {sorted(shapes)}")
-    moments = {k: v for k, v in buffers.items() if k.startswith("opt.")}
-    _check_optimizer(path, header["optimizer"])
-    optimizer = AdamW.from_state(header["optimizer"], {})
-    for key, buf in moments.items():  # the arrays just read, handed over uncopied
-        moment = optimizer.m if key.startswith("opt.m.") else optimizer.v
-        moment[key[len("opt.m."):]] = buf
-    missing = sorted(expected.keys() - shapes.keys() - moments.keys())
-    if missing and (moments or optimizer.step_count):
-        raise CheckpointError(f"{path}: optimizer: step {optimizer.step_count} lacks "
+    hyper = header["optimizer"]
+    _check_optimizer(path, hyper)
+    missing = sorted(expected.keys() - buffers.keys())
+    if missing and (len(buffers) > len(params) or hyper["step_count"]):
+        raise CheckpointError(f"{path}: optimizer: step {hyper['step_count']} lacks "
                               f"the moments {', '.join(missing)}")
+    # all of the moments or none: the arrays just read, handed over uncopied
+    moments = {} if missing else {moment: {k: buffers[_moment_name(moment, k)]
+                                           for k in shapes} for moment in MOMENTS}
+    optimizer = AdamW(**{k: float(hyper[k]) for k in OPTIMIZER_NUMBERS},
+                      step_count=hyper["step_count"], **moments)
     return Checkpoint(config=config, params=params, optimizer=optimizer,
                       step=header["step"], rng_state=header["rng_state"])
 

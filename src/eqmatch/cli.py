@@ -39,11 +39,10 @@ from .schedule import KINDS as SCHEDULE_KINDS
 from .training import train
 
 ENV_OUT_DIR = "EQMATCH_OUT"
-SUITES = ("statements", "quality", "ood", "partial-noise", "nn-audit")
-# the least --n each suite takes (None: it reads no --n); quality and
-# partial-noise compare two sets of --n points by MMD
-SUITE_LEAST_N = {"statements": None, "quality": 2, "ood": 1, "partial-noise": 2,
-                 "nn-audit": 1}
+# the sampler flags `sample` passes on, each named as its SamplerConfig field
+SAMPLER_FLAGS = ("method", "eta", "mu", "steps", "g_min", "max_steps")
+# the step budget each method reads; the other one is rejected
+BUDGETS = {"gd": "steps", "adaptive": "max_steps"}
 # each sweep axis and how it reads a --values entry
 SWEEP_AXES = {"eta": float, "mu": float, "steps": int, "g-min": float,
               "lambda": float, "schedule": str}
@@ -53,17 +52,22 @@ def _default_out_dir() -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, "."))
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _sampler_from_args(base: SamplerConfig, args) -> SamplerConfig:
-    fields = {}
-    for name, attr in (("method", "method"), ("eta", "eta"), ("mu", "mu"),
-                       ("steps", "steps"), ("g_min", "g_min"),
-                       ("max_steps", "max_steps")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            fields[name] = value
+    """`base` overridden by the sampler flags set in `args`. A step budget
+    that the chosen method does not read is an error, not a no-op."""
+    fields = {name: getattr(args, name) for name in SAMPLER_FLAGS
+              if getattr(args, name, None) is not None}
     if fields.get("method") == "adaptive" and "g_min" not in fields and base.g_min is None:
         raise ValidationError("adaptive sampling needs --g-min")
     method = fields.get("method", base.method)
+    for name in BUDGETS.values():
+        if name in fields and name != BUDGETS[method]:
+            raise ValidationError(f"{_flag(name)}: the {method} method does not read "
+                                  f"it; its step budget is {_flag(BUDGETS[method])}")
     if method != "adaptive":
         fields.setdefault("g_min", None)
     try:
@@ -257,8 +261,16 @@ def _suite_nn_audit(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[EvalRe
                             "top1_max": float(dists[:, 0].max())})]
 
 
+# each suite's function and the least --n it takes (None: it reads no --n);
+# quality and partial-noise compare two sets of --n points by MMD
+SUITES = {"statements": (_suite_statements, None), "quality": (_suite_quality, 2),
+          "ood": (_suite_ood, 1), "partial-noise": (_suite_partial_noise, 2),
+          "nn-audit": (_suite_nn_audit, 1)}
+
+
 def cmd_eval(args) -> int:
-    _check_seed_and_n(args, SUITE_LEAST_N[args.suite])
+    run, least_n = SUITES[args.suite]
+    _check_seed_and_n(args, least_n)
     out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     ledger = out_dir / "results.csv"
@@ -269,9 +281,7 @@ def cmd_eval(args) -> int:
     if ledger_has(ledger, fp) and not args.force:
         print(f"fingerprint {fp} already in {ledger}; skipping (use --force to re-run)")
         return 0
-    fn = {"statements": _suite_statements, "quality": _suite_quality, "ood": _suite_ood,
-          "partial-noise": _suite_partial_noise, "nn-audit": _suite_nn_audit}[args.suite]
-    reports = fn(args, ck, out_dir, fp)
+    reports = run(args, ck, out_dir, fp)
     append_reports(ledger, reports)
     for r in reports:
         print(f"{r.metric}: {r.value:.6g}")
@@ -321,17 +331,6 @@ def _sweep_values(axis: str, text: str) -> list[tuple[str, object]]:
     return values
 
 
-def _sweep_sampler(base: SamplerConfig, axis: str, value) -> SamplerConfig:
-    """The sampler config of one checkpoint-axis sweep value."""
-    if axis == "steps":
-        return replace(base, steps=value)
-    if axis == "g-min":
-        return replace(base, method="adaptive", g_min=value)
-    if axis == "mu":
-        return replace(base, mu=value)
-    return replace(base, eta=value)
-
-
 def _sweep_run_config(base: RunConfig, axis: str, value) -> RunConfig:
     """The run config of one retraining-axis sweep value."""
     if axis == "lambda":
@@ -359,9 +358,12 @@ def cmd_sweep(args) -> int:
     # every value's config is built, and so checked, before any work
     configs = []
     for raw, value in values:
+        # a checkpoint axis sets the sampler as the `sample` flag of its name
+        flags = argparse.Namespace(**{args.axis.replace("-", "_"): value},
+                                   method="adaptive" if args.axis == "g-min" else None)
         try:
             configs.append((raw, _sweep_run_config(base, args.axis, value) if retrain
-                            else _sweep_sampler(ck.config.sampler, args.axis, value)))
+                            else _sampler_from_args(ck.config.sampler, flags)))
         except ValueError as e:
             raise ValidationError(f"--values: '{raw}' for axis '{args.axis}': {e}") from None
     out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()

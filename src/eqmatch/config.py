@@ -25,14 +25,13 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import ToyDistribution, fixed_memorization_set
+from .data import KINDS as TOY_KINDS, ToyDistribution, fixed_memorization_set
 from .model import ModelConfig
 from .objective import ObjectiveError, check_pairing
 from .sampler import SamplerConfig
 from .schedule import Schedule
 
-DATASET_KINDS = ("gaussian-mixture", "two-moons", "checkerboard", "uniform-box",
-                 "memorization")
+DATASET_KINDS = (*TOY_KINDS, "memorization")
 LABELED_KINDS = ("gaussian-mixture", "two-moons")
 
 

@@ -3,7 +3,9 @@
 The engine keeps one append-only tape (`Graph`) per differentiable
 computation. Every backward rule is itself expressed through the public ops,
 so the gradients returned by :func:`backward` and :func:`input_gradient` are
-live graph nodes and can be differentiated again (double backprop).
+live graph nodes and can be differentiated again (double backprop). The one
+exception is a matmul's right-operand (weight) gradient, a left-transposed
+product that no loss differentiates, so backward through it raises.
 
 Training (`objective.loss_and_gradients`) and inference
 (`model.forward_values`, `model.energy_gradient`) run off the tape, each as
@@ -350,16 +352,13 @@ def _vjp(node: _Node, g: Tensor) -> list[Tensor | None]:
         return [mul(g, b), mul(g, a)]
     if op == "scalar_mul":
         return [scalar_mul(g, node.extra)]
-    if op == "matmul":
+    if op == "matmul" and not node.extra[0]:
+        # the rules make A B^T and the weight gradient A^T B, which no loss
+        # differentiates again, so A^T B and A^T B^T have no rule
         b = node.inputs[1]
-        ta, tb = node.extra
-        if not ta and not tb:      # C = A B
-            return [_matmul(g, b, False, True), _matmul(a, g, True, False)]
-        if ta and not tb:          # C = A^T B
-            return [_matmul(b, g, False, True), _matmul(a, g, False, False)]
-        if not ta and tb:          # C = A B^T
+        if node.extra[1]:          # C = A B^T
             return [_matmul(g, b, False, False), _matmul(g, a, True, False)]
-        return [_matmul(b, g, True, True), _matmul(g, a, True, True)]
+        return [_matmul(g, b, False, True), _matmul(a, g, True, False)]  # C = A B
     if op == "sigmoid":
         y = node.out
         return [mul(g, mul(y, sub(_ones_like(y), y)))]

@@ -84,31 +84,3 @@ class AdamW:
             s *= self.lr
             s /= d
             p -= s
-
-    # -- serialization --------------------------------------------------------
-
-    def hyper_dict(self) -> dict:
-        return {"lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
-                "weight_decay": self.weight_decay, "epsilon": self.epsilon,
-                "step_count": self.step_count}
-
-    def moment_buffers(self) -> dict[str, np.ndarray]:
-        """Named views for the checkpoint tensor index."""
-        out = {}
-        for name, buf in self.m.items():
-            out[f"opt.m.{name}"] = buf
-        for name, buf in self.v.items():
-            out[f"opt.v.{name}"] = buf
-        return out
-
-    @classmethod
-    def from_state(cls, hyper: dict, moments: dict[str, np.ndarray]) -> "AdamW":
-        opt = cls(lr=float(hyper["lr"]), beta1=float(hyper["beta1"]),
-                  beta2=float(hyper["beta2"]), weight_decay=float(hyper["weight_decay"]),
-                  epsilon=float(hyper["epsilon"]), step_count=int(hyper["step_count"]))
-        for key, buf in moments.items():
-            if key.startswith("opt.m."):
-                opt.m[key[len("opt.m."):]] = np.array(buf)
-            elif key.startswith("opt.v."):
-                opt.v[key[len("opt.v."):]] = np.array(buf)
-        return opt

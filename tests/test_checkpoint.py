@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqmatch import checkpoint
-from eqmatch.checkpoint import (HEADER_KEYS, TENSOR_KEYS, CheckpointError,
-                                load_checkpoint, load_params_into, save_checkpoint)
+from eqmatch.checkpoint import (HEADER_KEYS, OPTIMIZER_NUMBERS, TENSOR_KEYS,
+                                CheckpointError, load_checkpoint, load_params_into,
+                                save_checkpoint)
 from eqmatch.config import (DATASET_KINDS, DatasetSpec, OptimizerSettings,
                             RunConfig, TrainSettings, ValidationError,
                             load_config, save_config)
@@ -256,7 +257,8 @@ class TestCheckpointContainer:
         assert raw[-32:] == bytes.fromhex(digest)
         # the documented layout, built from copies: magic, header, data, digest
         (hlen,) = struct.unpack_from("<I", raw, 8)
-        tensors = {**model.params, **opt.moment_buffers()}
+        tensors = {**model.params, **{f"opt.m.{k}": b for k, b in opt.m.items()},
+                   **{f"opt.v.{k}": b for k, b in opt.v.items()}}
         data = b"".join(tensors[e["name"]].tobytes() for e in read_header(path)["tensors"])
         assert raw[:-32] == raw[:12 + hlen] + data
 
@@ -383,7 +385,8 @@ def drop_tensors(source, target, names) -> None:
 def assert_same_checkpoint(got, want) -> None:
     assert got.config == want.config and got.step == want.step
     assert got.rng_state == want.rng_state
-    assert got.optimizer.hyper_dict() == want.optimizer.hyper_dict()
+    for key in (*OPTIMIZER_NUMBERS, "step_count"):
+        assert getattr(got.optimizer, key) == getattr(want.optimizer, key), key
     for mine, theirs in ((got.params, want.params), (got.optimizer.m, want.optimizer.m),
                          (got.optimizer.v, want.optimizer.v)):
         assert mine.keys() == theirs.keys()
@@ -461,9 +464,9 @@ class TestHeaderChecks:
             "epsilon inf", "beta1 nan", "weight_decay 1e400", "beta2 null"])
     def test_bad_optimizer_settings_raise_checkpoint_error(self, saved_checkpoint,
                                                            tmp_path, key, value, want):
-        """`AdamW.from_state` would coerce these with int() or float(): 2.7
-        steps would load as 2, true as 1, and -3 would make the bias
-        corrections negative."""
+        """Unchecked, float() would take true or '1e-4' as a setting, and a
+        step count of 2.7, true or -3 would reach the bias corrections (-3
+        makes them negative)."""
         header = read_header(saved_checkpoint)
         header["optimizer"][key] = value
         path = tmp_path / "settings.eqmckpt"
@@ -588,7 +591,7 @@ def default_size_checkpoint(path):
     opt.step(model.params, {k: rng.standard_normal(v.shape)
                             for k, v in model.params.items()})
     save_checkpoint(path, cfg, model, opt, 1, rng.bit_generator.state)
-    tensor_bytes = sum(v.nbytes for v in {**model.params, **opt.moment_buffers()}.values())
+    tensor_bytes = sum(b.nbytes for d in (model.params, opt.m, opt.v) for b in d.values())
     return cfg, model, opt, tensor_bytes
 
 

@@ -10,13 +10,16 @@ import subprocess
 import sys
 import types
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from eqmatch import training
+from eqmatch.checkpoint import load_checkpoint, save_checkpoint
 from eqmatch.cli import main
 from eqmatch.data import read_csv, read_points
+from eqmatch.sampler import SamplerConfig
 
 
 # a flow-matching baseline: eqm whose target keeps the velocity eps - x
@@ -134,6 +137,24 @@ class TestExitCodes:
         code = main(["sample", "--checkpoint", ckpt(workspace), "--method", "gd",
                      "--g-min", "0.5", "--n", "4", "--out", str(tmp_path / "s.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("flags, unread, method", [
+        (["--method", "adaptive", "--g-min", "0.05", "--steps", "5"], "--steps",
+         "adaptive"),
+        (["--max-steps", "3"], "--max-steps", "gd"),
+        (["--method", "gd", "--steps", "5", "--max-steps", "3"], "--max-steps", "gd"),
+    ], ids=["steps on adaptive", "max-steps on the checkpoint's gd", "both on gd"])
+    def test_a_budget_the_method_does_not_read_names_it(self, workspace, tmp_path,
+                                                        capsys, flags, unread, method):
+        """gd reads only --steps and adaptive only --max-steps; the other one
+        would change nothing."""
+        out = tmp_path / "s.csv"
+        code = main(["sample", "--checkpoint", ckpt(workspace), *flags, "--n", "4",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {unread}: the {method} method does not read it")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--eta", "nan"), ("--eta", "inf"),
                                              ("--mu", "nan")])
@@ -642,6 +663,27 @@ class TestSuitesAndSweeps:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --values: '{bad}' for axis '{axis}': ")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_steps_sweep_of_an_adaptive_checkpoint_is_rejected(self, workspace,
+                                                               tmp_path, capsys,
+                                                               monkeypatch):
+        """Adaptive sampling reads max_steps, so each row of a steps sweep
+        would sample the same thing under another label."""
+        def no_work(*a, **kw):
+            raise AssertionError("an unread budget must stop the sweep first")
+
+        ck = load_checkpoint(ckpt(workspace))
+        config = replace(ck.config, sampler=SamplerConfig(method="adaptive", eta=0.02,
+                                                          g_min=0.05))
+        path = tmp_path / "adaptive.eqmckpt"
+        save_checkpoint(path, config, ck.model, ck.optimizer, ck.step, ck.rng_state)
+        monkeypatch.setattr("eqmatch.cli._sweep_row", no_work)
+        assert main(["sweep", "--axis", "steps", "--values", "5,500", "--checkpoint",
+                     str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --values: '5' for axis 'steps': --steps: the "
+                              "adaptive method does not read it")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("run", ["cond", "cond-fm"])

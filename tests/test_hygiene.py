@@ -2,7 +2,8 @@
 uses, nothing in the package imports scipy (a test-only oracle), the
 README's run-config block is the default config, the docs name exactly
 the CLI's subcommands, README's layout table exactly the package modules
-and tools, and every repo path README names exists."""
+and tools, every repo path README names exists, and only the checkpoint
+module spells the optimizer's stored tensor names."""
 
 import argparse
 import ast
@@ -76,6 +77,16 @@ def test_package_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
+
+
+def test_only_the_checkpoint_spells_the_optimizer_tensor_prefix():
+    """The stored names of the AdamW moments, opt.m.<param> and
+    opt.v.<param>, are the checkpoint's format: no other package module
+    spells the "opt." prefix in a string."""
+    offenders = [path.name for path in sorted((ROOT / "src" / "eqmatch").glob("*.py"))
+                 if path.name != "checkpoint.py"
+                 and re.search(r"[\"']opt\.", path.read_text())]
+    assert offenders == []
 
 
 def test_readme_run_config_block_is_every_default():

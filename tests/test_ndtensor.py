@@ -315,6 +315,18 @@ def test_cross_graph_mixing_rejected():
         nd.add(g1.leaf([1.0]), g2.leaf([1.0]))
 
 
+def test_weight_gradient_has_no_second_backward():
+    """The weight gradient X^T dC of C = X W is a left-transposed product,
+    which no loss differentiates, so backward through it has no rule."""
+    g = nd.Graph()
+    x = g.leaf([[1.0, 2.0], [3.0, 4.0]])
+    w = g.leaf([[0.5], [-1.0]])
+    grad_w = nd.input_gradient(nd.tsum(nd.square(nd.matmul(x, w))), w)
+    assert g.nodes[grad_w.node].extra == (True, False)
+    with pytest.raises(nd.GraphError, match="no backward rule for op 'matmul'"):
+        nd.backward(nd.tsum(grad_w))
+
+
 def test_broadcast_rejects_non_suffix():
     with pytest.raises(nd.ShapeMismatchError, match="broadcast"):
         nd.broadcast_to(nd.constant([1.0, 2.0]), (2, 3))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -160,7 +162,8 @@ def test_state_round_trip():
     params = {"w": rng.standard_normal(3), "b": rng.standard_normal(2)}
     for _ in range(4):
         opt.step(params, {k: rng.standard_normal(v.shape) for k, v in params.items()})
-    clone = AdamW.from_state(opt.hyper_dict(), opt.moment_buffers())
+    clone = replace(opt, m={k: b.copy() for k, b in opt.m.items()},
+                    v={k: b.copy() for k, b in opt.v.items()})
     p1 = {k: v.copy() for k, v in params.items()}
     p2 = {k: v.copy() for k, v in params.items()}
     g = {k: rng.standard_normal(v.shape) for k, v in params.items()}
