@@ -29,7 +29,8 @@ JSON integer >= 0, as the header's step is.
 
 Neither saving nor loading holds a copy of the file: a save streams into the
 temporary file, and a load checks the digest, then the header, then reads
-the tensors, each pass over the open file.
+the tensors, each pass over the open file. A load for inference
+(`optimizer=False`) makes every check but skips the moment tensors.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class CheckpointError(ValueError):
 class Checkpoint:
     config: RunConfig
     params: dict[str, np.ndarray]
-    optimizer: AdamW
+    optimizer: AdamW | None  # None where loaded with optimizer=False
     step: int
     rng_state: dict | None
 
@@ -250,10 +251,15 @@ def _check_index(path, index, data_bytes: int, expected: dict[str, tuple]) -> No
                               f"{data_bytes}-byte data region")
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, *, optimizer: bool = True) -> Checkpoint:
     """Read the file in three passes over one handle: the digest over every
     byte in fixed-size chunks, then the header, then each tensor straight
-    into its own array. Beyond the tensors it holds one chunk and the header."""
+    into its own array. Beyond the tensors it holds one chunk and the header.
+
+    With `optimizer` False (inference, which never reads AdamW's state) the
+    digest and every header and index check still run, the moments too must
+    be all there or none, but the moment tensors are skipped instead of read
+    and the checkpoint's `optimizer` is None."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < len(MAGIC) + 4 + 32 or fh.read(len(MAGIC)) != MAGIC:
@@ -273,19 +279,26 @@ def load_checkpoint(path) -> Checkpoint:
         # the index runs back to back from the data region's start
         buffers: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
+            if not optimizer and entry["name"] not in shapes:  # a moment
+                fh.seek(entry["nbytes"], os.SEEK_CUR)
+                continue
             buf = np.empty(entry["shape"], dtype="<f8")
             _read_into(path, fh, buf, f"tensor '{entry['name']}'")
             buffers[entry["name"]] = buf
+    names = {entry["name"] for entry in header["tensors"]}
     params = {k: v for k, v in buffers.items() if k in shapes}
     if params.keys() != shapes.keys():
         raise CheckpointError(f"{path}: parameters {sorted(params)} are not the model "
                               f"config's {sorted(shapes)}")
     hyper = header["optimizer"]
     _check_optimizer(path, hyper)
-    missing = sorted(expected.keys() - buffers.keys())
-    if missing and (len(buffers) > len(params) or hyper["step_count"]):
+    missing = sorted(expected.keys() - names)
+    if missing and (len(names) > len(params) or hyper["step_count"]):
         raise CheckpointError(f"{path}: optimizer: step {hyper['step_count']} lacks "
                               f"the moments {', '.join(missing)}")
+    if not optimizer:
+        return Checkpoint(config=config, params=params, optimizer=None,
+                          step=header["step"], rng_state=header["rng_state"])
     # all of the moments or none: the arrays just read, handed over uncopied
     moments = {} if missing else {moment: {k: buffers[_moment_name(moment, k)]
                                            for k in shapes} for moment in MOMENTS}
@@ -299,7 +312,7 @@ def load_params_into(path, model: GradientFieldModel) -> None:
     """Warm-start: copy a checkpoint's parameters into an existing model.
     Names and shapes must line up (an explicit-energy head reuses the plain
     field architecture, so cross-kind warm starts are expected)."""
-    ck = load_checkpoint(path)
+    ck = load_checkpoint(path, optimizer=False)
     missing = set(model.params) - set(ck.params)
     extra = set(ck.params) - set(model.params)
     if missing or extra:

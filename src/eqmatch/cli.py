@@ -36,7 +36,7 @@ from .plotting import (PLOT_KINDS, contour_svg, curves_svg, histogram_svg,
 from .sampler import (METHODS, ComposedField, ModelField, SamplerConfig, sample,
                       save_trajectory_csv)
 from .schedule import KINDS as SCHEDULE_KINDS
-from .training import train
+from .training import set_heap_policy, train
 
 ENV_OUT_DIR = "EQMATCH_OUT"
 # the sampler flags `sample` passes on, each named as its SamplerConfig field
@@ -119,7 +119,7 @@ def cmd_sample(args) -> int:
     by the flags, from the --start-csv points or seeded noise; write the
     samples CSV and, if asked, the trajectory CSV."""
     _check_seed_and_n(args, 1)
-    ck = load_checkpoint(args.checkpoint)
+    ck = load_checkpoint(args.checkpoint, optimizer=False)
     field = ComposedField([ModelField(ck.model, label=label)
                            for label in args.label or [None]])
     config = _sampler_from_args(ck.config.sampler, args)
@@ -229,7 +229,7 @@ def _suite_ood(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[EvalReport]
 
 
 def _suite_partial_noise(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[EvalReport]:
-    base = load_checkpoint(args.baseline)
+    base = load_checkpoint(args.baseline, optimizer=False)
     dist = ck.config.dataset.distribution()
     rng = np.random.default_rng(args.seed + 2)
     holdout, _ = draw_from(dist, args.n, rng)
@@ -276,7 +276,8 @@ def cmd_eval(args) -> int:
     ledger = out_dir / "results.csv"
     if args.suite != "statements" and not args.checkpoint:
         raise ValidationError(f"the {args.suite} suite needs --checkpoint")
-    ck = None if args.suite == "statements" else load_checkpoint(args.checkpoint)
+    ck = (None if args.suite == "statements"
+          else load_checkpoint(args.checkpoint, optimizer=False))
     fp = _suite_fingerprint(args, ck)
     if ledger_has(ledger, fp) and not args.force:
         print(f"fingerprint {fp} already in {ledger}; skipping (use --force to re-run)")
@@ -305,7 +306,8 @@ def _sweep_row(axis, value, ck: Checkpoint, sampler_cfg: SamplerConfig,
 
     return [axis, value, config.objective, config.schedule.kind,
             text(config.schedule.lam), sampler_cfg.method, text(sampler_cfg.eta),
-            text(sampler_cfg.mu), sampler_cfg.steps, text(sampler_cfg.g_min), seed,
+            text(sampler_cfg.mu), getattr(sampler_cfg, BUDGETS[sampler_cfg.method]),
+            text(sampler_cfg.g_min), seed,
             scores["mmd"],
             text(scores.get("covered-mode-fraction", float("nan"))),
             text(scores.get("in-mode-sample-fraction", float("nan")))]
@@ -354,7 +356,7 @@ def cmd_sweep(args) -> int:
         if not args.checkpoint:
             raise ValidationError(f"axis '{args.axis}' sweeps a checkpoint; "
                                   "pass --checkpoint")
-        ck = load_checkpoint(args.checkpoint)
+        ck = load_checkpoint(args.checkpoint, optimizer=False)
     # every value's config is built, and so checked, before any work
     configs = []
     for raw, value in values:
@@ -408,13 +410,13 @@ def cmd_plot(args) -> int:
     out = Path(args.out) if args.out else _default_out_dir() / f"{args.kind}.svg"
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "vector-field":
-        ck = load_checkpoint(_require(args.checkpoint, "--checkpoint"))
+        ck = load_checkpoint(_require(args.checkpoint, "--checkpoint"), optimizer=False)
         vector_field_svg(out, ModelField(ck.model, label=args.label),
                          bounds=bounds or (-4.5, 4.5, -4.5, 4.5), **grid)
     elif args.kind == "scatter":
         scatter_svg(out, read_points(_require(args.samples, "--samples")), bounds=bounds)
     elif args.kind == "contour":
-        ck = load_checkpoint(_require(args.checkpoint, "--checkpoint"))
+        ck = load_checkpoint(_require(args.checkpoint, "--checkpoint"), optimizer=False)
         contour_svg(out, ck.model, bounds=bounds or (-4.5, 4.5, -4.5, 4.5),
                     label=args.label, **grid)
     elif args.kind == "step-hist":
@@ -510,6 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # every command frees and allocates the same large buffers step after
+    # step; under glibc's dynamic thresholds their pages are faulted in anew
+    set_heap_policy()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

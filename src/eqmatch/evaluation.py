@@ -171,10 +171,12 @@ def convergence_bound_check(quad: QuadraticEnergy, eta: float,
 # two-sample quality metrics
 
 
-def _kernel_sum(sq_dists: np.ndarray) -> np.ndarray:
-    """The sum over DEFAULT_BANDWIDTHS of exp(-0.5 * sq_dists / bw^2), each
-    term made in one reused buffer."""
-    k = np.zeros_like(sq_dists)
+def _kernel_sum(sq_dists: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum over DEFAULT_BANDWIDTHS of exp(-0.5 * sq_dists / bw^2), added
+    in that order from 0.0 straight into `out` (of sq_dists' shape; else a
+    fresh array), each term made in one reused buffer."""
+    k = np.empty_like(sq_dists) if out is None else out
+    k.fill(0.0)
     term = np.empty_like(sq_dists)
     for bw in DEFAULT_BANDWIDTHS:
         np.multiply(sq_dists, -0.5, out=term)
@@ -189,7 +191,7 @@ def _kernel_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     one row block at a time so no full-size distance matrix is held."""
     k = np.empty((len(x), len(y)))
     for i in range(0, len(x), ROW_BLOCK):
-        k[i:i + ROW_BLOCK] = _kernel_sum(_sq_dists(x[i:i + ROW_BLOCK], y))
+        _kernel_sum(_sq_dists(x[i:i + ROW_BLOCK], y), out=k[i:i + ROW_BLOCK])
     return k
 
 
@@ -224,6 +226,7 @@ def _pair_sums(x: np.ndarray, s: np.ndarray | None = None):
             degree[a:b] += np.add.reduce(u, axis=1)
             degree[a:] += np.add.reduce(u, axis=0)
             sus += np.add.reduce(s[a:b] * np.einsum("ij,jp->ip", u, s[a:]), axis=0)
+        del u  # before the next block's rows are made
     return total, degree, sus
 
 

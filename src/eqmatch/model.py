@@ -161,6 +161,13 @@ class GradientFieldModel:
         scans what enters and leaves it with `nd.check_finite` (see
         `nd.run_pass`).
 
+        With `cache` None, each hidden layer writes its sigmoid and SiLU over
+        the previous hidden layer's activations, which are dead once its
+        product is made, and drops its pre-activation before the next
+        product: at most two [n, width] arrays are alive. It never writes
+        into `x` or the noise-conditioned input, and allocates where the
+        shapes differ.
+
         With a list as `cache`, each layer appends what `parameter_gradients`
         needs: [input, one-hot labels or None, pre-activation, its sigmoid or
         None (the output layer)]."""
@@ -180,14 +187,20 @@ class GradientFieldModel:
             if i == 0 and self.config.num_classes > 0:
                 hot = nd.constant(self._one_hot(label, n)).values
                 pre += hot @ p["label_embed"]
-            s = None if i == last else nd.sigmoid_values(pre)
-            if cache is not None:
-                cache.append([h, hot, pre, s])
             if i == last:
+                if cache is not None:
+                    cache.append([h, hot, pre, None])
                 nd.check_finite(pre, "add")
                 return pre
-            h = s if cache is None else np.empty_like(s)  # over s unless cached
-            np.multiply(pre, s, out=h)
+            if cache is None:  # past layer 0, h is this pass's own and now dead
+                h = nd.sigmoid_values(pre, out=h if i and h.shape == pre.shape else None)
+                np.multiply(pre, h, out=h)
+                del pre  # so only h and the next product are alive
+            else:
+                s = nd.sigmoid_values(pre)
+                cache.append([h, hot, pre, s])
+                h = np.empty_like(s)
+                np.multiply(pre, s, out=h)
 
     def parameter_gradients(self, cache: list, grad: np.ndarray,
                             first: tuple | None = None) -> dict[str, np.ndarray]:

@@ -86,9 +86,11 @@ def run_pass(run: Callable, tape: Callable):
     return tape()
 
 
-def sigmoid_values(v: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-v)) with its bits, computed in one fresh buffer."""
-    out = np.empty_like(v)  # an array even for 0-d v, so every out= below holds
+def sigmoid_values(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-v)) with its bits, computed in one fresh buffer, or in
+    `out` (of v's shape, not v itself), which it overwrites and returns."""
+    if out is None:
+        out = np.empty_like(v)  # an array even for 0-d v, so every out= below holds
     np.negative(v, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)

@@ -53,6 +53,7 @@ def test_medians_seeds_environment_fixture_and_revision(tmp_path):
     entry = summary["workloads"]["sample-eval"]
     assert entry["attempted"] == 3 and entry["failed"] == 0
     assert entry["end_to_end"] == {k: 2 * v for k, v in e2e.items()}
+    assert entry["end_to_end_quartiles"] == {k: [1.5 * v, 2.5 * v] for k, v in e2e.items()}
     assert entry["end_to_end_seeds"] == [1, 2] and entry["per_layer_seeds"] == [1]
     assert entry["per_layer"] == {"sampler.useful_ratio": 0.97, "error_rate": 0.0}
     assert entry["fixture_sha256"] == "ab12"
@@ -63,3 +64,18 @@ def test_mixed_fixtures_are_refused(tmp_path):
                         report(2, 0, {"wall_s": 1.0}, sha="cd34")])
     proc, out = run_tool(tmp_path)
     assert proc.returncode == 1 and "fixtures" in proc.stderr and not out.exists()
+
+
+def test_quartiles_interpolate_between_the_runs(tmp_path):
+    """Quartiles as numpy.percentile's default gives them: four runs of 1, 2,
+    3 and 4 s have 1.75 and 3.25; one run is its own quartiles."""
+    checkout(tmp_path, [report(seed, 0, {"wall_s": float(seed), "peak_rss_mb": 50.0})
+                        for seed in (3, 1, 4, 2)]
+             + [dict(report(9, 0, {"wall_s": 7.0}), workload="train-eqm")])
+    proc, out = run_tool(tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    workloads = json.loads(out.read_text())["workloads"]
+    assert workloads["sample-eval"]["end_to_end"] == {"wall_s": 2.5, "peak_rss_mb": 50.0}
+    assert workloads["sample-eval"]["end_to_end_quartiles"] == \
+        {"wall_s": [1.75, 3.25], "peak_rss_mb": [50.0, 50.0]}
+    assert workloads["train-eqm"]["end_to_end_quartiles"] == {"wall_s": [7.0, 7.0]}

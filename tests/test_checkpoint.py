@@ -488,10 +488,11 @@ class TestHeaderChecks:
             dropped = [name for name in names if name.startswith("opt.")]
         path = tmp_path / "partial.eqmckpt"
         drop_tensors(saved_checkpoint, path, dropped)
-        with pytest.raises(CheckpointError) as err:
-            load_checkpoint(path)
-        assert str(err.value) == (f"{path}: optimizer: step 1 lacks the moments "
-                                  f"{', '.join(sorted(dropped))}")
+        for optimizer in (True, False):  # an inference load checks them too
+            with pytest.raises(CheckpointError) as err:
+                load_checkpoint(path, optimizer=optimizer)
+            assert str(err.value) == (f"{path}: optimizer: step 1 lacks the moments "
+                                      f"{', '.join(sorted(dropped))}")
 
     def test_no_moments_before_the_first_step_load(self, tmp_path):
         """A checkpoint saved before the optimizer's first step has no moments."""
@@ -635,6 +636,19 @@ class TestStreamedIO:
             assert {k: v.tobytes() for k, v in mine.items()} == \
                 {k: v.tobytes() for k, v in theirs.items()}
 
+    def test_an_inference_load_skips_the_moments(self, tmp_path):
+        """With optimizer=False the moments (2.1 of the 3.2 MB) are checked by
+        the digest and the index but never read."""
+        path = tmp_path / "ck.eqmckpt"
+        _, model, opt, tensor_bytes = default_size_checkpoint(path)
+        param_bytes = sum(b.nbytes for b in model.params.values())
+        assert tensor_bytes - param_bytes > 2_000_000
+        ck, peak = traced_peak_bytes(lambda: load_checkpoint(path, optimizer=False))
+        assert peak <= param_bytes + 500_000
+        assert ck.optimizer is None and ck.step == 1
+        assert {k: v.tobytes() for k, v in ck.params.items()} == \
+            {k: v.tobytes() for k, v in model.params.items()}
+
     @pytest.mark.parametrize("where", ["header", "tensor", "digest"])
     def test_a_cut_file_fails_its_digest(self, saved_checkpoint, tmp_path, where):
         raw = saved_checkpoint.read_bytes()
@@ -693,6 +707,7 @@ class TestStreamedIO:
             flipped[i] ^= 0x01
             path.write_bytes(flipped)
             want = "not a checkpoint file" if i < 8 else "integrity digest mismatch"
-            with pytest.raises(CheckpointError) as err:
-                load_checkpoint(path)
-            assert str(err.value) == f"{path}: {want}", i
+            for optimizer in (True, False):  # moment bytes too, read or skipped
+                with pytest.raises(CheckpointError) as err:
+                    load_checkpoint(path, optimizer=optimizer)
+                assert str(err.value) == f"{path}: {want}", (i, optimizer)

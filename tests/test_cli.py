@@ -53,8 +53,22 @@ def workspace(tmp_path_factory):
     return root
 
 
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "bench" / "fixture" / "checkpoint.eqmckpt"
+
+
 def ckpt(workspace):
     return str(workspace / "run" / "checkpoint.eqmckpt")
+
+
+def adaptive_checkpoint(workspace, tmp_path, **sampler) -> Path:
+    """The workspace's run saved again with an adaptive sampler config."""
+    ck = load_checkpoint(ckpt(workspace))
+    config = replace(ck.config, sampler=SamplerConfig(method="adaptive", eta=0.02,
+                                                      g_min=0.05, **sampler))
+    path = tmp_path / "adaptive.eqmckpt"
+    save_checkpoint(path, config, ck.model, ck.optimizer, ck.step, ck.rng_state)
+    return path
 
 
 class TestExitCodes:
@@ -673,11 +687,7 @@ class TestSuitesAndSweeps:
         def no_work(*a, **kw):
             raise AssertionError("an unread budget must stop the sweep first")
 
-        ck = load_checkpoint(ckpt(workspace))
-        config = replace(ck.config, sampler=SamplerConfig(method="adaptive", eta=0.02,
-                                                          g_min=0.05))
-        path = tmp_path / "adaptive.eqmckpt"
-        save_checkpoint(path, config, ck.model, ck.optimizer, ck.step, ck.rng_state)
+        path = adaptive_checkpoint(workspace, tmp_path)
         monkeypatch.setattr("eqmatch.cli._sweep_row", no_work)
         assert main(["sweep", "--axis", "steps", "--values", "5,500", "--checkpoint",
                      str(path), "--out-dir", str(tmp_path / "out")]) == 1
@@ -685,6 +695,24 @@ class TestSuitesAndSweeps:
         assert err.startswith("error: --values: '5' for axis 'steps': --steps: the "
                               "adaptive method does not read it")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("axis, values, source, budget", [
+        ("eta", "0.01,0.02", "adaptive", "40"),
+        ("g-min", "0.05,0.1", "gd", "1000"),
+        ("eta", "0.01,0.02", "gd", "30"),
+    ], ids=["eta on adaptive", "g-min on gd", "eta on gd"])
+    def test_sweep_rows_report_the_budget_the_method_reads(self, workspace, tmp_path,
+                                                           axis, values, source, budget):
+        """The steps column holds max_steps where a row samples adaptively
+        (a g-min sweep always does) and steps where it runs plain GD."""
+        path = adaptive_checkpoint(workspace, tmp_path, max_steps=40) \
+            if source == "adaptive" else ckpt(workspace)
+        assert main(["sweep", "--axis", axis, "--values", values, "--checkpoint",
+                     str(path), "--n", "16", "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / f"sweep-{axis}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        method = "gd" if budget == "30" else "adaptive"
+        assert [(r["method"], r["steps"]) for r in rows] == [(method, budget)] * 2
 
     @pytest.mark.parametrize("run", ["cond", "cond-fm"])
     def test_compose_identical_labels_half_step(self, workspace, tmp_path, run):
@@ -749,6 +777,25 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 """,
 }
 
+# `eqmatch sample` at n = 1000 on the benchmark's fixture (the default model)
+# for a number of GD steps, then the minor page faults of the whole process
+SAMPLE_THEN_COUNT_FAULTS = """
+import resource, sys
+from eqmatch.cli import main
+assert main(["sample", "--checkpoint", sys.argv[1], "--n", "1000",
+             "--steps", sys.argv[2], "--out", sys.argv[3]]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+"""
+
+
+def minor_faults(script: str, *argv) -> int:
+    """The minor page faults a fresh interpreter running `script` prints."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
 
 class TestHeapPolicy:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
@@ -759,19 +806,25 @@ class TestHeapPolicy:
         time; with the heap policy they stay mapped. Under glibc's dynamic
         thresholds each step took about 112 minor faults, or about 1600 once
         a step frees its gradients."""
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-
         def faults(steps):
             cfg = tmp_path / f"steps-{steps}.json"
             cfg.write_text(json.dumps({"objective": "eqm-e",
                                        "model": {"energy_kind": "dot"},
                                        "train": {"steps": steps, "checkpoint_every": 0}}))
-            proc = subprocess.run([sys.executable, "-c", TRAIN_THEN_COUNT_FAULTS[entry],
-                                   str(cfg), str(tmp_path / str(steps))],
-                                  env=env, capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            return int(proc.stdout.split()[-1])
+            return minor_faults(TRAIN_THEN_COUNT_FAULTS[entry], cfg,
+                                tmp_path / str(steps))
+
+        assert (faults(110) - faults(10)) / 100 < 20
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is set through glibc's mallopt")
+    def test_sampling_steps_do_not_fault_their_memory_in_again(self, tmp_path):
+        """A GD step at n = 1000 frees and allocates [1000, 256] arrays;
+        `main` sets the heap policy for every command, so they stay mapped.
+        Without it each step took about 1470 minor faults."""
+        def faults(steps):
+            return minor_faults(SAMPLE_THEN_COUNT_FAULTS, FIXTURE, steps,
+                                tmp_path / f"steps-{steps}.csv")
 
         assert (faults(110) - faults(10)) / 100 < 20
 

@@ -265,6 +265,19 @@ class TestStreamedKernels:
         assert traced_peak_mb(lambda: mmd(x, y)) <= 4.0
         assert traced_peak_mb(lambda: mmd_permutation_null(x, y, n_permutations=100)) <= 10.0
 
+    def test_the_null_holds_three_row_blocks(self):
+        """Beyond its [2000, 100] permutation indicators (1.6 MB) the null at
+        1000 vs 1000 holds three [64, 2000] blocks (1 MB each) at once: a
+        block's kernel rows, its distances and one kernel term. It held five
+        while each block's rows outlived the making of the next block's and
+        the kernel sum filled a buffer of its own, which was then copied."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1000, 2))
+        y = rng.standard_normal((1000, 2)) + 0.1
+        block_mb, s_mb = 64 * 2000 * 8 / 1e6, 2000 * 100 * 8 / 1e6
+        peak = traced_peak_mb(lambda: mmd_permutation_null(x, y, n_permutations=100))
+        assert peak < s_mb + 3.5 * block_mb
+
 
 def audit(x, y):
     return nearest_neighbor_audit(x, y, k=1)

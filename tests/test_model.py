@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -359,6 +361,39 @@ class TestForwardValues:
         want = m.forward(nd.Graph(), x, **kw).values
         assert got.shape == want.shape == (n, 2)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("input_dim, hidden, classes", [
+        (16, (16, 16), 0), (16, (16, 16), 3), (2, (64, 32), 0), (2, (64, 32, 32), 3),
+    ], ids=["input as wide as the layers", "labelled, as wide", "hidden 64-32",
+            "labelled 64-32-32"])
+    def test_leaves_its_input_alone(self, input_dim, hidden, classes):
+        """The pass writes each hidden layer over the one before it, but never
+        over `x`, even where x has the first layer's shape, and allocates
+        where two layers' widths differ."""
+        cfg = ModelConfig(input_dim=input_dim, hidden=hidden, num_classes=classes)
+        m = random_model(cfg, 3)
+        x = np.random.default_rng(4).standard_normal((50, input_dim))
+        before = x.copy()
+        kw = conditioning(cfg, 50, 5, scalar=False)
+        got = m.forward_values(x, **kw)
+        assert x.tobytes() == before.tobytes()
+        assert got.tobytes() == m.forward(nd.Graph(), x, **kw).values.tobytes()
+
+    def test_holds_two_activation_arrays(self):
+        """At n = 1000 on the default widths the pass holds the previous
+        layer's activations and the next product, two [n, 256] arrays; it
+        held three while each layer's pre-activation outlived the next
+        product."""
+        m = random_model(ModelConfig(hidden=(256, 256, 256)), 0)
+        x = np.random.default_rng(1).standard_normal((1000, 2))
+        m.forward_values(x)  # first-call costs are not the pass's
+        tracemalloc.start()
+        try:
+            m.forward_values(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 1000 * 256 * 8
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "constant", "label",
                                       *HIDDEN_INF, "label add", "noise level",

@@ -8,7 +8,9 @@ end-to-end metric over the untraced runs and of each per-layer metric over
 the traced runs (metric names from DIR/BENCHMARK.json), with the seeds of
 each kind of run, the operation counts and, for sample-eval, the fixture's
 SHA-256; plus the environment the runs shared and `git rev-parse HEAD` of
-DIR. Only the standard library is used.
+DIR. Beside each end-to-end median it records that metric's first and third
+quartiles, so a comparison of medians against the spread of runs can be
+checked from the summary alone. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -21,6 +23,15 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """[first, third] quartile, interpolated between the sorted values as
+    numpy.percentile does by default; a single run is both."""
+    if len(values) < 2:
+        return [values[0], values[0]]
+    first, _, third = statistics.quantiles(values, n=4, method="inclusive")
+    return [first, third]
 
 
 def summarize(repo: Path) -> dict:
@@ -41,10 +52,13 @@ def summarize(repo: Path) -> dict:
         for kind, trace in (("end_to_end", 0), ("per_layer", 1)):
             picked = [r for r in runs if r["trace"] == trace]
             if picked:
-                entry[kind] = {m["name"]: statistics.median(r["metrics"][m["name"]]
-                                                            for r in picked)
-                               for m in declared[kind]
-                               if all(m["name"] in r["metrics"] for r in picked)}
+                values = {m["name"]: [r["metrics"][m["name"]] for r in picked]
+                          for m in declared[kind]
+                          if all(m["name"] in r["metrics"] for r in picked)}
+                entry[kind] = {k: statistics.median(v) for k, v in values.items()}
+                if kind == "end_to_end":
+                    entry["end_to_end_quartiles"] = {k: quartiles(v)
+                                                     for k, v in values.items()}
                 entry[f"{kind}_seeds"] = sorted(r["seed"] for r in picked)
         shas = {r["fixture"]["sha256"] for r in runs if "fixture" in r}
         if len(shas) > 1:
