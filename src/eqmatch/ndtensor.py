@@ -88,7 +88,7 @@ def run_pass(run: Callable, tape: Callable):
 
 def sigmoid_values(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-v)) with its bits, computed in one fresh buffer, or in
-    `out` (of v's shape, not v itself), which it overwrites and returns."""
+    `out`, an array of v's shape that it overwrites and returns."""
     if out is None:
         out = np.empty_like(v)  # an array even for 0-d v, so every out= below holds
     np.negative(v, out=out)

@@ -696,13 +696,14 @@ class TestSuitesAndSweeps:
                               "adaptive method does not read it")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("axis, values, source, budget", [
-        ("eta", "0.01,0.02", "adaptive", "40"),
-        ("g-min", "0.05,0.1", "gd", "1000"),
-        ("eta", "0.01,0.02", "gd", "30"),
+    @pytest.mark.parametrize("axis, values, source, method, budget", [
+        ("eta", "0.01,0.02", "adaptive", "adaptive", "40"),
+        ("g-min", "0.05,0.1", "gd", "adaptive", "1000"),
+        ("eta", "0.01,0.02", "gd", "gd", "30"),
     ], ids=["eta on adaptive", "g-min on gd", "eta on gd"])
     def test_sweep_rows_report_the_budget_the_method_reads(self, workspace, tmp_path,
-                                                           axis, values, source, budget):
+                                                           axis, values, source, method,
+                                                           budget):
         """The steps column holds max_steps where a row samples adaptively
         (a g-min sweep always does) and steps where it runs plain GD."""
         path = adaptive_checkpoint(workspace, tmp_path, max_steps=40) \
@@ -711,7 +712,6 @@ class TestSuitesAndSweeps:
                      str(path), "--n", "16", "--out-dir", str(tmp_path)]) == 0
         with open(tmp_path / f"sweep-{axis}.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        method = "gd" if budget == "30" else "adaptive"
         assert [(r["method"], r["steps"]) for r in rows] == [(method, budget)] * 2
 
     @pytest.mark.parametrize("run", ["cond", "cond-fm"])
