@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint
+from .checkpoint import READ_CHUNK, Checkpoint, load_checkpoint
 from .config import RunConfig, ValidationError, load_config, to_dict
 from .data import (draw_from, ood_sets, read_csv, read_points, sample_noise,
                    table_values, write_csv)
@@ -94,7 +94,12 @@ def _write_samples_csv(path, traj) -> None:
 
 
 def _file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+    """The first 16 hex digits of the file's SHA-256, read in blocks."""
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(READ_CHUNK):
+            sha.update(block)
+    return sha.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

@@ -213,19 +213,30 @@ class GradientFieldModel:
 
         `energy_parameter_gradients` passes as `first` what the adjoint of the
         first backward adds: (each weight's gradient, each hidden layer's
-        adjoints at its pre-activation and sigmoid with s (1 - s))."""
+        adjoints at its pre-activation and sigmoid with s (1 - s)).
+
+        It consumes `cache` and `first`, the last reader of both: it pops
+        each layer as it walks down, writes a hidden layer's SiLU adjoint
+        over its pre-activation and sigmoid, sums into `first`'s adjoints,
+        and adds each weight's product into `first`'s weight gradient, which
+        it returns (IEEE sums and products commute, so the bits hold)."""
         p, last = self.params, len(cache) - 1
         grads = {}
         g = grad
         for i in reversed(range(last + 1)):
-            h_in, hot, pre, s = cache[i]
+            h_in, hot, pre, s = cache.pop()
             if i < last and first is None:  # a hidden layer: back through its SiLU
-                g = _silu_backward(g, pre, s, s * (1.0 - s))
+                g = _silu_backward(g, pre, s)
             elif i < last:  # the same, summed with the first backward's adjoints
-                a_bar, s_bar, d = first[1][i]
-                a_bar = a_bar + g * s
-                s_bar = s_bar + g * pre
-                g = a_bar + s_bar * d
+                a_bar, s_bar, d = first[1].pop()
+                s *= g
+                a_bar += s
+                pre *= g
+                s_bar += pre
+                s_bar *= d
+                s_bar += a_bar
+                g = s_bar
+            del pre, s
             if hot is not None:
                 grads["label_embed"] = hot.T @ g
                 nd.check_finite(grads["label_embed"], "matmul")
@@ -234,9 +245,11 @@ class GradientFieldModel:
             g_in = None
             if i:  # layer 0's input gradient is unused
                 g_in = g @ p[f"layers.{i}.w"].T
-            w_grad = h_in.T @ g
-            if first is not None:
-                w_grad += first[0][i]
+            if first is None:
+                w_grad = h_in.T @ g
+            else:
+                w_grad = first[0].pop()
+                w_grad += h_in.T @ g
             nd.check_finite(w_grad, "matmul" if first is None else "add")
             grads[f"layers.{i}.w"] = w_grad
             g = g_in
@@ -251,23 +264,36 @@ class GradientFieldModel:
         `keep`, each layer from the output down appends what
         `energy_parameter_gradients` replays: [the gradient at its output,
         the gradient at its pre-activation, and for a hidden layer with
-        sigmoid s, 1 - s and s (1 - s), else None, None]."""
+        sigmoid s, 1 - s and s (1 - s), else None, None], and `cache` is left
+        as it was. With `keep` None (inference) it is the last reader of
+        `cache` and consumes it: it drops the layer inputs past `x`, pops
+        each layer, and writes a hidden layer's SiLU adjoint over its
+        pre-activation and sigmoid; it never writes into `x`."""
         if self.config.energy_kind == "none":
             raise ValueError("model has no explicit energy head (energy_kind='none')")
         dot = self.config.energy_kind == "dot"
         x, f = cache[0][0], cache[-1][2]
+        if keep is None:  # only the chain below reads the cache
+            for layer in cache[1:]:
+                layer[0] = None
         if dot:
             g = x  # the tape's ones * x
         else:
             g = f * -0.5  # the ones scaled by -0.5, then square's 2.0
             g *= 2.0
         for i in reversed(range(len(cache))):
-            pre, s = cache[i][2], cache[i][3]
-            out, c, d = g, None, None
-            if s is not None:  # a hidden layer: back through its SiLU
-                c = 1.0 - s
+            pre, s = (cache.pop() if keep is None else cache[i])[2:]
+            if s is None:  # the output layer
+                out, c, d = g, None, None
+            elif keep is None:
+                g = _silu_backward(g, pre, s)
+            else:  # back through the SiLU as `_silu_backward`, keeping pre and s
+                out, c = g, 1.0 - s
                 d = s * c
-                g = _silu_backward(g, pre, s, d)
+                through_sigmoid = g * pre
+                through_sigmoid *= d
+                g = g * s + through_sigmoid
+            del pre, s
             if keep is not None:
                 keep.append([out, g, c, d])
             g = g @ self.params[f"layers.{i}.w"].T
@@ -287,14 +313,15 @@ class GradientFieldModel:
         output down (`parameter_gradients`), with each sum taken in the tape's
         order (same bits). It leaves out the products it returns nothing from
         (the heads' adjoints of the tape's ones, layer 0's input gradient),
-        and scans like `parameter_gradients`."""
+        and scans like `parameter_gradients`. It consumes `keep`, popping
+        each layer as it walks up, and `cache`, through
+        `parameter_gradients`."""
         p, last = self.params, len(cache) - 1
         dot = self.config.energy_kind == "dot"
-        chain = keep[::-1]  # per layer, from the input up
         w_grads, pending = [], []
         g = grad  # the adjoint of layer 0's input gradient
         for i in range(last + 1):
-            u, g_pre, c, d = chain[i]
+            u, g_pre, c, d = keep.pop()  # built from the output down
             if i < last or not dot:  # dot's output adjoint reaches only x
                 v = g @ p[f"layers.{i}.w"]  # the adjoint of g_pre
             w_grads.append(g.T @ g_pre)
@@ -316,13 +343,17 @@ class GradientFieldModel:
         return self.parameter_gradients(cache, g, (w_grads, pending))
 
 
-def _silu_backward(g: np.ndarray, pre: np.ndarray, s: np.ndarray,
-                   d: np.ndarray) -> np.ndarray:
+def _silu_backward(g: np.ndarray, pre: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The tape's gradient g * s + (g * pre) * d at the input `pre` of a SiLU
-    with sigmoid `s`, d = s (1 - s), from `g` at its output."""
-    through_sigmoid = g * pre
-    through_sigmoid *= d
-    return g * s + through_sigmoid
+    with sigmoid `s`, d = s (1 - s), from `g` at its output, written over
+    `pre` and `s`, which it consumes; it returns `s`."""
+    d = 1.0 - s
+    d *= s
+    pre *= g
+    pre *= d
+    s *= g
+    s += pre
+    return s
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

@@ -26,6 +26,7 @@ what a fresh evaluation at its unmoved look-ahead point would give.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -191,7 +192,9 @@ def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory
     x_prev starting at x0, so the first step is a plain descent step.
 
     `gd` takes `steps` steps with every sample active and hands
-    time-dependent fields progress k/steps. `adaptive` takes at most
+    time-dependent fields progress k/steps, so it refuses one unless eta *
+    steps is 1: Euler steps of size eta then integrate progress 0 to 1, the
+    time the field was trained on. `adaptive` takes at most
     `max_steps` steps and freezes each sample once the gradient at its
     look-ahead point is no longer above g_min; one more gradient at the end
     point decides `cap_reached`. Frozen samples are masked out, so the batch
@@ -200,9 +203,14 @@ def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory
     """
     field, x = _prepare(field, x0)
     adaptive = config.method == "adaptive"
-    if adaptive and getattr(field, "time_dependent", False):
+    time_dependent = getattr(field, "time_dependent", False)
+    if adaptive and time_dependent:
         raise ValueError("adaptive sampling needs a time-invariant field; "
                          "noise-conditioned baselines have no stopping rule")
+    if time_dependent and not math.isclose(config.eta * config.steps, 1.0):
+        raise ValueError(f"a time-dependent field integrates progress 0 to 1, so "
+                         f"eta * steps must be 1; eta={config.eta} * "
+                         f"steps={config.steps} = {config.eta * config.steps}")
     n = len(x)
     budget = config.max_steps if adaptive else config.steps
     x_prev = x

@@ -3,11 +3,13 @@ sampler identities surfaced through flags."""
 
 import csv
 import ctypes
+import hashlib
 import json
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 from dataclasses import replace
@@ -17,7 +19,7 @@ import pytest
 
 from eqmatch import training
 from eqmatch.checkpoint import load_checkpoint, save_checkpoint
-from eqmatch.cli import main
+from eqmatch.cli import _file_digest, main
 from eqmatch.data import read_csv, read_points
 from eqmatch.sampler import SamplerConfig
 
@@ -269,6 +271,34 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main(["sweep", "--axis", "temperature", "--values", "1",
                   "--checkpoint", ckpt(workspace)])
+
+    @pytest.mark.parametrize("command, product", [
+        (["sample", "--n", "4", "--out"], "eta=0.02 * steps=30 = 0.6"),
+        (["eval", "--suite", "quality", "--n", "64", "--out-dir"],
+         "eta=0.02 * steps=30 = 0.6"),
+        (["sweep", "--axis", "eta", "--values", "0.01,0.02", "--n", "16", "--out-dir"],
+         "eta=0.01 * steps=30 = 0.3")], ids=["sample", "eval", "sweep"])
+    def test_a_noise_conditioned_checkpoint_needs_unit_time(self, workspace, tmp_path,
+                                                            capsys, command, product):
+        """The workspace's sampler (eta 0.02, 30 steps) would integrate a
+        noise-conditioned model over 0.6 of its time; eta 0.1 x 10 steps
+        covers it."""
+        cfg = json.loads((workspace / "cfg.json").read_text())
+        cfg["model"]["noise_conditioned"] = True
+        cfg["train"]["steps"] = 2
+        (tmp_path / "noise.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "noise.json"),
+                     "--out", str(tmp_path / "noise")]) == 0
+        path = str(tmp_path / "noise" / "checkpoint.eqmckpt")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*command, str(out), "--checkpoint", path]) == 1
+        err = capsys.readouterr().err
+        assert "eta * steps must be 1" in err and product in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())  # nothing written
+        assert main(["sample", "--checkpoint", path, "--n", "4", "--eta", "0.1",
+                     "--steps", "10", "--out", str(tmp_path / "s.csv")]) == 0
 
 
 class TestDeterminism:
@@ -528,6 +558,19 @@ class TestResume:
 
 
 class TestSuitesAndSweeps:
+    def test_eval_fingerprints_the_checkpoint_in_blocks(self):
+        """The ledger's checkpoint digest is the file's SHA-256, taken without
+        a copy of the 3.2 MB file."""
+        _file_digest(FIXTURE)  # first-call costs are not the digest's
+        tracemalloc.start()
+        try:
+            got = _file_digest(FIXTURE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == hashlib.sha256(FIXTURE.read_bytes()).hexdigest()[:16]
+        assert peak < 0.5 * 2**20
+
     def test_quality_suite_idempotent_without_force(self, workspace, tmp_path, capsys):
         args = ["eval", "--suite", "quality", "--checkpoint", ckpt(workspace),
                 "--n", "128", "--out-dir", str(tmp_path)]
@@ -764,7 +807,7 @@ class TestSuitesAndSweeps:
 TRAIN_THEN_COUNT_FAULTS = {
     "eqmatch train": """
 import resource, sys
-from eqmatch.cli import main
+from eqmatch.cli import _file_digest, main
 assert main(["train", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 """,
@@ -781,7 +824,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 # for a number of GD steps, then the minor page faults of the whole process
 SAMPLE_THEN_COUNT_FAULTS = """
 import resource, sys
-from eqmatch.cli import main
+from eqmatch.cli import _file_digest, main
 assert main(["sample", "--checkpoint", sys.argv[1], "--n", "1000",
              "--steps", sys.argv[2], "--out", sys.argv[3]]) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)

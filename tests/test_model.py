@@ -242,9 +242,30 @@ class TestEnergy:
         rng = np.random.default_rng(n + 1)
         x = 2.0 * rng.standard_normal((n, 2))
         label = rng.integers(0, classes, n) if classes else None
+        before = x.tobytes()
         got, want = energy_gradient(m, x, label), self.tape_gradient(m, x, label)
         assert got.shape == want.shape == (n, 2)
         assert got.tobytes() == want.tobytes()
+        # the chain writes over the pass's own layers, never over x
+        assert x.tobytes() == before
+        assert energy_gradient(m, x, label).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("head", ["dot", "l2norm"])
+    def test_gradient_holds_no_more_than_its_forward_cache(self, head):
+        """At n = 1000 on the default widths the forward pass caches nine
+        [n, 256] arrays; the chain down drops the layer inputs, pops each
+        layer and writes its SiLU adjoint over the layer's own arrays, so it
+        never holds more (it held 14 while every layer lived to the end)."""
+        m = random_model(ModelConfig(energy_kind=head), 0)
+        x = np.random.default_rng(1).standard_normal((1000, 2))
+        energy_gradient(m, x)  # first-call costs are not the pass's
+        tracemalloc.start()
+        try:
+            energy_gradient(m, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.5 * 1000 * 256 * 8
 
     @settings(max_examples=100, deadline=None)
     @given(head=st.sampled_from(["dot", "l2norm"]),

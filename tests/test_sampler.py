@@ -172,6 +172,18 @@ class TestEulerODE:
         traj = sample(linear_field, x0, cfg(eta=0.0, steps=7))
         np.testing.assert_array_equal(traj.final, x0)
 
+    @pytest.mark.parametrize("eta, steps, product", [(0.01, 250, "2.5"),
+                                                     (0.02, 30, "0.6"), (0.5, 1, "0.5")])
+    def test_a_time_dependent_field_needs_unit_time(self, rng, eta, steps, product):
+        """Progress runs k/steps while x moves by eta, so a noise-conditioned
+        model, trained on time 0 to 1, would integrate eta * steps units."""
+        m = init_model(ModelConfig(input_dim=2, hidden=(8,), noise_conditioned=True))
+        x0 = rng.standard_normal((2, 2))
+        with pytest.raises(ValueError,
+                           match=rf"eta={eta} \* steps={steps} = {product}"):
+            sample(m, x0, cfg(eta=eta, steps=steps))
+        assert np.all(np.isfinite(sample(m, x0, cfg(eta=1.0 / 3, steps=3)).final))
+
 
 class TestAdaptive:
     def test_already_converged_takes_zero_steps(self):
