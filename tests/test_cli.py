@@ -807,7 +807,7 @@ class TestSuitesAndSweeps:
 TRAIN_THEN_COUNT_FAULTS = {
     "eqmatch train": """
 import resource, sys
-from eqmatch.cli import _file_digest, main
+from eqmatch.cli import main
 assert main(["train", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 """,
@@ -824,7 +824,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 # for a number of GD steps, then the minor page faults of the whole process
 SAMPLE_THEN_COUNT_FAULTS = """
 import resource, sys
-from eqmatch.cli import _file_digest, main
+from eqmatch.cli import main
 assert main(["sample", "--checkpoint", sys.argv[1], "--n", "1000",
              "--steps", sys.argv[2], "--out", sys.argv[3]]) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
