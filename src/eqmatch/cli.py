@@ -33,8 +33,8 @@ from .model import energy
 from .ndtensor import NonFiniteError
 from .plotting import (PLOT_KINDS, contour_svg, curves_svg, histogram_svg,
                        scatter_svg, vector_field_svg)
-from .sampler import (METHODS, ComposedField, ModelField, SamplerConfig, sample,
-                      save_trajectory_csv)
+from .sampler import (METHODS, ComposedField, ModelField, SamplerConfig,
+                      check_time_grid, sample, save_trajectory_csv)
 from .schedule import KINDS as SCHEDULE_KINDS
 from .training import set_heap_policy, train
 
@@ -235,6 +235,12 @@ def _suite_ood(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[EvalReport]
 
 def _suite_partial_noise(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[EvalReport]:
     base = load_checkpoint(args.baseline, optimizer=False)
+    if base.config.model.noise_conditioned:  # checked before anything is sampled
+        try:
+            check_time_grid(ck.config.sampler)
+        except ValueError as e:
+            raise ValidationError(f"--baseline is noise-conditioned, and the suite "
+                                  f"samples it with the checkpoint's sampler: {e}") from None
     dist = ck.config.dataset.distribution()
     rng = np.random.default_rng(args.seed + 2)
     holdout, _ = draw_from(dist, args.n, rng)

@@ -36,6 +36,9 @@ DEFAULT_BANDWIDTHS = (0.1, 0.5, 1.0, 2.0, 5.0)
 # cache, where whole-matrix temporaries ran 4-6x slower than scipy's cdist,
 # and the MMD sums one such block of the kernel matrix at a time
 ROW_BLOCK = 64
+# rows per piece that `_kernel_matrix` fills a block in, so its distances
+# and kernel terms are [16, n]; the entries, and so every sum, keep their bits
+KERNEL_ROWS = 16
 
 
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -188,10 +191,10 @@ def _kernel_sum(sq_dists: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 
 def _kernel_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """`_kernel_sum(cdist(x, y, "sqeuclidean"))` with the same bits, filled
-    one row block at a time so no full-size distance matrix is held."""
+    KERNEL_ROWS rows at a time so no distance matrix of its size is held."""
     k = np.empty((len(x), len(y)))
-    for i in range(0, len(x), ROW_BLOCK):
-        _kernel_sum(_sq_dists(x[i:i + ROW_BLOCK], y), out=k[i:i + ROW_BLOCK])
+    for i in range(0, len(x), KERNEL_ROWS):
+        _kernel_sum(_sq_dists(x[i:i + KERNEL_ROWS], y), out=k[i:i + KERNEL_ROWS])
     return k
 
 

@@ -28,6 +28,13 @@ ENERGY_KINDS = ("none", "dot", "l2norm")
 
 NOISE_FEATURES = 16
 
+# rows per block of an inference pass; the last block takes the remainder, so
+# a block has 128-255 rows (a batch below 256 is one block). Memory then stays
+# flat in n, and every product keeps to the shapes where OpenBLAS's kernel
+# for a row does not depend on the batch size (README). A multiple of
+# `sampler.BLAS_ROW_BLOCK`, so a block boundary never splits a kernel block.
+INFERENCE_ROWS = 128
+
 
 class ConditioningError(ValueError):
     """Label / noise-level arguments inconsistent with the model config."""
@@ -67,13 +74,19 @@ def _layer_dims(config: ModelConfig) -> list[tuple[int, int]]:
     return list(zip(dims[:-1], dims[1:]))
 
 
+def _per_row(value, n: int, dtype, name: str) -> np.ndarray:
+    """A label or noise level, one for the batch or one a row, as [n] values."""
+    value = np.asarray(value).astype(dtype)
+    if value.ndim == 0:
+        value = np.full(n, value)
+    if value.shape != (n,):
+        raise ConditioningError(f"{name} shape {value.shape} does not match batch {n}")
+    return value
+
+
 def noise_features(level, n: int) -> np.ndarray:
     """Fixed sinusoidal embedding of a noise level in [0, 1], shape [n, 16]."""
-    level = np.asarray(level, dtype=np.float64)
-    if level.ndim == 0:
-        level = np.full(n, float(level))
-    if level.shape != (n,):
-        raise ConditioningError(f"noise level shape {level.shape} does not match batch {n}")
+    level = _per_row(level, n, np.float64, "noise level")
     freqs = np.pi * (2.0 ** np.arange(NOISE_FEATURES // 2))
     angles = level[:, None] * freqs[None, :]
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
@@ -107,12 +120,7 @@ class GradientFieldModel:
             raise ConditioningError("noise-conditioned model requires a noise level")
 
     def _one_hot(self, label, n: int) -> np.ndarray:
-        ids = np.asarray(label)
-        if ids.ndim == 0:
-            ids = np.full(n, int(ids))
-        ids = ids.astype(np.int64)
-        if ids.shape != (n,):
-            raise ConditioningError(f"label shape {ids.shape} does not match batch {n}")
+        ids = _per_row(label, n, np.int64, "label")
         if np.any(ids < 0) or np.any(ids >= self.config.num_classes):
             raise ConditioningError(f"label out of range [0, {self.config.num_classes})")
         hot = np.zeros((n, self.config.num_classes))
@@ -151,15 +159,60 @@ class GradientFieldModel:
         return h
 
     def forward_values(self, x, label=None, noise_level=None) -> np.ndarray:
-        """`forward(nd.Graph(), x, ...).values` off the tape, as an inference
-        pass through `nd.run_pass`: the same bits, and the tape's errors."""
-        return nd.run_pass(lambda: self._forward_values(x, label, noise_level),
-                           lambda: self.forward(nd.Graph(), x, label, noise_level).values)
+        """`forward(nd.Graph(), ...).values` off the tape on each row block of
+        `x`, as one inference pass (`_row_pass`): the tape's bits on the same
+        blocks, and its errors."""
+        return self._row_pass(
+            x, label, noise_level,
+            lambda p, xb, lb, nl: self._forward_values(xb, lb, nl, params=p),
+            lambda xb, lb, nl: self.forward(nd.Graph(), xb, lb, nl).values)
 
-    def _forward_values(self, x, label, noise_level, cache=None) -> np.ndarray:
-        """`forward_values`, each layer written in place, for a pass that
-        scans what enters and leaves it with `nd.check_finite` (see
-        `nd.run_pass`).
+    def _row_pass(self, x, label, noise_level, run_block, tape_block) -> np.ndarray:
+        """An inference pass over `x` [n, d] in blocks of INFERENCE_ROWS rows
+        (the last takes the remainder), as one `nd.run_pass`: its pass calls
+        `run_block(params, xb, label, level)` on each block with the
+        parameters scanned once (`_leaves`), its tape `tape_block(xb, label,
+        level)`, and each writes the blocks' [rows, d] results into one
+        [n, d] output. The conditioning is checked once, on the whole batch,
+        so its errors name the batch; each block gets its rows' labels and
+        noise levels, a scalar one given to every row."""
+        self._check_conditioning(label, noise_level)
+        x = nd.as_values(x)
+        n = self._batch_size(x.shape)
+        if label is not None:
+            label = _per_row(label, n, np.int64, "label")
+        if noise_level is not None:
+            noise_level = _per_row(noise_level, n, np.float64, "noise level")
+        ends = [*range(INFERENCE_ROWS, n - INFERENCE_ROWS + 1, INFERENCE_ROWS), n]
+        blocks = [(slice(a, b), None if label is None else label[a:b],
+                   None if noise_level is None else noise_level[a:b])
+                  for a, b in zip([0, *ends[:-1]], ends)]
+
+        def each(block):
+            out = np.empty_like(x)
+            for rows, lb, nl in blocks:
+                out[rows] = block(x[rows], lb, nl)
+            return out
+
+        def run():
+            p = self._leaves()
+            return each(lambda *args: run_block(p, *args))
+
+        return nd.run_pass(run, lambda: each(tape_block))
+
+    def _leaves(self) -> dict[str, np.ndarray]:
+        """The parameters as values, each scanned where `forward` leases its
+        leaf."""
+        p = {name: nd.as_values(buf) for name, buf in self.params.items()}
+        for buf in p.values():
+            nd.check_finite(buf, "leaf")
+        return p
+
+    def _forward_values(self, x, label, noise_level, cache=None,
+                        params=None) -> np.ndarray:
+        """`forward(nd.Graph(), ...).values`, each layer written in place, for
+        a pass that scans what enters and leaves it with `nd.check_finite`
+        (see `nd.run_pass`); `params` is `_leaves()`, made here if None.
 
         With `cache` None, each hidden layer writes its sigmoid and SiLU over
         the previous hidden layer's activations, which are dead once its
@@ -176,9 +229,7 @@ class GradientFieldModel:
         n = self._batch_size(h.shape)
         if self.config.noise_conditioned:
             h = nd.constant(np.concatenate([h, noise_features(noise_level, n)], 1)).values
-        p = {name: nd.as_values(buf) for name, buf in self.params.items()}
-        for buf in p.values():  # where forward leases its leaves
-            nd.check_finite(buf, "leaf")
+        p = self._leaves() if params is None else params
         last = len(self.config.hidden)
         for i in range(last + 1):
             pre = h @ p[f"layers.{i}.w"]
@@ -408,19 +459,18 @@ def energy(model: GradientFieldModel, x, label=None) -> np.ndarray:
 
 def energy_gradient(model: GradientFieldModel, x, label=None) -> np.ndarray:
     """Input-gradient of the energy, [n, d] (rows are independent points):
-    `nd.input_gradient(_total_energy(...), x)` off the tape, from
-    `_forward_values` and `energy_input_gradient`, as one `nd.run_pass` (the
-    tape's bits where it returns, and its errors)."""
-    x = nd.as_values(x)
-
-    def run():
+    `nd.input_gradient(_total_energy(...), x)` off the tape on each row block
+    of `x`, from `_forward_values` and `energy_input_gradient`, as one
+    inference pass (`GradientFieldModel._row_pass`): the tape's bits on the
+    same blocks where it returns, and its errors."""
+    def run(p, xb, lb, _):
         cache = []
-        model._forward_values(x, label, None, cache)
+        model._forward_values(xb, lb, None, cache, p)
         return model.energy_input_gradient(cache)
 
-    def tape():
+    def tape(xb, lb, _):
         graph = nd.Graph()
-        xt = graph.leaf(x)
-        return nd.input_gradient(_total_energy(model, graph, xt, label=label), xt).values
+        xt = graph.leaf(xb)
+        return nd.input_gradient(_total_energy(model, graph, xt, label=lb), xt).values
 
-    return nd.run_pass(run, tape)
+    return model._row_pass(x, label, None, run, tape)

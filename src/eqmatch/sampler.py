@@ -45,7 +45,10 @@ METHODS = ("gd", "adaptive")
 # a length congruent to n mod 8 (see _subset_rows). Kernel choice also
 # depends on size: one row takes the matrix-vector path, and cores with
 # small-matrix kernels (SkylakeX) use them for products of at most 1e6
-# multiply-adds, so some shapes round a subset differently (README).
+# multiply-adds. A model pass runs in row blocks of `model.INFERENCE_ROWS`, a
+# multiple of 8, which keeps the default widths' size-dependent products on
+# one kernel at any n; a narrow model's hidden product can still change
+# kernel inside a block and round a subset differently (README).
 BLAS_ROW_BLOCK = 8
 
 
@@ -187,6 +190,18 @@ def _subset_rows(active: np.ndarray) -> np.ndarray | None:
     return None if len(idx) == n else idx
 
 
+def check_time_grid(config: SamplerConfig) -> None:
+    """Raise ValueError unless `config` can sample a time-dependent field:
+    `gd` with eta * steps 1 (see `sample`)."""
+    if config.method == "adaptive":
+        raise ValueError("adaptive sampling needs a time-invariant field; "
+                         "noise-conditioned baselines have no stopping rule")
+    if not math.isclose(config.eta * config.steps, 1.0):
+        raise ValueError(f"a time-dependent field integrates progress 0 to 1, so "
+                         f"eta * steps must be 1; eta={config.eta} * "
+                         f"steps={config.steps} = {config.eta * config.steps}")
+
+
 def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory:
     """Look-ahead descent x <- x - eta * grad(x + mu * (x - x_prev)), with
     x_prev starting at x0, so the first step is a plain descent step.
@@ -203,14 +218,8 @@ def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory
     """
     field, x = _prepare(field, x0)
     adaptive = config.method == "adaptive"
-    time_dependent = getattr(field, "time_dependent", False)
-    if adaptive and time_dependent:
-        raise ValueError("adaptive sampling needs a time-invariant field; "
-                         "noise-conditioned baselines have no stopping rule")
-    if time_dependent and not math.isclose(config.eta * config.steps, 1.0):
-        raise ValueError(f"a time-dependent field integrates progress 0 to 1, so "
-                         f"eta * steps must be 1; eta={config.eta} * "
-                         f"steps={config.steps} = {config.eta * config.steps}")
+    if getattr(field, "time_dependent", False):
+        check_time_grid(config)
     n = len(x)
     budget = config.max_steps if adaptive else config.steps
     x_prev = x

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from eqmatch import training
+from eqmatch import cli, evaluation, training
 from eqmatch.checkpoint import load_checkpoint, save_checkpoint
 from eqmatch.cli import _file_digest, main
 from eqmatch.data import read_csv, read_points
@@ -61,6 +61,17 @@ FIXTURE = ROOT / "bench" / "fixture" / "checkpoint.eqmckpt"
 
 def ckpt(workspace):
     return str(workspace / "run" / "checkpoint.eqmckpt")
+
+
+def noise_conditioned_checkpoint(workspace, tmp_path) -> str:
+    """A 2-step noise-conditioned run of the workspace's config."""
+    cfg = json.loads((workspace / "cfg.json").read_text())
+    cfg["model"]["noise_conditioned"] = True
+    cfg["train"]["steps"] = 2
+    (tmp_path / "noise.json").write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(tmp_path / "noise.json"),
+                 "--out", str(tmp_path / "noise")]) == 0
+    return str(tmp_path / "noise" / "checkpoint.eqmckpt")
 
 
 def adaptive_checkpoint(workspace, tmp_path, **sampler) -> Path:
@@ -283,13 +294,7 @@ class TestExitCodes:
         """The workspace's sampler (eta 0.02, 30 steps) would integrate a
         noise-conditioned model over 0.6 of its time; eta 0.1 x 10 steps
         covers it."""
-        cfg = json.loads((workspace / "cfg.json").read_text())
-        cfg["model"]["noise_conditioned"] = True
-        cfg["train"]["steps"] = 2
-        (tmp_path / "noise.json").write_text(json.dumps(cfg))
-        assert main(["train", "--config", str(tmp_path / "noise.json"),
-                     "--out", str(tmp_path / "noise")]) == 0
-        path = str(tmp_path / "noise" / "checkpoint.eqmckpt")
+        path = noise_conditioned_checkpoint(workspace, tmp_path)
         out = tmp_path / "out"
         capsys.readouterr()
         assert main([*command, str(out), "--checkpoint", path]) == 1
@@ -299,6 +304,26 @@ class TestExitCodes:
         assert not out.exists() or not any(out.iterdir())  # nothing written
         assert main(["sample", "--checkpoint", path, "--n", "4", "--eta", "0.1",
                      "--steps", "10", "--out", str(tmp_path / "s.csv")]) == 0
+
+    def test_a_noise_conditioned_baseline_is_checked_before_sampling(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        """The partial-noise suite samples its --baseline with the checkpoint's
+        sampler (eta 0.02 x 30 steps here). A noise-conditioned baseline then
+        fails before anything is sampled, with a message naming it."""
+        path = noise_conditioned_checkpoint(workspace, tmp_path)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the suite sampled before checking --baseline")
+
+        monkeypatch.setattr(cli, "sample", no_sampling)
+        monkeypatch.setattr(evaluation, "sample", no_sampling)
+        capsys.readouterr()
+        assert main(["eval", "--suite", "partial-noise", "--checkpoint", ckpt(workspace),
+                     "--baseline", path, "--n", "16",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "--baseline is noise-conditioned" in err
+        assert "eta=0.02 * steps=30 = 0.6" in err and "Traceback" not in err
 
 
 class TestDeterminism:

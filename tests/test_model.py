@@ -1,13 +1,14 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqmatch import ndtensor as nd
-from eqmatch.model import (ConditioningError, GradientFieldModel, ModelConfig,
-                           _total_energy, energy, energy_gradient, init_model,
-                           noise_features)
+from eqmatch.model import (INFERENCE_ROWS, ConditioningError, GradientFieldModel,
+                           ModelConfig, _total_energy, energy, energy_gradient,
+                           init_model, noise_features)
 from conftest import (assert_raises_as_the_tape, central_difference, outcome, rel_err,
                       scale_by_powers_of_two)
 
@@ -55,6 +56,25 @@ def hide_an_inf(params: dict, sign: float = 1.0) -> None:
     params["layers.1.w"][:, 0] = sign * 1e308
     params["layers.2.w"][0] = 0.0
 
+
+def row_blocks(n: int) -> list[slice]:
+    """The row blocks of an inference pass over n rows: INFERENCE_ROWS each,
+    the last with the remainder, so one block below 2 * INFERENCE_ROWS."""
+    count = max(n // INFERENCE_ROWS, 1)
+    bounds = [i * INFERENCE_ROWS for i in range(count)] + [n]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def per_block(call, x, *per_row) -> np.ndarray:
+    """`call(x[rows], ...)` on each row block, with the per-row arguments
+    (arrays or None) sliced alike, stacked: a blocked pass's oracle."""
+    return np.concatenate([call(x[rows], *(None if v is None else v[rows] for v in per_row))
+                           for rows in row_blocks(len(x))])
+
+
+#: rows either side of the row blocks' edges: one block (255), two whole
+#: blocks, two blocks with the last longer, and many blocks
+BLOCK_ROWS = [255, 256, 257, 383, 1000, 1001]
 
 #: powers of two for the scaled-parameter tests: a parameter's 2^k, k in
 #: [0, 1000], often 0 so that some steps stay finite, and the inputs' 2^j
@@ -234,28 +254,36 @@ class TestEnergy:
         xt = graph.leaf(np.asarray(x, dtype=np.float64))
         return nd.input_gradient(_total_energy(m, graph, xt, label=label), xt).values
 
-    @pytest.mark.parametrize("n", [1, 37, 1000])
+    @pytest.mark.parametrize("n", [1, 37, *BLOCK_ROWS])
     @pytest.mark.parametrize("classes", [0, 3])
     @pytest.mark.parametrize("head", ["dot", "l2norm"])
     def test_gradient_bits_equal_the_tape(self, head, classes, n):
+        """The tape on the same row blocks is the oracle. Up to 600 rows the
+        whole batch's tape gives the same bits on this machine's OpenBLAS;
+        above it, its transposed layer-0 product leaves the small-matrix
+        kernel, which no block leaves."""
         m = random_model(ModelConfig(num_classes=classes, energy_kind=head), n)
         rng = np.random.default_rng(n + 1)
         x = 2.0 * rng.standard_normal((n, 2))
         label = rng.integers(0, classes, n) if classes else None
         before = x.tobytes()
-        got, want = energy_gradient(m, x, label), self.tape_gradient(m, x, label)
+        got = energy_gradient(m, x, label)
+        want = per_block(lambda xb, lb: self.tape_gradient(m, xb, lb), x, label)
         assert got.shape == want.shape == (n, 2)
         assert got.tobytes() == want.tobytes()
+        if n <= 600:
+            assert got.tobytes() == self.tape_gradient(m, x, label).tobytes()
         # the chain writes over the pass's own layers, never over x
         assert x.tobytes() == before
         assert energy_gradient(m, x, label).tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("head", ["dot", "l2norm"])
     def test_gradient_holds_no_more_than_its_forward_cache(self, head):
-        """At n = 1000 on the default widths the forward pass caches nine
-        [n, 256] arrays; the chain down drops the layer inputs, pops each
-        layer and writes its SiLU adjoint over the layer's own arrays, so it
-        never holds more (it held 14 while every layer lived to the end)."""
+        """At n = 1000 on the default widths each row block's forward pass
+        caches nine [rows, 256] arrays, and the chain down never holds more:
+        the last block's 232 rows make 2.09 [1000, 256] arrays. The whole
+        batch's chain held nine, and 14 while every layer lived to the
+        end."""
         m = random_model(ModelConfig(energy_kind=head), 0)
         x = np.random.default_rng(1).standard_normal((1000, 2))
         energy_gradient(m, x)  # first-call costs are not the pass's
@@ -265,7 +293,7 @@ class TestEnergy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9.5 * 1000 * 256 * 8
+        assert peak < 2.5 * 1000 * 256 * 8
 
     @settings(max_examples=100, deadline=None)
     @given(head=st.sampled_from(["dot", "l2norm"]),
@@ -353,7 +381,7 @@ class TestEnergy:
 
 # 1 row takes BLAS's matrix-vector path; 8k and 8k+1 rows sit on either side
 # of its row blocking
-ROWS = st.one_of(st.integers(1, 40), st.sampled_from([8, 9, 64, 65, 1000, 1001]))
+ROWS = st.one_of(st.integers(1, 40), st.sampled_from([8, 9, 64, 65, *BLOCK_ROWS]))
 
 
 def conditioning(cfg: ModelConfig, n: int, seed: int, scalar: bool) -> dict:
@@ -400,11 +428,67 @@ class TestForwardValues:
         assert x.tobytes() == before.tobytes()
         assert got.tobytes() == m.forward(nd.Graph(), x, **kw).values.tobytes()
 
+    @pytest.mark.parametrize("n", [*BLOCK_ROWS, 2000])
+    def test_row_blocks_give_the_tapes_bits(self, n):
+        """The tape on the same row blocks, with per-row labels and noise
+        levels, is the oracle. Up to 1953 rows the whole batch's tape gives
+        the same bits on this machine's OpenBLAS; from 1954 on its output
+        product leaves the small-matrix kernel, which no block leaves."""
+        cfg = ModelConfig(num_classes=3, noise_conditioned=True)
+        m = random_model(cfg, n)
+        x = 3.0 * np.random.default_rng(n).standard_normal((n, 2))
+        before = x.tobytes()
+        kw = conditioning(cfg, n, n + 1, scalar=False)
+        got = m.forward_values(x, **kw)
+        want = per_block(lambda xb, lb, nl: m.forward(nd.Graph(), xb, lb, nl).values,
+                         x, kw["label"], kw["noise_level"])
+        assert got.tobytes() == want.tobytes()
+        if n <= 1953:
+            assert got.tobytes() == m.forward(nd.Graph(), x, **kw).values.tobytes()
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("head", ["none", "dot"])
+    def test_a_later_blocks_error_is_its_tapes(self, head):
+        """Block 0 is finite and block 1's layer-0 product overflows: the
+        pass raises block 1's tape error, with its warnings."""
+        m = random_model(ModelConfig(hidden=(8, 8), energy_kind=head), 0)
+        m.params["layers.0.w"][:] = 1e300
+        x = np.zeros((300, 2))
+        x[200] = 1e10
+        if head == "none":
+            call, tape = m.forward_values, lambda xb: m.forward(nd.Graph(), xb)
+        else:
+            call, tape = (lambda xb: energy_gradient(m, xb),
+                          lambda xb: TestEnergy.tape_gradient(m, xb))
+        assert row_blocks(300)[1] == slice(128, 300)
+        tape(x[:128])  # block 0 is finite
+        assert_raises_as_the_tape(lambda: call(x), lambda: tape(x[128:]))
+        with np.errstate(over="ignore"), pytest.raises(nd.NonFiniteError,
+                                                       match="op 'matmul'"):
+            call(x)
+
+    @pytest.mark.parametrize("head, name", [("none", "label"), ("none", "noise level"),
+                                            ("dot", "label")])
+    def test_a_bad_per_row_shape_names_the_batch(self, head, name):
+        """The conditioning is checked on the whole batch, not on a block."""
+        cfg = ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head,
+                          noise_conditioned=head == "none")
+        m = random_model(cfg, 0)
+        x = np.zeros((300, 2))
+        kw = conditioning(cfg, 300, 1, scalar=False)
+        key = "label" if name == "label" else "noise_level"
+        kw[key] = kw[key][:299]
+        call = m.forward_values if head == "none" else partial(energy_gradient, m)
+        with pytest.raises(ConditioningError) as error:
+            call(x, **kw)
+        assert str(error.value) == f"{name} shape (299,) does not match batch 300"
+
     def test_holds_two_activation_arrays(self):
         """At n = 1000 on the default widths the pass holds the previous
-        layer's activations and the next product, two [n, 256] arrays; it
-        held three while each layer's pre-activation outlived the next
-        product."""
+        layer's activations and the next product of one row block, two
+        [rows, 256] arrays: the last block's 232 rows make 0.46 of a
+        [1000, 256] array. The whole batch held two, and three while each
+        layer's pre-activation outlived the next product."""
         m = random_model(ModelConfig(hidden=(256, 256, 256)), 0)
         x = np.random.default_rng(1).standard_normal((1000, 2))
         m.forward_values(x)  # first-call costs are not the pass's
@@ -414,7 +498,7 @@ class TestForwardValues:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 1000 * 256 * 8
+        assert peak < 0.6 * 1000 * 256 * 8
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "constant", "label",
                                       *HIDDEN_INF, "label add", "noise level",

@@ -551,9 +551,9 @@ class TestLossAndGradients:
             assert type(pass_error) is type(tape_error)
             assert str(pass_error) == str(tape_error)
 
-    @pytest.mark.parametrize("hidden, counts", [((256, 256, 256), (20, 21, 10)),
-                                                ((16,), (12, 13, 6)),
-                                                ((64, 64), (16, 17, 8))],
+    @pytest.mark.parametrize("hidden, counts", [((256, 256, 256), (20, 21, 22)),
+                                                ((16,), (12, 13, 18)),
+                                                ((64, 64), (16, 17, 20))],
                              ids=["3 layers", "1 layer", "2 layers"])
     def test_finite_passes_scan_only_their_boundaries(self, monkeypatch, hidden,
                                                       counts):
@@ -563,8 +563,9 @@ class TestLossAndGradients:
         inner ops. An eqm step scans the input, P parameters, the output, the
         target, the loss and P gradients (2P + 4). An eqm-e step scans x,
         P parameters, the output, the field, the target, the loss and P
-        gradients (2P + 5). A forward pass scans the input, P parameters and
-        the output (P + 2). The default three hidden layers have P = 8."""
+        gradients (2P + 5). A forward pass scans P parameters, and the input
+        and output of each of its 7 row blocks (P + 14; P + 2 before it ran
+        in blocks). The default three hidden layers have P = 8."""
         calls, check_finite = [], nd.check_finite
 
         def counted(values, op):

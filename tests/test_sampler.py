@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqmatch.config import from_dict, to_dict
-from eqmatch.model import ModelConfig, init_model
+from eqmatch.model import INFERENCE_ROWS, ModelConfig, init_model
 from eqmatch.ndtensor import NonFiniteError
 from eqmatch.objective import corrupt
 from eqmatch.sampler import (BLAS_ROW_BLOCK, METHODS, ComposedField, ModelField,
@@ -293,11 +293,11 @@ class TestOneLoopProperties:
         assert len(ad.states) == len(ad.grad_norms) == case["steps"] + 1
 
 
-def silu_256x3_field() -> ModelField:
+def silu_256x3_field(energy_kind: str = "none") -> ModelField:
     """The default architecture with every weight and bias non-zero, so each
     matmul's BLAS path carries real bits."""
     m = init_model(ModelConfig(input_dim=2, hidden=(256, 256, 256), activation="silu",
-                               init_seed=4))
+                               energy_kind=energy_kind, init_seed=4))
     rng = np.random.default_rng(4)
     for name, p in m.params.items():
         if name.endswith(".b") or name == "layers.3.w":
@@ -339,8 +339,20 @@ class TestActiveRows:
     def field(self):
         return silu_256x3_field()
 
-    @pytest.mark.parametrize("n", [37, 1000, 1001])
-    def test_subset_rows_give_full_batch_bits(self, field, n):
+    @pytest.fixture(scope="class")
+    def dot_field(self):
+        return silu_256x3_field("dot")
+
+    @pytest.mark.parametrize("head, n", [
+        ("none", 37), ("none", 1000), ("none", 1001), ("none", 2000),
+        ("dot", 1000), ("dot", 1001)],
+        ids=["37", "1000", "1001", "2000", "dot-1000", "dot-1001"])
+    def test_subset_rows_give_full_batch_bits(self, field, dot_field, head, n):
+        """Row blocks keep every product of the default widths on one OpenBLAS
+        kernel at any n. A whole-batch pass left it at 2000 rows (the output
+        product) and, with a dot head, above 600 (the transposed layer-0
+        product), where every subset here rounded differently."""
+        field = dot_field if head == "dot" else field
         rng = np.random.default_rng(n)
         x = rng.standard_normal((n, 2))
         full = field(x)
@@ -364,6 +376,9 @@ class TestActiveRows:
             assert set(range(n - n % BLAS_ROW_BLOCK, n)) <= set(idx.tolist())
             assert field(x[idx]).tobytes() == full[idx].tobytes()
         assert subsets >= 30
+
+    def test_row_blocks_hold_whole_kernel_blocks(self):
+        assert INFERENCE_ROWS % BLAS_ROW_BLOCK == 0
 
     def test_whole_batch_when_few_rows_are_frozen(self):
         active = np.ones(20, dtype=bool)
