@@ -19,6 +19,7 @@ gradient field is the input-gradient of that scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,10 +29,9 @@ ENERGY_KINDS = ("none", "dot", "l2norm")
 
 NOISE_FEATURES = 16
 
-# rows per block of an inference pass; the last block takes the remainder, so
-# a block has 128-255 rows (a batch below 256 is one block). Memory then stays
-# flat in n, and every product keeps to the shapes where OpenBLAS's kernel
-# for a row does not depend on the batch size (README). A multiple of
+# rows per block of an inference pass (the last block takes the remainder):
+# memory stays flat in n, and no product is large enough for OpenBLAS's
+# kernel for a row to depend on the batch size (README). A multiple of
 # `sampler.BLAS_ROW_BLOCK`, so a block boundary never splits a kernel block.
 INFERENCE_ROWS = 128
 
@@ -194,11 +194,8 @@ class GradientFieldModel:
                 out[rows] = block(x[rows], lb, nl)
             return out
 
-        def run():
-            p = self._leaves()
-            return each(lambda *args: run_block(p, *args))
-
-        return nd.run_pass(run, lambda: each(tape_block))
+        return nd.run_pass(lambda: each(partial(run_block, self._leaves())),
+                           lambda: each(tape_block))
 
     def _leaves(self) -> dict[str, np.ndarray]:
         """The parameters as values, each scanned where `forward` leases its

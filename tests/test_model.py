@@ -259,9 +259,9 @@ class TestEnergy:
     @pytest.mark.parametrize("head", ["dot", "l2norm"])
     def test_gradient_bits_equal_the_tape(self, head, classes, n):
         """The tape on the same row blocks is the oracle. Up to 600 rows the
-        whole batch's tape gives the same bits on this machine's OpenBLAS;
-        above it, its transposed layer-0 product leaves the small-matrix
-        kernel, which no block leaves."""
+        whole batch's tape gives the same bits with OpenBLAS 0.3.31's
+        SkylakeX kernels; above it, its transposed layer-0 product leaves the
+        small-matrix kernel, which no block leaves."""
         m = random_model(ModelConfig(num_classes=classes, energy_kind=head), n)
         rng = np.random.default_rng(n + 1)
         x = 2.0 * rng.standard_normal((n, 2))
@@ -432,8 +432,9 @@ class TestForwardValues:
     def test_row_blocks_give_the_tapes_bits(self, n):
         """The tape on the same row blocks, with per-row labels and noise
         levels, is the oracle. Up to 1953 rows the whole batch's tape gives
-        the same bits on this machine's OpenBLAS; from 1954 on its output
-        product leaves the small-matrix kernel, which no block leaves."""
+        the same bits with OpenBLAS 0.3.31's SkylakeX kernels; from 1954 on
+        its output product leaves the small-matrix kernel, which no block
+        leaves."""
         cfg = ModelConfig(num_classes=3, noise_conditioned=True)
         m = random_model(cfg, n)
         x = 3.0 * np.random.default_rng(n).standard_normal((n, 2))
