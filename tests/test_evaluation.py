@@ -275,9 +275,10 @@ class TestStreamedKernels:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1000, 2))
         y = rng.standard_normal((1000, 2)) + 0.1
-        block_mb, s_mb = 64 * 2000 * 8 / 1e6, 2000 * 100 * 8 / 1e6
+        block_mb, piece_mb = 64 * 2000 * 8 / 1e6, 16 * 2000 * 8 / 1e6
+        s_mb = 2000 * 100 * 8 / 1e6
         peak = traced_peak_mb(lambda: mmd_permutation_null(x, y, n_permutations=100))
-        assert peak <= s_mb + block_mb + 4 * block_mb * 16 / 64
+        assert peak <= s_mb + block_mb + 4 * piece_mb
 
 
 def audit(x, y):
