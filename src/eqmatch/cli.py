@@ -145,14 +145,20 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _suite_fingerprint(args, ck: Checkpoint | None) -> str:
-    """The ledger key of one suite run, known before any sampling so that a
-    re-run can be skipped for free."""
+def _fingerprint(args, sampler: SamplerConfig | None = None,
+                 config: RunConfig | None = None) -> str:
+    """The ledger key of one `eval` run or `sweep` point, known before any
+    sampling so that a re-run can be skipped for free. A retraining sweep
+    point is keyed by the run `config` it trains, not by a checkpoint."""
     payload = {"suite": args.suite, "seed": args.seed}
     if args.suite != "statements":
-        payload.update(ckpt=_file_digest(args.checkpoint), n=args.n)
+        payload["n"] = args.n
+        if config is None:
+            payload["ckpt"] = _file_digest(args.checkpoint)
+        else:
+            payload["config"] = to_dict(config)
     if args.suite == "quality":
-        payload["sampler"] = to_dict(ck.config.sampler)
+        payload["sampler"] = to_dict(sampler)
     elif args.suite == "partial-noise":
         if not args.baseline:
             raise ValidationError("the partial-noise suite needs --baseline "
@@ -188,22 +194,20 @@ def _suite_statements(args, ck, out_dir: Path, fp: str) -> list[EvalReport]:
     return reports
 
 
-def _quality_reports(ck: Checkpoint, fp: str, seed: int, n: int,
-                     sampler_cfg: SamplerConfig, null: bool = True) -> list[EvalReport]:
-    """Sample from seeded noise and score against a seeded reference draw:
-    MMD, its permutation null (unless `null` is off) and, on mixtures, mode
-    coverage."""
-    dist = ck.config.dataset.distribution()
+def _quality_reports(config: RunConfig, model, fp: str, seed: int,
+                     n: int) -> list[EvalReport]:
+    """Sample `model` from seeded noise with `config`'s sampler and score
+    against a seeded reference draw of its dataset: MMD, its permutation
+    null and, on mixtures, mode coverage."""
+    dist = config.dataset.distribution()
     reference, _ = draw_from(dist, n, np.random.default_rng(seed + 1))
-    x0 = sample_noise(n, ck.config.model.input_dim, seed)
-    final = sample(ck.model, x0, sampler_cfg).final
+    x0 = sample_noise(n, config.model.input_dim, seed)
+    final = sample(model, x0, config.sampler).final
     observed = mmd(final, reference)
+    null_mmds = mmd_permutation_null(final, reference, n_permutations=100, seed=seed)
     reports = [EvalReport("mmd", max(0.0, observed), fp, seed,
-                          aux={"raw": observed, "n": n})]
-    if null:
-        null_mmds = mmd_permutation_null(final, reference, n_permutations=100, seed=seed)
-        reports.append(EvalReport("mmd-null-p99", float(np.percentile(null_mmds, 99)),
-                                  fp, seed))
+                          aux={"raw": observed, "n": n}),
+               EvalReport("mmd-null-p99", float(np.percentile(null_mmds, 99)), fp, seed)]
     if dist.kind == "gaussian-mixture":
         radius = 3.0 * float(np.max(dist.mode_std))
         covered, in_mode = mode_coverage(final, dist.modes, radius)
@@ -214,7 +218,7 @@ def _quality_reports(ck: Checkpoint, fp: str, seed: int, n: int,
 
 
 def _suite_quality(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[EvalReport]:
-    return _quality_reports(ck, fp, args.seed, args.n, ck.config.sampler)
+    return _quality_reports(ck.config, ck.model, fp, args.seed, args.n)
 
 
 def _suite_ood(args, ck: Checkpoint, out_dir: Path, fp: str) -> list[EvalReport]:
@@ -282,14 +286,14 @@ SUITES = {"statements": (_suite_statements, None), "quality": (_suite_quality, 2
 def cmd_eval(args) -> int:
     run, least_n = SUITES[args.suite]
     _check_seed_and_n(args, least_n)
-    out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ledger = out_dir / "results.csv"
     if args.suite != "statements" and not args.checkpoint:
         raise ValidationError(f"the {args.suite} suite needs --checkpoint")
     ck = (None if args.suite == "statements"
           else load_checkpoint(args.checkpoint, optimizer=False))
-    fp = _suite_fingerprint(args, ck)
+    fp = _fingerprint(args, ck and ck.config.sampler)
+    out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ledger = out_dir / "results.csv"
     if ledger_has(ledger, fp) and not args.force:
         print(f"fingerprint {fp} already in {ledger}; skipping (use --force to re-run)")
         return 0
@@ -299,29 +303,6 @@ def cmd_eval(args) -> int:
         print(f"{r.metric}: {r.value:.6g}")
     print(f"appended {len(reports)} rows to {ledger}")
     return 0
-
-
-SWEEP_HEADER = ["axis", "value", "objective", "schedule", "lambda", "method",
-                "eta", "mu", "steps", "g_min", "seed", "mmd", "covered_modes",
-                "in_mode_fraction"]
-
-
-def _sweep_row(axis, value, ck: Checkpoint, sampler_cfg: SamplerConfig,
-               seed: int, n: int) -> list:
-    scores = {r.metric: r.value
-              for r in _quality_reports(ck, "", seed, n, sampler_cfg, null=False)}
-    config = ck.config
-
-    def text(v):  # config echoes and coverage print as Python prints them
-        return None if v is None else str(v)
-
-    return [axis, value, config.objective, config.schedule.kind,
-            text(config.schedule.lam), sampler_cfg.method, text(sampler_cfg.eta),
-            text(sampler_cfg.mu), getattr(sampler_cfg, BUDGETS[sampler_cfg.method]),
-            text(sampler_cfg.g_min), seed,
-            scores["mmd"],
-            text(scores.get("covered-mode-fraction", float("nan"))),
-            text(scores.get("in-mode-sample-fraction", float("nan")))]
 
 
 def _sweep_values(axis: str, text: str) -> list[tuple[str, object]]:
@@ -356,7 +337,10 @@ def _sweep_run_config(base: RunConfig, axis: str, value) -> RunConfig:
 
 
 def cmd_sweep(args) -> int:
-    _check_seed_and_n(args, 2)  # each value's quality row compares two sets by MMD
+    """The quality suite at each --values entry's sampler or retrained
+    config, appended to the ledger as each point ends; a re-run skips the
+    points already there."""
+    _check_seed_and_n(args, 2)  # each point's quality rows compare two sets by MMD
     values = _sweep_values(args.axis, args.values)
     retrain = args.axis in ("lambda", "schedule")
     if retrain:
@@ -368,33 +352,35 @@ def cmd_sweep(args) -> int:
             raise ValidationError(f"axis '{args.axis}' sweeps a checkpoint; "
                                   "pass --checkpoint")
         ck = load_checkpoint(args.checkpoint, optimizer=False)
-    # every value's config is built, and so checked, before any work
-    configs = []
+        base = ck.config
+    # every point's config is built, and so checked, before any work
+    points = []
     for raw, value in values:
         # a checkpoint axis sets the sampler as the `sample` flag of its name
         flags = argparse.Namespace(**{args.axis.replace("-", "_"): value},
                                    method="adaptive" if args.axis == "g-min" else None)
         try:
-            configs.append((raw, _sweep_run_config(base, args.axis, value) if retrain
-                            else _sampler_from_args(ck.config.sampler, flags)))
+            config = (_sweep_run_config(base, args.axis, value) if retrain else
+                      replace(base, sampler=_sampler_from_args(base.sampler, flags)))
+            if config.model.noise_conditioned:
+                check_time_grid(config.sampler)
         except ValueError as e:
             raise ValidationError(f"--values: '{raw}' for axis '{args.axis}': {e}") from None
+        points.append((raw, config))
     out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for raw, cfg in configs:
-        if retrain:
-            result = train(cfg, out_dir=None)
-            trained = Checkpoint(config=cfg, params=result.model.params,
-                                 optimizer=result.optimizer, step=cfg.train.steps,
-                                 rng_state=None)
-            rows.append(_sweep_row(args.axis, raw, trained, cfg.sampler,
-                                   args.seed, args.n))
-        else:
-            rows.append(_sweep_row(args.axis, raw, ck, cfg, args.seed, args.n))
-    path = out_dir / f"sweep-{args.axis}.csv"
-    write_csv(path, SWEEP_HEADER, rows)
-    print(f"wrote {len(rows)} rows to {path}")
+    ledger = out_dir / "results.csv"
+    for raw, config in points:
+        fp = _fingerprint(args, config.sampler, config if retrain else None)
+        if ledger_has(ledger, fp):
+            print(f"{args.axis}={raw}: fingerprint {fp} already in {ledger}; skipping")
+            continue
+        model = train(config, out_dir=None).model if retrain else ck.model
+        reports = _quality_reports(config, model, fp, args.seed, args.n)
+        for r in reports:
+            r.aux.update(axis=args.axis, value=raw, sampler=to_dict(config.sampler))
+        append_reports(ledger, reports)
+        print(f"{args.axis}={raw}: appended {len(reports)} rows to {ledger}")
     return 0
 
 
@@ -506,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_sweep, suite="quality")  # every point is a quality run
 
     p = sub.add_parser("plot", help="emit a deterministic SVG")
     p.add_argument("--kind", required=True, choices=PLOT_KINDS)

@@ -165,17 +165,18 @@ class GradientFieldModel:
         return self._row_pass(
             x, label, noise_level,
             lambda p, xb, lb, nl: self._forward_values(xb, lb, nl, params=p),
-            lambda xb, lb, nl: self.forward(nd.Graph(), xb, lb, nl).values)
+            self.forward)
 
     def _row_pass(self, x, label, noise_level, run_block, tape_block) -> np.ndarray:
         """An inference pass over `x` [n, d] in blocks of INFERENCE_ROWS rows
         (the last takes the remainder), as one `nd.run_pass`: its pass calls
         `run_block(params, xb, label, level)` on each block with the
-        parameters scanned once (`_leaves`), its tape `tape_block(xb, label,
-        level)`, and each writes the blocks' [rows, d] results into one
-        [n, d] output. The conditioning is checked once, on the whole batch,
-        so its errors name the batch; each block gets its rows' labels and
-        noise levels, a scalar one given to every row."""
+        parameters scanned once (`_leaves`), its tape `tape_block(graph, xb,
+        label, level)` on a graph of its own (`nd.tape_values`), and each
+        writes the blocks' [rows, d] results into one [n, d] output. The
+        conditioning is checked once, on the whole batch, so its errors name
+        the batch; each block gets its rows' labels and noise levels, a
+        scalar one given to every row."""
         self._check_conditioning(label, noise_level)
         x = nd.as_values(x)
         n = self._batch_size(x.shape)
@@ -195,7 +196,7 @@ class GradientFieldModel:
             return out
 
         return nd.run_pass(lambda: each(partial(run_block, self._leaves())),
-                           lambda: each(tape_block))
+                           lambda: each(partial(nd.tape_values, tape_block)))
 
     def _leaves(self) -> dict[str, np.ndarray]:
         """The parameters as values, each scanned where `forward` leases its
@@ -465,9 +466,8 @@ def energy_gradient(model: GradientFieldModel, x, label=None) -> np.ndarray:
         model._forward_values(xb, lb, None, cache, p)
         return model.energy_input_gradient(cache)
 
-    def tape(xb, lb, _):
-        graph = nd.Graph()
+    def tape(graph, xb, lb, _):
         xt = graph.leaf(xb)
-        return nd.input_gradient(_total_energy(model, graph, xt, label=lb), xt).values
+        return nd.input_gradient(_total_energy(model, graph, xt, label=lb), xt)
 
     return model._row_pass(x, label, None, run, tape)

@@ -183,6 +183,18 @@ class Graph:
         return t
 
 
+def tape_values(build: Callable, *args) -> np.ndarray:
+    """`build(graph, *args).values` on a fresh graph, which is emptied once
+    they are read or `build` raises: every tensor on a tape points at its
+    graph, a cycle that only the cyclic collector would free."""
+    graph = Graph()
+    try:
+        return build(graph, *args).values
+    finally:
+        graph.nodes.clear()
+        graph.bindings.clear()
+
+
 def constant(data) -> Tensor:
     """Wrap plain data; never receives a gradient."""
     vals = as_values(data)

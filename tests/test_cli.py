@@ -1,7 +1,6 @@
 """Command-level behavior: exit codes, determinism of emitted files, and the
 sampler identities surfaced through flags."""
 
-import csv
 import ctypes
 import hashlib
 import json
@@ -20,6 +19,7 @@ import pytest
 from eqmatch import cli, evaluation, training
 from eqmatch.checkpoint import load_checkpoint, save_checkpoint
 from eqmatch.cli import _file_digest, main
+from eqmatch.config import to_dict
 from eqmatch.data import read_csv, read_points
 from eqmatch.sampler import SamplerConfig
 
@@ -72,6 +72,16 @@ def noise_conditioned_checkpoint(workspace, tmp_path) -> str:
     assert main(["train", "--config", str(tmp_path / "noise.json"),
                  "--out", str(tmp_path / "noise")]) == 0
     return str(tmp_path / "noise" / "checkpoint.eqmckpt")
+
+
+def ledger_rows(path) -> list[dict]:
+    """The rows of the results ledger at `path`, each `aux` read as JSON."""
+    return [{**row, "aux": json.loads(row["aux"])} for row in read_csv(path)]
+
+
+# the rows one quality run appends on a Gaussian mixture, in order
+QUALITY_METRICS = ["mmd", "mmd-null-p99", "covered-mode-fraction",
+                   "in-mode-sample-fraction"]
 
 
 def adaptive_checkpoint(workspace, tmp_path, **sampler) -> Path:
@@ -235,6 +245,16 @@ class TestExitCodes:
         assert err.startswith("error: ") and name in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("checkpoint", [None, "missing.eqmckpt"],
+                             ids=["no checkpoint", "missing checkpoint"])
+    def test_a_failed_eval_creates_no_directory(self, tmp_path, capsys, checkpoint):
+        out = tmp_path / "out"
+        flag = [] if checkpoint is None else ["--checkpoint", str(tmp_path / checkpoint)]
+        assert main(["eval", "--suite", "quality", *flag, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_unreadable_path_is_an_error_not_a_traceback(self, tmp_path, capsys):
         code = main(["sample", "--checkpoint", str(tmp_path), "--n", "4",
                      "--out", str(tmp_path / "s.csv")])
@@ -288,12 +308,16 @@ class TestExitCodes:
         (["eval", "--suite", "quality", "--n", "64", "--out-dir"],
          "eta=0.02 * steps=30 = 0.6"),
         (["sweep", "--axis", "eta", "--values", "0.01,0.02", "--n", "16", "--out-dir"],
-         "eta=0.01 * steps=30 = 0.3")], ids=["sample", "eval", "sweep"])
+         "eta=0.01 * steps=30 = 0.3"),
+        # 0.02 x 50 steps covers the time; the second point, 0.02 x 30, does not
+        (["sweep", "--axis", "steps", "--values", "50,30", "--n", "16", "--out-dir"],
+         "eta=0.02 * steps=30 = 0.6")],
+        ids=["sample", "eval", "sweep", "sweep second value"])
     def test_a_noise_conditioned_checkpoint_needs_unit_time(self, workspace, tmp_path,
                                                             capsys, command, product):
         """The workspace's sampler (eta 0.02, 30 steps) would integrate a
         noise-conditioned model over 0.6 of its time; eta 0.1 x 10 steps
-        covers it."""
+        covers it. A sweep checks every point before it writes any."""
         path = noise_conditioned_checkpoint(workspace, tmp_path)
         out = tmp_path / "out"
         capsys.readouterr()
@@ -662,29 +686,33 @@ class TestSuitesAndSweeps:
         assert sum(1 for line in text.splitlines() if "auroc-" in line) == 3
 
     def test_eta_sweep_row_count(self, workspace, tmp_path):
+        """Each point appends one quality run's rows, null included."""
         assert main(["sweep", "--axis", "eta", "--values", "0.01,0.02,0.04",
                      "--checkpoint", ckpt(workspace), "--n", "64",
                      "--out-dir", str(tmp_path)]) == 0
-        rows = (tmp_path / "sweep-eta.csv").read_text().strip().splitlines()
-        assert len(rows) == 4  # header + 3 values
+        rows = ledger_rows(tmp_path / "results.csv")
+        assert [(r["aux"]["axis"], r["aux"]["value"], r["metric"]) for r in rows] == \
+            [("eta", v, m) for v in ("0.01", "0.02", "0.04") for m in QUALITY_METRICS]
+        assert len({r["fingerprint"] for r in rows}) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
     def test_mu_sweep_uses_look_ahead_on_gd_checkpoint(self, workspace, tmp_path):
         assert main(["sweep", "--axis", "mu", "--values", "0.0,0.35,0.9",
                      "--checkpoint", ckpt(workspace), "--n", "64",
                      "--out-dir", str(tmp_path)]) == 0
-        with open(tmp_path / "sweep-mu.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [(r["method"], r["mu"]) for r in rows] == \
-            [("gd", "0.0"), ("gd", "0.35"), ("gd", "0.9")]
-        assert len({r["mmd"] for r in rows}) == 3
+        rows = [r for r in ledger_rows(tmp_path / "results.csv") if r["metric"] == "mmd"]
+        assert [(r["aux"]["sampler"]["method"], r["aux"]["sampler"]["mu"])
+                for r in rows] == [("gd", 0.0), ("gd", 0.35), ("gd", 0.9)]
+        assert len({r["value"] for r in rows}) == 3
 
     def test_lambda_sweep_retrains(self, workspace, tmp_path):
         assert main(["sweep", "--axis", "lambda", "--values", "1,4",
                      "--config", str(workspace / "cfg.json"), "--n", "64",
                      "--out-dir", str(tmp_path)]) == 0
-        rows = (tmp_path / "sweep-lambda.csv").read_text().strip().splitlines()
-        assert len(rows) == 3
-        assert rows[1].startswith("lambda,1,") and rows[2].startswith("lambda,4,")
+        rows = ledger_rows(tmp_path / "results.csv")
+        assert [(r["aux"]["axis"], r["aux"]["value"]) for r in rows] == \
+            [("lambda", "1")] * 4 + [("lambda", "4")] * 4
+        assert len({r["fingerprint"] for r in rows}) == 2
 
     def test_retraining_sweep_ignores_the_configs_out_dir(self, workspace, tmp_path):
         cfg = json.loads((workspace / "cfg.json").read_text())
@@ -694,7 +722,7 @@ class TestSuitesAndSweeps:
         assert main(["sweep", "--axis", "lambda", "--values", "1,2",
                      "--config", str(tmp_path / "cfg.json"), "--n", "16",
                      "--out-dir", str(tmp_path / "sweep")]) == 0
-        assert (tmp_path / "sweep" / "sweep-lambda.csv").exists()
+        assert (tmp_path / "sweep" / "results.csv").exists()
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("axis, values, source, bad, kind", [
@@ -710,7 +738,7 @@ class TestSuitesAndSweeps:
         def no_work(*a, **kw):
             raise AssertionError("a bad --values entry must stop the sweep first")
 
-        monkeypatch.setattr("eqmatch.cli._sweep_row", no_work)
+        monkeypatch.setattr("eqmatch.cli._quality_reports", no_work)
         monkeypatch.setattr("eqmatch.cli.train", no_work)
         flag = ["--checkpoint", ckpt(workspace)] if source == "checkpoint" else \
             ["--config", str(workspace / "cfg.json")]
@@ -736,7 +764,7 @@ class TestSuitesAndSweeps:
         def no_work(*a, **kw):
             raise AssertionError("an invalid --values entry must stop the sweep first")
 
-        monkeypatch.setattr("eqmatch.cli._sweep_row", no_work)
+        monkeypatch.setattr("eqmatch.cli._quality_reports", no_work)
         monkeypatch.setattr("eqmatch.cli.train", no_work)
         flag = ["--checkpoint", ckpt(workspace)] if source == "checkpoint" else \
             ["--config", str(workspace / "cfg.json")]
@@ -756,7 +784,7 @@ class TestSuitesAndSweeps:
             raise AssertionError("an unread budget must stop the sweep first")
 
         path = adaptive_checkpoint(workspace, tmp_path)
-        monkeypatch.setattr("eqmatch.cli._sweep_row", no_work)
+        monkeypatch.setattr("eqmatch.cli._quality_reports", no_work)
         assert main(["sweep", "--axis", "steps", "--values", "5,500", "--checkpoint",
                      str(path), "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -765,22 +793,102 @@ class TestSuitesAndSweeps:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("axis, values, source, method, budget", [
-        ("eta", "0.01,0.02", "adaptive", "adaptive", "40"),
-        ("g-min", "0.05,0.1", "gd", "adaptive", "1000"),
-        ("eta", "0.01,0.02", "gd", "gd", "30"),
+        ("eta", "0.01,0.02", "adaptive", "adaptive", ("max_steps", 40)),
+        ("g-min", "0.05,0.1", "gd", "adaptive", ("max_steps", 1000)),
+        ("eta", "0.01,0.02", "gd", "gd", ("steps", 30)),
     ], ids=["eta on adaptive", "g-min on gd", "eta on gd"])
     def test_sweep_rows_report_the_budget_the_method_reads(self, workspace, tmp_path,
                                                            axis, values, source, method,
                                                            budget):
-        """The steps column holds max_steps where a row samples adaptively
-        (a g-min sweep always does) and steps where it runs plain GD."""
+        """Each row's sampler holds the budget its method reads: max_steps
+        where it samples adaptively (a g-min sweep always does) and steps
+        where it runs plain GD."""
         path = adaptive_checkpoint(workspace, tmp_path, max_steps=40) \
             if source == "adaptive" else ckpt(workspace)
         assert main(["sweep", "--axis", axis, "--values", values, "--checkpoint",
                      str(path), "--n", "16", "--out-dir", str(tmp_path)]) == 0
-        with open(tmp_path / f"sweep-{axis}.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [(r["method"], r["steps"]) for r in rows] == [(method, budget)] * 2
+        rows = ledger_rows(tmp_path / "results.csv")
+        assert [(r["aux"]["sampler"]["method"], r["aux"]["sampler"][budget[0]])
+                for r in rows] == [(method, budget[1])] * 8
+
+    def test_g_min_sweep_rows_carry_max_steps(self, workspace, tmp_path):
+        """A g-min sweep of a gd checkpoint samples adaptively: every row
+        holds its whole sampler, so both budgets are on it."""
+        assert main(["sweep", "--axis", "g-min", "--values", "0.05,0.1", "--checkpoint",
+                     ckpt(workspace), "--n", "16", "--out-dir", str(tmp_path)]) == 0
+        want = [to_dict(SamplerConfig(method="adaptive", eta=0.02, steps=30, g_min=g))
+                for g in (0.05, 0.1)]
+        assert [r["aux"]["sampler"] for r in ledger_rows(tmp_path / "results.csv")] == \
+            [w for w in want for _ in QUALITY_METRICS]
+        assert all(w["max_steps"] == 1000 for w in want)
+
+    @pytest.mark.parametrize("axis, values, rerun, source", [
+        ("eta", "0.02,0.01", "0.01,0.020,0.02", "checkpoint"),
+        ("lambda", "1,4", "4,1.0,1", "config")])
+    def test_a_finished_sweep_reruns_as_a_no_op(self, workspace, tmp_path, capsys,
+                                                monkeypatch, axis, values, rerun, source):
+        """A re-run skips every point before it samples or trains, and so
+        does an entry that repeats a point's value."""
+        flag = ["--checkpoint", ckpt(workspace)] if source == "checkpoint" else \
+            ["--config", str(workspace / "cfg.json")]
+        args = ["sweep", "--axis", axis, *flag, "--n", "32", "--out-dir", str(tmp_path)]
+        assert main([*args, "--values", values]) == 0
+        ledger = (tmp_path / "results.csv").read_bytes()
+
+        def no_work(*a, **kw):
+            raise AssertionError("a finished point must be skipped")
+
+        for target in ("_quality_reports", "train", "sample"):
+            monkeypatch.setattr(f"eqmatch.cli.{target}", no_work)
+        capsys.readouterr()
+        assert main([*args, "--values", rerun]) == 0
+        assert (tmp_path / "results.csv").read_bytes() == ledger
+        assert capsys.readouterr().out.count("skipping") == 3
+
+    def test_an_interrupted_sweep_resumes(self, workspace, tmp_path, monkeypatch):
+        """A crash at the second point keeps the first point's rows; the
+        re-run computes only the points that are missing, and ends with
+        the ledger of an uninterrupted sweep."""
+        def args(out):
+            return ["sweep", "--axis", "eta", "--values", "0.01,0.02,0.04", "--checkpoint",
+                    ckpt(workspace), "--n", "32", "--out-dir", str(tmp_path / out)]
+
+        assert main(args("whole")) == 0
+        real, computed = cli._quality_reports, []
+
+        def crash_at_the_second_point(config, *a, **kw):
+            if len(computed) == 1:
+                raise RuntimeError("simulated crash at the second point")
+            computed.append(config.sampler.eta)
+            return real(config, *a, **kw)
+
+        monkeypatch.setattr(cli, "_quality_reports", crash_at_the_second_point)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            main(args("part"))
+        assert len(read_csv(tmp_path / "part" / "results.csv")) == len(QUALITY_METRICS)
+        computed.append("resumed")
+        assert main(args("part")) == 0
+        assert computed == [0.01, "resumed", 0.02, 0.04]
+        assert ((tmp_path / "part" / "results.csv").read_bytes()
+                == (tmp_path / "whole" / "results.csv").read_bytes())
+
+    def test_a_sweep_point_at_the_checkpoints_sampler_is_its_quality_run(
+            self, workspace, tmp_path, capsys):
+        """The workspace samples with eta 0.02: the sweep's point there has
+        `eval --suite quality`'s fingerprint and values, so an eval after
+        the sweep skips."""
+        common = ["--checkpoint", ckpt(workspace), "--n", "64", "--out-dir"]
+        assert main(["eval", "--suite", "quality", *common, str(tmp_path / "eval")]) == 0
+        assert main(["sweep", "--axis", "eta", "--values", "0.01,0.02", *common,
+                     str(tmp_path / "sweep")]) == 0
+        point = [r for r in ledger_rows(tmp_path / "sweep" / "results.csv")
+                 if r["aux"]["value"] == "0.02"]
+        assert [(r["fingerprint"], r["metric"], r["value"]) for r in point] == \
+            [(r["fingerprint"], r["metric"], r["value"])
+             for r in read_csv(tmp_path / "eval" / "results.csv")]
+        capsys.readouterr()
+        assert main(["eval", "--suite", "quality", *common, str(tmp_path / "sweep")]) == 0
+        assert "skipping" in capsys.readouterr().out
 
     @pytest.mark.parametrize("run", ["cond", "cond-fm"])
     def test_compose_identical_labels_half_step(self, workspace, tmp_path, run):

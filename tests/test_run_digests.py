@@ -14,6 +14,7 @@ INFERENCE = [["fixture", "sample-gd", "samples.csv"],
              ["fixture", "eval-quality", "results.csv"],
              ["eqm-e", "sample-gd", "samples.csv"],
              ["fixture", "eval-quality-n1000", "results.csv"],
+             ["fixture", "sweep-eta", "results.csv"],
              ["fixture", "sample-diverge", "stderr"],
              ["eqm-e", "sample-diverge", "stderr"]]
 
@@ -36,8 +37,8 @@ def test_prints_every_file_and_a_resume_reproduces_the_run():
     assert digest["eqm", "fresh", "losses.csv"] != digest["eqm-e", "fresh", "losses.csv"]
     samples = [digest[tuple(row)] for row in INFERENCE if row[2] == "samples.csv"]
     assert len(set(samples)) == len(samples)  # gd, adaptive, the energy head's field
-    assert (digest["fixture", "eval-quality", "results.csv"]
-            != digest["fixture", "eval-quality-n1000", "results.csv"])
+    ledgers = [digest[tuple(row)] for row in INFERENCE if row[2] == "results.csv"]
+    assert len(set(ledgers)) == len(ledgers)
     # the fixture's state overflows; the energy head's field fails first
     assert (digest["fixture", "sample-diverge", "stderr"]
             != digest["eqm-e", "sample-diverge", "stderr"])

@@ -12,7 +12,8 @@ step `--resume-from` checkpoint. Each line is `<objective> <fresh|resumed>
 quality` on this checkout's bench/fixture/checkpoint.eqmckpt, and `eqmatch
 sample` on the eqm-e run's final checkpoint (an energy head's field), all at
 `--n 200`, and `eval --suite quality` on the fixture again at the benchmark's
-`--n 1000` (a pool of 2000 and 100 permutations), each printing
+`--n 1000` (a pool of 2000 and 100 permutations), and `eqmatch sweep --axis
+eta --values 0.01,0.02` on the fixture at `--n 200`, each printing
 `<fixture|eqm-e> <operation> <file> <sha256>`. Last, `eqmatch sample --eta
 1e308 --steps 3` on the fixture and on the eqm-e checkpoint diverges, and
 `<fixture|eqm-e> sample-diverge stderr <sha256>` digests its exit code and
@@ -91,7 +92,9 @@ def run_digests(repo: Path, work: Path, steps: int, every: int,
                                             "--g-min", "0.1"]),
             ("fixture", "eval-quality", ["eval", "--suite", "quality", *fixture]),
             ("eqm-e", "sample-gd", ["sample", *final]),
-            ("fixture", f"eval-quality-n{BENCH_N}", ["eval", "--suite", "quality", *bench])):
+            ("fixture", f"eval-quality-n{BENCH_N}", ["eval", "--suite", "quality", *bench]),
+            ("fixture", "sweep-eta", ["sweep", "--axis", "eta", "--values", "0.01,0.02",
+                                      *fixture])):
         out = work / f"{source}-{operation}"
         out.mkdir()
         if args[0] == "sample":
