@@ -290,6 +290,8 @@ def cmd_eval(args) -> int:
         raise ValidationError(f"the {args.suite} suite needs --checkpoint")
     ck = (None if args.suite == "statements"
           else load_checkpoint(args.checkpoint, optimizer=False))
+    if ck and ck.config.model.noise_conditioned and args.suite != "ood":
+        check_time_grid(ck.config.sampler)  # the suite samples it; checked before any write
     fp = _fingerprint(args, ck and ck.config.sampler)
     out_dir = Path(args.out_dir) if args.out_dir else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)

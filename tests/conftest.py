@@ -9,6 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
+from eqmatch import model
+
 
 def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Gradient of scalar-valued `fn` at `x` by central differences."""
@@ -70,6 +72,15 @@ def scale_by_powers_of_two(params: dict, exponents) -> None:
     `exponents`: exact, unless a value overflows."""
     for name, k in zip(sorted(params), exponents):
         params[name] *= 2.0 ** k
+
+
+@pytest.fixture(params=[1, 2], ids=["1 worker", "2 workers"])
+def workers(request, monkeypatch) -> int:
+    """The threads an inference pass runs its row blocks on, set by patching
+    `model.inference_workers`: 1 is the serial pass that runs where no BLAS
+    thread variable is set. Override with indirect parametrization."""
+    monkeypatch.setattr(model, "inference_workers", lambda: request.param)
+    return request.param
 
 
 @pytest.fixture

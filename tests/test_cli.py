@@ -21,6 +21,7 @@ from eqmatch.checkpoint import load_checkpoint, save_checkpoint
 from eqmatch.cli import _file_digest, main
 from eqmatch.config import to_dict
 from eqmatch.data import read_csv, read_points
+from eqmatch.model import BLAS_THREAD_VARS
 from eqmatch.sampler import SamplerConfig
 
 
@@ -307,12 +308,14 @@ class TestExitCodes:
         (["sample", "--n", "4", "--out"], "eta=0.02 * steps=30 = 0.6"),
         (["eval", "--suite", "quality", "--n", "64", "--out-dir"],
          "eta=0.02 * steps=30 = 0.6"),
+        (["eval", "--suite", "nn-audit", "--n", "16", "--out-dir"],
+         "eta=0.02 * steps=30 = 0.6"),
         (["sweep", "--axis", "eta", "--values", "0.01,0.02", "--n", "16", "--out-dir"],
          "eta=0.01 * steps=30 = 0.3"),
         # 0.02 x 50 steps covers the time; the second point, 0.02 x 30, does not
         (["sweep", "--axis", "steps", "--values", "50,30", "--n", "16", "--out-dir"],
          "eta=0.02 * steps=30 = 0.6")],
-        ids=["sample", "eval", "sweep", "sweep second value"])
+        ids=["sample", "eval", "eval nn-audit", "sweep", "sweep second value"])
     def test_a_noise_conditioned_checkpoint_needs_unit_time(self, workspace, tmp_path,
                                                             capsys, command, product):
         """The workspace's sampler (eta 0.02, 30 steps) would integrate a
@@ -325,7 +328,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "eta * steps must be 1" in err and product in err
         assert "Traceback" not in err
-        assert not out.exists() or not any(out.iterdir())  # nothing written
+        assert not out.exists()  # nothing written
         assert main(["sample", "--checkpoint", path, "--n", "4", "--eta", "0.1",
                      "--steps", "10", "--out", str(tmp_path / "s.csv")]) == 0
 
@@ -964,9 +967,13 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 """
 
 
-def minor_faults(script: str, *argv) -> int:
-    """The minor page faults a fresh interpreter running `script` prints."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+def minor_faults(script: str, *argv, blas_threads: str | None = "1") -> int:
+    """The minor page faults a fresh interpreter running `script` prints, with
+    `blas_threads` as OPENBLAS_NUM_THREADS, or no BLAS thread variable."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -994,20 +1001,40 @@ class TestHeapPolicy:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap policy is set through glibc's mallopt")
-    def test_sampling_steps_do_not_fault_their_memory_in_again(self, tmp_path):
+    @pytest.mark.parametrize("blas_threads", [None, "1"],
+                             ids=["no BLAS variable", "one BLAS thread"])
+    def test_sampling_steps_do_not_fault_their_memory_in_again(self, tmp_path,
+                                                               blas_threads):
         """A GD step at n = 1000 frees and allocates [1000, 256] arrays;
         `main` sets the heap policy for every command, so they stay mapped.
-        Without it each step took about 1470 minor faults."""
+        Without it each step took about 1470 minor faults. With one BLAS
+        thread the pass runs on a thread per core, all on the one arena."""
         def faults(steps):
             return minor_faults(SAMPLE_THEN_COUNT_FAULTS, FIXTURE, steps,
-                                tmp_path / f"steps-{steps}.csv")
+                                tmp_path / f"steps-{steps}.csv",
+                                blas_threads=blas_threads)
 
         assert (faults(110) - faults(10)) / 100 < 20
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap policy is set through glibc's mallopt")
-    def test_glibc_takes_the_policy(self):
+    def test_glibc_takes_the_policy(self, monkeypatch):
+        """glibc takes each of the three values: the mmap and trim
+        thresholds and one arena."""
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        taken = []
+
+        def recording(param, value):
+            taken.append((param, value, mallopt(param, value)))
+            return taken[-1][2]
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(
+            mallopt=recording))
         assert training.set_heap_policy() is True
+        assert sorted(taken) == sorted([
+            (training.M_MMAP_THRESHOLD, 32 << 20, 1), (training.M_TRIM_THRESHOLD, 64 << 20, 1),
+            (training.M_ARENA_MAX, 1, 1)])
 
     def test_a_refused_setting_is_reported(self, monkeypatch):
         monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(

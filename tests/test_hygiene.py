@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from eqmatch import cli
+from eqmatch import cli, model
 from eqmatch.config import RunConfig, to_dict
 from eqmatch.objective import OBJECTIVES
 from eqmatch.sampler import METHODS
@@ -77,6 +77,49 @@ def test_package_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
+
+
+# an eqmatch command in a fresh interpreter, then its Python threads and
+# whether the thread pool's module was ever imported
+RUN_THEN_COUNT_THREADS = """
+import sys, threading
+from eqmatch.cli import main
+assert main(sys.argv[1:]) == 0
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+"""
+
+FIXTURE = ROOT / "bench" / "fixture" / "checkpoint.eqmckpt"
+
+
+@pytest.mark.parametrize("command, blas_threads", [
+    ("train", "1"), ("sample", None), ("sample", "1")],
+    ids=["train, one BLAS thread", "sample, no BLAS variable", "sample, one BLAS thread"])
+def test_threads_a_command_starts(tmp_path, command, blas_threads):
+    """Training never reaches an inference pass's pool, and a pass builds
+    one only where the rule gives it two workers or more: it starts no
+    thread, and imports no `concurrent.futures`, before then. At n = 1000
+    a pass has 7 row blocks."""
+    env = {k: v for k, v in os.environ.items() if k not in model.BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    if command == "train":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"hidden": [4]}, "train": {"steps": 2}}))
+        argv = ["train", "--config", cfg, "--out", tmp_path / "run"]
+    else:
+        argv = ["sample", "--checkpoint", FIXTURE, "--n", "1000", "--steps", "3",
+                "--out", tmp_path / "samples.csv"]
+    proc = subprocess.run([sys.executable, "-c", RUN_THEN_COUNT_THREADS, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    threads, pooled = proc.stdout.split()[-2:]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count()
+    if command == "sample" and blas_threads == "1" and cores > 1:
+        assert pooled == "True" and 1 < int(threads) <= 1 + min(7, cores)
+    else:
+        assert (threads, pooled) == ("1", "False")
 
 
 def test_only_the_checkpoint_spells_the_optimizer_tensor_prefix():

@@ -1,12 +1,18 @@
 import gc
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqmatch import ndtensor as nd
+from eqmatch import model as model_module, ndtensor as nd, training
 from eqmatch.model import (INFERENCE_ROWS, ConditioningError, GradientFieldModel,
                            ModelConfig, _total_energy, energy, energy_gradient,
                            init_model, noise_features)
@@ -279,12 +285,13 @@ class TestEnergy:
         assert energy_gradient(m, x, label).tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("head", ["dot", "l2norm"])
-    def test_gradient_holds_no_more_than_its_forward_cache(self, head):
+    def test_gradient_holds_no_more_than_its_forward_cache(self, head, workers):
         """At n = 1000 on the default widths each row block's forward pass
         caches nine [rows, 256] arrays, and the chain down never holds more:
         the last block's 232 rows make 2.09 [1000, 256] arrays. The whole
         batch's chain held nine, and 14 while every layer lived to the
-        end."""
+        end. Each further worker holds one more block's cache: at two, the
+        232-row block's and a 128-row block's, 3.24 arrays."""
         m = random_model(ModelConfig(energy_kind=head), 0)
         x = np.random.default_rng(1).standard_normal((1000, 2))
         energy_gradient(m, x)  # first-call costs are not the pass's
@@ -294,7 +301,7 @@ class TestEnergy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 1000 * 256 * 8
+        assert peak < (2.5 + 9 * 0.128 * (workers - 1)) * 1000 * 256 * 8
 
     @settings(max_examples=100, deadline=None)
     @given(head=st.sampled_from(["dot", "l2norm"]),
@@ -395,6 +402,22 @@ def conditioning(cfg: ModelConfig, n: int, seed: int, scalar: bool) -> dict:
     return kw
 
 
+def later_block_overflow(head: str) -> tuple:
+    """(model, x, the pass, the tape on one block) where block 0 of x's two
+    (128 and 172 rows) is finite and block 1's layer-0 product overflows."""
+    m = random_model(ModelConfig(hidden=(8, 8), energy_kind=head), 0)
+    m.params["layers.0.w"][:] = 1e300
+    x = np.zeros((300, 2))
+    x[200] = 1e10
+    if head == "none":
+        call, tape = m.forward_values, lambda xb: m.forward(nd.Graph(), xb)
+    else:
+        call, tape = (lambda xb: energy_gradient(m, xb),
+                      lambda xb: TestEnergy.tape_gradient(m, xb))
+    assert row_blocks(300)[1] == slice(128, 300)
+    return m, x, call, tape
+
+
 class TestForwardValues:
     """forward_values runs off the tape; forward(Graph(), ...) is its oracle."""
 
@@ -430,7 +453,7 @@ class TestForwardValues:
         assert got.tobytes() == m.forward(nd.Graph(), x, **kw).values.tobytes()
 
     @pytest.mark.parametrize("n", [*BLOCK_ROWS, 2000])
-    def test_row_blocks_give_the_tapes_bits(self, n):
+    def test_row_blocks_give_the_tapes_bits(self, n, workers):
         """The tape on the same row blocks, with per-row labels and noise
         levels, is the oracle. Up to 1953 rows the whole batch's tape gives
         the same bits with OpenBLAS 0.3.31's SkylakeX kernels; from 1954 on
@@ -450,19 +473,11 @@ class TestForwardValues:
         assert x.tobytes() == before
 
     @pytest.mark.parametrize("head", ["none", "dot"])
-    def test_a_later_blocks_error_is_its_tapes(self, head):
+    def test_a_later_blocks_error_is_its_tapes(self, head, workers):
         """Block 0 is finite and block 1's layer-0 product overflows: the
-        pass raises block 1's tape error, with its warnings."""
-        m = random_model(ModelConfig(hidden=(8, 8), energy_kind=head), 0)
-        m.params["layers.0.w"][:] = 1e300
-        x = np.zeros((300, 2))
-        x[200] = 1e10
-        if head == "none":
-            call, tape = m.forward_values, lambda xb: m.forward(nd.Graph(), xb)
-        else:
-            call, tape = (lambda xb: energy_gradient(m, xb),
-                          lambda xb: TestEnergy.tape_gradient(m, xb))
-        assert row_blocks(300)[1] == slice(128, 300)
+        pass raises block 1's tape error, with its warnings, and no warning
+        of its own on any thread."""
+        m, x, call, tape = later_block_overflow(head)
         tape(x[:128])  # block 0 is finite
         assert_raises_as_the_tape(lambda: call(x), lambda: tape(x[128:]))
         with np.errstate(over="ignore"), pytest.raises(nd.NonFiniteError,
@@ -470,7 +485,7 @@ class TestForwardValues:
             call(x)
 
     @pytest.mark.parametrize("head", ["none", "dot"])
-    def test_a_fallback_frees_each_blocks_tape(self, monkeypatch, head):
+    def test_a_fallback_frees_each_blocks_tape(self, monkeypatch, head, workers):
         """Every tensor on a tape points at its graph, so a block's tape is a
         reference cycle. A pass that falls back to the tape empties each
         block's graph once its values are read: at n = 1000 (7 blocks) no
@@ -499,6 +514,59 @@ class TestForwardValues:
         assert got.tobytes() == want.tobytes()
         assert after == before
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("workers", [2], indirect=True, ids=["2 workers"])
+    @pytest.mark.parametrize("head", ["none", "dot"])
+    def test_no_worker_warns(self, monkeypatch, head, workers):
+        """numpy's error state is per thread, so each task sets its own: with
+        RuntimeWarnings as errors, block 1 fails on a worker at its output
+        scan rather than on an overflow warning, and block 0 returns."""
+        m, x, call, _ = later_block_overflow(head)
+        real, raised = m._forward_values, []
+
+        def spy(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except Exception as error:
+                raised.append((type(error), threading.current_thread().name))
+                raise
+
+        monkeypatch.setattr(m, "_forward_values", spy)
+        with pytest.raises(Exception):  # the tape's; its warnings are errors here
+            call(x)
+        assert [kind for kind, _ in raised] == [nd.NonFiniteError]
+        assert raised[0][1] != threading.main_thread().name
+
+    @pytest.mark.parametrize("workers", [2], indirect=True, ids=["2 workers"])
+    @pytest.mark.parametrize("head", ["none", "dot"])
+    def test_the_tape_starts_once_every_task_has_ended(self, monkeypatch, head, workers):
+        """Block 1 fails on one worker while block 0, held for 0.2 s, still
+        runs on the other: the tape starts only once block 0 has ended, and
+        runs the blocks in order on the caller's thread."""
+        m, x, call, _ = later_block_overflow(head)
+        real, real_tape = m._forward_values, nd.tape_values
+        running, tapes = [], []
+
+        def slow_block_0(xb, *args, **kwargs):
+            running.append(len(xb))
+            try:
+                if len(xb) == 128:
+                    time.sleep(0.2)
+                return real(xb, *args, **kwargs)
+            finally:
+                running.remove(len(xb))
+
+        def tape(build, xb, *args):
+            tapes.append((len(xb), list(running),
+                          threading.current_thread() is threading.main_thread()))
+            return real_tape(build, xb, *args)
+
+        monkeypatch.setattr(m, "_forward_values", slow_block_0)
+        monkeypatch.setattr(nd, "tape_values", tape)
+        with np.errstate(all="ignore"), pytest.raises(nd.NonFiniteError):
+            call(x)
+        assert tapes == [(128, [], True), (172, [], True)]
+
     @pytest.mark.parametrize("head, name", [("none", "label"), ("none", "noise level"),
                                             ("dot", "label")])
     def test_a_bad_per_row_shape_names_the_batch(self, head, name):
@@ -515,12 +583,14 @@ class TestForwardValues:
             call(x, **kw)
         assert str(error.value) == f"{name} shape (299,) does not match batch 300"
 
-    def test_holds_two_activation_arrays(self):
+    def test_holds_two_activation_arrays(self, workers):
         """At n = 1000 on the default widths the pass holds the previous
         layer's activations and the next product of one row block, two
         [rows, 256] arrays: the last block's 232 rows make 0.46 of a
         [1000, 256] array. The whole batch held two, and three while each
-        layer's pre-activation outlived the next product."""
+        layer's pre-activation outlived the next product. Each further
+        worker holds one more block's two arrays: at two, the 232-row block
+        and a 128-row block are in flight, 0.72 arrays."""
         m = random_model(ModelConfig(hidden=(256, 256, 256)), 0)
         x = np.random.default_rng(1).standard_normal((1000, 2))
         m.forward_values(x)  # first-call costs are not the pass's
@@ -530,7 +600,7 @@ class TestForwardValues:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.6 * 1000 * 256 * 8
+        assert peak < (0.6 + 2 * 0.128 * (workers - 1)) * 1000 * 256 * 8
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "constant", "label",
                                       *HIDDEN_INF, "label add", "noise level",
@@ -592,3 +662,118 @@ class TestForwardValues:
 
         monkeypatch.setattr(nd, "Graph", no_tape)
         assert m.forward_values(x, **kw).tobytes() == want.tobytes()
+
+
+# a pass on two workers, a fork, and the same pass in the child, which must
+# build a pool of its own: its parent's threads do not exist in it
+FORK_THEN_PASS = """
+import os, signal
+import numpy as np
+from eqmatch import model
+model.inference_workers = lambda: 2
+m = model.init_model(model.ModelConfig())
+rng = np.random.default_rng(0)
+for buf in m.params.values():
+    buf[...] = rng.standard_normal(buf.shape) / 16
+x = rng.standard_normal((1000, 2))
+want = m.forward_values(x).tobytes()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)  # a child left waiting on its parent's pool dies here
+    os._exit(0 if m.forward_values(x).tobytes() == want else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+class TestPassWorkers:
+    """An inference pass runs its row blocks on `inference_workers()`
+    threads; the count changes no bit."""
+
+    @pytest.mark.parametrize("cores, env, want", [
+        (2, {}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (4, {"OMP_NUM_THREADS": "2"}, 2),
+        (8, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"},
+         4),
+        (2, {"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "1"}, 2),
+    ], ids=["none set", "one thread", "a thread a core", "more threads than cores",
+            "one core", "OMP", "the first positive value", "a value that is no number"])
+    def test_usable_cores_over_blas_threads(self, monkeypatch, cores, env, want):
+        for var in model_module.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        assert model_module.inference_workers() == want
+
+    @pytest.mark.parametrize("head", ["none", "dot", "l2norm"])
+    @pytest.mark.parametrize("n", [1, 127, 128, 255, 256, 257, 1000, 1001, 2000])
+    def test_two_workers_give_one_workers_bits(self, monkeypatch, head, n):
+        """Per-row labels, and noise levels where there is no head."""
+        cfg = ModelConfig(num_classes=3, noise_conditioned=head == "none",
+                          energy_kind=head)
+        m = random_model(cfg, n)
+        x = 3.0 * np.random.default_rng(n).standard_normal((n, 2))
+        kw = conditioning(cfg, n, n + 1, scalar=False)
+        call = m.forward_values if head == "none" else partial(energy_gradient, m)
+        got = []
+        for count in (1, 2):
+            monkeypatch.setattr(model_module, "inference_workers", lambda c=count: c)
+            got.append(call(x, **kw).tobytes())
+        assert got[0] == got[1]
+
+    def test_blocks_run_on_the_pool_from_two_workers(self, monkeypatch, workers):
+        """One worker runs every block on the caller's thread, two run every
+        block on the pool."""
+        m = random_model(ModelConfig(hidden=(8, 8)), 0)
+        real, seen = m._forward_values, []
+
+        def spy(xb, *args, **kwargs):
+            seen.append((len(xb), threading.current_thread() is threading.main_thread()))
+            return real(xb, *args, **kwargs)
+
+        monkeypatch.setattr(m, "_forward_values", spy)
+        m.forward_values(np.zeros((1000, 2)))
+        assert sorted(seen) == [(128, workers == 1)] * 6 + [(232, workers == 1)]
+
+    @pytest.mark.parametrize("workers", [2], indirect=True, ids=["2 workers"])
+    def test_the_heap_policy_precedes_the_pools_threads(self, monkeypatch, workers):
+        """A thread keeps the glibc arena it first allocates from, so the
+        pool sets the one-arena policy once, before it starts a thread."""
+        calls = []
+        monkeypatch.setattr(training, "set_heap_policy",
+                            lambda: calls.append(threading.active_count()))
+        monkeypatch.setattr(model_module, "_POOLS", {})
+        before = threading.active_count()
+        m = random_model(ModelConfig(hidden=(8, 8)), 0)
+        for _ in range(2):
+            m.forward_values(np.zeros((1000, 2)))
+        assert calls == [before] and threading.active_count() > before
+
+    @pytest.mark.parametrize("workers", [4], indirect=True, ids=["4 workers"])
+    def test_more_workers_than_cores_keep_the_bits(self, workers):
+        """Four workers, with the interpreter switching threads every
+        microsecond: each of 15 blocks still lands in its own rows."""
+        m = random_model(ModelConfig(), 5)
+        x = np.random.default_rng(6).standard_normal((2000, 2))
+        want = per_block(lambda xb: m.forward(nd.Graph(), xb).values, x)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [m.forward_values(x).tobytes() for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want.tobytes()] * 5
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_builds_its_own_pool(self):
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-c", FORK_THEN_PASS],
+                              env={**os.environ, "PYTHONPATH": str(root / "src")},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]

@@ -347,11 +347,12 @@ class TestActiveRows:
         ("none", 37), ("none", 1000), ("none", 1001), ("none", 2000),
         ("dot", 1000), ("dot", 1001)],
         ids=["37", "1000", "1001", "2000", "dot-1000", "dot-1001"])
-    def test_subset_rows_give_full_batch_bits(self, field, dot_field, head, n):
+    def test_subset_rows_give_full_batch_bits(self, field, dot_field, head, n, workers):
         """Row blocks keep every product of the default widths on one OpenBLAS
-        kernel at any n. A whole-batch pass left it at 2000 rows (the output
-        product) and, with a dot head, above 600 (the transposed layer-0
-        product), where every subset here rounded differently."""
+        kernel at any n, on any worker. A whole-batch pass left it at 2000
+        rows (the output product) and, with a dot head, above 600 (the
+        transposed layer-0 product), where every subset here rounded
+        differently."""
         field = dot_field if head == "dot" else field
         rng = np.random.default_rng(n)
         x = rng.standard_normal((n, 2))
