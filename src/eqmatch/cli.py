@@ -140,7 +140,8 @@ def cmd_sample(args) -> int:
     if record:
         save_trajectory_csv(args.trajectory, traj)
     print(f"wrote {len(traj.final)} samples to {out} "
-          f"(mean steps {traj.steps_used.mean():.1f}; "
+          f"(mean steps {traj.steps_used.mean():.1f}; on {traj.processes} "
+          f"process{'es' if traj.processes > 1 else ''}; "
           f"points evaluated {traj.points_evaluated.sum()})")
     return 0
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -41,16 +40,13 @@ INFERENCE_ROWS = 128
 #: them
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-#: each process's thread pools for inference passes, by worker count; a
-#: forked child has none of its parent's threads, so it builds its own
-_POOLS: dict = {}
-
 
 def inference_workers() -> int:
-    """The threads an inference pass may run its row blocks on: the usable
+    """The processes `sampler.sample` may split a batch over: the usable
     cores over the threads each BLAS call takes, at least 1. BLAS takes the
     first positive value of `BLAS_THREAD_VARS`, or every core where none is
-    set, so a pass then runs its blocks in turn, as BLAS fills the cores."""
+    set, so a batch is then sampled in one process, as BLAS fills the
+    cores."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
     for var in BLAS_THREAD_VARS:
@@ -61,34 +57,6 @@ def inference_workers() -> int:
         if threads > 0:
             return max(1, cores // threads)
     return 1
-
-
-def _on_pool(workers: int, fill: Callable, blocks: list) -> None:
-    """`fill(*block)` for each block on this process's pool of `workers`
-    threads, the last (largest) block first and each under its own
-    `np.errstate(all="ignore")`, since numpy's error state is per thread. It
-    waits for every task, then raises the first error in the order
-    submitted. The pool is built on first use, after `set_heap_policy`, so
-    that its threads allocate from the one heap that glibc keeps mapped."""
-    from concurrent.futures import ThreadPoolExecutor, wait  # no import, no thread, until needed
-
-    def task(block):
-        with np.errstate(all="ignore"):
-            fill(*block)
-
-    key = (os.getpid(), workers)
-    if key not in _POOLS:  # setdefault: threads racing here share one pool
-        from .training import set_heap_policy  # training imports this module
-        set_heap_policy()
-        _POOLS.setdefault(key, ThreadPoolExecutor(workers, thread_name_prefix="eqmatch-pass"))
-    futures = []
-    try:
-        for block in reversed(blocks):
-            futures.append(_POOLS[key].submit(task, block))
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
 
 
 class ConditioningError(ValueError):
@@ -231,13 +199,7 @@ class GradientFieldModel:
         writes the blocks' [rows, d] results into one [n, d] output. The
         conditioning is checked once, on the whole batch, so its errors name
         the batch; each block gets its rows' labels and noise levels, a
-        scalar one given to every row.
-
-        The pass runs its blocks on `min(blocks, inference_workers())`
-        threads (`_on_pool`), each block the same code on the same rows, so
-        the bits do not depend on the count; at one it runs them in turn.
-        The tape always does, so its errors and warnings come in block
-        order."""
+        scalar one given to every row."""
         self._check_conditioning(label, noise_level)
         x = nd.as_values(x)
         n = self._batch_size(x.shape)
@@ -250,22 +212,14 @@ class GradientFieldModel:
                    None if noise_level is None else noise_level[a:b])
                   for a, b in zip([0, *ends[:-1]], ends)]
 
-        def each(block, workers):
+        def each(block):
             out = np.empty_like(x)
-
-            def fill(rows, lb, nl):
+            for rows, lb, nl in blocks:
                 out[rows] = block(x[rows], lb, nl)
-
-            if workers > 1:
-                _on_pool(workers, fill, blocks)
-            else:
-                for b in blocks:
-                    fill(*b)
             return out
 
-        workers = min(len(blocks), inference_workers())
-        return nd.run_pass(lambda: each(partial(run_block, self._leaves()), workers),
-                           lambda: each(partial(nd.tape_values, tape_block), 1))
+        return nd.run_pass(lambda: each(partial(run_block, self._leaves())),
+                           lambda: each(partial(nd.tape_values, tape_block)))
 
     def _leaves(self) -> dict[str, np.ndarray]:
         """The parameters as values, each scanned where `forward` leases its

@@ -21,17 +21,26 @@ baseline can be driven along a fixed integration grid.
 Adaptive sampling relies on that row contract: after its first step it
 evaluates the field only on the rows still active (plus a few frozen rows,
 see `BLAS_ROW_BLOCK`) and keeps each frozen row's last gradient, which is
-what a fresh evaluation at its unmoved look-ahead point would give.
+what a fresh evaluation at its unmoved look-ahead point would give. The
+same contract lets `sample` split a batch into shards, each descended in a
+process of its own (`_on_shards`).
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import pickle
+import signal
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import model
 from .data import write_csv
 from .model import GradientFieldModel, energy_gradient
 from .ndtensor import NonFiniteError
@@ -88,8 +97,11 @@ class Trajectory:
     cap_reached: np.ndarray
     states: list[np.ndarray] | None = None
     grad_norms: list[np.ndarray] | None = None
-    # rows passed to the field at each step (adaptive evaluates fewer)
+    # rows passed to the field at each step (adaptive evaluates fewer),
+    # summed over the shards
     points_evaluated: np.ndarray | None = None
+    # the processes that sampled it, one a shard
+    processes: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +227,25 @@ def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory
     point decides `cap_reached`. Frozen samples are masked out, so the batch
     stays deterministic while samples stop independently; after the first
     step only the active rows (see `_subset_rows`) go through the field.
+
+    Unless it records, the batch is split over processes (`_on_shards`);
+    rows are independent, so the bits are the serial run's.
     """
     field, x = _prepare(field, x0)
-    adaptive = config.method == "adaptive"
     if getattr(field, "time_dependent", False):
         check_time_grid(config)
+    # a forked child would hold only the thread that forked it
+    if not record and hasattr(os, "fork") and threading.active_count() == 1:
+        shards = min(model.inference_workers(), len(x) // model.INFERENCE_ROWS)
+        traj = _on_shards(field, x, config, shards) if shards > 1 else None
+        if traj is not None:
+            return traj
+    return _descend(field, x, config, record)
+
+
+def _descend(field, x, config: SamplerConfig, record: bool) -> Trajectory:
+    """`sample`'s descent loop on the batch `x` in this process."""
+    adaptive = config.method == "adaptive"
     n = len(x)
     budget = config.max_steps if adaptive else config.steps
     x_prev = x
@@ -263,6 +289,63 @@ def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory
     return Trajectory(final=x, steps_used=steps_used, cap_reached=cap_reached,
                       states=states, grad_norms=norms,
                       points_evaluated=np.array(points, dtype=np.int64))
+
+
+def _on_shards(field, x, config: SamplerConfig, shards: int) -> Trajectory | None:
+    """`_descend` on `shards` contiguous shards of `x`, the first here and
+    each other in a child from `os.fork`, which pipes its result back and
+    leaves through `os._exit` whatever happens: it runs no exit handler and
+    writes nothing. Every cut is a multiple of BLAS_ROW_BLOCK, so only the
+    last shard holds the n % BLAS_ROW_BLOCK tail rows and each row keeps its
+    kind of kernel block. `points_evaluated` sums the shards' counts step by
+    step (each pads its own subsets). None where any shard fails; every
+    child is reaped (killed first, if it still runs) before this returns."""
+    whole = len(x) // BLAS_ROW_BLOCK
+    cuts = [0, *(BLAS_ROW_BLOCK * (whole * i // shards) for i in range(1, shards)), len(x)]
+    children = []  # (pid, the read end of its pipe)
+    try:
+        for a, b in zip(cuts[1:-1], cuts[2:]):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    gc.disable()  # the parent's garbage is the parent's to finalize
+                    with open(write, "wb") as pipe:
+                        pickle.dump(_shard(field, x[a:b], config), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append((pid, read))
+            os.close(write)
+        parts = [_shard(field, x[:cuts[1]], config)]
+        for _, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                parts.append(pickle.loads(pipe.read()))
+    except Exception:  # the serial run decides what is raised
+        return None
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    final, steps_used, cap_reached, points = zip(*parts)
+    steps = max(map(len, points))
+    return Trajectory(final=np.concatenate(final), steps_used=np.concatenate(steps_used),
+                      cap_reached=np.concatenate(cap_reached),
+                      points_evaluated=sum(np.pad(p, (0, steps - len(p))) for p in points),
+                      processes=shards)
+
+
+def _shard(field, x, config: SamplerConfig) -> tuple:
+    """`_descend` on one shard, as (final, steps_used, cap_reached,
+    points_evaluated), where any warning, or floating-point error numpy does
+    not ignore, raises: a run that would warn is the serial run."""
+    strict = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+    with warnings.catch_warnings(), np.errstate(**strict):
+        warnings.simplefilter("error")
+        traj = _descend(field, x, config, False)
+    return traj.final, traj.steps_used, traj.cap_reached, traj.points_evaluated
 
 
 def calibrate_g_min(model_or_field, data: np.ndarray, percentile: float = 5.0) -> float:

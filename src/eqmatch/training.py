@@ -64,10 +64,9 @@ def _require_same_model(given: ModelConfig, saved: ModelConfig, path) -> None:
 
 
 #: glibc's mallopt parameters and the values `set_heap_policy` gives them
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
-ARENA_MAX = 1
 
 
 def set_heap_policy() -> bool:
@@ -80,10 +79,7 @@ def set_heap_policy() -> bool:
     the default size) and allocates them again, so under the default policy
     their pages are handed back and faulted in again on every step (about
     1600 minor faults a default eqm-e step). With the thresholds fixed they
-    stay mapped. It also caps glibc at one arena, so that the threads of
-    an inference pass (`model.inference_workers`) allocate from that heap
-    rather than each mapping an arena of its own; a thread keeps the arena
-    it first allocated from, so the pool calls it before it starts them.
+    stay mapped.
 
     The setting holds for the rest of the process and also ends glibc's
     dynamic thresholds there; glibc offers no way to read or restore them.
@@ -96,8 +92,7 @@ def set_heap_policy() -> bool:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     return all((mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
-                mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES),
-                mallopt(M_ARENA_MAX, ARENA_MAX)))
+                mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)))
 
 
 def train(config: RunConfig | None = None, out_dir=None, init_from=None,

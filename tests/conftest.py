@@ -76,8 +76,8 @@ def scale_by_powers_of_two(params: dict, exponents) -> None:
 
 @pytest.fixture(params=[1, 2], ids=["1 worker", "2 workers"])
 def workers(request, monkeypatch) -> int:
-    """The threads an inference pass runs its row blocks on, set by patching
-    `model.inference_workers`: 1 is the serial pass that runs where no BLAS
+    """The processes `sampler.sample` splits a batch over, set by patching
+    `model.inference_workers`: 1 is the serial loop that runs where no BLAS
     thread variable is set. Override with indirect parametrization."""
     monkeypatch.setattr(model, "inference_workers", lambda: request.param)
     return request.param

@@ -134,8 +134,9 @@ def test_generation_covers_every_mode(generated, method, record_property):
 
 @pytest.mark.xfail(strict=True, reason=(
     "finding: MMD is 5-13x the null p99 on seeds 0-3 (gd 0.045-0.081, gd mu 0.35 the "
-    "same to 3 digits, adaptive 0.038-0.055; p99 0.006-0.010): samples drift between "
-    "modes as sampling time grows, so descent never settles on the mixture"))
+    "same to 3 digits, adaptive 0.038-0.055; p99 0.006-0.010): descent collapses each "
+    "mode toward one point, so MMD is U-shaped in sampling time eta x steps, and even "
+    "on the closed-form optimal field its best (0.014) stays above p99"))
 @pytest.mark.parametrize("method", METHODS)
 def test_generation_mmd_below_permutation_null(generated, method, record_property):
     runs, reference = generated

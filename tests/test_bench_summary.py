@@ -1,10 +1,13 @@
 """tools/bench_summary.py on synthetic run reports."""
 
+import hashlib
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench_summary.py"
@@ -17,14 +20,20 @@ def report(seed, trace, metrics, sha="ab12"):
             "fixture": {"sha256": sha}}
 
 
+def git(tmp_path, *args) -> bytes:
+    return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c",
+                           "user.email=t@t", *args], check=True, capture_output=True).stdout
+
+
 def checkout(tmp_path, reports):
-    """A git checkout holding BENCHMARK.json and the given run reports."""
+    """A clean git checkout: BENCHMARK.json committed, and the given run
+    reports in its ignored .bench_work/."""
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
-    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
-    subprocess.run(git[:3] + ["init", "-q"], check=True)
-    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], check=True)
-    rev = subprocess.run(git[:3] + ["rev-parse", "HEAD"], check=True,
-                         capture_output=True, text=True).stdout.strip()
+    (tmp_path / ".gitignore").write_text(".bench_work/\n")
+    git(tmp_path, "init", "-q")
+    git(tmp_path, "add", "BENCHMARK.json", ".gitignore")
+    git(tmp_path, "commit", "-q", "-m", "x")
+    rev = git(tmp_path, "rev-parse", "HEAD").decode().strip()
     reports_dir = tmp_path / ".bench_work" / "reports"
     reports_dir.mkdir(parents=True)
     for i, r in enumerate(reports):
@@ -57,6 +66,28 @@ def test_medians_seeds_environment_fixture_and_revision(tmp_path):
     assert entry["end_to_end_seeds"] == [1, 2] and entry["per_layer_seeds"] == [1]
     assert entry["per_layer"] == {"sampler.useful_ratio": 0.97, "error_rate": 0.0}
     assert entry["fixture_sha256"] == "ab12"
+    assert summary["git_clean"] is True
+    assert summary["git_diff_sha256"] == hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.parametrize("change", ["edited", "untracked"])
+def test_a_dirty_tree_is_recorded_with_its_diff(tmp_path, change):
+    """Runs made on uncommitted changes name the revision they were made on,
+    say the tree was not clean and digest `git diff HEAD`, which holds the
+    edits to tracked files (an untracked file shows only as not clean)."""
+    rev = checkout(tmp_path, [report(1, 0, {"wall_s": 1.0})])
+    if change == "edited":
+        with open(tmp_path / "BENCHMARK.json", "a") as fh:
+            fh.write("\n")
+    else:
+        (tmp_path / "new.py").write_text("")
+    diff = git(tmp_path, "diff", "HEAD")
+    assert bool(diff) == (change == "edited")
+    proc, out = run_tool(tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(out.read_text())
+    assert summary["git_rev"] == rev and summary["git_clean"] is False
+    assert summary["git_diff_sha256"] == hashlib.sha256(diff).hexdigest()
 
 
 def test_mixed_fixtures_are_refused(tmp_path):

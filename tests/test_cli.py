@@ -1008,7 +1008,8 @@ class TestHeapPolicy:
         """A GD step at n = 1000 frees and allocates [1000, 256] arrays;
         `main` sets the heap policy for every command, so they stay mapped.
         Without it each step took about 1470 minor faults. With one BLAS
-        thread the pass runs on a thread per core, all on the one arena."""
+        thread the batch is split over a process per core, and this counts
+        the faults of the one that runs `main`."""
         def faults(steps):
             return minor_faults(SAMPLE_THEN_COUNT_FAULTS, FIXTURE, steps,
                                 tmp_path / f"steps-{steps}.csv",
@@ -1019,8 +1020,7 @@ class TestHeapPolicy:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap policy is set through glibc's mallopt")
     def test_glibc_takes_the_policy(self, monkeypatch):
-        """glibc takes each of the three values: the mmap and trim
-        thresholds and one arena."""
+        """glibc takes both values: the mmap and trim thresholds."""
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
         taken = []
@@ -1033,8 +1033,7 @@ class TestHeapPolicy:
             mallopt=recording))
         assert training.set_heap_policy() is True
         assert sorted(taken) == sorted([
-            (training.M_MMAP_THRESHOLD, 32 << 20, 1), (training.M_TRIM_THRESHOLD, 64 << 20, 1),
-            (training.M_ARENA_MAX, 1, 1)])
+            (training.M_MMAP_THRESHOLD, 32 << 20, 1), (training.M_TRIM_THRESHOLD, 64 << 20, 1)])
 
     def test_a_refused_setting_is_reported(self, monkeypatch):
         monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(

@@ -80,12 +80,16 @@ def test_package_does_not_import_scipy():
 
 
 # an eqmatch command in a fresh interpreter, then its Python threads and
-# whether the thread pool's module was ever imported
+# whether it left a child process, running or unreaped
 RUN_THEN_COUNT_THREADS = """
-import sys, threading
+import os, sys, threading
 from eqmatch.cli import main
 assert main(sys.argv[1:]) == 0
-print(threading.active_count(), "concurrent.futures" in sys.modules)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print(threading.active_count(), "child")
+except ChildProcessError:
+    print(threading.active_count(), "none")
 """
 
 FIXTURE = ROOT / "bench" / "fixture" / "checkpoint.eqmckpt"
@@ -95,10 +99,10 @@ FIXTURE = ROOT / "bench" / "fixture" / "checkpoint.eqmckpt"
     ("train", "1"), ("sample", None), ("sample", "1")],
     ids=["train, one BLAS thread", "sample, no BLAS variable", "sample, one BLAS thread"])
 def test_threads_a_command_starts(tmp_path, command, blas_threads):
-    """Training never reaches an inference pass's pool, and a pass builds
-    one only where the rule gives it two workers or more: it starts no
-    thread, and imports no `concurrent.futures`, before then. At n = 1000
-    a pass has 7 row blocks."""
+    """Every command runs on one Python thread and leaves no child process.
+    `sample` splits its 1000 rows over a process per core where one BLAS
+    thread is set (7 at most, INFERENCE_ROWS each), and its summary line
+    says how many it sampled on."""
     env = {k: v for k, v in os.environ.items() if k not in model.BLAS_THREAD_VARS}
     env["PYTHONPATH"] = str(ROOT / "src")
     if blas_threads is not None:
@@ -113,13 +117,13 @@ def test_threads_a_command_starts(tmp_path, command, blas_threads):
     proc = subprocess.run([sys.executable, "-c", RUN_THEN_COUNT_THREADS, *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    threads, pooled = proc.stdout.split()[-2:]
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count()
-    if command == "sample" and blas_threads == "1" and cores > 1:
-        assert pooled == "True" and 1 < int(threads) <= 1 + min(7, cores)
-    else:
-        assert (threads, pooled) == ("1", "False")
+    *output, threads, children = proc.stdout.split()
+    assert (threads, children) == ("1", "none")
+    if command == "sample":
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count()
+        processes = min(cores, 7) if blas_threads == "1" and hasattr(os, "fork") else 1
+        assert f"on {processes} process{'es' if processes > 1 else ''};" in " ".join(output)
 
 
 def test_only_the_checkpoint_spells_the_optimizer_tensor_prefix():

@@ -1,21 +1,19 @@
 import gc
 import os
-import subprocess
-import sys
 import threading
 import time
 import tracemalloc
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqmatch import model as model_module, ndtensor as nd, training
+from eqmatch import model as model_module, ndtensor as nd
 from eqmatch.model import (INFERENCE_ROWS, ConditioningError, GradientFieldModel,
                            ModelConfig, _total_energy, energy, energy_gradient,
                            init_model, noise_features)
+from eqmatch.sampler import ModelField, SamplerConfig, sample
 from conftest import (assert_raises_as_the_tape, central_difference, outcome, rel_err,
                       scale_by_powers_of_two)
 
@@ -290,8 +288,7 @@ class TestEnergy:
         caches nine [rows, 256] arrays, and the chain down never holds more:
         the last block's 232 rows make 2.09 [1000, 256] arrays. The whole
         batch's chain held nine, and 14 while every layer lived to the
-        end. Each further worker holds one more block's cache: at two, the
-        232-row block's and a 128-row block's, 3.24 arrays."""
+        end. The pass runs its blocks in turn at any worker count."""
         m = random_model(ModelConfig(energy_kind=head), 0)
         x = np.random.default_rng(1).standard_normal((1000, 2))
         energy_gradient(m, x)  # first-call costs are not the pass's
@@ -301,7 +298,7 @@ class TestEnergy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (2.5 + 9 * 0.128 * (workers - 1)) * 1000 * 256 * 8
+        assert peak < 2.5 * 1000 * 256 * 8
 
     @settings(max_examples=100, deadline=None)
     @given(head=st.sampled_from(["dot", "l2norm"]),
@@ -518,9 +515,10 @@ class TestForwardValues:
     @pytest.mark.parametrize("workers", [2], indirect=True, ids=["2 workers"])
     @pytest.mark.parametrize("head", ["none", "dot"])
     def test_no_worker_warns(self, monkeypatch, head, workers):
-        """numpy's error state is per thread, so each task sets its own: with
-        RuntimeWarnings as errors, block 1 fails on a worker at its output
-        scan rather than on an overflow warning, and block 0 returns."""
+        """The pass runs every block on the caller's thread, under its own
+        `np.errstate`, at any worker count: with RuntimeWarnings as errors,
+        block 1 fails at its output scan rather than on an overflow warning,
+        and block 0 returns."""
         m, x, call, _ = later_block_overflow(head)
         real, raised = m._forward_values, []
 
@@ -534,15 +532,14 @@ class TestForwardValues:
         monkeypatch.setattr(m, "_forward_values", spy)
         with pytest.raises(Exception):  # the tape's; its warnings are errors here
             call(x)
-        assert [kind for kind, _ in raised] == [nd.NonFiniteError]
-        assert raised[0][1] != threading.main_thread().name
+        assert raised == [(nd.NonFiniteError, threading.main_thread().name)]
 
     @pytest.mark.parametrize("workers", [2], indirect=True, ids=["2 workers"])
     @pytest.mark.parametrize("head", ["none", "dot"])
     def test_the_tape_starts_once_every_task_has_ended(self, monkeypatch, head, workers):
-        """Block 1 fails on one worker while block 0, held for 0.2 s, still
-        runs on the other: the tape starts only once block 0 has ended, and
-        runs the blocks in order on the caller's thread."""
+        """Block 0 is held for 0.2 s and block 1 fails: at any worker count
+        the tape starts only once block 0 has ended, and runs the blocks in
+        order on the caller's thread."""
         m, x, call, _ = later_block_overflow(head)
         real, real_tape = m._forward_values, nd.tape_values
         running, tapes = [], []
@@ -588,9 +585,8 @@ class TestForwardValues:
         layer's activations and the next product of one row block, two
         [rows, 256] arrays: the last block's 232 rows make 0.46 of a
         [1000, 256] array. The whole batch held two, and three while each
-        layer's pre-activation outlived the next product. Each further
-        worker holds one more block's two arrays: at two, the 232-row block
-        and a 128-row block are in flight, 0.72 arrays."""
+        layer's pre-activation outlived the next product. The pass runs its
+        blocks in turn at any worker count."""
         m = random_model(ModelConfig(hidden=(256, 256, 256)), 0)
         x = np.random.default_rng(1).standard_normal((1000, 2))
         m.forward_values(x)  # first-call costs are not the pass's
@@ -600,7 +596,7 @@ class TestForwardValues:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (0.6 + 2 * 0.128 * (workers - 1)) * 1000 * 256 * 8
+        assert peak < 0.6 * 1000 * 256 * 8
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "constant", "label",
                                       *HIDDEN_INF, "label add", "noise level",
@@ -664,30 +660,10 @@ class TestForwardValues:
         assert m.forward_values(x, **kw).tobytes() == want.tobytes()
 
 
-# a pass on two workers, a fork, and the same pass in the child, which must
-# build a pool of its own: its parent's threads do not exist in it
-FORK_THEN_PASS = """
-import os, signal
-import numpy as np
-from eqmatch import model
-model.inference_workers = lambda: 2
-m = model.init_model(model.ModelConfig())
-rng = np.random.default_rng(0)
-for buf in m.params.values():
-    buf[...] = rng.standard_normal(buf.shape) / 16
-x = rng.standard_normal((1000, 2))
-want = m.forward_values(x).tobytes()
-pid = os.fork()
-if pid == 0:
-    signal.alarm(20)  # a child left waiting on its parent's pool dies here
-    os._exit(0 if m.forward_values(x).tobytes() == want else 1)
-print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-"""
-
-
 class TestPassWorkers:
-    """An inference pass runs its row blocks on `inference_workers()`
-    threads; the count changes no bit."""
+    """`inference_workers()` is the processes `sampler.sample` splits a batch
+    over (tests/test_sampler.py, `TestShards`); an inference pass runs its
+    row blocks in turn, and the count changes no bit."""
 
     @pytest.mark.parametrize("cores, env, want", [
         (2, {}, 1),
@@ -726,54 +702,16 @@ class TestPassWorkers:
             got.append(call(x, **kw).tobytes())
         assert got[0] == got[1]
 
-    def test_blocks_run_on_the_pool_from_two_workers(self, monkeypatch, workers):
-        """One worker runs every block on the caller's thread, two run every
-        block on the pool."""
-        m = random_model(ModelConfig(hidden=(8, 8)), 0)
-        real, seen = m._forward_values, []
-
-        def spy(xb, *args, **kwargs):
-            seen.append((len(xb), threading.current_thread() is threading.main_thread()))
-            return real(xb, *args, **kwargs)
-
-        monkeypatch.setattr(m, "_forward_values", spy)
-        m.forward_values(np.zeros((1000, 2)))
-        assert sorted(seen) == [(128, workers == 1)] * 6 + [(232, workers == 1)]
-
-    @pytest.mark.parametrize("workers", [2], indirect=True, ids=["2 workers"])
-    def test_the_heap_policy_precedes_the_pools_threads(self, monkeypatch, workers):
-        """A thread keeps the glibc arena it first allocates from, so the
-        pool sets the one-arena policy once, before it starts a thread."""
-        calls = []
-        monkeypatch.setattr(training, "set_heap_policy",
-                            lambda: calls.append(threading.active_count()))
-        monkeypatch.setattr(model_module, "_POOLS", {})
-        before = threading.active_count()
-        m = random_model(ModelConfig(hidden=(8, 8)), 0)
-        for _ in range(2):
-            m.forward_values(np.zeros((1000, 2)))
-        assert calls == [before] and threading.active_count() > before
-
     @pytest.mark.parametrize("workers", [4], indirect=True, ids=["4 workers"])
-    def test_more_workers_than_cores_keep_the_bits(self, workers):
-        """Four workers, with the interpreter switching threads every
-        microsecond: each of 15 blocks still lands in its own rows."""
-        m = random_model(ModelConfig(), 5)
+    def test_more_workers_than_cores_keep_the_bits(self, monkeypatch, workers):
+        """Four shards, more processes than a 2-core machine has cores: each
+        shard's rows still land in their own place, with the serial loop's
+        bits."""
+        field = ModelField(random_model(ModelConfig(), 5))
         x = np.random.default_rng(6).standard_normal((2000, 2))
-        want = per_block(lambda xb: m.forward(nd.Graph(), xb).values, x)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = [m.forward_values(x).tobytes() for _ in range(5)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == [want.tobytes()] * 5
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_builds_its_own_pool(self):
-        root = Path(__file__).resolve().parent.parent
-        proc = subprocess.run([sys.executable, "-c", FORK_THEN_PASS],
-                              env={**os.environ, "PYTHONPATH": str(root / "src")},
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0"]
+        config = SamplerConfig(eta=0.05, steps=3)
+        got = [sample(field, x, config) for _ in range(2)]
+        monkeypatch.setattr(model_module, "inference_workers", lambda: 1)
+        want = sample(field, x, config)
+        assert [t.processes for t in got] == [4] * 2 and want.processes == 1
+        assert [t.final.tobytes() for t in got] == [want.final.tobytes()] * 2

@@ -1,7 +1,17 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqmatch import model
 from eqmatch.config import from_dict, to_dict
 from eqmatch.model import INFERENCE_ROWS, ModelConfig, init_model
 from eqmatch.ndtensor import NonFiniteError
@@ -9,7 +19,10 @@ from eqmatch.objective import corrupt
 from eqmatch.sampler import (BLAS_ROW_BLOCK, METHODS, ComposedField, ModelField,
                              SamplerConfig, _eval_field, _subset_rows, as_field,
                              calibrate_g_min, sample, save_trajectory_csv)
-from test_model import identity_model
+from test_model import identity_model, random_model
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "bench" / "fixture" / "checkpoint.eqmckpt"
 
 
 def linear_field(x, progress=0.0):  # energy 0.5 ||x||^2
@@ -504,3 +517,242 @@ class TestDenoiseAndMisc:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,sample_id,x0,x1,grad_norm"
         assert len(lines) == 1 + 5 * 3
+
+
+# ---------------------------------------------------------------------------
+# shards
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def shard_case(name: str) -> tuple:
+    """(field, config) of one bit-identity case: the default widths with
+    every weight non-zero, or a two-label model's composed field."""
+    if name == "two labels":
+        m = random_model(ModelConfig(num_classes=2), 3)
+        return ComposedField([ModelField(m, label=0), ModelField(m, label=1)]), cfg(
+            eta=0.02, steps=8)
+    field = silu_256x3_field("dot" if name == "eqm-e dot" else "none")
+    if name == "adaptive":
+        def toward_the_origin(x, progress=0.0):
+            return x + field(x, progress)
+
+        return toward_the_origin, cfg(method="adaptive", eta=0.1, mu=0.35, g_min=0.3,
+                                      max_steps=25)
+    return field, cfg(eta=0.05, mu=0.35 if name == "gd mu 0.35" else 0.0, steps=8)
+
+
+# `eqmatch` on a given number of workers, with the rest of argv as its command
+MAIN_ON_WORKERS = """
+import sys
+from eqmatch import model
+from eqmatch.cli import main
+model.inference_workers = lambda: int(sys.argv[1])
+sys.exit(main(sys.argv[2:]))
+"""
+
+# a sample on two shards, a fork, and the same sample in the forked child,
+# which forks shards of its own and reaps them
+FORK_THEN_SAMPLE = """
+import os, signal
+import numpy as np
+from eqmatch import model, sampler
+model.inference_workers = lambda: 2
+m = model.init_model(model.ModelConfig())
+rng = np.random.default_rng(0)
+for buf in m.params.values():
+    buf[...] = rng.standard_normal(buf.shape) / 16
+x = rng.standard_normal((1000, 2))
+config = sampler.SamplerConfig(eta=0.05, steps=5)
+want = sampler.sample(m, x, config)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    got = sampler.sample(m, x, config)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        os._exit(1)
+    except ChildProcessError:
+        os._exit(0 if (got.processes, got.final.tobytes()) == (2, want.final.tobytes())
+                 else 1)
+print(want.processes, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="shards are forked processes")
+class TestShards:
+    """Unless it records, `sample` splits the batch over
+    `model.inference_workers()` processes, each shard at least
+    INFERENCE_ROWS rows; the bits are the serial loop's."""
+
+    @pytest.mark.parametrize("n", [256, 257, 1000, 1001, 2000])
+    @pytest.mark.parametrize("name", ["gd", "gd mu 0.35", "adaptive", "eqm-e dot",
+                                      "two labels"])
+    def test_sharded_and_serial_sampling_give_the_same_bits(self, monkeypatch, name, n):
+        field, config = shard_case(name)
+        x0 = 2.0 * np.random.default_rng(n).standard_normal((n, 2))
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(model, "inference_workers", lambda w=workers: w)
+            runs.append(sample(field, x0, config))
+        serial, sharded = runs
+        assert (serial.processes, sharded.processes) == (1, 2)
+        for attr in ("final", "steps_used", "cap_reached"):
+            assert getattr(sharded, attr).tobytes() == getattr(serial, attr).tobytes()
+        # the longest-running shard takes the serial loop's steps; each shard
+        # pads its own subsets, so only gd's counts are the serial run's
+        assert len(sharded.points_evaluated) == len(serial.points_evaluated)
+        assert sharded.points_evaluated[0] == serial.points_evaluated[0] == n
+        if config.method == "gd":
+            assert sharded.points_evaluated.tolist() == serial.points_evaluated.tolist()
+        else:
+            assert len(set(serial.steps_used.tolist())) > 5
+
+    def test_shards_run_in_forked_children(self, tmp_path, workers):
+        """One worker samples the whole batch in this process; two sample the
+        first 496 rows (62 kernel blocks) here and the other 504 in a child."""
+        log = tmp_path / "calls"
+
+        def field(x, progress):
+            with open(log, "a") as fh:  # one short append a call, whole
+                fh.write(f"{os.getpid()} {len(x)}\n")
+            return x
+
+        traj = sample(field, np.ones((1000, 2)), cfg(eta=0.1, steps=3))
+        calls = Counter(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+        me = os.getpid()
+        if workers == 1:
+            assert traj.processes == 1 and calls == {(me, 1000): 3}
+        else:
+            (child, rows), = set(calls) - {(me, 496)}
+            assert traj.processes == 2 and child != me
+            assert calls == {(me, 496): 3, (child, 504): 3}
+
+    @pytest.mark.parametrize("workers", [2], indirect=True, ids=["2 workers"])
+    def test_other_threads_keep_sampling_serial(self, workers):
+        """A forked child holds only the thread that forked it, so a process
+        that runs another Python thread samples in one process."""
+        x0 = np.ones((1000, 2))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            during = sample(linear_field, x0, cfg(eta=0.1, steps=3))
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        after = sample(linear_field, x0, cfg(eta=0.1, steps=3))
+        assert (during.processes, after.processes) == (1, 2)
+        assert during.final.tobytes() == after.final.tobytes()
+
+    def test_record_and_small_batches_stay_serial(self, monkeypatch):
+        monkeypatch.setattr(model, "inference_workers", lambda: 8)
+        c = cfg(eta=0.1, steps=3)
+        assert sample(linear_field, np.ones((255, 2)), c).processes == 1
+        assert sample(linear_field, np.ones((256, 2)), c).processes == 2
+        assert sample(linear_field, np.ones((1000, 2)), c, record=True).processes == 1
+        monkeypatch.delattr(os, "fork")
+        assert sample(linear_field, np.ones((1000, 2)), c).processes == 1
+
+    @pytest.mark.parametrize("workers", [2], indirect=True, ids=["2 workers"])
+    @pytest.mark.parametrize("fails", [None, "child", "caller"],
+                             ids=["success", "a failing child", "a failing caller"])
+    def test_no_child_survives_or_writes(self, capfd, workers, fails):
+        """Whether every shard returns, the child's raises or the caller's
+        own raises, every child is reaped before `sample` returns or raises,
+        and none writes to stdout or stderr: the serial run's error is the
+        call's."""
+        x0 = np.ones((1000, 2))
+        if fails is not None:
+            x0[0 if fails == "caller" else -1] = 1e9
+
+        def field(x, progress):
+            if np.abs(x).max() >= 1e9:
+                raise ValueError("a bad row")
+            return x
+
+        if fails is None:
+            assert sample(field, x0, cfg(eta=0.1, steps=3)).processes == 2
+        else:
+            with pytest.raises(ValueError, match="a bad row"):
+                sample(field, x0, cfg(eta=0.1, steps=3))
+        assert no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("workers", [2], indirect=True, ids=["2 workers"])
+    def test_the_serial_run_starts_once_every_child_is_reaped(self, workers):
+        """The caller's shard fails at once while the child's would take
+        10 s: the child is killed and reaped, and the serial run starts with
+        no child left."""
+        x0 = np.ones((1000, 2))
+        x0[0] = 1e9
+        seen = []
+
+        def field(x, progress):
+            if len(x) == 1000:  # the serial run
+                seen.append(no_child_left())
+                return x
+            if np.abs(x).max() >= 1e9:
+                raise ValueError("a bad row")
+            time.sleep(0.5)  # the child's shard
+            return x
+
+        start = time.perf_counter()
+        traj = sample(field, x0, cfg(eta=0.1, steps=20))
+        assert traj.processes == 1 and seen == [True] * 20
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("kind", ["numpy", "python"])
+    def test_a_warning_is_the_serial_runs(self, monkeypatch, capfd, kind):
+        """A row of the child's shard makes the field warn at every step. A
+        shard raises on a warning, so the run is the serial run: the same
+        result and the same three warnings, and no child writes."""
+        x0 = np.ones((1000, 2))
+        x0[-1] = 1000.0
+
+        def field(x, progress):
+            if kind == "numpy":
+                np.exp(x[:, 0])  # exp(1000) overflows
+            elif np.abs(x).max() > 700:
+                warnings.warn("a large row", UserWarning)
+            return x
+
+        got = []
+        for workers in (1, 2):
+            monkeypatch.setattr(model, "inference_workers", lambda w=workers: w)
+            with pytest.warns(Warning) as record:
+                traj = sample(field, x0, cfg(eta=0.1, steps=3))
+            got.append((traj.processes, traj.final.tobytes(),
+                        [(w.category, str(w.message)) for w in record]))
+        assert got[1] == got[0] and got[0][0] == 1 and len(got[0][2]) == 3
+        assert capfd.readouterr() == ("", "")
+
+    def test_a_failing_sharded_run_is_the_serial_runs(self, tmp_path):
+        """`sample --eta 1e308` overflows in every shard: the call's exit code
+        and stderr bytes, warnings and all, are the serial run's."""
+        runs = []
+        for workers in (1, 2):
+            proc = subprocess.run(
+                [sys.executable, "-c", MAIN_ON_WORKERS, str(workers), "sample",
+                 "--checkpoint", str(FIXTURE), "--n", "1000", "--eta", "1e308",
+                 "--steps", "3", "--out", str(tmp_path / f"{workers}.csv")],
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True,
+                timeout=120)
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 2 and b"non-finite sampler state at step 0" in runs[0][2]
+
+    def test_a_forked_child_samples_on_shards_of_its_own(self):
+        proc = subprocess.run([sys.executable, "-c", FORK_THEN_SAMPLE],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "0"]

@@ -7,8 +7,10 @@ defaults to this checkout) and writes, per workload, the median of each
 end-to-end metric over the untraced runs and of each per-layer metric over
 the traced runs (metric names from DIR/BENCHMARK.json), with the seeds of
 each kind of run, the operation counts and, for sample-eval, the fixture's
-SHA-256; plus the environment the runs shared and `git rev-parse HEAD` of
-DIR. Beside each end-to-end median it records that metric's first and third
+SHA-256; plus the environment the runs shared, `git rev-parse HEAD` of DIR,
+whether DIR's working tree was clean (`git status --porcelain` printed
+nothing) and the SHA-256 of `git diff HEAD`, so a summary of runs made on
+uncommitted changes says so, and which changes they were. Beside each end-to-end median it records that metric's first and third
 quartiles, so a comparison of medians against the spread of runs can be
 checked from the summary alone. Only the standard library is used.
 """
@@ -16,6 +18,7 @@ checked from the summary alone. Only the standard library is used.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -66,10 +69,14 @@ def summarize(repo: Path) -> dict:
         if shas:
             entry["fixture_sha256"] = shas.pop()
         workloads[name] = entry
-    rev = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"], check=True,
-                         capture_output=True, text=True).stdout.strip()
-    return {"git_rev": rev, "environment": reports[0]["environment"],
-            "workloads": workloads}
+    def git(*args) -> bytes:
+        return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                              capture_output=True).stdout
+
+    return {"git_rev": git("rev-parse", "HEAD").decode().strip(),
+            "git_clean": not git("status", "--porcelain"),
+            "git_diff_sha256": hashlib.sha256(git("diff", "HEAD")).hexdigest(),
+            "environment": reports[0]["environment"], "workloads": workloads}
 
 
 def main(argv=None) -> int:
