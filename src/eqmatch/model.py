@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -184,19 +183,17 @@ class GradientFieldModel:
     def forward_values(self, x, label=None, noise_level=None) -> np.ndarray:
         """`forward(nd.Graph(), ...).values` off the tape on each row block of
         `x`, as one inference pass (`_row_pass`): the tape's bits on the same
-        blocks, and its errors."""
+        blocks where it returns."""
         return self._row_pass(
             x, label, noise_level,
-            lambda p, xb, lb, nl: self._forward_values(xb, lb, nl, params=p),
-            self.forward)
+            lambda p, xb, lb, nl: self._forward_values(xb, lb, nl, params=p))
 
-    def _row_pass(self, x, label, noise_level, run_block, tape_block) -> np.ndarray:
+    def _row_pass(self, x, label, noise_level, run_block) -> np.ndarray:
         """An inference pass over `x` [n, d] in blocks of INFERENCE_ROWS rows
-        (the last takes the remainder), as one `nd.run_pass`: its pass calls
-        `run_block(params, xb, label, level)` on each block with the
-        parameters scanned once (`_leaves`), its tape `tape_block(graph, xb,
-        label, level)` on a graph of its own (`nd.tape_values`), and each
-        writes the blocks' [rows, d] results into one [n, d] output. The
+        (the last takes the remainder): `run_block(params, xb, label, level)`
+        on each block in turn, with the parameters scanned once (`_leaves`),
+        writes the blocks' [rows, d] results into one [n, d] output, under
+        one `np.errstate(all="ignore")` (see `nd`'s docstring). The
         conditioning is checked once, on the whole batch, so its errors name
         the batch; each block gets its rows' labels and noise levels, a
         scalar one given to every row."""
@@ -208,32 +205,28 @@ class GradientFieldModel:
         if noise_level is not None:
             noise_level = _per_row(noise_level, n, np.float64, "noise level")
         ends = [*range(INFERENCE_ROWS, n - INFERENCE_ROWS + 1, INFERENCE_ROWS), n]
-        blocks = [(slice(a, b), None if label is None else label[a:b],
-                   None if noise_level is None else noise_level[a:b])
-                  for a, b in zip([0, *ends[:-1]], ends)]
-
-        def each(block):
-            out = np.empty_like(x)
-            for rows, lb, nl in blocks:
-                out[rows] = block(x[rows], lb, nl)
-            return out
-
-        return nd.run_pass(lambda: each(partial(run_block, self._leaves())),
-                           lambda: each(partial(nd.tape_values, tape_block)))
+        out = np.empty_like(x)
+        with np.errstate(all="ignore"):
+            p = self._leaves()
+            for a, b in zip([0, *ends[:-1]], ends):
+                out[a:b] = run_block(p, x[a:b], None if label is None else label[a:b],
+                                     None if noise_level is None else noise_level[a:b])
+        return out
 
     def _leaves(self) -> dict[str, np.ndarray]:
         """The parameters as values, each scanned where `forward` leases its
         leaf."""
         p = {name: nd.as_values(buf) for name, buf in self.params.items()}
-        for buf in p.values():
-            nd.check_finite(buf, "leaf")
+        for name, buf in p.items():
+            nd.check_finite(buf, "leaf", f"at {name}")
         return p
 
     def _forward_values(self, x, label, noise_level, cache=None,
                         params=None) -> np.ndarray:
         """`forward(nd.Graph(), ...).values`, each layer written in place, for
-        a pass that scans what enters and leaves it with `nd.check_finite`
-        (see `nd.run_pass`); `params` is `_leaves()`, made here if None.
+        a pass that scans only what enters and leaves it with
+        `nd.check_finite` (see `nd`'s docstring); `params` is `_leaves()`,
+        made here if None.
 
         With `cache` None, each hidden layer writes its sigmoid and SiLU over
         the previous hidden layer's activations, which are dead once its
@@ -246,10 +239,11 @@ class GradientFieldModel:
         needs: [input, one-hot labels or None, pre-activation, its sigmoid or
         None (the output layer)]."""
         self._check_conditioning(label, noise_level)
-        h = nd.constant(x).values
+        h = nd.as_values(x)
         n = self._batch_size(h.shape)
         if self.config.noise_conditioned:
-            h = nd.constant(np.concatenate([h, noise_features(noise_level, n)], 1)).values
+            h = np.concatenate([h, noise_features(noise_level, n)], 1)
+        nd.check_finite(h, "constant", "at the input")
         p = self._leaves() if params is None else params
         last = len(self.config.hidden)
         for i in range(last + 1):
@@ -257,12 +251,12 @@ class GradientFieldModel:
             pre += p[f"layers.{i}.b"]
             hot = None
             if i == 0 and self.config.num_classes > 0:
-                hot = nd.constant(self._one_hot(label, n)).values
+                hot = self._one_hot(label, n)
                 pre += hot @ p["label_embed"]
             if i == last:
                 if cache is not None:
                     cache.append([h, hot, pre, None])
-                nd.check_finite(pre, "add")
+                nd.check_finite(pre, "add", f"in layer {i}")
                 return pre
             if cache is None:  # past layer 0, h is this pass's own and now dead
                 h = nd.sigmoid_values(pre, out=h if i and h.shape == pre.shape else None)
@@ -311,9 +305,11 @@ class GradientFieldModel:
             del pre, s
             if hot is not None:
                 grads["label_embed"] = hot.T @ g
-                nd.check_finite(grads["label_embed"], "matmul")
+                nd.check_finite(grads["label_embed"], "matmul",
+                                "in the gradient of label_embed")
             grads[f"layers.{i}.b"] = g.sum(axis=0)
-            nd.check_finite(grads[f"layers.{i}.b"], "reduce_leading")
+            nd.check_finite(grads[f"layers.{i}.b"], "reduce_leading",
+                            f"in the gradient of layers.{i}.b")
             g_in = None
             if i:  # layer 0's input gradient is unused
                 g_in = g @ p[f"layers.{i}.w"].T
@@ -322,7 +318,8 @@ class GradientFieldModel:
             else:
                 w_grad = first[0].pop()
                 w_grad += h_in.T @ g
-            nd.check_finite(w_grad, "matmul" if first is None else "add")
+            nd.check_finite(w_grad, "matmul" if first is None else "add",
+                            f"in the gradient of layers.{i}.w")
             grads[f"layers.{i}.w"] = w_grad
             g = g_in
         return {name: grads[name] for name in p}
@@ -370,10 +367,10 @@ class GradientFieldModel:
                 keep.append([out, g, c, d])
             g = g @ self.params[f"layers.{i}.w"].T
         if not dot:  # l2norm returns layer 0's input gradient
-            nd.check_finite(g, "matmul")
+            nd.check_finite(g, "matmul", "in layer 0's input gradient")
             return g
         field = f + g  # the dot's own x-gradient, then the chain's
-        nd.check_finite(field, "add")
+        nd.check_finite(field, "add", "in layer 0's input gradient")
         return field
 
     def energy_parameter_gradients(self, cache: list, keep: list,
@@ -483,14 +480,10 @@ def energy_gradient(model: GradientFieldModel, x, label=None) -> np.ndarray:
     `nd.input_gradient(_total_energy(...), x)` off the tape on each row block
     of `x`, from `_forward_values` and `energy_input_gradient`, as one
     inference pass (`GradientFieldModel._row_pass`): the tape's bits on the
-    same blocks where it returns, and its errors."""
+    same blocks where it returns."""
     def run(p, xb, lb, _):
         cache = []
         model._forward_values(xb, lb, None, cache, p)
         return model.energy_input_gradient(cache)
 
-    def tape(graph, xb, lb, _):
-        xt = graph.leaf(xb)
-        return nd.input_gradient(_total_energy(model, graph, xt, label=lb), xt)
-
-    return model._row_pass(x, label, None, run, tape)
+    return model._row_pass(x, label, None, run)

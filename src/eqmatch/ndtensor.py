@@ -8,10 +8,17 @@ exception is a matmul's right-operand (weight) gradient, a left-transposed
 product that no loss differentiates, so backward through it raises.
 
 Training (`objective.loss_and_gradients`) and inference
-(`model.forward_values`, `model.energy_gradient`) run off the tape, each as
-one `run_pass`, which scans a pass only at its boundaries and hands any
-failure to the tape: a pass returns the tape's bits, and its errors are the
-tape's.
+(`model.forward_values`, `model.energy_gradient`) run off the tape: each is
+one pass that makes the tape's ops in its order under
+`np.errstate(all="ignore")` and scans with `check_finite` only the values
+entering or leaving it (parameters, inputs, output, loss, returned
+gradients). A NaN or Inf inside a pass still reaches a scanned value, since
+`+`, `-`, `*`, matmul, sums and SiLU carry it on (inf * 0 and silu(-inf) are
+NaN). So where the tape returns, a pass returns its bits; where a pass
+raises, the tape raises too, and the pass's NonFiniteError names the scanned
+value's op and its layer or parameter. A pass may return where the tape
+raises first on a product that the pass does not make. The tape itself is
+the oracle of the bit-identity tests.
 
 Conventions:
   - all buffers are contiguous float64; non-finite values raise at op
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,32 +65,12 @@ def all_finite(values: np.ndarray) -> bool:
                                and math.isfinite(np.maximum.reduce(values, axis=None)))
 
 
-def check_finite(values: np.ndarray, op: str) -> None:
-    """Raise NonFiniteError naming `op` on a NaN or Inf in `values`."""
+def check_finite(values: np.ndarray, op: str, place: str = "") -> None:
+    """Raise NonFiniteError naming `op`, and `place` where given (e.g. "at
+    layers.1.b", "in layer 3"), on a NaN or Inf in `values`."""
     if not all_finite(values):
-        raise NonFiniteError(f"non-finite values produced by op '{op}'")
-
-
-def run_pass(run: Callable, tape: Callable):
-    """`run()`, an off-tape pass, or where it raises, `tape()`: the same
-    computation on the tape, whose result or error (with its warnings)
-    stands.
-
-    A pass computes only what it returns, with the tape's ops in its order,
-    and scans with `check_finite` only the values entering or leaving it
-    (parameters, inputs, output, loss, returned gradients). It runs under
-    `np.errstate(all="ignore")`: a NaN or Inf inside it still reaches a
-    scanned value, since `+`, `-`, `*`, matmul, sums and SiLU carry it on
-    (inf * 0 and silu(-inf) are NaN). So where the tape returns, the pass
-    returns the same bits, and where the pass raises, the error is the
-    tape's. The pass may return where the tape raises first on a product
-    that the pass does not make."""
-    try:
-        with np.errstate(all="ignore"):
-            return run()
-    except Exception:  # the tape decides what is raised
-        pass
-    return tape()
+        raise NonFiniteError(f"non-finite values produced by op '{op}'"
+                             + (f" {place}" if place else ""))
 
 
 def sigmoid_values(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -181,18 +168,6 @@ class Graph:
         t = Tensor(values, graph=self, node=len(self.nodes))
         self.nodes.append(_Node(op, inputs, t, extra))
         return t
-
-
-def tape_values(build: Callable, *args) -> np.ndarray:
-    """`build(graph, *args).values` on a fresh graph, which is emptied once
-    they are read or `build` raises: every tensor on a tape points at its
-    graph, a cycle that only the cyclic collector would free."""
-    graph = Graph()
-    try:
-        return build(graph, *args).values
-    finally:
-        graph.nodes.clear()
-        graph.bindings.clear()
 
 
 def constant(data) -> Tensor:

@@ -145,34 +145,29 @@ def loss_and_gradients(objective: str, model: GradientFieldModel, batch: TrainBa
     parameter, off the tape: `model._forward_values` with a cache (for
     eqm-e, then `energy_input_gradient`), the mean squared error and its
     gradient written out, then `parameter_gradients` (eqm) or
-    `energy_parameter_gradients` (eqm-e), as one pass through
-    `nd.run_pass`: the bits of `loss_for(objective, ...)` + `nd.backward`,
-    and their errors. Of the values between the output and the gradients it
-    scans only the loss, which bounds the difference and its square."""
+    `energy_parameter_gradients` (eqm-e), as one pass (see `nd`'s
+    docstring): the bits of `loss_for(objective, ...)` + `nd.backward`
+    where they return. Of the values between the output and the gradients
+    it scans only the loss, which bounds the difference and its square. An
+    empty batch raises the tape's mean's error before any product."""
     xg, target, label = _loss_inputs(objective, model, batch, sched,
                                      allow_non_equilibrium)
     level = batch.gamma if model.config.noise_conditioned else None
-
-    def run():
+    if not model._batch_size(xg.shape):
+        raise nd.ShapeMismatchError("op 'mean': empty tensor")
+    with np.errstate(all="ignore"):
         cache, keep = [], []
         field = model._forward_values(xg, label, level, cache)
         if objective == "eqm-e":
             field = model.energy_input_gradient(cache, keep)
-        diff = field - nd.constant(target).values
+        nd.check_finite(target, "constant", "in the target")
+        diff = field - target
         squared = diff * diff
         scale = 1.0 / squared.size
         total = squared.sum(axis=(0, 1))
-        nd.check_finite(total, "reduce_leading")
+        nd.check_finite(total, "reduce_leading", "in the loss")
         grad = scale * diff  # (the tape's ones(()) * scale is scale exactly)
         grad *= 2.0
         if objective == "eqm-e":
             return float(total * scale), model.energy_parameter_gradients(cache, keep, grad)
         return float(total * scale), model.parameter_gradients(cache, grad)
-
-    def tape():
-        loss = loss_for(objective, model, batch, sched, allow_non_equilibrium)
-        grads = nd.backward(loss)
-        return loss.item(), {name: nd.grad_values(grads, leaf)
-                             for name, leaf in model._bind(loss.graph).items()}
-
-    return nd.run_pass(run, tape)

@@ -4,12 +4,13 @@ The finite-difference functions below are the independent oracle for every
 gradient assertion in the suite: they only ever evaluate forward passes.
 """
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from eqmatch import model
+from eqmatch import model, ndtensor as nd
 
 
 def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -42,19 +43,36 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)) / scale)
 
 
-def assert_raises_as_the_tape(call, tape) -> None:
-    """`call()` raises the error that `tape()` raises, with the same
-    RuntimeWarnings: a failed off-tape pass is silent, and the tape it hands
-    the failure to decides what is raised."""
-    def raised(fn):
-        with warnings.catch_warnings(record=True) as caught, \
-                pytest.raises(Exception) as error:
-            warnings.simplefilter("always")
-            fn()
-        return type(error.value), str(error.value), [
-            (w.category, str(w.message)) for w in caught]
+#: a failed pass's message: the op and the place (layer, parameter, input,
+#: target or loss) of the boundary scan that found the NaN or Inf
+PASS_FAILURE = re.compile(r"non-finite values produced by op '\w+' (at|in) \S.*")
 
-    assert raised(call) == raised(tape)
+
+def assert_fails_as_the_tape(pass_error: Exception, tape_error: Exception) -> None:
+    """A failed pass's error, where the tape raised `tape_error`: a
+    NonFiniteError where the tape's is one, named by the pass's own boundary
+    scan, and any other error, raised by a check the pass shares with the
+    tape, the tape's own."""
+    assert type(pass_error) is type(tape_error)
+    if isinstance(tape_error, nd.NonFiniteError):
+        assert PASS_FAILURE.fullmatch(str(pass_error)), str(pass_error)
+    else:
+        assert str(pass_error) == str(tape_error)
+
+
+def assert_raises_as_the_tape(call, tape) -> str:
+    """`call()`, an off-tape pass, raises where `tape()` raises, with no
+    RuntimeWarning (it runs under `np.errstate(all="ignore")`), an error as
+    `assert_fails_as_the_tape` says. Returns the pass's message."""
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(Exception) as error:
+        warnings.simplefilter("always")
+        call()
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    with np.errstate(all="ignore"), pytest.raises(Exception) as tape_error:
+        tape()
+    assert_fails_as_the_tape(error.value, tape_error.value)
+    return str(error.value)
 
 
 def outcome(call) -> tuple:

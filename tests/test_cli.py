@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from eqmatch import cli, evaluation, training
+from eqmatch import cli, evaluation, ndtensor as nd, training
 from eqmatch.checkpoint import load_checkpoint, save_checkpoint
 from eqmatch.cli import _file_digest, main
 from eqmatch.config import to_dict
@@ -351,6 +351,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--baseline is noise-conditioned" in err
         assert "eta=0.02 * steps=30 = 0.6" in err and "Traceback" not in err
+
+
+class TestNumericalFailures:
+    """A run whose values overflow exits 2 with one line on stderr: the step,
+    and the op and place (a layer, a parameter or the loss) of the off-tape
+    pass's scan that found the NaN or Inf. No command builds a tape, on
+    success or failure, and no RuntimeWarning is raised."""
+
+    @staticmethod
+    def failure(monkeypatch, capsys, argv) -> str:
+        def no_tape():
+            raise AssertionError("a command built a tape")
+
+        monkeypatch.setattr(nd, "Graph", no_tape)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("objective, head", [("eqm", "none"), ("eqm-e", "dot")])
+    def test_training_at_a_huge_learning_rate(self, monkeypatch, capsys, tmp_path,
+                                              objective, head):
+        """Step 0 moves only the last layer (the zero last layer stops every
+        other gradient), by about lr: the output stays finite at step 1 and
+        its squared error overflows."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "objective": objective, "model": {"hidden": [16, 16], "energy_kind": head},
+            "optimizer": {"lr": 1e300}, "train": {"steps": 3, "batch_size": 16}}))
+        err = self.failure(monkeypatch, capsys, ["train", "--config", str(cfg),
+                                                 "--out", str(tmp_path / "run")])
+        assert err == ("numerical failure: training aborted at step 1: non-finite "
+                       "values produced by op 'reduce_leading' in the loss\n")
+
+    def test_sampling_an_energy_head_at_a_huge_step(self, monkeypatch, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "objective": "eqm-e", "model": {"hidden": [16, 16], "energy_kind": "dot"},
+            "train": {"steps": 2, "batch_size": 16}}))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        err = self.failure(monkeypatch, capsys, [
+            "sample", "--checkpoint", str(tmp_path / "run" / "checkpoint.eqmckpt"),
+            "--n", "64", "--eta", "1e308", "--steps", "3",
+            "--out", str(tmp_path / "samples.csv")])
+        assert err == ("numerical failure: gradient evaluation failed at step 1: "
+                       "non-finite values produced by op 'add' in layer 0's input "
+                       "gradient\n")
 
 
 class TestDeterminism:

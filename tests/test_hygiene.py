@@ -2,11 +2,12 @@
 uses, nothing in the package imports scipy (a test-only oracle), the
 README's run-config block is the default config, the docs name exactly
 the CLI's subcommands, README's layout table exactly the package modules
-and tools, every repo path README names exists, and only the checkpoint
-module spells the optimizer's stored tensor names."""
+and tools, every repo path and package attribute README names exists, and
+only the checkpoint module spells the optimizer's stored tensor names."""
 
 import argparse
 import ast
+import importlib
 import json
 import os
 import re
@@ -187,3 +188,43 @@ def test_readme_names_only_paths_that_exist():
              if re.fullmatch(r"(bench|src|tests|tools)/\S*|BENCH_\d+\.json", word)}
     assert "tools/run_digests.py" in named
     assert sorted(p for p in named if not (ROOT / p).exists()) == []
+
+
+#: endings of the file names README spells like dotted names
+FILE_SUFFIXES = (".eqmckpt", ".csv", ".json", ".svg")
+
+
+def config_keys(tree: dict, prefix: str = "") -> set[str]:
+    """The dotted key of every value in a run-config dict, e.g. model.init_seed."""
+    keys = set()
+    for key, value in tree.items():
+        keys.add(prefix + key)
+        if isinstance(value, dict):
+            keys |= config_keys(value, f"{prefix}{key}.")
+    return keys
+
+
+def test_readme_names_only_attributes_that_exist():
+    """Every dotted name that starts a backticked span of README and a
+    package module (`nd.` for ndtensor, `model.`, `eqmatch.sampler.`, ...)
+    resolves by getattr, but for file names (`checkpoint.eqmckpt`) and
+    run-config keys (`model.init_seed`)."""
+    text = re.sub(r"^```.*?^```", "", (ROOT / "README.md").read_text(), flags=re.M | re.S)
+    modules = {p.stem for p in (ROOT / "src" / "eqmatch").glob("*.py")
+               if p.name != "__init__.py"}
+    aliases = {"nd": "ndtensor", **{m: m for m in modules}}
+    skipped = config_keys(to_dict(RunConfig()))
+    resolved, missing = set(), []
+    for name in sorted(set(re.findall(r"`((?:\w+\.)+\w+)", text))):
+        parts = name.split(".")[1:] if name.startswith("eqmatch.") else name.split(".")
+        if parts[0] not in aliases or name in skipped or name.endswith(FILE_SUFFIXES):
+            continue
+        obj = importlib.import_module(f"eqmatch.{aliases[parts[0]]}")
+        for attr in parts[1:]:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+        else:
+            resolved.add(name)
+    assert "eqmatch.cli.main" in resolved and "nd.backward" in resolved
+    assert missing == []

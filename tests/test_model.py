@@ -1,7 +1,5 @@
-import gc
 import os
 import threading
-import time
 import tracemalloc
 from functools import partial
 
@@ -14,8 +12,8 @@ from eqmatch.model import (INFERENCE_ROWS, ConditioningError, GradientFieldModel
                            ModelConfig, _total_energy, energy, energy_gradient,
                            init_model, noise_features)
 from eqmatch.sampler import ModelField, SamplerConfig, sample
-from conftest import (assert_raises_as_the_tape, central_difference, outcome, rel_err,
-                      scale_by_powers_of_two)
+from conftest import (assert_fails_as_the_tape, assert_raises_as_the_tape,
+                      central_difference, outcome, rel_err, scale_by_powers_of_two)
 
 
 def small_config(**kw):
@@ -308,9 +306,10 @@ class TestEnergy:
                                                  seed):
         """Parameters scaled by 2^k, k in [0, 1000], and inputs by 2^j:
         wherever the tape returns, `energy_gradient` returns its bits;
-        wherever it raises, the tape raises the same error; wherever it
-        returns, the field is finite. It may return where the tape raises on
-        the energy value, which it does not make."""
+        wherever it raises, the tape raises too, a NonFiniteError that the
+        pass names by its own scan; wherever it returns, the field is
+        finite. It may return where the tape raises on the energy value,
+        which it does not make."""
         m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), seed)
         scale_by_powers_of_two(m.params, exponents)
         rng = np.random.default_rng(seed + 1)
@@ -323,13 +322,16 @@ class TestEnergy:
         elif pass_error is None:
             assert nd.all_finite(got)
         else:
-            assert type(pass_error) is type(tape_error)
-            assert str(pass_error) == str(tape_error)
+            assert_fails_as_the_tape(pass_error, tape_error)
 
     @pytest.mark.parametrize("head", ["dot", "l2norm"])
     @pytest.mark.parametrize("case", ["leaf", "nan input", "matmul", *HIDDEN_INF,
                                       "label", "first backward", "no energy head"])
     def test_gradient_errors_equal_the_tape(self, case, head):
+        """Where the tape raises, the pass raises with no warning: the
+        tape's error where a check is shared (the label, the head), else a
+        NonFiniteError naming the scan that found the value. A NaN or Inf
+        inside the forward pass reaches its output, layer 1 + len(hidden)."""
         n, hidden, sign = HIDDEN_INF.get(case, (5, (8, 8), 1.0))
         cfg = ModelConfig(hidden=hidden, num_classes=3,
                           energy_kind="none" if case == "no energy head" else head)
@@ -353,25 +355,19 @@ class TestEnergy:
             p["layers.2.w"] *= 1e250
             p["layers.2.b"][:] = 1e100
             x = np.full((5, 2), 1e100)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(Exception) as tape:
-            self.tape_gradient(m, x, label)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(Exception) as values:
-            energy_gradient(m, x, label)
-        assert type(values.value) is type(tape.value)
-        assert str(values.value) == str(tape.value)
-        assert_raises_as_the_tape(lambda: energy_gradient(m, x, label),
-                                  lambda: self.tape_gradient(m, x, label))
-        op = {"nan input": "leaf", "first backward": "matmul",
-              **dict.fromkeys(HIDDEN_INF, "matmul")}.get(case, case)
+        message = assert_raises_as_the_tape(lambda: energy_gradient(m, x, label),
+                                            lambda: self.tape_gradient(m, x, label))
+        first_backward = {"dot": "op 'add'", "l2norm": "op 'matmul'"}[head] \
+            + " in layer 0's input gradient"
+        place = {"leaf": "op 'leaf' at layers.1.b", "nan input": "op 'constant' at the input",
+                 "first backward": first_backward}.get(case, f"op 'add' in layer {len(hidden)}")
         if case not in ("label", "no energy head"):
-            assert str(values.value) == f"non-finite values produced by op '{op}'"
+            assert message == f"non-finite values produced by {place}"
 
     @pytest.mark.parametrize("head", ["dot", "l2norm"])
     def test_gradient_builds_no_graph(self, monkeypatch, head):
-        """A finite labelled input's field comes from the off-tape pass: one
-        that failed would hand its input to the tape."""
+        """A finite labelled input's field comes from the off-tape pass, with
+        the tape's bits, and no graph is made."""
         m = random_model(ModelConfig(hidden=(16, 16), num_classes=3, energy_kind=head), 5)
         rng = np.random.default_rng(6)
         x, label = rng.standard_normal((9, 2)), rng.integers(0, 3, 9)
@@ -472,44 +468,12 @@ class TestForwardValues:
     @pytest.mark.parametrize("head", ["none", "dot"])
     def test_a_later_blocks_error_is_its_tapes(self, head, workers):
         """Block 0 is finite and block 1's layer-0 product overflows: the
-        pass raises block 1's tape error, with its warnings, and no warning
-        of its own on any thread."""
+        pass raises where block 1's tape raises, with no warning, at block
+        1's output scan."""
         m, x, call, tape = later_block_overflow(head)
         tape(x[:128])  # block 0 is finite
-        assert_raises_as_the_tape(lambda: call(x), lambda: tape(x[128:]))
-        with np.errstate(over="ignore"), pytest.raises(nd.NonFiniteError,
-                                                       match="op 'matmul'"):
-            call(x)
-
-    @pytest.mark.parametrize("head", ["none", "dot"])
-    def test_a_fallback_frees_each_blocks_tape(self, monkeypatch, head, workers):
-        """Every tensor on a tape points at its graph, so a block's tape is a
-        reference cycle. A pass that falls back to the tape empties each
-        block's graph once its values are read: at n = 1000 (7 blocks) no
-        graph is left for the cyclic collector, and the result keeps the
-        tape's bits."""
-        m = random_model(ModelConfig(hidden=(16, 16), energy_kind=head), 1)
-        x = np.random.default_rng(2).standard_normal((1000, 2))
-        call = m.forward_values if head == "none" else partial(energy_gradient, m)
-        want = call(x)
-
-        def fail(*a, **kw):
-            raise RuntimeError("the off-tape pass fails")
-
-        def graphs():
-            return sum(isinstance(o, nd.Graph) for o in gc.get_objects())
-
-        monkeypatch.setattr(m, "_forward_values", fail)
-        gc.collect()
-        gc.disable()
-        try:
-            before = graphs()
-            got = call(x)
-            after = graphs()
-        finally:
-            gc.enable()
-        assert got.tobytes() == want.tobytes()
-        assert after == before
+        message = assert_raises_as_the_tape(lambda: call(x), lambda: tape(x[128:]))
+        assert message == "non-finite values produced by op 'add' in layer 2"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", [2], indirect=True, ids=["2 workers"])
@@ -530,39 +494,9 @@ class TestForwardValues:
                 raise
 
         monkeypatch.setattr(m, "_forward_values", spy)
-        with pytest.raises(Exception):  # the tape's; its warnings are errors here
+        with pytest.raises(nd.NonFiniteError):
             call(x)
         assert raised == [(nd.NonFiniteError, threading.main_thread().name)]
-
-    @pytest.mark.parametrize("workers", [2], indirect=True, ids=["2 workers"])
-    @pytest.mark.parametrize("head", ["none", "dot"])
-    def test_the_tape_starts_once_every_task_has_ended(self, monkeypatch, head, workers):
-        """Block 0 is held for 0.2 s and block 1 fails: at any worker count
-        the tape starts only once block 0 has ended, and runs the blocks in
-        order on the caller's thread."""
-        m, x, call, _ = later_block_overflow(head)
-        real, real_tape = m._forward_values, nd.tape_values
-        running, tapes = [], []
-
-        def slow_block_0(xb, *args, **kwargs):
-            running.append(len(xb))
-            try:
-                if len(xb) == 128:
-                    time.sleep(0.2)
-                return real(xb, *args, **kwargs)
-            finally:
-                running.remove(len(xb))
-
-        def tape(build, xb, *args):
-            tapes.append((len(xb), list(running),
-                          threading.current_thread() is threading.main_thread()))
-            return real_tape(build, xb, *args)
-
-        monkeypatch.setattr(m, "_forward_values", slow_block_0)
-        monkeypatch.setattr(nd, "tape_values", tape)
-        with np.errstate(all="ignore"), pytest.raises(nd.NonFiniteError):
-            call(x)
-        assert tapes == [(128, [], True), (172, [], True)]
 
     @pytest.mark.parametrize("head, name", [("none", "label"), ("none", "noise level"),
                                             ("dot", "label")])
@@ -602,6 +536,10 @@ class TestForwardValues:
                                       *HIDDEN_INF, "label add", "noise level",
                                       "input shape"])
     def test_errors_equal_the_tape(self, case):
+        """Where the tape raises, the pass raises with no warning: the
+        tape's error where a check is shared (conditioning, shape), else a
+        NonFiniteError naming the scan that found the value. A NaN or Inf
+        inside the pass reaches its output, layer len(hidden)."""
         n, hidden, sign = HIDDEN_INF.get(case, (5, (8, 8), 1.0))
         cfg = ModelConfig(hidden=hidden, num_classes=3,
                           noise_conditioned=case == "noise level")
@@ -630,17 +568,13 @@ class TestForwardValues:
             kw["noise_level"] = np.zeros(4)
         else:
             x = np.ones((5, 3))
-        with np.errstate(over="ignore"), pytest.raises(Exception) as tape:
-            m.forward(nd.Graph(), x, **kw)
-        with np.errstate(over="ignore"), pytest.raises(Exception) as values:
-            m.forward_values(x, **kw)
-        assert type(values.value) is type(tape.value)
-        assert str(values.value) == str(tape.value)
-        assert_raises_as_the_tape(lambda: m.forward_values(x, **kw),
-                                  lambda: m.forward(nd.Graph(), x, **kw))
-        if case in ("leaf", "matmul", "add", "constant", *HIDDEN_INF, "label add"):
-            op = {**dict.fromkeys(HIDDEN_INF, "matmul"), "label add": "add"}.get(case, case)
-            assert str(values.value) == f"non-finite values produced by op '{op}'"
+        message = assert_raises_as_the_tape(lambda: m.forward_values(x, **kw),
+                                            lambda: m.forward(nd.Graph(), x, **kw))
+        if case not in ("label", "noise level", "input shape"):
+            place = {"leaf": "op 'leaf' at layers.1.b",
+                     "constant": "op 'constant' at the input"}.get(
+                case, f"op 'add' in layer {len(hidden)}")
+            assert message == f"non-finite values produced by {place}"
 
     @pytest.mark.parametrize("classes, noise", [(3, True), (0, False), (3, False),
                                                 (0, True)],

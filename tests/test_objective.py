@@ -12,8 +12,8 @@ from eqmatch.objective import (OBJECTIVES, ObjectiveError, TrainBatch, check_pai
                                loss_for)
 from eqmatch.optimizer import AdamW
 from eqmatch.schedule import Schedule
-from conftest import (assert_raises_as_the_tape, central_difference, outcome, rel_err,
-                      scale_by_powers_of_two)
+from conftest import (assert_fails_as_the_tape, assert_raises_as_the_tape,
+                      central_difference, outcome, rel_err, scale_by_powers_of_two)
 from test_model import EXPONENTS, X_EXPONENTS, hide_an_inf, random_model
 
 LINEAR = Schedule(kind="linear")
@@ -267,19 +267,16 @@ def assert_the_tape_fails_first(objective, m, b, sched, op):
     assert np.isfinite(loss) and all(nd.all_finite(g) for g in grads.values())
 
 
-def assert_same_error(objective, m, b, sched):
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(Exception) as tape:
-        tape_loss_and_gradients(m, b, sched, objective=objective)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(Exception) as values:
-        loss_and_gradients(objective, m, b, sched)
-    assert type(values.value) is type(tape.value)
-    assert str(values.value) == str(tape.value)
-    assert_raises_as_the_tape(lambda: loss_and_gradients(objective, m, b, sched),
-                              lambda: tape_loss_and_gradients(m, b, sched,
-                                                              objective=objective))
-    return str(values.value)
+def failed_step(objective, m, b, sched) -> str:
+    """The message of a step whose pass raises where the tape raises
+    (`assert_raises_as_the_tape`)."""
+    return assert_raises_as_the_tape(
+        lambda: loss_and_gradients(objective, m, b, sched),
+        lambda: tape_loss_and_gradients(m, b, sched, objective=objective))
+
+
+def non_finite(place: str) -> str:
+    return f"non-finite values produced by {place}"
 
 
 class TestLossAndGradients:
@@ -341,10 +338,14 @@ class TestLossAndGradients:
                                       "backward mul", "first-layer backward mul",
                                       "schedule", "no labels", "energy head"])
     def test_errors_equal_the_tape(self, case):
-        """Where the tape raises, the pass raises the same error, except in
+        """Where the tape raises, the pass raises with no warning, except in
         `backward matmul`: there the first overflow is layer 0's input
         gradient, which the tape makes and checks but no parameter gradient
-        uses, so the pass does not make it and returns finite gradients."""
+        uses, so the pass does not make it and returns finite gradients. A
+        failed precondition or label raises the tape's error; a NaN or Inf
+        raises a NonFiniteError naming the scan that found it: the forward
+        pass's output (layer 2), or the first gradient scanned from the
+        output down."""
         head = "dot" if case == "energy head" else "none"
         m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), 0)
         x, eps = np.ones((5, 2)), np.ones((5, 2))
@@ -392,16 +393,20 @@ class TestLossAndGradients:
         if case == "backward matmul":
             assert_the_tape_fails_first("eqm", m, b, sched, "matmul")
             return
-        message = assert_same_error("eqm", m, b, sched)
-        op = {"nan input": "constant", "hidden inf": "matmul", "hidden -inf": "matmul",
-              "backward mul": "mul", "first-layer backward mul": "mul"}.get(case, case)
+        message = failed_step("eqm", m, b, sched)
+        place = {"leaf": "op 'leaf' at layers.1.b", "nan input": "op 'constant' at the input",
+                 "backward mul": "op 'reduce_leading' in the gradient of layers.1.b",
+                 "first-layer backward mul":
+                     "op 'matmul' in the gradient of label_embed"}.get(
+            case, "op 'add' in layer 2")
         if case not in ("label", "schedule", "no labels", "energy head"):
-            assert message == f"non-finite values produced by op '{op}'"
+            assert message == non_finite(place)
 
     @pytest.mark.parametrize("case", ["leaf", "matmul", "add", "nan input", "label",
                                       "weight gradient", "schedule", "no labels",
                                       "no energy head", "hidden inf", "hidden -inf"])
     def test_eqm_e_errors_equal_the_tape(self, case):
+        """As `test_errors_equal_the_tape`, for eqm-e with a dot head."""
         head = "none" if case == "no energy head" else "dot"
         m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), 0)
         x, eps = np.ones((5, 2)), np.ones((5, 2))
@@ -435,11 +440,12 @@ class TestLossAndGradients:
         b = TrainBatch(x=x, eps=eps, gamma=np.full(5, 0.5), labels=labels)
         if case == "weight gradient":
             energy(m, corrupt(x, eps, b.gamma), labels)  # the forward pass is finite
-        message = assert_same_error("eqm-e", m, b, sched)
-        op = {"nan input": "leaf", "weight gradient": "matmul", "hidden inf": "matmul",
-              "hidden -inf": "matmul"}.get(case, case)
+        message = failed_step("eqm-e", m, b, sched)
+        place = {"leaf": "op 'leaf' at layers.1.b", "nan input": "op 'constant' at the input",
+                 "weight gradient": "op 'add' in the gradient of layers.2.w"}.get(
+            case, "op 'add' in layer 2")
         if case not in ("label", "schedule", "no labels", "no energy head"):
-            assert message == f"non-finite values produced by op '{op}'"
+            assert message == non_finite(place)
 
     @pytest.mark.parametrize("classes", [3, 0], ids=["labelled", "unlabelled"])
     @pytest.mark.parametrize("head", ["dot", "l2norm"])
@@ -459,7 +465,10 @@ class TestLossAndGradients:
         far, the output adjoint overflows too: the tape's first failure is
         the matmul that makes `v`, and so is l2norm's; dot makes no `v` at
         the output (only x's adjoint uses it), and overflows in the next
-        matmul, the last layer's `g.T @ g_pre`.
+        matmul, the last layer's `g.T @ g_pre`. The pass names the first
+        scanned value the overflow reaches: the field in the first
+        backward, the last layer's gradients where the output adjoint
+        overflows, and else layer 1's bias gradient.
         Weights, biases and inputs that are powers of two keep each product
         exact, so the sizes below hold."""
         m = random_model(ModelConfig(hidden=(8, 8), num_classes=classes,
@@ -516,9 +525,14 @@ class TestLossAndGradients:
         if phase == "head adjoint" and head == "dot":
             assert_the_tape_fails_first("eqm-e", m, b, TRUNC4, "mul")
             return
-        message = assert_same_error("eqm-e", m, b, TRUNC4)
-        op = "matmul" if phase in ("first backward", "output adjoint") else "mul"
-        assert message == f"non-finite values produced by op '{op}'"
+        message = failed_step("eqm-e", m, b, TRUNC4)
+        place = {"first backward": {"dot": "op 'add' in layer 0's input gradient",
+                                    "l2norm": "op 'matmul' in layer 0's input gradient"},
+                 "output adjoint": {"dot": "op 'add' in the gradient of layers.2.w",
+                                    "l2norm": "op 'reduce_leading' in the gradient of "
+                                              "layers.2.b"}}
+        assert message == non_finite(place.get(phase, {}).get(
+            head, "op 'reduce_leading' in the gradient of layers.1.b"))
 
     @settings(max_examples=150, deadline=None)
     @given(case=st.sampled_from([("eqm", "none"), ("eqm-e", "dot"), ("eqm-e", "l2norm")]),
@@ -528,10 +542,10 @@ class TestLossAndGradients:
                                                  seed):
         """Parameters scaled by 2^k, k in [0, 1000], and data by 2^j overflow
         anywhere in a step. Wherever the tape returns, the pass returns its
-        bits; wherever the pass raises, the tape raises the same error;
-        wherever the pass returns, its loss and gradients are finite. The
-        pass may return where the tape raises, on a product that no returned
-        gradient uses."""
+        bits; wherever the pass raises, the tape raises too, a NonFiniteError
+        that the pass names by its own scan; wherever the pass returns, its
+        loss and gradients are finite. The pass may return where the tape
+        raises, on a product that no returned gradient uses."""
         objective, head = case
         m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), seed)
         scale_by_powers_of_two(m.params, exponents)
@@ -548,8 +562,7 @@ class TestLossAndGradients:
             loss, grads = got
             assert np.isfinite(loss) and all(nd.all_finite(g) for g in grads.values())
         else:
-            assert type(pass_error) is type(tape_error)
-            assert str(pass_error) == str(tape_error)
+            assert_fails_as_the_tape(pass_error, tape_error)
 
     @pytest.mark.parametrize("hidden, counts", [((256, 256, 256), (20, 21, 22)),
                                                 ((16,), (12, 13, 18)),
@@ -568,9 +581,9 @@ class TestLossAndGradients:
         in blocks). The default three hidden layers have P = 8."""
         calls, check_finite = [], nd.check_finite
 
-        def counted(values, op):
+        def counted(values, op, place=""):
             calls.append(op)
-            check_finite(values, op)
+            check_finite(values, op, place)
 
         monkeypatch.setattr(nd, "check_finite", counted)
         rng = np.random.default_rng(0)

@@ -17,8 +17,9 @@ eta --values 0.01,0.02` on the fixture at `--n 200`, each printing
 `<fixture|eqm-e> <operation> <file> <sha256>`. Last, `eqmatch sample --eta
 1e308 --steps 3` on the fixture and on the eqm-e checkpoint diverges, and
 `<fixture|eqm-e> sample-diverge stderr <sha256>` digests its exit code and
-the last line of its stderr, the error message (the warnings before it name
-source paths, so they are left out). Two
+the last line of its stderr, the error message: on the fixture it follows
+the sampler's overflow warning, which names a source path and is left out;
+on the eqm-e checkpoint the field's pass fails and is the only line. Two
 checkouts that train and sample the same bits print the same lines, so
 
     diff <(python tools/run_digests.py --repo A) <(python tools/run_digests.py --repo B)
