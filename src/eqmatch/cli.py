@@ -138,6 +138,7 @@ def cmd_sample(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_samples_csv(out, traj)
     if record:
+        Path(args.trajectory).parent.mkdir(parents=True, exist_ok=True)
         save_trajectory_csv(args.trajectory, traj)
     print(f"wrote {len(traj.final)} samples to {out} "
           f"(mean steps {traj.steps_used.mean():.1f}; on {traj.processes} "

@@ -18,7 +18,6 @@ gradient field is the input-gradient of that scalar.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,28 +33,6 @@ NOISE_FEATURES = 16
 # kernel for a row to depend on the batch size (README). A multiple of
 # `sampler.BLAS_ROW_BLOCK`, so a block boundary never splits a kernel block.
 INFERENCE_ROWS = 128
-
-#: the variables OpenBLAS reads its thread count from, in the order it reads
-#: them
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def inference_workers() -> int:
-    """The processes `sampler.sample` may split a batch over: the usable
-    cores over the threads each BLAS call takes, at least 1. BLAS takes the
-    first positive value of `BLAS_THREAD_VARS`, or every core where none is
-    set, so a batch is then sampled in one process, as BLAS fills the
-    cores."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
-    for var in BLAS_THREAD_VARS:
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return max(1, cores // threads)
-    return 1
 
 
 class ConditioningError(ValueError):
@@ -184,74 +161,64 @@ class GradientFieldModel:
         """`forward(nd.Graph(), ...).values` off the tape on each row block of
         `x`, as one inference pass (`_row_pass`): the tape's bits on the same
         blocks where it returns."""
-        return self._row_pass(
-            x, label, noise_level,
-            lambda p, xb, lb, nl: self._forward_values(xb, lb, nl, params=p))
+        return self._row_pass(x, label, noise_level, self._forward_values)
 
     def _row_pass(self, x, label, noise_level, run_block) -> np.ndarray:
-        """An inference pass over `x` [n, d] in blocks of INFERENCE_ROWS rows
-        (the last takes the remainder): `run_block(params, xb, label, level)`
-        on each block in turn, with the parameters scanned once (`_leaves`),
-        writes the blocks' [rows, d] results into one [n, d] output, under
-        one `np.errstate(all="ignore")` (see `nd`'s docstring). The
-        conditioning is checked once, on the whole batch, so its errors name
-        the batch; each block gets its rows' labels and noise levels, a
-        scalar one given to every row."""
-        self._check_conditioning(label, noise_level)
-        x = nd.as_values(x)
-        n = self._batch_size(x.shape)
-        if label is not None:
-            label = _per_row(label, n, np.int64, "label")
-        if noise_level is not None:
-            noise_level = _per_row(noise_level, n, np.float64, "noise level")
-        ends = [*range(INFERENCE_ROWS, n - INFERENCE_ROWS + 1, INFERENCE_ROWS), n]
-        out = np.empty_like(x)
+        """An inference pass over `x` [n, d] under one
+        `np.errstate(all="ignore")` (see `nd`'s docstring): `_enter` on the
+        whole batch, so its errors name the batch, then `run_block(params,
+        h, hot)` on each block of INFERENCE_ROWS rows of `_enter`'s input and
+        one-hot labels in turn (the last block takes the remainder), its
+        [rows, d] result written into one [n, d] output."""
         with np.errstate(all="ignore"):
-            p = self._leaves()
+            p, h, hot = self._enter(x, label, noise_level)
+            n = len(h)
+            ends = [*range(INFERENCE_ROWS, n - INFERENCE_ROWS + 1, INFERENCE_ROWS), n]
+            out = np.empty((n, self.config.input_dim))
             for a, b in zip([0, *ends[:-1]], ends):
-                out[a:b] = run_block(p, x[a:b], None if label is None else label[a:b],
-                                     None if noise_level is None else noise_level[a:b])
+                out[a:b] = run_block(p, h[a:b], None if hot is None else hot[a:b])
         return out
 
-    def _leaves(self) -> dict[str, np.ndarray]:
-        """The parameters as values, each scanned where `forward` leases its
-        leaf."""
+    def _enter(self, x, label, noise_level) -> tuple:
+        """What a pass reads, checked and scanned once with
+        `nd.check_finite`, in the order `forward` checks it: which
+        conditioning is given, x, its shape, the noise level's shape, the
+        noise-conditioned input, each parameter where `forward` leases its
+        leaf, then the labels' shape and range. Returns (the parameters as
+        values, layer 0's input [n, d] or [n, d + 16], the one-hot labels
+        [n, classes] or None)."""
+        self._check_conditioning(label, noise_level)
+        h = nd.as_values(x)
+        nd.check_finite(h, "constant", "at the input")
+        n = self._batch_size(h.shape)
+        if self.config.noise_conditioned:
+            h = np.concatenate([h, noise_features(noise_level, n)], 1)
+            nd.check_finite(h, "constant", "at the noise-conditioned input")
         p = {name: nd.as_values(buf) for name, buf in self.params.items()}
         for name, buf in p.items():
             nd.check_finite(buf, "leaf", f"at {name}")
-        return p
+        return p, h, self._one_hot(label, n) if self.config.num_classes else None
 
-    def _forward_values(self, x, label, noise_level, cache=None,
-                        params=None) -> np.ndarray:
-        """`forward(nd.Graph(), ...).values`, each layer written in place, for
-        a pass that scans only what enters and leaves it with
-        `nd.check_finite` (see `nd`'s docstring); `params` is `_leaves()`,
-        made here if None.
+    def _forward_values(self, p, h, hot, cache=None) -> np.ndarray:
+        """`forward(nd.Graph(), ...).values` from `_enter`'s (params, input,
+        one-hot labels), or from rows of the last two, each layer written in
+        place; of its values it scans only the output with `nd.check_finite`
+        (see `nd`'s docstring).
 
         With `cache` None, each hidden layer writes its sigmoid and SiLU over
         the previous hidden layer's activations, which are dead once its
         product is made, and drops its pre-activation before the next
         product: at most two [n, width] arrays are alive. It never writes
-        into `x` or the noise-conditioned input, and allocates where the
-        shapes differ.
+        into the `h` it is given, and allocates where the shapes differ.
 
         With a list as `cache`, each layer appends what `parameter_gradients`
         needs: [input, one-hot labels or None, pre-activation, its sigmoid or
         None (the output layer)]."""
-        self._check_conditioning(label, noise_level)
-        h = nd.as_values(x)
-        n = self._batch_size(h.shape)
-        if self.config.noise_conditioned:
-            h = np.concatenate([h, noise_features(noise_level, n)], 1)
-        nd.check_finite(h, "constant", "at the input")
-        p = self._leaves() if params is None else params
         last = len(self.config.hidden)
         for i in range(last + 1):
             pre = h @ p[f"layers.{i}.w"]
             pre += p[f"layers.{i}.b"]
-            hot = None
-            if i == 0 and self.config.num_classes > 0:
-                hot = self._one_hot(label, n)
+            if hot is not None:  # layer 0 of a labelled model
                 pre += hot @ p["label_embed"]
             if i == last:
                 if cache is not None:
@@ -267,6 +234,7 @@ class GradientFieldModel:
                 cache.append([h, hot, pre, s])
                 h = np.empty_like(s)
                 np.multiply(pre, s, out=h)
+            hot = None
 
     def parameter_gradients(self, cache: list, grad: np.ndarray,
                             first: tuple | None = None) -> dict[str, np.ndarray]:
@@ -481,9 +449,9 @@ def energy_gradient(model: GradientFieldModel, x, label=None) -> np.ndarray:
     of `x`, from `_forward_values` and `energy_input_gradient`, as one
     inference pass (`GradientFieldModel._row_pass`): the tape's bits on the
     same blocks where it returns."""
-    def run(p, xb, lb, _):
+    def run(p, h, hot):
         cache = []
-        model._forward_values(xb, lb, None, cache, p)
+        model._forward_values(p, h, hot, cache)
         return model.energy_input_gradient(cache)
 
     return model._row_pass(x, label, None, run)

@@ -142,9 +142,9 @@ def loss_and_gradients(objective: str, model: GradientFieldModel, batch: TrainBa
                        sched: Schedule, allow_non_equilibrium: bool = False
                        ) -> tuple[float, dict[str, np.ndarray]]:
     """The loss of `objective` and its gradient with respect to every
-    parameter, off the tape: `model._forward_values` with a cache (for
-    eqm-e, then `energy_input_gradient`), the mean squared error and its
-    gradient written out, then `parameter_gradients` (eqm) or
+    parameter, off the tape: `model._enter`, `model._forward_values` with a
+    cache (for eqm-e, then `energy_input_gradient`), the mean squared error
+    and its gradient written out, then `parameter_gradients` (eqm) or
     `energy_parameter_gradients` (eqm-e), as one pass (see `nd`'s
     docstring): the bits of `loss_for(objective, ...)` + `nd.backward`
     where they return. Of the values between the output and the gradients
@@ -153,11 +153,12 @@ def loss_and_gradients(objective: str, model: GradientFieldModel, batch: TrainBa
     xg, target, label = _loss_inputs(objective, model, batch, sched,
                                      allow_non_equilibrium)
     level = batch.gamma if model.config.noise_conditioned else None
-    if not model._batch_size(xg.shape):
-        raise nd.ShapeMismatchError("op 'mean': empty tensor")
     with np.errstate(all="ignore"):
+        p, h, hot = model._enter(xg, label, level)
+        if not len(h):
+            raise nd.ShapeMismatchError("op 'mean': empty tensor")
         cache, keep = [], []
-        field = model._forward_values(xg, label, level, cache)
+        field = model._forward_values(p, h, hot, cache)
         if objective == "eqm-e":
             field = model.energy_input_gradient(cache, keep)
         nd.check_finite(target, "constant", "in the target")

@@ -60,6 +60,10 @@ METHODS = ("gd", "adaptive")
 # kernel inside a block and round a subset differently (README).
 BLAS_ROW_BLOCK = 8
 
+#: the variables OpenBLAS reads its thread count from, in the order it reads
+#: them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -164,6 +168,23 @@ def as_field(obj):
 # samplers
 
 
+def inference_workers() -> int:
+    """The processes `sample` may split a batch over: the usable cores over
+    the threads each BLAS call takes, at least 1. BLAS takes the first
+    positive value of `BLAS_THREAD_VARS`, or every core where none is set,
+    so a batch is then sampled in one process, as BLAS fills the cores."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    for var in BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return max(1, cores // threads)
+    return 1
+
+
 def _prepare(field, x0) -> tuple:
     field = as_field(field)
     x = np.array(x0, dtype=np.float64)
@@ -236,7 +257,7 @@ def sample(field, x0, config: SamplerConfig, record: bool = False) -> Trajectory
         check_time_grid(config)
     # a forked child would hold only the thread that forked it
     if not record and hasattr(os, "fork") and threading.active_count() == 1:
-        shards = min(model.inference_workers(), len(x) // model.INFERENCE_ROWS)
+        shards = min(inference_workers(), len(x) // model.INFERENCE_ROWS)
         traj = _on_shards(field, x, config, shards) if shards > 1 else None
         if traj is not None:
             return traj
@@ -260,7 +281,8 @@ def _descend(field, x, config: SamplerConfig, record: bool) -> Trajectory:
         if config.mu == 0.0 or (adaptive and k == 0):
             look = x
         else:
-            look = x + config.mu * (x - x_prev)
+            with np.errstate(all="ignore"):  # the field or its check fails on inf
+                look = x + config.mu * (x - x_prev)
         idx = _subset_rows(active) if adaptive and k > 0 else None
         if idx is None:
             g = _eval_field(field, look, k / budget, k)
@@ -271,15 +293,16 @@ def _descend(field, x, config: SamplerConfig, record: bool) -> Trajectory:
             g = g.copy()
             g[idx] = _eval_field(field, look[idx], k / budget, k)
             points.append(len(idx))
-        if record:
-            norms.append(np.linalg.norm(g, axis=1))
-        if adaptive:
-            active &= np.linalg.norm(g, axis=1) > config.g_min
-        if k == budget or not active.any():
-            break
-        moving = active[:, None]
-        x_prev = np.where(moving, x, x_prev)
-        x = np.where(moving, x - config.eta * g, x)
+        with np.errstate(all="ignore"):  # an inf norm or state is checked
+            if record:
+                norms.append(np.linalg.norm(g, axis=1))
+            if adaptive:
+                active &= np.linalg.norm(g, axis=1) > config.g_min
+            if k == budget or not active.any():
+                break
+            moving = active[:, None]
+            x_prev = np.where(moving, x, x_prev)
+            x = np.where(moving, x - config.eta * g, x)
         if not np.all(np.isfinite(x)):
             raise NonFiniteError(f"non-finite sampler state at step {k}")
         steps_used += active

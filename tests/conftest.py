@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eqmatch import model, ndtensor as nd
+from eqmatch import ndtensor as nd, sampler
 
 
 def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -95,9 +95,9 @@ def scale_by_powers_of_two(params: dict, exponents) -> None:
 @pytest.fixture(params=[1, 2], ids=["1 worker", "2 workers"])
 def workers(request, monkeypatch) -> int:
     """The processes `sampler.sample` splits a batch over, set by patching
-    `model.inference_workers`: 1 is the serial loop that runs where no BLAS
+    `sampler.inference_workers`: 1 is the serial loop that runs where no BLAS
     thread variable is set. Override with indirect parametrization."""
-    monkeypatch.setattr(model, "inference_workers", lambda: request.param)
+    monkeypatch.setattr(sampler, "inference_workers", lambda: request.param)
     return request.param
 
 

@@ -21,8 +21,7 @@ from eqmatch.checkpoint import load_checkpoint, save_checkpoint
 from eqmatch.cli import _file_digest, main
 from eqmatch.config import to_dict
 from eqmatch.data import read_csv, read_points
-from eqmatch.model import BLAS_THREAD_VARS
-from eqmatch.sampler import SamplerConfig
+from eqmatch.sampler import BLAS_THREAD_VARS, SamplerConfig
 
 
 # a flow-matching baseline: eqm whose target keeps the velocity eps - x
@@ -401,6 +400,21 @@ class TestNumericalFailures:
                        "non-finite values produced by op 'add' in layer 0's input "
                        "gradient\n")
 
+    @pytest.mark.parametrize("n, workers", [(200, 1), (1000, 2)], indirect=["workers"],
+                             ids=["200 rows", "1000 rows on two shards"])
+    @pytest.mark.parametrize("flag, message", [
+        ("--eta", "non-finite sampler state at step 0"),
+        ("--mu", "gradient evaluation failed at step 2: non-finite values produced by "
+                 "op 'constant' at the input")], ids=["eta", "mu"])
+    def test_sampling_the_fixture_at_a_huge_step_or_look_ahead(
+            self, monkeypatch, capsys, tmp_path, flag, message, n, workers):
+        """The sampler's own step and look-ahead overflow without a warning:
+        the state check, or the field's scan of its input, names the step."""
+        err = self.failure(monkeypatch, capsys, [
+            "sample", "--checkpoint", str(FIXTURE), "--n", str(n), flag, "1e308",
+            "--steps", "3", "--out", str(tmp_path / "samples.csv")])
+        assert err == f"numerical failure: {message}\n"
+
 
 class TestDeterminism:
     def test_same_seed_same_sample_bytes(self, workspace, tmp_path):
@@ -580,6 +594,12 @@ class TestSamplerIdentities:
         # the first gradient takes all 40 rows, later ones only the active rows
         assert min(steps) < max(steps) and 40 < points < 40 * (max(steps) + 1)
         assert list(rows[0]) == ["sample_id", "x0", "x1", "steps_used", "cap_reached"]
+
+    def test_out_and_trajectory_make_their_directories(self, workspace, tmp_path):
+        out, trajectory = tmp_path / "out" / "a.csv", tmp_path / "traj" / "t.csv"
+        assert main(["sample", "--checkpoint", ckpt(workspace), "--n", "4", "--steps", "2",
+                     "--out", str(out), "--trajectory", str(trajectory)]) == 0
+        assert len(read_csv(out)) == 4 and len(read_csv(trajectory)) == 3 * 4
 
 
 class TestStartCsv:

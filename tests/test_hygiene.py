@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from eqmatch import cli, model
+from eqmatch import cli, sampler
 from eqmatch.config import RunConfig, to_dict
 from eqmatch.objective import OBJECTIVES
 from eqmatch.sampler import METHODS
@@ -104,7 +104,7 @@ def test_threads_a_command_starts(tmp_path, command, blas_threads):
     `sample` splits its 1000 rows over a process per core where one BLAS
     thread is set (7 at most, INFERENCE_ROWS each), and its summary line
     says how many it sampled on."""
-    env = {k: v for k, v in os.environ.items() if k not in model.BLAS_THREAD_VARS}
+    env = {k: v for k, v in os.environ.items() if k not in sampler.BLAS_THREAD_VARS}
     env["PYTHONPATH"] = str(ROOT / "src")
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads

@@ -1,5 +1,4 @@
 import os
-import threading
 import tracemalloc
 from functools import partial
 
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqmatch import model as model_module, ndtensor as nd
+from eqmatch import ndtensor as nd, sampler as sampler_module
 from eqmatch.model import (INFERENCE_ROWS, ConditioningError, GradientFieldModel,
                            ModelConfig, _total_energy, energy, energy_gradient,
                            init_model, noise_features)
@@ -475,29 +474,6 @@ class TestForwardValues:
         message = assert_raises_as_the_tape(lambda: call(x), lambda: tape(x[128:]))
         assert message == "non-finite values produced by op 'add' in layer 2"
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("workers", [2], indirect=True, ids=["2 workers"])
-    @pytest.mark.parametrize("head", ["none", "dot"])
-    def test_no_worker_warns(self, monkeypatch, head, workers):
-        """The pass runs every block on the caller's thread, under its own
-        `np.errstate`, at any worker count: with RuntimeWarnings as errors,
-        block 1 fails at its output scan rather than on an overflow warning,
-        and block 0 returns."""
-        m, x, call, _ = later_block_overflow(head)
-        real, raised = m._forward_values, []
-
-        def spy(*args, **kwargs):
-            try:
-                return real(*args, **kwargs)
-            except Exception as error:
-                raised.append((type(error), threading.current_thread().name))
-                raise
-
-        monkeypatch.setattr(m, "_forward_values", spy)
-        with pytest.raises(nd.NonFiniteError):
-            call(x)
-        assert raised == [(nd.NonFiniteError, threading.main_thread().name)]
-
     @pytest.mark.parametrize("head, name", [("none", "label"), ("none", "noise level"),
                                             ("dot", "label")])
     def test_a_bad_per_row_shape_names_the_batch(self, head, name):
@@ -513,6 +489,24 @@ class TestForwardValues:
         with pytest.raises(ConditioningError) as error:
             call(x, **kw)
         assert str(error.value) == f"{name} shape (299,) does not match batch 300"
+
+    @pytest.mark.parametrize("head", ["none", "dot", "l2norm"])
+    @pytest.mark.parametrize("label", ["wrong shape", "out of range"])
+    def test_a_bad_label_meets_a_bad_parameter_as_the_tape(self, label, head):
+        """The tape leases every parameter's leaf before it reads the labels,
+        so a non-finite parameter raises before a bad label, and so does the
+        pass."""
+        m = random_model(ModelConfig(hidden=(8, 8), num_classes=3, energy_kind=head), 0)
+        m.params["layers.1.b"][3] = np.inf
+        x = np.ones((5, 2))
+        bad = np.arange(4) % 3 if label == "wrong shape" else np.array([0, 1, 2, 3, 0])
+        if head == "none":
+            call, tape = m.forward_values, lambda: m.forward(nd.Graph(), x, bad)
+        else:
+            call, tape = (partial(energy_gradient, m),
+                          lambda: TestEnergy.tape_gradient(m, x, bad))
+        message = assert_raises_as_the_tape(lambda: call(x, bad), tape)
+        assert message == "non-finite values produced by op 'leaf' at layers.1.b"
 
     def test_holds_two_activation_arrays(self, workers):
         """At n = 1000 on the default widths the pass holds the previous
@@ -595,9 +589,9 @@ class TestForwardValues:
 
 
 class TestPassWorkers:
-    """`inference_workers()` is the processes `sampler.sample` splits a batch
-    over (tests/test_sampler.py, `TestShards`); an inference pass runs its
-    row blocks in turn, and the count changes no bit."""
+    """`sampler.inference_workers()` is the processes `sampler.sample`
+    splits a batch over (tests/test_sampler.py, `TestShards`); an inference
+    pass runs its row blocks in turn, and the count changes no bit."""
 
     @pytest.mark.parametrize("cores, env, want", [
         (2, {}, 1),
@@ -612,13 +606,13 @@ class TestPassWorkers:
     ], ids=["none set", "one thread", "a thread a core", "more threads than cores",
             "one core", "OMP", "the first positive value", "a value that is no number"])
     def test_usable_cores_over_blas_threads(self, monkeypatch, cores, env, want):
-        for var in model_module.BLAS_THREAD_VARS:
+        for var in sampler_module.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)
-        assert model_module.inference_workers() == want
+        assert sampler_module.inference_workers() == want
 
     @pytest.mark.parametrize("head", ["none", "dot", "l2norm"])
     @pytest.mark.parametrize("n", [1, 127, 128, 255, 256, 257, 1000, 1001, 2000])
@@ -632,7 +626,7 @@ class TestPassWorkers:
         call = m.forward_values if head == "none" else partial(energy_gradient, m)
         got = []
         for count in (1, 2):
-            monkeypatch.setattr(model_module, "inference_workers", lambda c=count: c)
+            monkeypatch.setattr(sampler_module, "inference_workers", lambda c=count: c)
             got.append(call(x, **kw).tobytes())
         assert got[0] == got[1]
 
@@ -645,7 +639,7 @@ class TestPassWorkers:
         x = np.random.default_rng(6).standard_normal((2000, 2))
         config = SamplerConfig(eta=0.05, steps=3)
         got = [sample(field, x, config) for _ in range(2)]
-        monkeypatch.setattr(model_module, "inference_workers", lambda: 1)
+        monkeypatch.setattr(sampler_module, "inference_workers", lambda: 1)
         want = sample(field, x, config)
         assert [t.processes for t in got] == [4] * 2 and want.processes == 1
         assert [t.final.tobytes() for t in got] == [want.final.tobytes()] * 2

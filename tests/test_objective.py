@@ -564,9 +564,9 @@ class TestLossAndGradients:
         else:
             assert_fails_as_the_tape(pass_error, tape_error)
 
-    @pytest.mark.parametrize("hidden, counts", [((256, 256, 256), (20, 21, 22)),
-                                                ((16,), (12, 13, 18)),
-                                                ((64, 64), (16, 17, 20))],
+    @pytest.mark.parametrize("hidden, counts", [((256, 256, 256), (20, 21, 16)),
+                                                ((16,), (12, 13, 12)),
+                                                ((64, 64), (16, 17, 14))],
                              ids=["3 layers", "1 layer", "2 layers"])
     def test_finite_passes_scan_only_their_boundaries(self, monkeypatch, hidden,
                                                       counts):
@@ -576,9 +576,10 @@ class TestLossAndGradients:
         inner ops. An eqm step scans the input, P parameters, the output, the
         target, the loss and P gradients (2P + 4). An eqm-e step scans x,
         P parameters, the output, the field, the target, the loss and P
-        gradients (2P + 5). A forward pass scans P parameters, and the input
-        and output of each of its 7 row blocks (P + 14; P + 2 before it ran
-        in blocks). The default three hidden layers have P = 8."""
+        gradients (2P + 5). A forward pass scans the input, P parameters and
+        the output of each of its 7 row blocks (P + 8; P + 14 while each
+        block scanned its own input). The default three hidden layers have
+        P = 8."""
         calls, check_finite = [], nd.check_finite
 
         def counted(values, op, place=""):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqmatch import model
+from eqmatch import sampler
 from eqmatch.config import from_dict, to_dict
 from eqmatch.model import INFERENCE_ROWS, ModelConfig, init_model
 from eqmatch.ndtensor import NonFiniteError
@@ -552,9 +552,9 @@ def shard_case(name: str) -> tuple:
 # `eqmatch` on a given number of workers, with the rest of argv as its command
 MAIN_ON_WORKERS = """
 import sys
-from eqmatch import model
+from eqmatch import sampler
 from eqmatch.cli import main
-model.inference_workers = lambda: int(sys.argv[1])
+sampler.inference_workers = lambda: int(sys.argv[1])
 sys.exit(main(sys.argv[2:]))
 """
 
@@ -564,7 +564,7 @@ FORK_THEN_SAMPLE = """
 import os, signal
 import numpy as np
 from eqmatch import model, sampler
-model.inference_workers = lambda: 2
+sampler.inference_workers = lambda: 2
 m = model.init_model(model.ModelConfig())
 rng = np.random.default_rng(0)
 for buf in m.params.values():
@@ -589,7 +589,7 @@ print(want.processes, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="shards are forked processes")
 class TestShards:
     """Unless it records, `sample` splits the batch over
-    `model.inference_workers()` processes, each shard at least
+    `sampler.inference_workers()` processes, each shard at least
     INFERENCE_ROWS rows; the bits are the serial loop's."""
 
     @pytest.mark.parametrize("n", [256, 257, 1000, 1001, 2000])
@@ -600,7 +600,7 @@ class TestShards:
         x0 = 2.0 * np.random.default_rng(n).standard_normal((n, 2))
         runs = []
         for workers in (1, 2):
-            monkeypatch.setattr(model, "inference_workers", lambda w=workers: w)
+            monkeypatch.setattr(sampler, "inference_workers", lambda w=workers: w)
             runs.append(sample(field, x0, config))
         serial, sharded = runs
         assert (serial.processes, sharded.processes) == (1, 2)
@@ -654,7 +654,7 @@ class TestShards:
         assert during.final.tobytes() == after.final.tobytes()
 
     def test_record_and_small_batches_stay_serial(self, monkeypatch):
-        monkeypatch.setattr(model, "inference_workers", lambda: 8)
+        monkeypatch.setattr(sampler, "inference_workers", lambda: 8)
         c = cfg(eta=0.1, steps=3)
         assert sample(linear_field, np.ones((255, 2)), c).processes == 1
         assert sample(linear_field, np.ones((256, 2)), c).processes == 2
@@ -727,7 +727,7 @@ class TestShards:
 
         got = []
         for workers in (1, 2):
-            monkeypatch.setattr(model, "inference_workers", lambda w=workers: w)
+            monkeypatch.setattr(sampler, "inference_workers", lambda w=workers: w)
             with pytest.warns(Warning) as record:
                 traj = sample(field, x0, cfg(eta=0.1, steps=3))
             got.append((traj.processes, traj.final.tobytes(),

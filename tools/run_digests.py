@@ -17,10 +17,10 @@ eta --values 0.01,0.02` on the fixture at `--n 200`, each printing
 `<fixture|eqm-e> <operation> <file> <sha256>`. Last, `eqmatch sample --eta
 1e308 --steps 3` on the fixture and on the eqm-e checkpoint diverges, and
 `<fixture|eqm-e> sample-diverge stderr <sha256>` digests its exit code and
-the last line of its stderr, the error message: on the fixture it follows
-the sampler's overflow warning, which names a source path and is left out;
-on the eqm-e checkpoint the field's pass fails and is the only line. Two
-checkouts that train and sample the same bits print the same lines, so
+its whole stderr, the one line of the error message: on the fixture the
+sampler's state overflows, and on the eqm-e checkpoint the field's pass
+fails. Two checkouts that train and sample the same bits print the same
+lines, so
 
     diff <(python tools/run_digests.py --repo A) <(python tools/run_digests.py --repo B)
 
@@ -108,8 +108,7 @@ def run_digests(repo: Path, work: Path, steps: int, every: int,
     for source, checkpoint in (("fixture", fixture), ("eqm-e", final)):
         done = eqmatch(repo, ["sample", *checkpoint, "--eta", "1e308", "--steps", "3",
                               "--out", str(work / f"{source}-diverge.csv")], check=False)
-        last = done.stderr.splitlines()[-1] if done.stderr else ""
-        outcome = f"{done.returncode}\n{last}".encode()
+        outcome = f"{done.returncode}\n{done.stderr}".encode()
         lines.append(f"{source} sample-diverge stderr {hashlib.sha256(outcome).hexdigest()}")
     return lines
 
